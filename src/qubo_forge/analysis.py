@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -48,15 +48,28 @@ class AnalysisReport:
     p_conf: float | None = None
 
 
-def _comparison_result(decl: ConstraintDecl, values: dict[str, float], tolerance: float, index: int) -> ConstraintCheck:
+def _tolerance(decl: ConstraintDecl, problem: Problem, config: CompileConfig | None, induced: bool) -> float:
+    """Half a slack step for a user inequality (decoded values sit on a grid), else exact up to 1e-9."""
+    if induced or decl.comparison.op == "=":
+        return _EQUALITY_TOL
+    return infer_slack_precision(decl, problem, config) / 2.0
+
+
+def _check(
+    decl: ConstraintDecl,
+    index: int,
+    values: dict[str, float],
+    problem: Problem,
+    config: CompileConfig | None,
+    induced: bool = False,
+) -> ConstraintCheck:
+    """One declaration on ``values``: a boolean relation's truth, or the comparison within its tolerance."""
+    if decl.boolean is not None:
+        satisfied = decl.boolean.truth(values)
+        return ConstraintCheck(decl.describe(), satisfied, 0.0 if satisfied else 1.0, decl.hardness, index)
     value = decl.comparison.lhs.evaluate(values)
-    return ConstraintCheck(
-        label=decl.describe(),
-        satisfied=decl.comparison.holds(value, tolerance=tolerance),
-        residual=decl.comparison.violation(value),
-        hardness=decl.hardness,
-        block_index=index,
-    )
+    satisfied = decl.comparison.holds(value, tolerance=_tolerance(decl, problem, config, induced))
+    return ConstraintCheck(decl.describe(), satisfied, decl.comparison.violation(value), decl.hardness, index)
 
 
 def check_constraints(
@@ -69,27 +82,11 @@ def check_constraints(
 
     Weak constraints are skipped unless ``include_weak`` is set.
     """
-    results = []
-    for index, decl in enumerate(problem.constraints):
-        if decl.hardness == "weak" and not include_weak:
-            continue
-        if decl.boolean is not None:
-            satisfied = decl.boolean.truth(decoded)
-            results.append(
-                ConstraintCheck(
-                    label=decl.describe(),
-                    satisfied=satisfied,
-                    residual=0.0 if satisfied else 1.0,
-                    hardness=decl.hardness,
-                    block_index=index,
-                )
-            )
-            continue
-        tolerance = _EQUALITY_TOL
-        if decl.comparison.op != "=":
-            tolerance = infer_slack_precision(decl, problem, config) / 2.0
-        results.append(_comparison_result(decl, decoded, tolerance, index))
-    return results
+    return [
+        _check(decl, index, decoded, problem, config)
+        for index, decl in enumerate(problem.constraints)
+        if decl.hardness == "hard" or include_weak
+    ]
 
 
 def check_model_constraints(
@@ -102,26 +99,14 @@ def check_model_constraints(
     """Per-penalty-block results: user constraints on the decoded values,
     encoding-induced ones (one-hot, monotone chains) on the raw binaries."""
     decoded = decoded if decoded is not None else model.decode(binary)
-    declarations: list[tuple[ConstraintDecl, bool]] = [(decl, False) for decl in problem.constraints]
-    for plan in model.encodings:
-        declarations.extend((decl, True) for decl in plan.induced)
+    declarations = [(decl, False) for decl in problem.constraints]
+    declarations += [(decl, True) for plan in model.encodings for decl in plan.induced]
     if len(declarations) != len(model.penalties):
         raise ValueError("model penalties do not line up with the problem's constraints")
-    results = []
-    for index, (decl, induced) in enumerate(declarations):
-        if decl.boolean is not None:
-            satisfied = decl.boolean.truth(decoded)
-            results.append(
-                ConstraintCheck(decl.describe(), satisfied, 0.0 if satisfied else 1.0, decl.hardness, index)
-            )
-        elif induced:
-            results.append(_comparison_result(decl, binary, _EQUALITY_TOL, index))
-        else:
-            tolerance = _EQUALITY_TOL
-            if decl.comparison.op != "=":
-                tolerance = infer_slack_precision(decl, problem, config) / 2.0
-            results.append(_comparison_result(decl, decoded, tolerance, index))
-    return results
+    return [
+        _check(decl, index, binary if induced else decoded, problem, config, induced)
+        for index, (decl, induced) in enumerate(declarations)
+    ]
 
 
 def solution_is_valid(
@@ -257,16 +242,7 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     return {
         "valid_rate": report.valid_rate,
         "objective_values": report.objective_values,
-        "constraints": [
-            {
-                "label": check.label,
-                "satisfied": check.satisfied,
-                "residual": check.residual,
-                "hardness": check.hardness,
-                "block_index": check.block_index,
-            }
-            for check in report.constraint_results
-        ],
+        "constraints": [asdict(check) for check in report.constraint_results],
         "cumulative": [[energy, fraction] for energy, fraction in report.cumulative],
         "p_range": report.p_range,
         "val_ref": report.val_ref,
@@ -283,16 +259,7 @@ def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
     return AnalysisReport(
         valid_rate=data["valid_rate"],
         objective_values=data["objective_values"],
-        constraint_results=[
-            ConstraintCheck(
-                label=entry["label"],
-                satisfied=entry["satisfied"],
-                residual=entry["residual"],
-                hardness=entry["hardness"],
-                block_index=entry["block_index"],
-            )
-            for entry in data["constraints"]
-        ],
+        constraint_results=[ConstraintCheck(**entry) for entry in data["constraints"]],
         cumulative=[(energy, fraction) for energy, fraction in data["cumulative"]],
         p_range=data.get("p_range"),
         val_ref=data.get("val_ref"),

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -40,10 +39,10 @@ from qubo_forge.analysis import (
     time_to_solution,
     write_cumulative_csv,
 )
-from qubo_forge.compiler import CompileConfig, compile_problem
+from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.expression import Polynomial, format_float
 from qubo_forge.problem import Problem
-from qubo_forge.solvers import SOLVERS, SolverParams, UpdateStrategy, solve, solve_with_lambda_update
+from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve, solve_with_lambda_update
 
 
 def bundled_data(name: str) -> Path:
@@ -163,18 +162,23 @@ def build_regression(
 # -- argument plumbing -----------------------------------------------------------
 
 
+_SOLVER_PARAMS = SolverParams()
+_UPDATE_STRATEGY = UpdateStrategy()
+LAMBDA_UPDATES = ("none",) + UPDATE_KINDS
+
+# Built-in option values, taken from the library's own defaults.
 _OPTION_DEFAULTS = {
     "solver": "sa",
-    "runs": 10,
-    "seed": 0,
-    "sweeps": 1000,
-    "layers": 2,
-    "shots": 200,
-    "lambda_method": "vlm",
+    "runs": _SOLVER_PARAMS.runs,
+    "seed": _SOLVER_PARAMS.seed,
+    "sweeps": _SOLVER_PARAMS.sweeps,
+    "layers": _SOLVER_PARAMS.layers,
+    "shots": _SOLVER_PARAMS.shots,
+    "lambda_method": CompileConfig().lambda_method,
     "lambda_value": None,
     "lambda_update": "none",
-    "lambda_max": 1e9,
-    "trials": 5,
+    "lambda_max": _UPDATE_STRATEGY.lambda_max,
+    "trials": _UPDATE_STRATEGY.max_trials,
     "val_ref": None,
     "p_conf": 0.99,
 }
@@ -183,27 +187,25 @@ _OPTION_DEFAULTS = {
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     # Flag defaults are None so the problem file's optional "solver" section
     # can fill values in; explicit flags always win (see _resolve_options).
-    parser.add_argument("--solver", choices=sorted(SOLVERS), help="solver to run (default: sa)")
-    parser.add_argument("--runs", type=int, help="independent runs (default: 10)")
-    parser.add_argument("--seed", type=int, help="base RNG seed (default: 0)")
-    parser.add_argument("--sweeps", type=int, help="SA sweeps per run (default: 1000)")
-    parser.add_argument("--layers", type=int, help="QAOA layers p (default: 2)")
-    parser.add_argument("--shots", type=int, help="QAOA shots per run (default: 200)")
-    parser.add_argument(
-        "--lambda-method",
-        choices=["ub-positive", "mqc", "vlm", "momc", "moc", "ub-naive", "ub-posiform", "manual"],
-        help="penalty-weight estimation method (default: vlm)",
-    )
-    parser.add_argument("--lambda-value", type=float, help="penalty weight for --lambda-method manual")
-    parser.add_argument(
-        "--lambda-update",
-        choices=["none", "sequential", "scaled", "binary-search"],
-        help="retry strategy when the best solution violates a hard constraint",
-    )
-    parser.add_argument("--lambda-max", type=float, help="cap for updated penalty weights")
-    parser.add_argument("--trials", type=int, help="max solve attempts with --lambda-update")
-    parser.add_argument("--val-ref", type=float, help="reference energy for p_range")
-    parser.add_argument("--p-conf", type=float, help="TTS confidence level (default: 0.99)")
+    def flag(name: str, text: str, **kwargs) -> None:
+        default = _OPTION_DEFAULTS[name[2:].replace("-", "_")]
+        if default is not None:
+            text += f" (default: {default})"
+        parser.add_argument(name, help=text, **kwargs)
+
+    flag("--solver", "solver to run", choices=sorted(SOLVERS))
+    flag("--runs", "independent runs", type=int)
+    flag("--seed", "base RNG seed", type=int)
+    flag("--sweeps", "SA sweeps per run", type=int)
+    flag("--layers", "QAOA layers p", type=int)
+    flag("--shots", "QAOA shots per run", type=int)
+    flag("--lambda-method", "penalty-weight estimation method", choices=LAMBDA_METHODS)
+    flag("--lambda-value", "penalty weight for --lambda-method manual", type=float)
+    flag("--lambda-update", "retry strategy when the best solution violates a hard constraint", choices=LAMBDA_UPDATES)
+    flag("--lambda-max", "cap for updated penalty weights", type=float)
+    flag("--trials", "max solve attempts with --lambda-update", type=int)
+    flag("--val-ref", "reference energy for p_range", type=float)
+    flag("--p-conf", "TTS confidence level", type=float)
     parser.add_argument("--time", action="store_true", help="record per-run wall time (enables TTS)")
     parser.add_argument("--out-dir", default=".", help="output directory (QUBO_FORGE_OUT overrides)")
 
@@ -221,7 +223,7 @@ def _resolve_options(args: argparse.Namespace, problem: Problem) -> dict:
     options["time"] = bool(args.time or section.get("time", False))
     if options["solver"] not in SOLVERS:
         raise ValueError(f"unknown solver {options['solver']!r}")
-    if options["lambda_update"] not in ("none", "sequential", "scaled", "binary-search"):
+    if options["lambda_update"] not in LAMBDA_UPDATES:
         raise ValueError(f"unknown lambda-update strategy {options['lambda_update']!r}")
     return options
 
@@ -326,16 +328,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     stem = Path(args.problem).stem
 
-    def run_one(name: str):
-        return name, solve(model, name, params)
-
-    with ThreadPoolExecutor(max_workers=len(solvers)) as pool:
-        results = dict(pool.map(run_one, solvers))
-
     val_ref, p_conf = options["val_ref"], options["p_conf"]
     summary = []
     for name in solvers:
-        solution = results[name]
+        solution = solve(model, name, params)
         report = analyze(problem, model, solution, val_ref=val_ref, p_conf=p_conf)
         curve = _curve_energies(name, solution)
         write_cumulative_csv(out / f"{stem}.{name}.cdf.csv", cumulative_distribution(curve))

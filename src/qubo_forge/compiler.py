@@ -12,10 +12,14 @@ quadratization, so they do not depend on auxiliary bookkeeping.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
+
+import numpy as np
 
 from qubo_forge.encoding import EncodingPlan, encode, encode_range
 from qubo_forge.expression import Comparison, Polynomial, format_float, reduce_binary_idempotence
@@ -64,9 +68,63 @@ class PenaltyBlock:
     slack_plan: EncodingPlan | None = None
 
 
+@dataclass(frozen=True)
+class QuboArrays:
+    """A compiled QUBO as arrays: ``E(x) = linear·x + Σ values·x[rows]·x[cols] + offset``.
+
+    ``order`` names the binary at each position (sorted); couplers keep the
+    polynomial's term order, with ``rows < cols``.
+    """
+
+    order: tuple[str, ...]
+    linear: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    offset: float
+
+    @classmethod
+    def from_model(cls, model: "QuboModel") -> "QuboArrays":
+        names: set[str] = set(model.aux_registry.values()) | model.quadratic.variables()
+        for plan in model.encodings:
+            names.update(plan.binary_names())
+        for block in model.penalties:
+            if block.slack_plan is not None:
+                names.update(block.slack_plan.binary_names())
+        order = tuple(sorted(names))
+        position = {name: k for k, name in enumerate(order)}
+        linear = np.zeros(len(order))
+        couplers: list[tuple[int, int, float]] = []
+        for mono, coeff in model.quadratic:
+            if len(mono) == 1:
+                linear[position[mono[0]]] = coeff
+            elif len(mono) == 2 and mono[0] != mono[1]:
+                couplers.append((position[mono[0]], position[mono[1]], coeff))
+            else:
+                raise ValueError(f"QUBO term {mono} is neither linear nor a product of two distinct binaries")
+        rows, cols = np.array([pair[:2] for pair in couplers], dtype=np.int64).reshape(-1, 2).T
+        return cls(order, linear, rows, cols, np.array([pair[2] for pair in couplers]), model.offset)
+
+    def entries(self) -> list[tuple[int, int, float]]:
+        """Upper-triangular ``(row, col, value)`` entries by position, linear terms on the diagonal."""
+        diagonal = [(i, i, coeff) for i, coeff in enumerate(self.linear.tolist()) if coeff]
+        return sorted(diagonal + list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist())))
+
+    def upper_triangular(self) -> np.ndarray:
+        """Dense ``Q`` with the linear terms on its diagonal: ``E(x) = xᵀQx + offset``."""
+        q = np.diag(self.linear)
+        q[self.rows, self.cols] = self.values
+        return q
+
+    def energy(self, x: np.ndarray) -> float:
+        """Correctly rounded sum of the terms, so term order cannot change the result."""
+        terms = np.concatenate([self.linear * x, self.values * x[self.rows] * x[self.cols], [self.offset]])
+        return math.fsum(terms.tolist())
+
+
 @dataclass
 class QuboModel:
-    """Degree-<=2 polynomial over binaries plus the metadata to decode and audit it."""
+    """Degree-<=2 polynomial over binaries plus the metadata to decode and audit it (read-only)."""
 
     quadratic: Polynomial
     offset: float
@@ -74,19 +132,19 @@ class QuboModel:
     penalties: list[PenaltyBlock]
     aux_registry: dict[tuple[str, str], str] = field(default_factory=dict)
 
+    @cached_property
+    def arrays(self) -> QuboArrays:
+        return QuboArrays.from_model(self)
+
     def binary_variables(self) -> list[str]:
-        names: set[str] = set()
-        for plan in self.encodings:
-            names.update(plan.binary_names())
-        for block in self.penalties:
-            if block.slack_plan is not None:
-                names.update(block.slack_plan.binary_names())
-        names.update(self.aux_registry.values())
-        names.update(self.quadratic.variables())
-        return sorted(names)
+        return list(self.arrays.order)
 
     def energy(self, assignment: dict[str, int]) -> float:
-        return self.quadratic.evaluate(assignment) + self.offset
+        try:
+            x = np.array([assignment[name] for name in self.arrays.order], dtype=float)
+        except KeyError as error:
+            raise ValueError(f"no value assigned for variable '{error.args[0]}'") from None
+        return self.arrays.energy(x)
 
     def decode(self, assignment: dict[str, int]) -> dict[str, float]:
         """Recover the declared variables' values from a binary assignment."""
@@ -101,13 +159,9 @@ class QuboModel:
     # -- export -------------------------------------------------------------
 
     def to_json_dict(self) -> dict[str, Any]:
-        linear: list[list[Any]] = []
-        quad: list[list[Any]] = []
-        for mono, coeff in sorted(self.quadratic.terms.items()):
-            if len(mono) == 1:
-                linear.append([mono[0], coeff])
-            else:
-                quad.append([mono[0], mono[1], coeff])
+        order, entries = self.arrays.order, self.arrays.entries()
+        linear = [[order[i], coeff] for i, j, coeff in entries if i == j]
+        quad = [[order[i], order[j], coeff] for i, j, coeff in entries if i != j]
 
         def plan_dict(plan: EncodingPlan) -> dict[str, Any]:
             return {
@@ -119,7 +173,7 @@ class QuboModel:
 
         return {
             "schema": MODEL_SCHEMA,
-            "variables": self.binary_variables(),
+            "variables": list(order),
             "linear": linear,
             "quadratic": quad,
             "offset": self.offset,
@@ -138,19 +192,13 @@ class QuboModel:
         }
 
     def to_matrix_text(self) -> str:
-        """Upper-triangular QUBO matrix, one ``row col value`` line per entry."""
-        order = {name: i for i, name in enumerate(self.binary_variables())}
-        lines = [f"# {i} {name}" for name, i in order.items()]
+        """Upper-triangular QUBO matrix, one ``row col value`` line per entry.
+
+        Rows and columns are positions in ``binary_variables()``.
+        """
+        lines = [f"# {i} {name}" for i, name in enumerate(self.arrays.order)]
         lines.append(f"# offset {format_float(self.offset)}")
-        entries: dict[tuple[int, int], float] = {}
-        for mono, coeff in self.quadratic.terms.items():
-            if len(mono) == 1:
-                entries[(order[mono[0]], order[mono[0]])] = coeff
-            else:
-                i, j = sorted((order[mono[0]], order[mono[1]]))
-                entries[(i, j)] = coeff
-        for (i, j), coeff in sorted(entries.items()):
-            lines.append(f"{i} {j} {format_float(coeff)}")
+        lines.extend(f"{i} {j} {format_float(coeff)}" for i, j, coeff in self.arrays.entries())
         return "\n".join(lines) + "\n"
 
     def save_matrix(self, path: str | Path) -> None:

@@ -3,9 +3,10 @@
 All solvers share the same contract: they take a ``QuboModel`` and
 ``SolverParams`` and return a ``SolutionSet`` holding one sample per run
 (the exhaustive oracle instead reports the k best assignments of the full
-landscape).  Reported energies always re-evaluate exactly from their
-assignments.  Results are deterministic for a fixed seed; stochastic
-solvers derive per-run generators from ``seed + run_index``.
+landscape).  Every solver reads the model's array form (``model.arrays``),
+and reported energies always re-evaluate exactly from their assignments.
+Results are deterministic for a fixed seed; stochastic solvers derive
+per-run generators from ``seed + run_index``.
 
 The penalty-weight retry loop lives here too: compile, solve, check the
 hard constraints on the best solution, and grow the violated constraints'
@@ -29,6 +30,8 @@ from qubo_forge.problem import Problem
 
 EXHAUSTIVE_DEFAULT_CAP = 26
 QAOA_MAX_BINARIES = 16
+
+UPDATE_KINDS = ("sequential", "scaled", "binary-search")
 
 _CHUNK_BITS = 18  # exhaustive enumeration works in blocks of 2**18 assignments
 
@@ -97,7 +100,7 @@ class UpdateStrategy:
     max_trials: int = 5
 
     def __post_init__(self):
-        if self.kind not in ("sequential", "scaled", "binary-search"):
+        if self.kind not in UPDATE_KINDS:
             raise ValueError(f"unknown update strategy {self.kind!r}")
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
@@ -115,28 +118,13 @@ class LambdaUpdateResult:
 # -- shared helpers ------------------------------------------------------------
 
 
-def _model_arrays(model: QuboModel) -> tuple[list[str], np.ndarray, list[tuple[int, int, float]]]:
-    order = model.binary_variables()
-    position = {name: k for k, name in enumerate(order)}
-    linear = np.zeros(len(order))
-    couplers: list[tuple[int, int, float]] = []
-    for mono, coeff in model.quadratic.terms.items():
-        if len(mono) == 1:
-            linear[position[mono[0]]] += coeff
-        else:
-            couplers.append((position[mono[0]], position[mono[1]], coeff))
-    return order, linear, couplers
+def _block_energies(indices: np.ndarray, q: np.ndarray, offset: float) -> np.ndarray:
+    """Energies ``xᵀQx + offset`` of the assignments whose bit k is bit k of each index."""
+    bits = ((indices[:, None] >> np.arange(len(q))) & 1).astype(np.float64)
+    return np.einsum("ij,ij->i", bits @ q, bits) + offset
 
 
-def _chunk_energies(indices: np.ndarray, n: int, linear: np.ndarray, couplers, offset: float) -> np.ndarray:
-    bits = ((indices[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    energies = bits @ linear + offset
-    for i, j, coeff in couplers:
-        energies += coeff * bits[:, i] * bits[:, j]
-    return energies
-
-
-def _assignment_from_index(index: int, order: list[str]) -> dict[str, int]:
+def _assignment_from_index(index: int, order: Sequence[str]) -> dict[str, int]:
     return {name: (index >> k) & 1 for k, name in enumerate(order)}
 
 
@@ -159,28 +147,25 @@ def _finalize(model: QuboModel, entries: list[tuple[dict[str, int], float]], run
 def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Enumerate all assignments; the oracle every stochastic solver is checked against."""
     params = params or SolverParams()
-    order, linear, couplers = _model_arrays(model)
-    n = len(order)
+    arrays = model.arrays
+    n = len(arrays.order)
     if n > params.exhaustive_cap:
         raise ValueError(f"exhaustive solver handles at most {params.exhaustive_cap} binaries, model has {n}")
     started = time.monotonic()
+    q = arrays.upper_triangular()
     k_best = max(1, min(params.k_best, 2**n))
     top_indices = np.empty(0, dtype=np.int64)
     top_energies = np.empty(0)
     for start in range(0, 2**n, 2**_CHUNK_BITS):
-        stop = min(start + 2**_CHUNK_BITS, 2**n)
-        indices = np.arange(start, stop, dtype=np.int64)
-        energies = _chunk_energies(indices, n, linear, couplers, model.offset)
+        indices = np.arange(start, min(start + 2**_CHUNK_BITS, 2**n), dtype=np.int64)
+        energies = _block_energies(indices, q, arrays.offset)
         merged_idx = np.concatenate([top_indices, indices])
         merged_en = np.concatenate([top_energies, energies])
-        keep = np.argsort(merged_en, kind="stable")[:k_best]
+        keep = np.argsort(merged_en, kind="stable")[:k_best]  # ties stay in index order
         top_indices, top_energies = merged_idx[keep], merged_en[keep]
-    entries = []
-    for index, energy in zip(top_indices, top_energies):
-        assignment = _assignment_from_index(int(index), order)
-        entries.append((assignment, model.energy(assignment)))
-    elapsed = time.monotonic() - started
-    run_times = [elapsed] if params.record_time else None
+    assignments = [_assignment_from_index(int(index), arrays.order) for index in top_indices]
+    entries = [(assignment, model.energy(assignment)) for assignment in assignments]
+    run_times = [time.monotonic() - started] if params.record_time else None
     return _finalize(model, entries, run_times)
 
 
@@ -194,18 +179,18 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     assignment and reports its best-seen state.
     """
     params = params or SolverParams()
-    order, linear, couplers = _model_arrays(model)
-    n = len(order)
+    arrays = model.arrays
+    order, n = arrays.order, len(arrays.order)
+    linear = arrays.linear.tolist()
 
     neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, coeff in couplers:
+    for i, j, coeff in zip(arrays.rows.tolist(), arrays.cols.tolist(), arrays.values.tolist()):
         neighbors[i].append((j, coeff))
         neighbors[j].append((i, coeff))
 
     scale = 1.0
-    if params.beta_autoscale:
-        magnitudes = [abs(c) for c in model.quadratic.terms.values()]
-        scale = max(magnitudes) if magnitudes else 1.0
+    if params.beta_autoscale:  # largest coefficient magnitude; 1.0 when the model has no terms
+        scale = float(np.abs(np.concatenate([arrays.linear, arrays.values])).max(initial=0.0)) or 1.0
     if params.sweeps > 1:
         ratio = (params.beta_end / params.beta_start) ** (1.0 / (params.sweeps - 1))
         betas = [params.beta_start * ratio**t / scale for t in range(params.sweeps)]
@@ -262,15 +247,14 @@ def _qaoa_state(phase: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[list[str], np.ndarray, np.ndarray, float]:
+def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, float]:
     """Optimize the 2p angles and return (order, energies, probabilities, expectation)."""
-    order, linear, couplers = _model_arrays(model)
-    n = len(order)
+    arrays = model.arrays
+    n = len(arrays.order)
     if n > QAOA_MAX_BINARIES:
         raise ValueError(f"QAOA simulation handles at most {QAOA_MAX_BINARIES} binaries, model has {n}")
 
-    indices = np.arange(2**n, dtype=np.int64)
-    energies = _chunk_energies(indices, n, linear, couplers, model.offset) if n else np.array([model.offset])
+    energies = _block_energies(np.arange(2**n, dtype=np.int64), arrays.upper_triangular(), arrays.offset)
     # Centering is a global phase; scaling only conditions the angle search.
     centered = energies - energies.mean()
     spread = np.max(np.abs(centered))
@@ -311,7 +295,7 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[list[str
     amplitudes = _qaoa_state(phase, n, best_angles)
     probabilities = np.abs(amplitudes) ** 2
     probabilities = probabilities / probabilities.sum()
-    return order, energies, probabilities, best_value
+    return arrays.order, energies, probabilities, best_value
 
 
 def qaoa_expected_energy(model: QuboModel, params: SolverParams | None = None) -> float:

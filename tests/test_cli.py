@@ -7,15 +7,19 @@ import pytest
 
 from qubo_forge.analysis import load_report
 from qubo_forge.cli import (
+    _compile_config,
+    _resolve_options,
+    _solver_params,
+    build_parser,
     build_regression,
     bundled_data,
     load_knapsack,
     load_regression_csv,
     main,
 )
-from qubo_forge.compiler import compile_problem
+from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.problem import Problem
-from qubo_forge.solvers import solve_exhaustive
+from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve_exhaustive
 
 
 @pytest.fixture
@@ -213,6 +217,27 @@ class TestSolverSection:
         problem.save(path)
         assert run_cli("solve", path, "--out-dir", tmp_path) == 1
         assert "solver section" in capsys.readouterr().err
+
+
+class TestOptionTable:
+    def test_choices_and_defaults_follow_the_library(self, mixed_problem_file):
+        parser = build_parser()
+        solve_parser = next(action for action in parser._actions if action.dest == "command").choices["solve"]
+        flags = {action.dest: action for action in solve_parser._actions}
+        assert list(flags["solver"].choices) == sorted(SOLVERS)
+        assert tuple(flags["lambda_method"].choices) == LAMBDA_METHODS
+        assert tuple(flags["lambda_update"].choices) == ("none",) + UPDATE_KINDS
+
+        args = parser.parse_args(["solve", str(mixed_problem_file)])
+        options = _resolve_options(args, Problem.load(mixed_problem_file))
+        assert _solver_params(options) == SolverParams()
+        assert _compile_config(options) == CompileConfig()
+        strategy = UpdateStrategy()
+        assert (options["lambda_update"], options["lambda_max"], options["trials"]) == (
+            "none",
+            strategy.lambda_max,
+            strategy.max_trials,
+        )
 
 
 class TestCompareCommand:

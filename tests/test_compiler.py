@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qubo_forge.cli import bundled_data, load_knapsack
 from qubo_forge.compiler import (
     CompileConfig,
     boolean_penalty,
@@ -443,6 +444,42 @@ class TestCompile:
             mono = (order[i],) if i == j else tuple(sorted((order[i], order[j])))
             total = total + Polynomial({mono: float(value)})
         assert total == model.quadratic
+
+
+def cubic_problem() -> Problem:
+    problem = Problem()
+    for name in ("x", "y", "z"):
+        problem.add_binary_variable(name)
+    problem.add_continuous_variable("c", 0, 1.5, 0.5)
+    problem.add_objective("x*y*z - 0.7*x + 0.3*y*c")
+    problem.add_constraint("x + c <= 2")
+    return problem.freeze()
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("fixture", ["mixed_problem", "tiny_knapsack", "f3", "cubic"])
+    def test_energy_matches_the_polynomial(self, fixture, request):
+        if fixture == "f3":
+            problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1]
+        elif fixture == "cubic":
+            problem = cubic_problem()
+        else:
+            problem = request.getfixturevalue(fixture)
+        model = compile_problem(problem)
+        assert fixture != "cubic" or model.aux_registry
+        order = model.binary_variables()
+        rng = np.random.default_rng(4)
+        for _ in range(25):
+            assignment = dict(zip(order, rng.integers(0, 2, len(order)).tolist()))
+            expected = model.quadratic.evaluate(assignment) + model.offset
+            assert model.energy(assignment) == pytest.approx(expected, rel=1e-12)
+
+    def test_energy_names_a_missing_binary(self, mixed_problem):
+        model = compile_problem(mixed_problem)
+        assignment = dict.fromkeys(model.binary_variables(), 0)
+        del assignment[sorted(model.quadratic.variables())[0]]
+        with pytest.raises(ValueError, match="no value assigned"):
+            model.energy(assignment)
 
 
 class TestIntervalsAndPrecision:

@@ -82,6 +82,15 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="at most 5"):
             solve_exhaustive(bare_model(terms), SolverParams(exhaustive_cap=5))
 
+    def test_ties_across_the_block_boundary_keep_index_order(self):
+        terms = {(f"v{k:02d}",): 1.0 for k in range(18)}
+        terms[("v18",)] = -1.0  # the top bit: index 2**18 starts the second block
+        model = bare_model(terms)
+        solution = solve_exhaustive(model, SolverParams(k_best=5))
+        order = model.binary_variables()
+        indices = [sum(assignment[name] << k for k, name in enumerate(order)) for assignment, _ in solution.samples]
+        assert indices == [2**18, 0, 2**18 + 1, 2**18 + 2, 2**18 + 4]  # sorted by (energy, index)
+
 
 class TestSimulatedAnnealing:
     def test_reference_problem_hit_rate(self, mixed_problem):
@@ -90,6 +99,19 @@ class TestSimulatedAnnealing:
         hits = sum(1 for energy in solution.energies if energy == pytest.approx(-2.0, abs=1e-9))
         assert hits >= 90
         assert solution.best_energy == -2.0
+
+    def test_samples_are_pinned_at_a_fixed_seed(self, mixed_problem):
+        # Any change to these values is a change of the RNG stream or the flip order.
+        model = compile_problem(mixed_problem)
+        order = model.binary_variables()
+        solution = solve_sa(model, SolverParams(runs=4, sweeps=30, seed=5))
+        samples = [("".join(str(assignment[name]) for name in order), energy) for assignment, energy in solution.samples]
+        assert samples == [
+            ("1011100101100", -0.25),
+            ("0111100100101", -0.6875),
+            ("1111000100100", -2.0),
+            ("1111100101000", 1.75),
+        ]
 
     def test_zero_variable_model(self):
         solution = solve_sa(bare_model({}, offset=3.5), SolverParams(runs=3, seed=0))
