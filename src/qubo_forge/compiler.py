@@ -22,7 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from qubo_forge.encoding import EncodingPlan, encode, encode_range
-from qubo_forge.expression import Comparison, Polynomial, format_float, reduce_binary_idempotence
+from qubo_forge.expression import Comparison, Polynomial, format_float, reduce_binary_idempotence, sum_polynomials
 from qubo_forge.problem import BooleanRelation, ConstraintDecl, Problem, VariableKind
 
 MODEL_SCHEMA = "qubo-forge-model/1"
@@ -54,6 +54,10 @@ class CompileConfig:
             raise ValueError("explicit slack precision policy needs a positive slack_precision")
         if self.lambda_method == "manual" and self.manual_lambdas is None:
             raise ValueError("manual lambda method needs manual_lambdas")
+        if self.manual_lambdas is not None:
+            values = self.manual_lambdas
+            if not all(math.isfinite(float(v)) for v in ([values] if isinstance(values, (int, float)) else values)):
+                raise ValueError(f"manual_lambdas must be finite, got {values!r}")
 
 
 @dataclass
@@ -224,7 +228,7 @@ def _interval_pow(iv: tuple[float, float], power: int) -> tuple[float, float]:
 def polynomial_interval(poly: Polynomial, intervals: dict[str, tuple[float, float]]) -> tuple[float, float]:
     """Conservative bounds on a polynomial given per-variable value intervals."""
     low = high = 0.0
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly:
         term: tuple[float, float] = (1.0, 1.0)
         i = 0
         while i < len(mono):
@@ -248,13 +252,13 @@ def _reduce(poly: Polynomial) -> Polynomial:
 
 def compose_cost(objectives: Sequence, substitutions: dict[str, Polynomial]) -> Polynomial:
     """Weighted signed sum of objectives with variables replaced by their encodings."""
-    total = Polynomial.zero()
+    expanded: list[Polynomial] = []
     for term in objectives:
         signed = term.expr.scale(term.weight if term.direction == "minimize" else -term.weight)
         for name in sorted(signed.variables()):
             signed = signed.substitute(name, substitutions[name])
-        total = total + signed
-    return _reduce(total)
+        expanded.append(signed)
+    return _reduce(sum_polynomials(expanded))
 
 
 def equality_penalty(comparison: Comparison) -> Polynomial:
@@ -309,10 +313,9 @@ def _binary_pair_penalty(lhs: Polynomial, op: str, rhs: float) -> Polynomial | N
     """Product penalty for ``b - b' >= 0`` chains (domain-wall); avoids a slack bit."""
     if op != ">=" or abs(rhs) > _EPS:
         return None
-    terms = lhs.terms
-    if len(terms) != 2 or any(len(m) != 1 for m in terms):
+    if len(lhs) != 2 or any(len(m) != 1 for m, _ in lhs):
         return None
-    coeffs = sorted(terms.items(), key=lambda kv: kv[1])
+    coeffs = sorted(lhs, key=lambda kv: kv[1])
     (neg_mono, neg_c), (pos_mono, pos_c) = coeffs
     if abs(neg_c + 1.0) > _EPS or abs(pos_c - 1.0) > _EPS:
         return None
@@ -356,7 +359,7 @@ def one_flip_bounds(poly: Polynomial) -> dict[str, tuple[float, float]]:
     part.  Exact for degree <= 2, an upper bound above that.
     """
     bounds: dict[str, list[float]] = {}
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly:
         for name in set(mono):
             entry = bounds.setdefault(name, [0.0, 0.0])
             if len(mono) == 1:
@@ -370,7 +373,7 @@ def one_flip_bounds(poly: Polynomial) -> dict[str, tuple[float, float]]:
 
 def estimate_lambda(method: str, objective: Polynomial, penalty: Polynomial | None = None) -> float:
     """Penalty-weight estimate for one constraint; momc/moc also inspect the penalty."""
-    coeffs = [c for m, c in objective.terms.items() if m]
+    coeffs = [c for m, c in objective if m]
     gamma = objective.constant_term
 
     if method == "ub-positive":
@@ -422,7 +425,7 @@ def _posiform_bound(objective: Polynomial) -> float:
     linear: dict[str, float] = {}
     half_pos: dict[str, float] = {}
     half_neg: dict[str, float] = {}
-    for mono, coeff in objective.terms.items():
+    for mono, coeff in objective:
         if len(mono) == 1:
             linear[mono[0]] = linear.get(mono[0], 0.0) + coeff
         elif len(mono) == 2:
@@ -451,10 +454,10 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
     """
     registry: dict[tuple[str, str], str] = {}
     work = poly
-    extra = Polynomial.zero()
+    gadgets: list[Polynomial] = []
     while work.degree() > 2:
         counts: dict[tuple[str, str], int] = {}
-        for mono in work.terms:
+        for mono, _ in work:
             if len(mono) < 3:
                 continue
             for i in range(len(mono)):
@@ -467,7 +470,7 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
         aux = f"__aux{len(registry)}"
         registry[pair] = aux
         rebuilt: dict[tuple[str, ...], float] = {}
-        for mono, coeff in work.terms.items():
+        for mono, coeff in work:
             if len(mono) >= 3 and left in mono and right in mono:
                 stripped = list(mono)
                 stripped.remove(left)
@@ -476,8 +479,8 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
             rebuilt[mono] = rebuilt.get(mono, 0.0) + coeff
         work = Polynomial(rebuilt)
         bl, br, by = Polynomial.variable(left), Polynomial.variable(right), Polynomial.variable(aux)
-        extra = extra + penalty_scale * (bl * br - 2 * bl * by - 2 * br * by + 3 * by)
-    return work + extra, registry
+        gadgets.append(penalty_scale * (bl * br - 2 * bl * by - 2 * br * by + 3 * by))
+    return work + sum_polynomials(gadgets), registry
 
 
 # -- compilation -----------------------------------------------------------------
@@ -549,10 +552,7 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
 
     _assign_lambdas(blocks, cost, config)
 
-    total = cost
-    for block in blocks:
-        total = total + block.penalty.scale(block.lam)
-    total = _reduce(total)
+    total = _reduce(sum_polynomials([cost, *(block.penalty.scale(block.lam) for block in blocks)]))
 
     aux_registry: dict[tuple[str, str], str] = {}
     if total.degree() > 2:

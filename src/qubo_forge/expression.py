@@ -13,6 +13,7 @@ so they can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -61,6 +62,13 @@ class Polynomial:
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         return cls({(name,): 1.0})
+
+    @classmethod
+    def _wrap(cls, canonical: dict[Monomial, float]) -> "Polynomial":
+        """Take ownership of a term map that is already canonical, skipping the re-check."""
+        poly = cls.__new__(cls)
+        poly._terms = canonical
+        return poly
 
     @property
     def terms(self) -> dict[Monomial, float]:
@@ -156,16 +164,27 @@ class Polynomial:
         return total
 
     def substitute(self, name: str, replacement: "Polynomial") -> "Polynomial":
-        """Replace every occurrence of ``name`` (with its exponent) by a polynomial."""
-        result = Polynomial.zero()
+        """Replace every occurrence of ``name`` (with its exponent) by a polynomial.
+
+        One pass: each term's expansion is added into a single accumulator,
+        in term order, and ``replacement**k`` is computed once per power.  The
+        result equals summing the expanded terms one ``+`` at a time.
+        """
+        powers: dict[int, Polynomial] = {}
+        out: dict[Monomial, float] = {}
         for mono, coeff in self._terms.items():
-            power = sum(1 for v in mono if v == name)
+            power = mono.count(name)
             if power == 0:
-                result = result + Polynomial({mono: coeff})
+                _accumulate(out, mono, coeff)
                 continue
+            if power not in powers:
+                powers[power] = replacement**power
             rest = tuple(v for v in mono if v != name)
-            result = result + Polynomial({rest: coeff}) * (replacement**power)
-        return result
+            for rmono, rcoeff in powers[power]._terms.items():
+                value = coeff * rcoeff
+                if abs(value) >= COEFF_EPS:  # a product term this small is dropped before it is added
+                    _accumulate(out, tuple(sorted(rest + rmono)), value)
+        return Polynomial._wrap(out)
 
     # -- canonical text form -------------------------------------------------
 
@@ -256,11 +275,33 @@ def _as_poly(value: "Polynomial | float | int") -> Polynomial:
     return Polynomial.constant(float(value))
 
 
+def _accumulate(out: dict[Monomial, float], mono: Monomial, coeff: float) -> None:
+    """Add one term in place, dropping the monomial when its sum cancels below ``COEFF_EPS``.
+
+    A dropped monomial that comes back is re-inserted at the end, as a chain
+    of ``+`` would place it, so the term order matches too.
+    """
+    value = out.get(mono, 0.0) + coeff
+    if abs(value) < COEFF_EPS:
+        out.pop(mono, None)
+    else:
+        out[mono] = value
+
+
+def sum_polynomials(polys: Iterable[Polynomial]) -> Polynomial:
+    """``p0 + p1 + ...`` in order, into one accumulator: same terms and term order, linear time."""
+    out: dict[Monomial, float] = {}
+    for poly in polys:
+        for mono, coeff in poly._terms.items():
+            _accumulate(out, mono, coeff)
+    return Polynomial._wrap(out)
+
+
 def reduce_binary_idempotence(poly: Polynomial, binary_vars: Iterable[str]) -> Polynomial:
     """Collapse exponents above 1 for the given 0/1 variables (b**k -> b)."""
     binary = set(binary_vars)
     out: dict[Monomial, float] = {}
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly:
         seen: list[str] = []
         for name in mono:
             if name in binary and seen and seen[-1] == name:
@@ -300,6 +341,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
         pos = match.end()
     return tokens
+
+
+def _number(token: tuple[str, str, int]) -> float:
+    value = float(token[1])
+    if not math.isfinite(value):
+        raise ParseError(f"number {token[1]!r} is not finite", token[2])
+    return value
 
 
 class _Parser:
@@ -387,7 +435,7 @@ class _Parser:
         if token[0] != "number":
             raise ParseError(f"exponent must be an integer literal, got {token[1]!r}", token[2])
         self.advance()
-        value = float(token[1])
+        value = _number(token)
         if sign * value < 0 or value != int(value):
             raise ParseError(f"exponent must be a non-negative integer, got {sign * value:g}", token[2])
         return int(value)
@@ -399,7 +447,7 @@ class _Parser:
         kind, value, pos = token
         if kind == "number":
             self.advance()
-            return Polynomial.constant(float(value))
+            return Polynomial.constant(_number(token))
         if kind == "ident":
             self.advance()
             if value not in self.known:

@@ -13,6 +13,7 @@ constraints, so files round-trip through the parser.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -112,8 +113,8 @@ class ConstraintDecl:
             raise ValueError("constraint must hold exactly one of a comparison or a boolean relation")
         if self.hardness not in ("hard", "weak"):
             raise ValueError(f"hardness must be 'hard' or 'weak', got {self.hardness!r}")
-        if self.slack_precision is not None and not self.slack_precision > 0:
-            raise ValueError("slack_precision must be positive when given")
+        if self.slack_precision is not None and not 0 < self.slack_precision < math.inf:
+            raise ValueError(f"slack_precision must be finite and positive when given, got {self.slack_precision!r}")
 
     def variables(self) -> set[str]:
         if self.comparison is not None:
@@ -178,6 +179,8 @@ class Problem:
         levels = tuple(float(v) for v in levels)
         if not levels:
             raise ValueError("discrete variable needs at least one level")
+        if not all(math.isfinite(v) for v in levels):
+            raise ValueError(f"discrete variable '{name}' needs finite levels, got {levels}")
         if len(set(levels)) != len(levels):
             raise ValueError("discrete levels must be distinct")
         return self._register(VariableDecl(name=name, kind=VariableKind.DISCRETE, levels=levels))
@@ -193,6 +196,11 @@ class Problem:
         bound: float | None = None,
     ) -> str:
         low, high, precision = float(low), float(high), float(precision)
+        if not all(math.isfinite(v) for v in (low, high, precision)) or (bound is not None and not math.isfinite(bound)):
+            raise ValueError(
+                f"continuous variable '{name}' needs finite low, high, precision and bound, "
+                f"got low={low}, high={high}, precision={precision}, bound={bound}"
+            )
         if not low < high:
             raise ValueError(f"continuous variable '{name}' needs low < high, got [{low}, {high}]")
         if not 0 < precision <= high - low:
@@ -260,6 +268,7 @@ class Problem:
             expr = parse_expression(expr, self.variable_names())
         else:
             self._check_declared(expr.variables(), "objective")
+        _check_finite(expr, "objective")
         self.objectives.append(ObjectiveTerm(expr=expr, direction=direction, weight=float(weight)))
 
     def add_constraint(
@@ -275,6 +284,9 @@ class Problem:
         else:
             comparison = constraint
             self._check_declared(comparison.lhs.variables(), "constraint")
+        _check_finite(comparison.lhs, "constraint")
+        if not math.isfinite(comparison.rhs):
+            raise ValueError(f"constraint right-hand side must be finite, got {comparison.rhs!r}")
         self.constraints.append(
             ConstraintDecl(comparison=comparison, hardness=hardness, slack_precision=slack_precision)
         )
@@ -410,6 +422,12 @@ class Problem:
     def load(cls, path: str | Path) -> "Problem":
         """Read a problem file; the result is frozen (a file is a finished declaration)."""
         return cls.from_json_dict(json.loads(Path(path).read_text())).freeze()
+
+
+def _check_finite(poly: Polynomial, where: str) -> None:
+    for mono, coeff in poly:
+        if not math.isfinite(coeff):
+            raise ValueError(f"{where} has a non-finite coefficient {coeff!r} on {'*'.join(mono) or 'the constant'}")
 
 
 def _flatten(names: list) -> Iterable[str]:

@@ -17,13 +17,13 @@ or the trial budget runs out.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
 from qubo_forge.problem import Problem
@@ -34,6 +34,16 @@ QAOA_MAX_BINARIES = 16
 UPDATE_KINDS = ("sequential", "scaled", "binary-search")
 
 _CHUNK_BITS = 18  # exhaustive enumeration works in blocks of 2**18 assignments
+
+
+def __getattr__(name: str):
+    """Import ``scipy.optimize.minimize`` on first use: only QAOA needs it, and it is slow to import."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -278,9 +288,10 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
                 angles[2 * layer + 1] = beta_max * (1 - layer / p)
             starts.append(angles)
 
+    optimize = sys.modules[__name__].minimize  # module attribute, so it can be replaced from outside
     best_angles, best_value, converged = starts[0], math.inf, False
     for start in starts:
-        result = minimize(
+        result = optimize(
             expectation,
             start,
             method="Nelder-Mead",

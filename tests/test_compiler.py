@@ -27,7 +27,7 @@ from qubo_forge.compiler import (
     quadratize,
 )
 from qubo_forge.encoding import encode
-from qubo_forge.expression import Comparison, Polynomial, parse_expression
+from qubo_forge.expression import Comparison, Polynomial, parse_expression, reduce_binary_idempotence
 from qubo_forge.problem import BooleanRelation, Problem
 
 V = Polynomial.variable
@@ -270,6 +270,11 @@ class TestLambdaEstimation:
         with pytest.raises(ValueError, match="manual_lambdas needs 2 values"):
             compile_problem(mixed_problem, CompileConfig(lambda_method="manual", manual_lambdas=[1.0]))
 
+    @pytest.mark.parametrize("values", [float("inf"), float("nan"), [2.0, float("inf")]])
+    def test_manual_values_must_be_finite(self, values):
+        with pytest.raises(ValueError, match="manual_lambdas must be finite"):
+            CompileConfig(lambda_method="manual", manual_lambdas=values)
+
 
 class TestLambdaSufficiency:
     """Estimated weights that do dominate must yield feasible exhaustive optima.
@@ -480,6 +485,25 @@ class TestArrayForm:
         del assignment[sorted(model.quadratic.variables())[0]]
         with pytest.raises(ValueError, match="no value assigned"):
             model.energy(assignment)
+
+
+def test_penalty_blocks_sum_like_chained_addition():
+    """One induced one-hot block per dictionary-encoded variable, plus a user constraint."""
+    problem = Problem()
+    names = problem.add_continuous_variables_array("c", [6], -1.0, 1.0, 0.25, encoding="dictionary")
+    problem.add_objective(" + ".join(f"{0.3 * (i + 1)}*{a}*{b}" for i, (a, b) in enumerate(zip(names, names[1:]))))
+    problem.add_constraint(" + ".join(names) + " <= 1.5")
+    problem.freeze()
+    model = compile_problem(problem, CompileConfig(lambda_method="momc"))
+    assert len(model.penalties) == 7 and all(plan.induced for plan in model.encodings)
+
+    cost = compose_cost(problem.objectives, {plan.source: plan.affine() for plan in model.encodings})
+    total = cost
+    for block in model.penalties:
+        total = total + block.penalty.scale(block.lam)
+    total = reduce_binary_idempotence(total, total.variables())
+    assert model.offset == total.constant_term
+    assert list(model.quadratic) == list(total - total.constant_term)
 
 
 class TestIntervalsAndPrecision:

@@ -7,7 +7,7 @@ at enumerated or random points, or hand expansion for the small cases.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubo_forge.expression import (
@@ -17,6 +17,7 @@ from qubo_forge.expression import (
     parse_constraint,
     parse_expression,
     reduce_binary_idempotence,
+    sum_polynomials,
 )
 
 V = Polynomial.variable
@@ -65,6 +66,12 @@ class TestParseExpression:
             parse_expression(text, {"a", "b"})
         assert fragment in str(excinfo.value)
         assert excinfo.value.position >= 0
+
+    @pytest.mark.parametrize("text,literal,position", [("1e400*a", "1e400", 0), ("a + 2*1e999", "1e999", 6), ("a**1e400", "1e400", 3)])
+    def test_non_finite_literal_rejected_with_its_position(self, text, literal, position):
+        with pytest.raises(ParseError, match=f"number '{literal}' is not finite") as info:
+            parse_expression(text, {"a"})
+        assert info.value.position == position
 
 
 class TestParseConstraint:
@@ -248,6 +255,48 @@ def test_idempotence_preserves_binary_evaluation(terms):
     if len(names) > 10:
         return
     exhaustive_equal(poly, reduced, names)
+
+
+def _substitute_reference(poly: Polynomial, name: str, replacement: Polynomial) -> Polynomial:
+    """The accumulate-and-re-canonicalise algorithm: one ``+`` per expanded term."""
+    result = Polynomial.zero()
+    for mono, coeff in poly:
+        power = sum(1 for v in mono if v == name)
+        if power == 0:
+            result = result + Polynomial({mono: coeff})
+            continue
+        rest = tuple(v for v in mono if v != name)
+        result = result + Polynomial({rest: coeff}) * (replacement**power)
+    return result
+
+
+# Inexact floats catch a changed summation order; quarter steps cancel exactly,
+# so monomials drop out of the accumulator and come back; 1e-7 squared falls
+# below COEFF_EPS and must be dropped before it is added.
+_exact_or_not = st.one_of(
+    _coeffs,
+    st.floats(min_value=-4, max_value=4, allow_nan=False).filter(lambda x: abs(x) > 1e-6),
+    st.sampled_from([1e-7, -1e-7]),
+)
+_rough_polys = st.dictionaries(_monomials, _exact_or_not, max_size=8).map(Polynomial)
+
+
+@given(_rough_polys, st.sampled_from(["a", "b", "c"]), _rough_polys)
+@example(  # d cancels in the expansion of a, then comes back from a**2
+    Polynomial({("d",): 1.0, ("a",): 1.0, ("a", "a"): 1.0}), "a", Polynomial({("d",): -1.0, (): 0.5})
+)
+@settings(max_examples=300)
+def test_one_pass_substitute_matches_the_accumulating_reference(p, name, replacement):
+    assert list(p.substitute(name, replacement)) == list(_substitute_reference(p, name, replacement))
+
+
+@given(st.lists(_rough_polys, max_size=6))
+@settings(max_examples=150)
+def test_sum_polynomials_matches_chained_addition(polys):
+    chained = Polynomial.zero()
+    for poly in polys:
+        chained = chained + poly
+    assert list(sum_polynomials(polys)) == list(chained)
 
 
 def test_comparison_requires_known_operator():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubo_forge.expression import Polynomial
+from qubo_forge.expression import Comparison, Polynomial
 from qubo_forge.problem import Problem, VariableKind
 
 
@@ -64,6 +64,21 @@ class TestVariableDeclaration:
     )
     def test_invalid_declarations(self, call):
         with pytest.raises(ValueError):
+            call(Problem())
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda p: p.add_continuous_variable("c", float("-inf"), 1, 0.25), "needs finite low, high"),
+            (lambda p: p.add_continuous_variable("c", 0, float("inf"), 0.25), "needs finite low, high"),
+            (lambda p: p.add_continuous_variable("c", 0, 1, float("nan")), "needs finite low, high"),
+            (lambda p: p.add_continuous_variable("c", 0, 1, 0.25, encoding="bounded", bound=float("inf")), "and bound"),
+            (lambda p: p.add_discrete_variable("b", [0, float("inf")]), "needs finite levels"),
+            (lambda p: p.add_discrete_variable("b", [float("nan"), 1]), "needs finite levels"),
+        ],
+    )
+    def test_non_finite_declarations_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
             call(Problem())
 
 
@@ -126,6 +141,21 @@ class TestObjectivesAndConstraints:
         problem.add_binary_variable("z")
         with pytest.raises(ValueError, match="unipolar binary"):
             problem.add_boolean_constraint("and", "z", ["x", "s"])
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_polynomial_rejected(self, value):
+        problem = Problem()
+        problem.add_binary_variable("a")
+        bad = Polynomial({("a",): value})
+        with pytest.raises(ValueError, match="objective has a non-finite coefficient"):
+            problem.add_objective(bad)
+        with pytest.raises(ValueError, match="constraint has a non-finite coefficient"):
+            problem.add_constraint(Comparison(lhs=bad, op="<=", rhs=1.0))
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            problem.add_constraint(Comparison(lhs=Polynomial.variable("a"), op="<=", rhs=value))
+        with pytest.raises(ValueError, match="objective has a non-finite coefficient"):
+            problem.add_objective("1e200*1e200*a")  # each literal is finite, their product is not
+        assert not problem.objectives and not problem.constraints
 
     def test_undeclared_variable_rejected(self):
         problem = Problem()

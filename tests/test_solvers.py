@@ -6,10 +6,16 @@ targets under fixed seeds.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qubo_forge
+from qubo_forge import solvers
 from qubo_forge.cli import bundled_data, load_knapsack
 from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
 from qubo_forge.expression import Polynomial
@@ -171,6 +177,26 @@ class TestQaoa:
         uniform = float(np.mean(solve_exhaustive(model, SolverParams(k_best=2**13)).energies))
         assert qaoa_expected_energy(model, SolverParams(layers=2)) < uniform
         assert solution.best_energy < uniform
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(qubo_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import sys, qubo_forge, qubo_forge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_optimizer_is_looked_up_on_the_module_at_call_time(self, monkeypatch):
+        calls = []
+        original = solvers.minimize
+        assert original.__module__.startswith("scipy")
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "minimize", counting)
+        solve_qaoa_sim(bare_model({("b",): 1.0}), SolverParams(runs=1, shots=10, layers=1))
+        assert len(calls) == 3  # one Nelder-Mead search per ramp start
 
 
 class TestCrossSolverProperties:
