@@ -512,6 +512,8 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
     plans = [encode(decl) for decl in problem.variables]
     substitutions = {plan.source: plan.affine() for plan in plans}
     intervals = {decl.name: decl.domain_interval() for decl in problem.variables}
+    # induced constraints (domain-wall chains) are over the encoding binaries themselves
+    intervals.update((name, (0.0, 1.0)) for plan in plans for name in plan.binary_names())
 
     cost = compose_cost(problem.objectives, substitutions)
 

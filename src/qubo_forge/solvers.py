@@ -72,6 +72,10 @@ class SolverParams:
             raise ValueError("runs must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        if not (math.isfinite(self.beta_start) and math.isfinite(self.beta_end)):
+            raise ValueError("beta_start and beta_end must be finite")
+        if self.beta_start <= 0:
+            raise ValueError("beta_start must be positive")
         if not self.beta_start < self.beta_end:
             raise ValueError("beta_start must be below beta_end")
         if self.layers < 1:
@@ -90,6 +94,7 @@ class SolutionSet:
     best_decoded: dict[str, float]
     best_energy: float
     run_times: list[float] | None = None
+    diagnostics: dict | None = None  # solver-specific plain data; only SA fills it
 
     @property
     def energies(self) -> list[float]:
@@ -138,7 +143,9 @@ def _assignment_from_index(index: int, order: Sequence[str]) -> dict[str, int]:
     return {name: (index >> k) & 1 for k, name in enumerate(order)}
 
 
-def _finalize(model: QuboModel, entries: list[tuple[dict[str, int], float]], run_times) -> SolutionSet:
+def _finalize(
+    model: QuboModel, entries: list[tuple[dict[str, int], float]], run_times, diagnostics: dict | None = None
+) -> SolutionSet:
     decoded = [model.decode(assignment) for assignment, _ in entries]
     best_index = min(range(len(entries)), key=lambda i: entries[i][1])
     return SolutionSet(
@@ -148,6 +155,7 @@ def _finalize(model: QuboModel, entries: list[tuple[dict[str, int], float]], run
         best_decoded=decoded[best_index],
         best_energy=entries[best_index][1],
         run_times=run_times,
+        diagnostics=diagnostics,
     )
 
 
@@ -185,18 +193,24 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
 def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Single-flip Metropolis under a geometric inverse-temperature schedule.
 
-    One independent run per ``params.runs``; each run starts from a random
-    assignment and reports its best-seen state.
+    The ``params.runs`` replicas anneal together as the rows of a ``runs × n``
+    sign matrix ``s = 1 - 2x``.  Each row keeps its local fields
+    ``h = linear + x·Q``, with ``Q`` the dense symmetric couplings, so flipping
+    spin ``i`` changes the energy by ``s_i·h_i`` and an accepted flip adds
+    ``±Q[i]`` to the fields.  Run ``r`` draws from its own generator
+    ``default_rng(seed + r)``: the initial state ``integers(0, 2, n)``, then
+    ``u = random(n)`` before each sweep.  Spins are visited in order
+    ``0..n-1``, and spin ``i`` flips iff ``delta <= -log1p(-u_i) / β``, which
+    accepts with probability ``min(1, exp(-β·delta))``.  Each run reports its
+    best-seen state; ``diagnostics["sa"]`` holds the acceptance rate per tenth
+    of the schedule and the spin visits (attempted flips) per second.
     """
     params = params or SolverParams()
     arrays = model.arrays
-    order, n = arrays.order, len(arrays.order)
-    linear = arrays.linear.tolist()
-
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, coeff in zip(arrays.rows.tolist(), arrays.cols.tolist(), arrays.values.tolist()):
-        neighbors[i].append((j, coeff))
-        neighbors[j].append((i, coeff))
+    order, n, runs = arrays.order, len(arrays.order), params.runs
+    couplings = np.zeros((n, n))
+    couplings[arrays.rows, arrays.cols] = arrays.values
+    couplings += couplings.T
 
     scale = 1.0
     if params.beta_autoscale:  # largest coefficient magnitude; 1.0 when the model has no terms
@@ -207,32 +221,49 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     else:
         betas = [params.beta_end / scale]
 
-    entries: list[tuple[dict[str, int], float]] = []
-    run_times: list[float] | None = [] if params.record_time else None
-    for run in range(params.runs):
-        rng = np.random.default_rng(params.seed + run)
-        started = time.monotonic()
-        state = rng.integers(0, 2, size=n).tolist() if n else []
-        energy = model.energy(dict(zip(order, state)))
-        best_state, best_energy = list(state), energy
-        for beta in betas:
-            for i in range(n):
-                sign = 1 - 2 * state[i]
-                delta = linear[i]
-                for j, coeff in neighbors[i]:
-                    delta += coeff * state[j]
-                delta *= sign
-                if delta <= 0.0 or rng.random() < math.exp(-beta * delta):
-                    state[i] = 1 - state[i]
-                    energy += delta
-                    if energy < best_energy:
-                        best_energy = energy
-                        best_state = list(state)
-        assignment = dict(zip(order, best_state))
-        entries.append((assignment, model.energy(assignment)))
-        if run_times is not None:
-            run_times.append(time.monotonic() - started)
-    return _finalize(model, entries, run_times)
+    started = time.monotonic()
+    rngs = [np.random.default_rng(params.seed + run) for run in range(runs)]
+    x = np.array([rng.integers(0, 2, size=n) for rng in rngs], dtype=float)
+    energy = np.array([arrays.energy(row) for row in x])
+    fields = arrays.linear + x @ couplings
+    signs = 1.0 - 2.0 * x
+    best_signs, best_energy = signs.copy(), energy.copy()
+    accepted = np.zeros(len(betas))
+    for t, beta in enumerate(betas):
+        draws = np.array([rng.random(n) for rng in rngs])
+        thresholds = -np.log1p(-draws) / beta
+        sweep_start = signs.copy()
+        for i in range(n):
+            column = signs[:, i]
+            delta = column * fields[:, i]
+            accept = delta <= thresholds[:, i]
+            if not np.count_nonzero(accept):  # count_nonzero: a cheaper call than .any() on short arrays
+                continue
+            step = column * accept  # the change of x_i: +1, -1, or 0 where rejected
+            column -= 2.0 * step
+            fields += step[:, None] * couplings[i]
+            energy += delta * accept
+            improved = energy < best_energy
+            if np.count_nonzero(improved):
+                best_energy[improved] = energy[improved]
+                best_signs[improved] = signs[improved]
+        accepted[t] = np.count_nonzero(signs != sweep_start)  # each spin is visited once per sweep
+    elapsed = time.monotonic() - started
+
+    assignments = [dict(zip(order, row)) for row in ((1 - best_signs) / 2).astype(int).tolist()]
+    entries = [(assignment, model.energy(assignment)) for assignment in assignments]
+    visits = runs * n  # per sweep
+    diagnostics = {
+        "sa": {
+            "acceptance_by_decile": [
+                float(part.sum() / (len(part) * visits)) if visits else 0.0
+                for part in np.array_split(accepted, min(10, len(betas)))
+            ],
+            "flips_per_s": visits * len(betas) / elapsed if elapsed > 0 else 0.0,
+        }
+    }
+    run_times = [elapsed / runs] * runs if params.record_time else None
+    return _finalize(model, entries, run_times, diagnostics)
 
 
 # -- qaoa statevector simulation -----------------------------------------------------

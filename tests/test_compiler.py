@@ -533,3 +533,36 @@ class TestIntervalsAndPrecision:
         problem.add_constraint("c >= 1", slack_precision=0.5)
         problem.freeze()
         assert infer_slack_precision(problem.constraints[0], problem) == 0.5
+
+
+class TestDomainWall:
+    """Continuous variables in a domain-wall chain: the induced ``x#k - x#(k-1) >= 0`` links compile too."""
+
+    @staticmethod
+    def wall_problem(direction: str, constraint: str | None = None) -> Problem:
+        problem = Problem()
+        problem.add_continuous_variable("x", 0, 2, 0.5, encoding="domain_wall")
+        problem.add_objective("x", direction=direction)
+        if constraint is not None:
+            problem.add_constraint(constraint)
+        return problem.freeze()
+
+    @pytest.mark.parametrize("direction, optimum", [("minimize", 0.0), ("maximize", 2.0)])
+    def test_objective_optimum_decodes(self, direction, optimum):
+        from qubo_forge.solvers import solve_exhaustive
+
+        model = compile_problem(self.wall_problem(direction))
+        assert [block.slack_plan for block in model.penalties] == [None, None, None]  # product penalties, no slack
+        solution = solve_exhaustive(model)
+        assert solution.best_decoded == {"x": optimum}
+        assert model.encoding_valid(solution.best_binary)
+
+    def test_inequality_optimum_decodes(self):
+        from qubo_forge.analysis import solution_is_valid
+        from qubo_forge.solvers import solve_exhaustive
+
+        problem = self.wall_problem("maximize", "x <= 1.5")
+        model = compile_problem(problem, CompileConfig(lambda_method="manual", manual_lambdas=10.0))
+        solution = solve_exhaustive(model)
+        assert solution.best_decoded == {"x": 1.5}
+        assert solution_is_valid(problem, model, solution.best_binary, solution.best_decoded)

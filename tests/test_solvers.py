@@ -49,6 +49,61 @@ def random_model(rng: np.random.Generator, n: int) -> QuboModel:
     return bare_model(terms)
 
 
+def integer_model(rng: np.random.Generator, n: int) -> QuboModel:
+    """Integer coefficients: every partial sum of energies and local fields is exact in floats."""
+    terms = {(f"v{i}",): float(rng.integers(-5, 6)) for i in range(n)}
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.6:
+            terms[(f"v{i}", f"v{j}")] = float(rng.integers(-5, 6))
+    return bare_model(terms)
+
+
+def reference_sa(model: QuboModel, params: SolverParams) -> tuple[list, list[int]]:
+    """One replica at a time in plain Python, on the stream that defines ``solve_sa``.
+
+    Run ``r`` draws from ``default_rng(seed + r)``: ``integers(0, 2, n)`` for
+    its start, then ``random(n)`` before each sweep; spin ``i`` flips iff
+    ``delta <= -log1p(-u_i) / beta``.  Returns the samples and the number of
+    accepted flips per sweep over all runs.
+    """
+    arrays = model.arrays
+    order, n = arrays.order, len(arrays.order)
+    linear = arrays.linear.tolist()
+    neighbors = [[] for _ in range(n)]
+    for i, j, coeff in zip(arrays.rows.tolist(), arrays.cols.tolist(), arrays.values.tolist()):
+        neighbors[i].append((j, coeff))
+        neighbors[j].append((i, coeff))
+    scale = 1.0
+    if params.beta_autoscale:
+        scale = max(map(abs, linear + arrays.values.tolist()), default=0.0) or 1.0
+    if params.sweeps > 1:
+        ratio = (params.beta_end / params.beta_start) ** (1.0 / (params.sweeps - 1))
+        betas = [params.beta_start * ratio**t / scale for t in range(params.sweeps)]
+    else:
+        betas = [params.beta_end / scale]
+
+    samples, accepted = [], [0] * len(betas)
+    for run in range(params.runs):
+        rng = np.random.default_rng(params.seed + run)
+        state = rng.integers(0, 2, size=n).tolist()
+        energy = model.energy(dict(zip(order, state)))
+        best_state, best_energy = list(state), energy
+        for t, beta in enumerate(betas):
+            thresholds = (-np.log1p(-rng.random(n)) / beta).tolist()
+            for i in range(n):
+                delta = linear[i] + sum(coeff * state[j] for j, coeff in neighbors[i])
+                delta *= 1 - 2 * state[i]
+                if delta <= thresholds[i]:
+                    state[i] = 1 - state[i]
+                    energy += delta
+                    accepted[t] += 1
+                    if energy < best_energy:
+                        best_energy, best_state = energy, list(state)
+        assignment = dict(zip(order, best_state))
+        samples.append((assignment, model.energy(assignment)))
+    return samples, accepted
+
+
 class TestExhaustive:
     def test_reference_problem_optimum(self, mixed_problem):
         model = compile_problem(mixed_problem)
@@ -113,11 +168,61 @@ class TestSimulatedAnnealing:
         solution = solve_sa(model, SolverParams(runs=4, sweeps=30, seed=5))
         samples = [("".join(str(assignment[name]) for name in order), energy) for assignment, energy in solution.samples]
         assert samples == [
-            ("1011100101100", -0.25),
-            ("0111100100101", -0.6875),
-            ("1111000100100", -2.0),
-            ("1111100101000", 1.75),
+            ("1011000110101", -1.25),
+            ("1111100111001", -1.0),
+            ("1111000110100", -0.9375),
+            ("0111000111001", -1.25),
         ]
+
+    @pytest.mark.parametrize("instance", ["readme", "f3", "integer", "empty"])
+    @pytest.mark.parametrize("runs, sweeps, seed", [(1, 1, 0), (1, 40, 3), (3, 7, 11), (5, 25, 2)])
+    def test_matches_the_one_replica_reference(self, mixed_problem, instance, runs, sweeps, seed):
+        if instance == "readme":
+            model = compile_problem(mixed_problem)
+        elif instance == "f3":
+            model = compile_problem(load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1])
+        elif instance == "integer":
+            model = integer_model(np.random.default_rng(40 + seed), 9)
+        else:
+            model = bare_model({}, offset=-1.5)
+        params = SolverParams(runs=runs, sweeps=sweeps, seed=seed)
+        solution = solve_sa(model, params)
+        samples, accepted = reference_sa(model, params)
+        assert solution.samples == samples
+        n = len(model.binary_variables())
+        deciles = np.array_split(np.array(accepted, dtype=float), min(10, sweeps))
+        expected = [part.sum() / (len(part) * runs * n) if n else 0.0 for part in deciles]
+        assert solution.diagnostics["sa"]["acceptance_by_decile"] == expected
+
+    def test_each_run_of_a_batch_is_its_own_single_run(self, mixed_problem):
+        model = compile_problem(mixed_problem)
+        batch = solve_sa(model, SolverParams(runs=4, sweeps=30, seed=5))
+        alone = [solve_sa(model, SolverParams(runs=1, sweeps=30, seed=5 + r)).samples[0] for r in range(4)]
+        assert batch.samples == alone
+
+    def test_diagnostics_are_plain_data(self, mixed_problem):
+        model = compile_problem(mixed_problem)
+        solution = solve_sa(model, SolverParams(runs=3, sweeps=50, seed=1, record_time=True))
+        sa = solution.diagnostics["sa"]
+        assert len(sa["acceptance_by_decile"]) == 10
+        assert all(0.0 <= rate <= 1.0 for rate in sa["acceptance_by_decile"])
+        assert sa["acceptance_by_decile"][-1] < sa["acceptance_by_decile"][0]  # the chain cools
+        assert sa["flips_per_s"] > 0
+        assert len(set(solution.run_times)) == 1  # equal shares of the batch's wall time
+        assert solve_exhaustive(model).diagnostics is None
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"beta_start": 0.0}, "positive"),
+            ({"beta_start": -1.0}, "positive"),
+            ({"beta_start": float("nan")}, "finite"),
+            ({"beta_end": float("inf")}, "finite"),
+        ],
+    )
+    def test_degenerate_schedules_are_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            SolverParams(**overrides)
 
     def test_zero_variable_model(self):
         solution = solve_sa(bare_model({}, offset=3.5), SolverParams(runs=3, seed=0))
