@@ -55,6 +55,15 @@ def _tolerance(decl: ConstraintDecl, problem: Problem, config: CompileConfig | N
     return infer_slack_precision(decl, problem, config) / 2.0
 
 
+def _evaluate(decl: ConstraintDecl, values: dict[str, float], tolerance: float) -> tuple[bool, float]:
+    """``(satisfied, residual)``: a boolean relation's truth, or the comparison within ``tolerance``."""
+    if decl.boolean is not None:
+        satisfied = decl.boolean.truth(values)
+        return satisfied, 0.0 if satisfied else 1.0
+    value = decl.comparison.lhs.evaluate(values)
+    return decl.comparison.holds(value, tolerance=tolerance), decl.comparison.violation(value)
+
+
 def _check(
     decl: ConstraintDecl,
     index: int,
@@ -63,13 +72,9 @@ def _check(
     config: CompileConfig | None,
     induced: bool = False,
 ) -> ConstraintCheck:
-    """One declaration on ``values``: a boolean relation's truth, or the comparison within its tolerance."""
-    if decl.boolean is not None:
-        satisfied = decl.boolean.truth(values)
-        return ConstraintCheck(decl.describe(), satisfied, 0.0 if satisfied else 1.0, decl.hardness, index)
-    value = decl.comparison.lhs.evaluate(values)
-    satisfied = decl.comparison.holds(value, tolerance=_tolerance(decl, problem, config, induced))
-    return ConstraintCheck(decl.describe(), satisfied, decl.comparison.violation(value), decl.hardness, index)
+    """One declaration on ``values``, labelled for a report."""
+    satisfied, residual = _evaluate(decl, values, _tolerance(decl, problem, config, induced))
+    return ConstraintCheck(decl.describe(), satisfied, residual, decl.hardness, index)
 
 
 def check_constraints(
@@ -99,14 +104,19 @@ def check_model_constraints(
     """Per-penalty-block results: user constraints on the decoded values,
     encoding-induced ones (one-hot, monotone chains) on the raw binaries."""
     decoded = decoded if decoded is not None else model.decode(binary)
+    return [
+        _check(decl, index, binary if induced else decoded, problem, config, induced)
+        for index, (decl, induced) in enumerate(_declarations(problem, model))
+    ]
+
+
+def _declarations(problem: Problem, model: QuboModel) -> list[tuple[ConstraintDecl, bool]]:
+    """``(declaration, induced)`` per penalty block: user constraints, then encoding-induced ones."""
     declarations = [(decl, False) for decl in problem.constraints]
     declarations += [(decl, True) for plan in model.encodings for decl in plan.induced]
     if len(declarations) != len(model.penalties):
         raise ValueError("model penalties do not line up with the problem's constraints")
-    return [
-        _check(decl, index, binary if induced else decoded, problem, config, induced)
-        for index, (decl, induced) in enumerate(declarations)
-    ]
+    return declarations
 
 
 def solution_is_valid(
@@ -121,13 +131,18 @@ def solution_is_valid(
 
 
 def valid_rate(problem: Problem, model: QuboModel, solution: SolutionSet, include_weak: bool = False) -> float:
-    """Percentage of samples satisfying every hard constraint."""
+    """Percentage of samples satisfying every hard constraint (``solution_is_valid`` per sample)."""
     if not solution.samples:
         return 0.0
+    checks = [  # tolerances once per call; labels are never formatted
+        (decl, induced, _tolerance(decl, problem, None, induced))
+        for decl, induced in _declarations(problem, model)
+        if decl.hardness == "hard" or include_weak
+    ]
     valid = sum(
         1
         for (binary, _), decoded in zip(solution.samples, solution.decoded)
-        if solution_is_valid(problem, model, binary, decoded, include_weak)
+        if all(_evaluate(decl, binary if induced else decoded, tolerance)[0] for decl, induced, tolerance in checks)
     )
     return 100.0 * valid / len(solution.samples)
 

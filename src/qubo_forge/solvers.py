@@ -21,11 +21,11 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
+from qubo_forge.compiler import CompileConfig, QuboArrays, QuboModel, compile_problem
 from qubo_forge.problem import Problem
 
 EXHAUSTIVE_DEFAULT_CAP = 26
@@ -33,7 +33,7 @@ QAOA_MAX_BINARIES = 16
 
 UPDATE_KINDS = ("sequential", "scaled", "binary-search")
 
-_CHUNK_BITS = 18  # exhaustive enumeration works in blocks of 2**18 assignments
+_LOW_BITS = 16  # exhaustive enumeration runs through 2**16 low-bit assignments per block
 
 
 def __getattr__(name: str):
@@ -82,6 +82,10 @@ class SolverParams:
             raise ValueError("QAOA needs at least one layer")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.max_optimizer_iters < 1:
+            raise ValueError("max_optimizer_iters must be >= 1")
+        if self.k_best < 1:
+            raise ValueError("k_best must be >= 1")
 
 
 @dataclass
@@ -133,10 +137,29 @@ class LambdaUpdateResult:
 # -- shared helpers ------------------------------------------------------------
 
 
-def _block_energies(indices: np.ndarray, q: np.ndarray, offset: float) -> np.ndarray:
-    """Energies ``xᵀQx + offset`` of the assignments whose bit k is bit k of each index."""
-    bits = ((indices[:, None] >> np.arange(len(q))) & 1).astype(np.float64)
-    return np.einsum("ij,ij->i", bits @ q, bits) + offset
+def _bits(indices: np.ndarray, width: int) -> np.ndarray:
+    """Row r holds bits ``0..width-1`` of ``indices[r]`` as floats."""
+    return ((indices[:, None] >> np.arange(width)) & 1).astype(np.float64)
+
+
+def _energy_blocks(arrays: QuboArrays) -> Iterator[tuple[int, np.ndarray]]:
+    """Every energy ``xᵀQx + offset`` in index order, as ``(first index, energies)`` blocks.
+
+    Bit k of an index is the binary at position k of ``arrays.order``.  The
+    low ``L = min(n, _LOW_BITS)`` bits vary within a block and the high bits
+    ``h`` are fixed, so splitting ``Q`` into low and high parts gives the block
+    as ``xᵀQ_ll x + offset`` (built once) plus ``x·(Q_lh h) + hᵀQ_hh h``: one
+    ``2**L × L`` matvec per block.
+    """
+    q = arrays.upper_triangular()
+    n = len(q)
+    low = min(n, _LOW_BITS)
+    bits = _bits(np.arange(2**low), low)
+    base = np.einsum("ij,ij->i", bits @ q[:low, :low], bits) + arrays.offset
+    q_lh, q_hh = q[:low, low:], q[low:, low:]
+    for prefix in range(2 ** (n - low)):
+        high = _bits(np.array([prefix]), n - low)[0]
+        yield prefix << low, base + (bits @ (q_lh @ high) + high @ q_hh @ high)
 
 
 def _assignment_from_index(index: int, order: Sequence[str]) -> dict[str, int]:
@@ -170,16 +193,19 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
     if n > params.exhaustive_cap:
         raise ValueError(f"exhaustive solver handles at most {params.exhaustive_cap} binaries, model has {n}")
     started = time.monotonic()
-    q = arrays.upper_triangular()
-    k_best = max(1, min(params.k_best, 2**n))
+    k_best = min(params.k_best, 2**n)
     top_indices = np.empty(0, dtype=np.int64)
     top_energies = np.empty(0)
-    for start in range(0, 2**n, 2**_CHUNK_BITS):
-        indices = np.arange(start, min(start + 2**_CHUNK_BITS, 2**n), dtype=np.int64)
-        energies = _block_energies(indices, q, arrays.offset)
-        merged_idx = np.concatenate([top_indices, indices])
-        merged_en = np.concatenate([top_energies, energies])
-        keep = np.argsort(merged_en, kind="stable")[:k_best]  # ties stay in index order
+    for start, energies in _energy_blocks(arrays):
+        candidates = np.arange(len(energies))
+        if len(top_energies) == k_best:  # later blocks lose every tie, so only a lower energy can enter
+            candidates = np.flatnonzero(energies < top_energies[-1])
+        if len(candidates) > k_best:  # keep the block's k best (and ties with its k-th) before sorting
+            kth = np.partition(energies[candidates], k_best - 1)[k_best - 1]
+            candidates = candidates[energies[candidates] <= kth]
+        merged_idx = np.concatenate([top_indices, start + candidates])
+        merged_en = np.concatenate([top_energies, energies[candidates]])
+        keep = np.lexsort((merged_idx, merged_en))[:k_best]  # by energy, then index
         top_indices, top_energies = merged_idx[keep], merged_en[keep]
     assignments = [_assignment_from_index(int(index), arrays.order) for index in top_indices]
     entries = [(assignment, model.energy(assignment)) for assignment in assignments]
@@ -295,7 +321,7 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
     if n > QAOA_MAX_BINARIES:
         raise ValueError(f"QAOA simulation handles at most {QAOA_MAX_BINARIES} binaries, model has {n}")
 
-    energies = _block_energies(np.arange(2**n, dtype=np.int64), arrays.upper_triangular(), arrays.offset)
+    energies = np.concatenate([block for _, block in _energy_blocks(arrays)])
     # Centering is a global phase; scaling only conditions the angle search.
     centered = energies - energies.mean()
     spread = np.max(np.abs(centered))

@@ -19,7 +19,7 @@ from qubo_forge.analysis import (
     valid_rate,
     write_cumulative_csv,
 )
-from qubo_forge.cli import bundled_data, load_knapsack
+from qubo_forge.cli import bundled_data, build_regression, load_knapsack
 from qubo_forge.compiler import compile_problem
 from qubo_forge.problem import Problem
 from qubo_forge.solvers import SolverParams, solve_exhaustive, solve_sa
@@ -172,6 +172,17 @@ class TestCumulativeDistribution:
         assert fractions[-1] == 1.0
 
 
+def wall_and_one_hot_problem() -> Problem:
+    """A domain-wall continuous variable and a one-hot discrete one, with a hard and a weak inequality."""
+    problem = Problem()
+    problem.add_continuous_variable("x", 0, 2, 0.5, encoding="domain_wall")
+    problem.add_discrete_variable("d", [0, 1, 2])
+    problem.add_objective("d - x")
+    problem.add_constraint("x + d <= 2")
+    problem.add_constraint("x >= 1", hardness="weak")
+    return problem.freeze()
+
+
 class TestValidRate:
     def test_reference_sa_runs_mostly_valid(self, mixed_problem):
         model = compile_problem(mixed_problem)
@@ -195,6 +206,23 @@ class TestValidRate:
         )
         assert valid_rate(mixed_problem, model, solution) == 0.0
         assert not solution_is_valid(mixed_problem, model, infeasible)
+
+    @pytest.mark.parametrize("name", ["readme", "f3", "iris", "wall-and-one-hot"])
+    def test_rate_is_the_per_sample_count(self, name, request):
+        problem = {
+            "readme": lambda: request.getfixturevalue("mixed_problem"),
+            "f3": lambda: load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1],
+            "iris": lambda: build_regression(bundled_data("iris30.csv"), 2, -0.25, 0.25, 0.25)[1],
+            "wall-and-one-hot": wall_and_one_hot_problem,
+        }[name]()
+        model = compile_problem(problem)
+        solution = solve_exhaustive(model, SolverParams(k_best=600))  # valid and invalid samples alike
+        for include_weak in (False, True):
+            count = sum(
+                solution_is_valid(problem, model, binary, decoded, include_weak)
+                for (binary, _), decoded in zip(solution.samples, solution.decoded)
+            )
+            assert valid_rate(problem, model, solution, include_weak) == 100.0 * count / len(solution.samples)
 
 
 class TestAnalyzeAndPersist:

@@ -5,11 +5,13 @@ required to stay at or above its optimum and to hit documented statistical
 targets under fixed seeds.
 """
 
+import heapq
 import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
 from qubo_forge.expression import Polynomial
 from qubo_forge.problem import Problem
 from qubo_forge.solvers import (
+    EXHAUSTIVE_DEFAULT_CAP,
     SolverParams,
     UpdateStrategy,
     next_lambda,
@@ -56,6 +59,34 @@ def integer_model(rng: np.random.Generator, n: int) -> QuboModel:
         if rng.random() < 0.6:
             terms[(f"v{i}", f"v{j}")] = float(rng.integers(-5, 6))
     return bare_model(terms)
+
+
+def brute_force_top(model: QuboModel, k_best: int) -> tuple[list[int], list[float]]:
+    """The ``k_best`` smallest ``(energy, index)`` pairs of an integer-coefficient model.
+
+    Assignments come from ``itertools.product`` and energies from the
+    polynomial's terms in exact integer arithmetic; bit k of an index is the
+    binary at position k of ``binary_variables()``.
+    """
+    order = model.binary_variables()
+    n = len(order)
+    flat = itertools.chain.from_iterable(itertools.product((0, 1), repeat=n))
+    bits = np.fromiter(flat, dtype=np.int64, count=n * 2**n).reshape(2**n, n)[:, ::-1]  # row r is index r
+    position = {name: k for k, name in enumerate(order)}
+    energies = np.full(2**n, int(model.offset), dtype=np.int64)
+    for mono, coeff in model.quadratic:
+        assert coeff == int(coeff)
+        product = bits[:, position[mono[0]]]
+        for name in mono[1:]:
+            product = product * bits[:, position[name]]
+        energies += int(coeff) * product
+    best = heapq.nsmallest(k_best, zip(energies.tolist(), itertools.count()))
+    return [index for _, index in best], [float(energy) for energy, _ in best]
+
+
+def sample_indices(model: QuboModel, solution) -> list[int]:
+    order = model.binary_variables()
+    return [sum(assignment[name] << k for k, name in enumerate(order)) for assignment, _ in solution.samples]
 
 
 def reference_sa(model: QuboModel, params: SolverParams) -> tuple[list, list[int]]:
@@ -151,6 +182,45 @@ class TestExhaustive:
         order = model.binary_variables()
         indices = [sum(assignment[name] << k for k, name in enumerate(order)) for assignment, _ in solution.samples]
         assert indices == [2**18, 0, 2**18 + 1, 2**18 + 2, 2**18 + 4]  # sorted by (energy, index)
+
+    def test_ties_across_the_high_low_boundary_keep_index_order(self):
+        terms = {(f"v{k:02d}",): 1.0 for k in range(16)}
+        terms[("v16",)] = -1.0  # the lowest high bit: index 2**16 starts the second block
+        model = bare_model(terms)
+        solution = solve_exhaustive(model, SolverParams(k_best=5))
+        assert sample_indices(model, solution) == [2**16, 0, 2**16 + 1, 2**16 + 2, 2**16 + 4]
+        assert solution.energies == [-1.0, 0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "n, k_values",
+        [
+            (0, (1, 7)),
+            (1, (1, 7, 2, 3)),
+            (5, (1, 7, 32, 40)),
+            (16, (1, 7, 2**16, 2**16 + 3)),
+            (17, (1, 7, 1000, 2**16 + 5)),
+            (19, (1, 7, 1000, 2**16 + 5)),
+        ],
+    )
+    def test_matches_brute_force_order_on_integer_models(self, n, k_values):
+        model = integer_model(np.random.default_rng(40 + n), n)  # small integer coefficients: many exact ties
+        indices, energies = brute_force_top(model, max(k_values))  # the k best are a prefix of the k + 1 best
+        for k_best in k_values:
+            solution = solve_exhaustive(model, SolverParams(k_best=k_best))
+            assert len(solution.samples) == min(k_best, 2**n)
+            assert sample_indices(model, solution) == indices[:k_best]
+            assert solution.energies == energies[:k_best]
+
+    def test_cap_sized_model_finds_its_planted_optimum(self):
+        n = EXHAUSTIVE_DEFAULT_CAP
+        terms = {(f"v{k:02d}",): float((-1) ** k * (k + 1)) for k in range(n)}  # odd positions want 1
+        terms[("v03", "v24")] = -100.0  # pays for switching on v24 (+25)
+        model = bare_model(terms)
+        solution = solve_exhaustive(model)
+        expected = {f"v{k:02d}": int(k % 2 == 1 or k == 24) for k in range(n)}
+        assert solution.best_binary == expected
+        assert solution.best_energy == -sum(range(2, n + 1, 2)) + 25 - 100  # -257
+        assert solution.energies == sorted(solution.energies)
 
 
 class TestSimulatedAnnealing:
@@ -303,6 +373,19 @@ class TestQaoa:
         solve_qaoa_sim(bare_model({("b",): 1.0}), SolverParams(runs=1, shots=10, layers=1))
         assert len(calls) == 3  # one Nelder-Mead search per ramp start
 
+    @pytest.mark.parametrize("name", ["readme", "f3"])
+    def test_spectrum_is_exact_on_dyadic_models(self, name, request, monkeypatch):
+        if name == "readme":
+            problem = request.getfixturevalue("mixed_problem")
+        else:
+            _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        model = compile_problem(problem)
+        monkeypatch.setattr(solvers, "minimize", lambda f, x0, **_: SimpleNamespace(x=x0, fun=f(x0), success=True))
+        _, energies, _, _ = solvers._qaoa_distribution(model, SolverParams(layers=1))
+        n = len(model.binary_variables())
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # row r is index r
+        assert energies.tolist() == [model.arrays.energy(row) for row in bits]  # dyadic terms: float sums are exact
+
 
 class TestCrossSolverProperties:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -336,6 +419,11 @@ class TestCrossSolverProperties:
             second = solve(model, solver, params)
             assert first.samples == second.samples
             assert first.best_energy == second.best_energy
+
+    @pytest.mark.parametrize("field", ["k_best", "max_optimizer_iters"])
+    def test_counts_below_one_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            SolverParams(**{field: 0})
 
     def test_unknown_solver_name(self, mixed_problem):
         model = compile_problem(mixed_problem)
