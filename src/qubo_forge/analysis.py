@@ -55,15 +55,6 @@ def _tolerance(decl: ConstraintDecl, problem: Problem, config: CompileConfig | N
     return infer_slack_precision(decl, problem, config) / 2.0
 
 
-def _evaluate(decl: ConstraintDecl, values: dict[str, float], tolerance: float) -> tuple[bool, float]:
-    """``(satisfied, residual)``: a boolean relation's truth, or the comparison within ``tolerance``."""
-    if decl.boolean is not None:
-        satisfied = decl.boolean.truth(values)
-        return satisfied, 0.0 if satisfied else 1.0
-    value = decl.comparison.lhs.evaluate(values)
-    return decl.comparison.holds(value, tolerance=tolerance), decl.comparison.violation(value)
-
-
 def _check(
     decl: ConstraintDecl,
     index: int,
@@ -73,7 +64,7 @@ def _check(
     induced: bool = False,
 ) -> ConstraintCheck:
     """One declaration on ``values``, labelled for a report."""
-    satisfied, residual = _evaluate(decl, values, _tolerance(decl, problem, config, induced))
+    satisfied, residual = decl.evaluate(values, _tolerance(decl, problem, config, induced))
     return ConstraintCheck(decl.describe(), satisfied, residual, decl.hardness, index)
 
 
@@ -99,13 +90,12 @@ def check_model_constraints(
     model: QuboModel,
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
-    config: CompileConfig | None = None,
 ) -> list[ConstraintCheck]:
     """Per-penalty-block results: user constraints on the decoded values,
     encoding-induced ones (one-hot, monotone chains) on the raw binaries."""
     decoded = decoded if decoded is not None else model.decode(binary)
     return [
-        _check(decl, index, binary if induced else decoded, problem, config, induced)
+        _check(decl, index, binary if induced else decoded, problem, None, induced)
         for index, (decl, induced) in enumerate(_declarations(problem, model))
     ]
 
@@ -142,7 +132,7 @@ def valid_rate(problem: Problem, model: QuboModel, solution: SolutionSet, includ
     valid = sum(
         1
         for (binary, _), decoded in zip(solution.samples, solution.decoded)
-        if all(_evaluate(decl, binary if induced else decoded, tolerance)[0] for decl, induced, tolerance in checks)
+        if all(decl.evaluate(binary if induced else decoded, tolerance)[0] for decl, induced, tolerance in checks)
     )
     return 100.0 * valid / len(solution.samples)
 

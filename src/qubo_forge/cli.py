@@ -19,26 +19,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from qubo_forge.analysis import (
-    analyze,
-    cumulative_distribution,
-    p_range,
-    report_to_dict,
-    save_report,
-    solution_is_valid,
-    time_to_solution,
-    write_cumulative_csv,
-)
+from qubo_forge.analysis import analyze, report_to_dict, save_report, write_cumulative_csv
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.expression import Polynomial, format_float
 from qubo_forge.problem import Problem
@@ -247,6 +237,13 @@ def _compile_config(options: dict) -> CompileConfig:
     return CompileConfig(lambda_method=options["lambda_method"])
 
 
+def _update_strategy(options: dict) -> UpdateStrategy:
+    """``--lambda-update none`` is a single trial."""
+    if options["lambda_update"] == "none":
+        return UpdateStrategy(max_trials=1)
+    return UpdateStrategy(kind=options["lambda_update"], lambda_max=options["lambda_max"], max_trials=options["trials"])
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(os.environ.get("QUBO_FORGE_OUT") or args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,18 +268,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     stem = Path(args.problem).stem
 
-    if options["lambda_update"] == "none":
-        model = compile_problem(problem, config)
-        solution = solve(model, options["solver"], params)
-        valid = solution_is_valid(problem, model, solution.best_binary, solution.best_decoded)
-        trials = 1
-    else:
-        strategy = UpdateStrategy(
-            kind=options["lambda_update"], lambda_max=options["lambda_max"], max_trials=options["trials"]
-        )
-        outcome = solve_with_lambda_update(problem, config, options["solver"], params, strategy)
-        model, solution, valid, trials = outcome.model, outcome.solution, outcome.valid, outcome.trials
-
+    outcome = solve_with_lambda_update(problem, config, options["solver"], params, _update_strategy(options))
+    model, solution, valid = outcome.model, outcome.solution, outcome.valid
     report = analyze(problem, model, solution, val_ref=options["val_ref"], p_conf=options["p_conf"])
     meta = {
         "problem": Path(args.problem).name,
@@ -291,7 +278,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "seed": params.seed,
         "lambda_method": options["lambda_method"],
         "lambdas": model.lambdas(),
-        "trials": trials,
+        "trials": outcome.trials,
     }
     save_report(out / f"{stem}.solution.json", solution, report, meta)
     (out / f"{stem}.report.json").write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
@@ -303,13 +290,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not problem.constraints:
         return 0
     return 0 if valid else 2
-
-
-def _curve_energies(solver: str, solution) -> list[float]:
-    # The oracle is deterministic: it contributes its optimum, not the landscape.
-    if solver == "exhaustive":
-        return [solution.best_energy]
-    return solution.energies
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -332,28 +312,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     summary = []
     for name in solvers:
         solution = solve(model, name, params)
+        if name == "exhaustive":  # the deterministic oracle counts as one run returning its optimum
+            best = [(solution.best_binary, solution.best_energy)]
+            solution = replace(solution, samples=best, decoded=[solution.best_decoded])
         report = analyze(problem, model, solution, val_ref=val_ref, p_conf=p_conf)
-        curve = _curve_energies(name, solution)
-        write_cumulative_csv(out / f"{stem}.{name}.cdf.csv", cumulative_distribution(curve))
-        if name == "exhaustive":  # per-run basis: the oracle's one run is its optimum
-            best_valid = solution_is_valid(problem, model, solution.best_binary, solution.best_decoded)
-            rate = 100.0 if best_valid else 0.0
-        else:
-            rate = report.valid_rate
-        curve_p_range = p_range(curve, val_ref) if val_ref is not None else None
-        tts = None
-        if curve_p_range is not None and solution.mean_run_time() is not None:
-            tts = time_to_solution(solution.mean_run_time(), p_conf, curve_p_range / 100.0)
-        if tts is not None and math.isinf(tts):
-            tts = "inf"
-        entry = {
-            "solver": name,
-            "best_energy": solution.best_energy,
-            "valid_rate": rate,
-            "p_range": curve_p_range,
-            "tts": tts,
-        }
-        summary.append(entry)
+        write_cumulative_csv(out / f"{stem}.{name}.cdf.csv", report.cumulative)
+        row = report_to_dict(report)  # writes an infinite TTS as "inf"
+        entry = {"solver": name, "best_energy": solution.best_energy}
+        summary.append(entry | {key: row[key] for key in ("valid_rate", "p_range", "tts")})
 
     (out / f"{stem}.compare.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     header = f"{'solver':<12} {'best':>12} {'valid%':>8} {'p_range%':>9} {'tts[s]':>10}"

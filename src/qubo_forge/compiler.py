@@ -338,13 +338,7 @@ def boolean_penalty(relation: BooleanRelation, aux_source: str) -> tuple[Polynom
     if relation.kind == "or":
         return _reduce(bx * by + bx + by - 2 * bx * bz - 2 * by * bz + bz), None
     # xor as a parity check: x + y + z - 2w is zero exactly on consistent rows.
-    plan = EncodingPlan(
-        source=aux_source,
-        binaries=((f"{aux_source}#0", -2.0),),
-        offset=0.0,
-        value_low=-2.0,
-        value_high=0.0,
-    )
+    plan = EncodingPlan(source=aux_source, binaries=((f"{aux_source}#0", -2.0),), offset=0.0)
     return _reduce((bx + by + bz + plan.affine()) ** 2), plan
 
 

@@ -39,8 +39,6 @@ class EncodingPlan:
     binaries: tuple[tuple[str, float], ...]
     offset: float
     induced: tuple[ConstraintDecl, ...] = ()
-    value_low: float = 0.0
-    value_high: float = 1.0
 
     def binary_names(self) -> list[str]:
         return [name for name, _ in self.binaries]
@@ -63,31 +61,15 @@ class EncodingPlan:
 
     def encoding_valid(self, bits: Mapping[str, int]) -> bool:
         """Whether the bit pattern satisfies the encoding's induced constraints."""
-        for decl in self.induced:
-            value = decl.comparison.lhs.evaluate(bits)
-            if not decl.comparison.holds(value, tolerance=1e-9):
-                return False
-        return True
+        return all(decl.evaluate(bits, _EPS)[0] for decl in self.induced)
 
 
 def encode(decl: VariableDecl) -> EncodingPlan:
     """Build the encoding plan for a declared variable."""
     if decl.kind is VariableKind.BINARY:
-        return EncodingPlan(
-            source=decl.name,
-            binaries=((f"{decl.name}#0", 1.0),),
-            offset=0.0,
-            value_low=0.0,
-            value_high=1.0,
-        )
+        return EncodingPlan(source=decl.name, binaries=((f"{decl.name}#0", 1.0),), offset=0.0)
     if decl.kind is VariableKind.BIPOLAR:
-        return EncodingPlan(
-            source=decl.name,
-            binaries=((f"{decl.name}#0", 2.0),),
-            offset=-1.0,
-            value_low=-1.0,
-            value_high=1.0,
-        )
+        return EncodingPlan(source=decl.name, binaries=((f"{decl.name}#0", 2.0),), offset=-1.0)
     if decl.kind is VariableKind.DISCRETE:
         return _dictionary_plan(decl.name, list(decl.levels), offset=0.0)
     return encode_range(
@@ -164,9 +146,7 @@ def encode_range(
             for k in range(1, count)
         )
         binaries = tuple(zip(names, (_clean(w) for w in weights)))
-        return EncodingPlan(
-            source=source, binaries=binaries, offset=low, induced=induced, value_low=low, value_high=high
-        )
+        return EncodingPlan(source=source, binaries=binaries, offset=low, induced=induced)
     else:  # bounded coefficient
         if bound is None:
             raise ValueError(f"bounded-coefficient encoding of '{source}' needs a coefficient bound")
@@ -175,7 +155,7 @@ def encode_range(
         weights = _log_weights(span, precision, 2, cap=bound)
 
     binaries = tuple((f"{source}#{k}", _clean(w)) for k, w in enumerate(weights))
-    return EncodingPlan(source=source, binaries=binaries, offset=low, value_low=low, value_high=high)
+    return EncodingPlan(source=source, binaries=binaries, offset=low)
 
 
 def _log_weights(span: float, precision: float, base: int, cap: float | None) -> list[float]:
@@ -239,6 +219,4 @@ def _dictionary_plan(source: str, values: list[float], offset: float) -> Encodin
         binaries=tuple(zip(names, (_clean(v) for v in values))),
         offset=offset,
         induced=(one_hot,),
-        value_low=min(values),
-        value_high=max(values),
     )

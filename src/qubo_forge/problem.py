@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from qubo_forge.expression import Comparison, Polynomial, parse_constraint, parse_expression
 
@@ -120,6 +120,14 @@ class ConstraintDecl:
         if self.comparison is not None:
             return self.comparison.lhs.variables()
         return {self.boolean.output, *self.boolean.inputs}
+
+    def evaluate(self, values: Mapping[str, float], tolerance: float) -> tuple[bool, float]:
+        """``(satisfied, residual)``: a boolean relation's truth, or the comparison within ``tolerance``."""
+        if self.boolean is not None:
+            satisfied = self.boolean.truth(values)
+            return satisfied, 0.0 if satisfied else 1.0
+        value = self.comparison.lhs.evaluate(values)
+        return self.comparison.holds(value, tolerance=tolerance), self.comparison.violation(value)
 
     def describe(self) -> str:
         if self.label:

@@ -3,8 +3,10 @@
 All solvers share the same contract: they take a ``QuboModel`` and
 ``SolverParams`` and return a ``SolutionSet`` holding one sample per run
 (the exhaustive oracle instead reports the k best assignments of the full
-landscape).  Every solver reads the model's array form (``model.arrays``),
-and reported energies always re-evaluate exactly from their assignments.
+landscape).  Every solver reads the model's array form (``model.arrays``)
+and hands its answers, a ``k × n`` 0/1 matrix with columns in
+``arrays.order``, to one finisher that builds the assignments, evaluates
+their energies exactly, decodes them and picks the best.
 Results are deterministic for a fixed seed; stochastic solvers derive
 per-run generators from ``seed + run_index``.
 
@@ -162,21 +164,22 @@ def _energy_blocks(arrays: QuboArrays) -> Iterator[tuple[int, np.ndarray]]:
         yield prefix << low, base + (bits @ (q_lh @ high) + high @ q_hh @ high)
 
 
-def _assignment_from_index(index: int, order: Sequence[str]) -> dict[str, int]:
-    return {name: (index >> k) & 1 for k, name in enumerate(order)}
+def _finalize(model: QuboModel, bits: np.ndarray, run_times, diagnostics: dict | None = None) -> SolutionSet:
+    """Samples from a ``k × n`` 0/1 float matrix whose columns follow ``model.arrays.order``.
 
-
-def _finalize(
-    model: QuboModel, entries: list[tuple[dict[str, int], float]], run_times, diagnostics: dict | None = None
-) -> SolutionSet:
-    decoded = [model.decode(assignment) for assignment, _ in entries]
-    best_index = min(range(len(entries)), key=lambda i: entries[i][1])
+    Assignment values are Python ints; each energy is ``arrays.energy`` of
+    the row, the sum ``model.energy`` computes.
+    """
+    arrays = model.arrays
+    samples = [(dict(zip(arrays.order, row)), arrays.energy(x)) for row, x in zip(bits.astype(int).tolist(), bits)]
+    decoded = [model.decode(assignment) for assignment, _ in samples]
+    best = min(range(len(samples)), key=lambda i: samples[i][1])
     return SolutionSet(
-        samples=entries,
+        samples=samples,
         decoded=decoded,
-        best_binary=entries[best_index][0],
-        best_decoded=decoded[best_index],
-        best_energy=entries[best_index][1],
+        best_binary=samples[best][0],
+        best_decoded=decoded[best],
+        best_energy=samples[best][1],
         run_times=run_times,
         diagnostics=diagnostics,
     )
@@ -207,10 +210,8 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
         merged_en = np.concatenate([top_energies, energies[candidates]])
         keep = np.lexsort((merged_idx, merged_en))[:k_best]  # by energy, then index
         top_indices, top_energies = merged_idx[keep], merged_en[keep]
-    assignments = [_assignment_from_index(int(index), arrays.order) for index in top_indices]
-    entries = [(assignment, model.energy(assignment)) for assignment in assignments]
     run_times = [time.monotonic() - started] if params.record_time else None
-    return _finalize(model, entries, run_times)
+    return _finalize(model, _bits(top_indices, n), run_times)
 
 
 # -- simulated annealing ------------------------------------------------------------
@@ -233,7 +234,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     """
     params = params or SolverParams()
     arrays = model.arrays
-    order, n, runs = arrays.order, len(arrays.order), params.runs
+    n, runs = len(arrays.order), params.runs
     couplings = np.zeros((n, n))
     couplings[arrays.rows, arrays.cols] = arrays.values
     couplings += couplings.T
@@ -276,8 +277,6 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
         accepted[t] = np.count_nonzero(signs != sweep_start)  # each spin is visited once per sweep
     elapsed = time.monotonic() - started
 
-    assignments = [dict(zip(order, row)) for row in ((1 - best_signs) / 2).astype(int).tolist()]
-    entries = [(assignment, model.energy(assignment)) for assignment in assignments]
     visits = runs * n  # per sweep
     diagnostics = {
         "sa": {
@@ -289,7 +288,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
         }
     }
     run_times = [elapsed / runs] * runs if params.record_time else None
-    return _finalize(model, entries, run_times, diagnostics)
+    return _finalize(model, (1 - best_signs) / 2, run_times, diagnostics)
 
 
 # -- qaoa statevector simulation -----------------------------------------------------
@@ -382,18 +381,16 @@ def solve_qaoa_sim(model: QuboModel, params: SolverParams | None = None) -> Solu
     params = params or SolverParams()
     order, energies, probabilities, _ = _qaoa_distribution(model, params)
 
-    entries: list[tuple[dict[str, int], float]] = []
+    kept = np.empty(params.runs, dtype=np.int64)
     run_times: list[float] | None = [] if params.record_time else None
     for run in range(params.runs):
         rng = np.random.default_rng(params.seed + run)
         started = time.monotonic()
         drawn = rng.choice(len(probabilities), size=params.shots, p=probabilities)
-        best_index = int(drawn[np.argmin(energies[drawn])])
-        assignment = _assignment_from_index(best_index, order)
-        entries.append((assignment, model.energy(assignment)))
+        kept[run] = drawn[np.argmin(energies[drawn])]
         if run_times is not None:
             run_times.append(time.monotonic() - started)
-    return _finalize(model, entries, run_times)
+    return _finalize(model, _bits(kept, len(order)), run_times)
 
 
 SOLVERS: dict[str, Callable[[QuboModel, SolverParams], SolutionSet]] = {

@@ -172,6 +172,17 @@ class TestSolveCommand:
         assert meta["trials"] > 1
         assert all(lam > 0.01 for lam in meta["lambdas"])
 
+    def test_lambda_update_none_is_one_trial(self, f3_problem_file, tmp_path):
+        code = run_cli(
+            "solve", f3_problem_file,
+            "--solver", "sa", "--runs", 30, "--seed", 2,
+            "--lambda-method", "manual", "--lambda-value", "0.01",  # too weak: the first trial is infeasible
+            "--lambda-update", "none", "--out-dir", tmp_path,
+        )
+        assert code == 2
+        _, _, meta = load_report(tmp_path / "f3.problem.solution.json")
+        assert meta["trials"] == 1 and meta["lambdas"] == [0.01]
+
     def test_manual_without_value_is_an_error(self, f3_problem_file, tmp_path, capsys):
         code = run_cli("solve", f3_problem_file, "--lambda-method", "manual", "--out-dir", tmp_path)
         assert code == 1
@@ -270,6 +281,20 @@ class TestCompareCommand:
         by_name = {entry["solver"]: entry for entry in summary}
         assert by_name["sa"]["best_energy"] == -2.0
         assert by_name["qaoa"]["best_energy"] >= -2.0 - 1e-9
+
+    def test_per_run_rows(self, f3_problem_file, tmp_path):
+        out = tmp_path / "cmp"
+        argv = ["compare", f3_problem_file, "--solvers", "exhaustive,sa,qaoa", "--runs", 5, "--seed", 3]
+        assert run_cli(*argv, "--out-dir", out) == 0
+        rows = {entry["solver"]: entry for entry in json.loads((out / "f3.problem.compare.json").read_text())}
+        assert rows["exhaustive"]["valid_rate"] == 100.0  # one run: the oracle's optimum
+        cdf = (out / "f3.problem.exhaustive.cdf.csv").read_text().splitlines()
+        assert cdf == ["energy,cumulative_fraction", "-35,1"]
+
+        timed = tmp_path / "timed"
+        assert run_cli(*argv, "--val-ref", -1e9, "--time", "--out-dir", timed) == 0
+        summary = json.loads((timed / "f3.problem.compare.json").read_text())
+        assert [entry["tts"] for entry in summary] == ["inf"] * 3
 
     def test_empty_solver_list_is_usage_error(self, f3_problem_file, tmp_path, capsys):
         assert run_cli("compare", f3_problem_file, "--solvers", ",", "--out-dir", tmp_path) == 1

@@ -139,7 +139,7 @@ class TestInequalityPenalty:
         model = compile_problem(tiny_knapsack)
         block = model.penalties[0]
         plan = block.slack_plan
-        assert plan.value_low == 0.0 and plan.value_high == 4.0
+        assert plan.offset == 0.0 and sum(w for _, w in plan.binaries) == 4.0  # slack covers [0, 4]
         assert all(float(w).is_integer() for _, w in plan.binaries)
         slack_names = plan.binary_names()
         for bits in itertools.product([0, 1], repeat=2):

@@ -134,6 +134,18 @@ class TestObjectivesAndConstraints:
         decl = problem.constraints[0]
         assert decl.hardness == "weak" and decl.boolean.kind == "or"
 
+    def test_evaluate_gives_satisfaction_and_residual(self):
+        problem = Problem()
+        for name in ("x", "y", "z"):
+            problem.add_binary_variable(name)
+        problem.add_boolean_constraint("and", "z", ["x", "y"])
+        problem.add_constraint("x + y <= 1")
+        relation, comparison = problem.constraints
+        assert relation.evaluate({"x": 1, "y": 1, "z": 1}, 0.0) == (True, 0.0)
+        assert relation.evaluate({"x": 1, "y": 0, "z": 1}, 0.0) == (False, 1.0)
+        assert comparison.evaluate({"x": 1, "y": 0.25}, 0.25) == (True, 0.25)  # residual kept within tolerance
+        assert comparison.evaluate({"x": 1, "y": 1}, 0.25) == (False, 1.0)
+
     def test_boolean_constraint_rejects_non_binary(self):
         problem = Problem()
         problem.add_binary_variable("x")

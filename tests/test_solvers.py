@@ -18,6 +18,7 @@ import pytest
 
 import qubo_forge
 from qubo_forge import solvers
+from qubo_forge.analysis import load_report, save_report
 from qubo_forge.cli import bundled_data, load_knapsack
 from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
 from qubo_forge.expression import Polynomial
@@ -410,6 +411,28 @@ class TestCrossSolverProperties:
                 assert energy == pytest.approx(model.energy(assignment), abs=1e-9)
             assert solution.best_energy == min(solution.energies)
             assert len(solution.decoded) == len(solution.samples)
+
+    @pytest.mark.parametrize("solver", ["exhaustive", "sa", "qaoa"])
+    @pytest.mark.parametrize("name", ["readme", "f3"])
+    def test_samples_are_plain_bits_and_persist(self, solver, name, request, tmp_path):
+        if name == "readme":
+            problem = request.getfixturevalue("mixed_problem")
+        else:
+            _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        model = compile_problem(problem)
+        solution = solve(model, solver, SolverParams(runs=4, seed=5, sweeps=100, shots=40, k_best=20))
+        order = model.binary_variables()
+        for assignment, _ in solution.samples:
+            assert list(assignment) == order
+            assert all(type(value) is int and value in (0, 1) for value in assignment.values())
+        path = tmp_path / "solution.json"
+        save_report(path, solution)  # json rejects numpy scalars
+        loaded, _, _ = load_report(path)
+        assert loaded.samples == [(a, pytest.approx(e, rel=1e-11)) for a, e in solution.samples]
+        assert loaded.decoded == [pytest.approx(d, rel=1e-11) for d in solution.decoded]
+        assert loaded.best_binary == solution.best_binary
+        assert loaded.best_decoded == pytest.approx(solution.best_decoded, rel=1e-11)
+        assert loaded.best_energy == pytest.approx(solution.best_energy, rel=1e-11)
 
     def test_seed_determinism(self, mixed_problem):
         model = compile_problem(mixed_problem)
