@@ -1,10 +1,11 @@
 """Decode, validate, and score solution sets; persist them as JSON.
 
-Inequalities are checked with a tolerance of half the slack precision:
-decoded values live on a grid, so an exact comparison would misclassify
-boundary-feasible grid points.  Probabilities are kept as fractions
-internally and only presented as percentages; every float that reaches a
-file is serialized with 12 significant digits.
+Feasibility has one rule, ``ConstraintDecl.evaluate``: a non-strict
+comparison holds iff its exact left-hand side misses the bound by at most
+``FEASIBILITY_TOL`` (1e-9).  Each penalty block of a model carries its
+declaration and is checked on the binaries plus the decoded values.
+Probabilities are kept as fractions internally and only presented as
+percentages; every float that reaches a file has 12 significant digits.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from qubo_forge.compiler import CompileConfig, QuboModel, infer_slack_precision
+from qubo_forge.compiler import QuboModel
 from qubo_forge.problem import ConstraintDecl, Problem
 from qubo_forge.solvers import SolutionSet
 
 SOLUTION_SCHEMA = "qubo-forge-solution/1"
-
-_EQUALITY_TOL = 1e-9
 
 
 @dataclass
@@ -48,92 +47,53 @@ class AnalysisReport:
     p_conf: float | None = None
 
 
-def _tolerance(decl: ConstraintDecl, problem: Problem, config: CompileConfig | None, induced: bool) -> float:
-    """Half a slack step for a user inequality (decoded values sit on a grid), else exact up to 1e-9."""
-    if induced or decl.comparison.op == "=":
-        return _EQUALITY_TOL
-    return infer_slack_precision(decl, problem, config) / 2.0
-
-
-def _check(
-    decl: ConstraintDecl,
-    index: int,
-    values: dict[str, float],
-    problem: Problem,
-    config: CompileConfig | None,
-    induced: bool = False,
-) -> ConstraintCheck:
+def _check(decl: ConstraintDecl, index: int, values: dict[str, float]) -> ConstraintCheck:
     """One declaration on ``values``, labelled for a report."""
-    satisfied, residual = decl.evaluate(values, _tolerance(decl, problem, config, induced))
+    satisfied, residual = decl.evaluate(values)
     return ConstraintCheck(decl.describe(), satisfied, residual, decl.hardness, index)
 
 
-def check_constraints(
-    decoded: dict[str, float],
-    problem: Problem,
-    include_weak: bool = False,
-    config: CompileConfig | None = None,
-) -> list[ConstraintCheck]:
+def check_constraints(decoded: dict[str, float], problem: Problem, include_weak: bool = False) -> list[ConstraintCheck]:
     """Evaluate the user-declared constraints on a decoded assignment.
 
     Weak constraints are skipped unless ``include_weak`` is set.
     """
     return [
-        _check(decl, index, decoded, problem, config)
+        _check(decl, index, decoded)
         for index, decl in enumerate(problem.constraints)
         if decl.hardness == "hard" or include_weak
     ]
 
 
 def check_model_constraints(
-    problem: Problem,
     model: QuboModel,
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
 ) -> list[ConstraintCheck]:
-    """Per-penalty-block results: user constraints on the decoded values,
-    encoding-induced ones (one-hot, monotone chains) on the raw binaries."""
-    decoded = decoded if decoded is not None else model.decode(binary)
-    return [
-        _check(decl, index, binary if induced else decoded, problem, None, induced)
-        for index, (decl, induced) in enumerate(_declarations(problem, model))
-    ]
-
-
-def _declarations(problem: Problem, model: QuboModel) -> list[tuple[ConstraintDecl, bool]]:
-    """``(declaration, induced)`` per penalty block: user constraints, then encoding-induced ones."""
-    declarations = [(decl, False) for decl in problem.constraints]
-    declarations += [(decl, True) for plan in model.encodings for decl in plan.induced]
-    if len(declarations) != len(model.penalties):
-        raise ValueError("model penalties do not line up with the problem's constraints")
-    return declarations
+    """Per-penalty-block results on the binaries plus the decoded values."""
+    values = {**binary, **(decoded if decoded is not None else model.decode(binary))}
+    return [_check(block.constraint, index, values) for index, block in enumerate(model.penalties)]
 
 
 def solution_is_valid(
-    problem: Problem,
     model: QuboModel,
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
     include_weak: bool = False,
 ) -> bool:
-    results = check_model_constraints(problem, model, binary, decoded)
+    results = check_model_constraints(model, binary, decoded)
     return all(r.satisfied for r in results if r.hardness == "hard" or include_weak)
 
 
-def valid_rate(problem: Problem, model: QuboModel, solution: SolutionSet, include_weak: bool = False) -> float:
+def valid_rate(model: QuboModel, solution: SolutionSet, include_weak: bool = False) -> float:
     """Percentage of samples satisfying every hard constraint (``solution_is_valid`` per sample)."""
     if not solution.samples:
         return 0.0
-    checks = [  # tolerances once per call; labels are never formatted
-        (decl, induced, _tolerance(decl, problem, None, induced))
-        for decl, induced in _declarations(problem, model)
-        if decl.hardness == "hard" or include_weak
-    ]
-    valid = sum(
-        1
-        for (binary, _), decoded in zip(solution.samples, solution.decoded)
-        if all(decl.evaluate(binary if induced else decoded, tolerance)[0] for decl, induced, tolerance in checks)
-    )
+    checks = [block.constraint for block in model.penalties if block.hardness == "hard" or include_weak]
+    valid = 0
+    for (binary, _), decoded in zip(solution.samples, solution.decoded):
+        values = {**binary, **decoded}
+        valid += all(decl.evaluate(values)[0] for decl in checks)
     return 100.0 * valid / len(solution.samples)
 
 
@@ -191,9 +151,9 @@ def analyze(
 ) -> AnalysisReport:
     """Score a solution set: validity, best-solution checks, distribution, optional TTS."""
     report = AnalysisReport(
-        valid_rate=valid_rate(problem, model, solution, include_weak),
+        valid_rate=valid_rate(model, solution, include_weak),
         objective_values=objective_values(solution.best_decoded, problem),
-        constraint_results=check_model_constraints(problem, model, solution.best_binary, solution.best_decoded),
+        constraint_results=check_model_constraints(model, solution.best_binary, solution.best_decoded),
         cumulative=cumulative_distribution(solution.energies),
     )
     if val_ref is not None:

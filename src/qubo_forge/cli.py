@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -30,7 +31,7 @@ import numpy as np
 
 from qubo_forge.analysis import analyze, report_to_dict, save_report, write_cumulative_csv
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
-from qubo_forge.expression import Polynomial, format_float
+from qubo_forge.expression import NUMBER, Polynomial, format_float
 from qubo_forge.problem import Problem
 from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve, solve_with_lambda_update
 
@@ -155,6 +156,7 @@ def build_regression(
 _SOLVER_PARAMS = SolverParams()
 _UPDATE_STRATEGY = UpdateStrategy()
 LAMBDA_UPDATES = ("none",) + UPDATE_KINDS
+_NEGATIVE_NUMBER = re.compile(f"-(?:{NUMBER})")
 
 # Built-in option values, taken from the library's own defaults.
 _OPTION_DEFAULTS = {
@@ -386,10 +388,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e9`` -> ``--flag=-1e9``: argparse reads ``-1e9`` (unlike ``-1``) as an option."""
+    joined: list[str] = []
+    for k, token in enumerate(argv):
+        if token == "--":  # everything after it is positional
+            return joined + argv[k:]
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and _NEGATIVE_NUMBER.fullmatch(token):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exit_error:
         return 1 if exit_error.code not in (0, None) else 0
     try:

@@ -40,18 +40,12 @@ class CompileConfig:
     manual_lambdas: float | Sequence[float] | None = None
     hard_multiplier: float = 1.0
     weak_multiplier: float = 0.3
-    slack_precision_policy: str = "from-variables"  # or "explicit" / "integer"
-    slack_precision: float | None = None
 
     def __post_init__(self):
         if self.lambda_method not in LAMBDA_METHODS:
             raise ValueError(f"unknown lambda method {self.lambda_method!r}; expected one of {LAMBDA_METHODS}")
         if not self.hard_multiplier > 0 or not self.weak_multiplier > 0:
             raise ValueError("hard_multiplier and weak_multiplier must be positive")
-        if self.slack_precision_policy not in ("from-variables", "explicit", "integer"):
-            raise ValueError(f"unknown slack precision policy {self.slack_precision_policy!r}")
-        if self.slack_precision_policy == "explicit" and not (self.slack_precision or 0) > 0:
-            raise ValueError("explicit slack precision policy needs a positive slack_precision")
         if self.lambda_method == "manual" and self.manual_lambdas is None:
             raise ValueError("manual lambda method needs manual_lambdas")
         if self.manual_lambdas is not None:
@@ -65,11 +59,18 @@ class PenaltyBlock:
     """One constraint's quadratic penalty: zero iff satisfied (best slack/aux choice)."""
 
     source_constraint: int
-    label: str
+    constraint: ConstraintDecl
     penalty: Polynomial
     lam: float
-    hardness: str
     slack_plan: EncodingPlan | None = None
+
+    @property
+    def label(self) -> str:
+        return self.constraint.describe()
+
+    @property
+    def hardness(self) -> str:
+        return self.constraint.hardness
 
 
 @dataclass(frozen=True)
@@ -480,15 +481,10 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
 # -- compilation -----------------------------------------------------------------
 
 
-def infer_slack_precision(decl: ConstraintDecl, problem: Problem, config: CompileConfig | None = None) -> float:
-    """Slack step for an inequality: declared value, else per config policy."""
+def infer_slack_precision(decl: ConstraintDecl, problem: Problem) -> float:
+    """Slack step for an inequality: the declared value, else the finest continuous grid step in it, else 1."""
     if decl.slack_precision is not None:
         return decl.slack_precision
-    config = config or CompileConfig()
-    if config.slack_precision_policy == "explicit":
-        return config.slack_precision
-    if config.slack_precision_policy == "integer":
-        return 1.0
     precisions = [
         problem.variable(name).precision
         for name in sorted(decl.variables())
@@ -531,20 +527,11 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
                 penalty, slack_plan = equality_penalty(binary_comparison), None
             else:
                 bounds = polynomial_interval(comparison.lhs, intervals)
-                precision = infer_slack_precision(decl, problem, config)
+                precision = infer_slack_precision(decl, problem)
                 penalty, slack_plan = inequality_to_penalty(
                     binary_comparison, bounds, precision, slack_source=f"__slack{index}"
                 )
-        blocks.append(
-            PenaltyBlock(
-                source_constraint=index,
-                label=decl.describe(),
-                penalty=penalty,
-                lam=0.0,
-                hardness=decl.hardness,
-                slack_plan=slack_plan,
-            )
-        )
+        blocks.append(PenaltyBlock(index, decl, penalty, lam=0.0, slack_plan=slack_plan))
 
     _assign_lambdas(blocks, cost, config)
 

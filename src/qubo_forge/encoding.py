@@ -61,7 +61,7 @@ class EncodingPlan:
 
     def encoding_valid(self, bits: Mapping[str, int]) -> bool:
         """Whether the bit pattern satisfies the encoding's induced constraints."""
-        return all(decl.evaluate(bits, _EPS)[0] for decl in self.induced)
+        return all(decl.evaluate(bits)[0] for decl in self.induced)
 
 
 def encode(decl: VariableDecl) -> EncodingPlan:

@@ -25,6 +25,13 @@ Monomial = tuple[str, ...]
 
 COMPARISON_OPS = ("=", ">=", ">", "<=", "<")
 
+# How far the exact left-hand side may miss a non-strict bound and still hold.
+FEASIBILITY_TOL = 1e-9
+
+# What the tokenizer reads as a variable name (declarations must match it whole) and as a number.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+
 
 class ParseError(ValueError):
     """Raised for malformed expression text; carries the 0-based position."""
@@ -228,18 +235,14 @@ class Comparison:
     def to_text(self) -> str:
         return f"{self.lhs.to_text()} {self.op} {format_float(self.rhs)}"
 
-    def holds(self, value: float, tolerance: float = 0.0) -> bool:
-        """Whether ``value <op> rhs`` holds; non-strict ops are loosened by
-        ``tolerance``, strict ops tightened so boundary values stay excluded."""
-        if self.op == "=":
-            return abs(value - self.rhs) <= tolerance
-        if self.op == ">=":
-            return value >= self.rhs - tolerance
+    def holds(self, value: float) -> bool:
+        """Whether ``value <op> rhs`` holds: a non-strict op when the violation is at
+        most ``FEASIBILITY_TOL``, a strict op when ``value`` clears the bound by more."""
         if self.op == ">":
-            return value > self.rhs + tolerance
-        if self.op == "<=":
-            return value <= self.rhs + tolerance
-        return value < self.rhs - tolerance
+            return value > self.rhs + FEASIBILITY_TOL
+        if self.op == "<":
+            return value < self.rhs - FEASIBILITY_TOL
+        return self.violation(value) <= FEASIBILITY_TOL
 
     def violation(self, value: float) -> float:
         """Magnitude of the constraint violation at ``value`` (0 when satisfied)."""
@@ -315,9 +318,9 @@ def reduce_binary_idempotence(poly: Polynomial, binary_vars: Iterable[str]) -> P
 # -- parsing ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    rf"""\s*(?:
+        (?P<number>{NUMBER})
+      | (?P<ident>{IDENTIFIER})
       | (?P<op>\*\*|<=|>=|==|[\^*+\-()/=<>])
     )""",
     re.VERBOSE,

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from qubo_forge.expression import Comparison, Polynomial, parse_constraint, parse_expression
+from qubo_forge.expression import IDENTIFIER, Comparison, Polynomial, parse_constraint, parse_expression
 
 PROBLEM_SCHEMA = "qubo-forge-problem/1"
 
@@ -121,13 +122,14 @@ class ConstraintDecl:
             return self.comparison.lhs.variables()
         return {self.boolean.output, *self.boolean.inputs}
 
-    def evaluate(self, values: Mapping[str, float], tolerance: float) -> tuple[bool, float]:
-        """``(satisfied, residual)``: a boolean relation's truth, or the comparison within ``tolerance``."""
+    def evaluate(self, values: Mapping[str, float]) -> tuple[bool, float]:
+        """``(satisfied, residual)``: a boolean relation's truth, or the comparison on the exact
+        left-hand side (a non-strict one holds iff ``residual <= expression.FEASIBILITY_TOL``)."""
         if self.boolean is not None:
             satisfied = self.boolean.truth(values)
             return satisfied, 0.0 if satisfied else 1.0
         value = self.comparison.lhs.evaluate(values)
-        return self.comparison.holds(value, tolerance=tolerance), self.comparison.violation(value)
+        return self.comparison.holds(value), self.comparison.violation(value)
 
     def describe(self) -> str:
         if self.label:
@@ -170,8 +172,8 @@ class Problem:
             raise ValueError("problem is frozen; no further declarations allowed")
         if decl.name in self._variables:
             raise ValueError(f"variable '{decl.name}' already declared")
-        if not decl.name or not (decl.name[0].isalpha() or decl.name[0] == "_"):
-            raise ValueError(f"invalid variable name {decl.name!r}")
+        if not re.fullmatch(IDENTIFIER, decl.name):
+            raise ValueError(f"invalid variable name {decl.name!r}: names must match {IDENTIFIER}")
         if decl.name.startswith("__"):
             raise ValueError("names starting with '__' are reserved for slack/auxiliary binaries")
         self._variables[decl.name] = decl

@@ -125,6 +125,8 @@ class UpdateStrategy:
             raise ValueError(f"unknown update strategy {self.kind!r}")
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
+        if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
+            raise ValueError(f"lambda_max must be finite and positive, got {self.lambda_max!r}")
 
 
 @dataclass
@@ -453,7 +455,7 @@ def solve_with_lambda_update(
     while True:
         trials += 1
         solution = solve(model, solver, params)
-        results = check_model_constraints(problem, model, solution.best_binary, solution.best_decoded)
+        results = check_model_constraints(model, solution.best_binary, solution.best_decoded)
         violated = [
             r.block_index
             for r in results

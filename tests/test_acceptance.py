@@ -91,7 +91,7 @@ def test_criterion_01_mixed_example_end_to_end():
         elapsed = time.monotonic() - started
         assert solution.best_decoded == {"a": 0.0, "b": 3.0, "c": -1.0}
         assert solution.best_energy == -2.0
-        checks = check_model_constraints(problem, model, solution.best_binary, solution.best_decoded)
+        checks = check_model_constraints(model, solution.best_binary, solution.best_decoded)
         assert len(checks) == 2 and all(check.satisfied for check in checks)
         assert elapsed < 5.0
 
@@ -157,7 +157,7 @@ def test_criterion_05_knapsack_optimum_and_sa_statistics():
         sa = solve_sa(model, SolverParams(runs=100, seed=11))
         hits = sum(1 for energy in sa.energies if energy == pytest.approx(-35.0, abs=1e-9))
         assert hits >= 50
-        assert valid_rate(problem, model, sa) >= 90.0
+        assert valid_rate(model, sa) >= 90.0
         assert time.monotonic() - started < 30.0
 
 

@@ -2,8 +2,12 @@
 
 import json
 import math
+import operator
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubo_forge.analysis import (
     analyze,
@@ -21,6 +25,7 @@ from qubo_forge.analysis import (
 )
 from qubo_forge.cli import bundled_data, build_regression, load_knapsack
 from qubo_forge.compiler import compile_problem
+from qubo_forge.expression import FEASIBILITY_TOL, Comparison, Polynomial
 from qubo_forge.problem import Problem
 from qubo_forge.solvers import SolverParams, solve_exhaustive, solve_sa
 
@@ -56,8 +61,7 @@ class TestCheckConstraints:
         assert len(flagged) == 1 and not flagged[0].satisfied
 
     def test_boundary_grid_point_tolerated(self):
-        # tolerance is half the slack precision, so an exactly-boundary grid
-        # value counts as satisfied even with float noise
+        # a boundary grid value with float noise is within FEASIBILITY_TOL
         problem = Problem()
         problem.add_continuous_variable("c", 0, 1, 0.25)
         problem.add_objective("c")
@@ -69,14 +73,14 @@ class TestCheckConstraints:
     def test_induced_constraints_checked_on_binaries(self, mixed_problem):
         model = compile_problem(mixed_problem)
         solution = solve_exhaustive(model)
-        results = check_model_constraints(problem=mixed_problem, model=model, binary=solution.best_binary)
+        results = check_model_constraints(model=model, binary=solution.best_binary)
         assert [r.label for r in results] == ["b + c >= 2", "encoding[b] one-hot"]
         assert all(r.satisfied for r in results)
         # break the one-hot: set all of b's bits
         broken = dict(solution.best_binary)
         for name in ("b#0", "b#1", "b#2"):
             broken[name] = 1
-        broken_results = check_model_constraints(mixed_problem, model, broken)
+        broken_results = check_model_constraints(model, broken)
         assert not broken_results[1].satisfied
 
     def test_missing_decoded_variable(self, mixed_problem):
@@ -187,7 +191,7 @@ class TestValidRate:
     def test_reference_sa_runs_mostly_valid(self, mixed_problem):
         model = compile_problem(mixed_problem)
         solution = solve_sa(model, SolverParams(runs=50, seed=9))
-        rate = valid_rate(mixed_problem, model, solution)
+        rate = valid_rate(model, solution)
         assert 0.0 <= rate <= 100.0
         assert rate >= 90.0
 
@@ -204,8 +208,8 @@ class TestValidRate:
             best_decoded=model.decode(infeasible),
             best_energy=model.energy(infeasible),
         )
-        assert valid_rate(mixed_problem, model, solution) == 0.0
-        assert not solution_is_valid(mixed_problem, model, infeasible)
+        assert valid_rate(model, solution) == 0.0
+        assert not solution_is_valid(model, infeasible)
 
     @pytest.mark.parametrize("name", ["readme", "f3", "iris", "wall-and-one-hot"])
     def test_rate_is_the_per_sample_count(self, name, request):
@@ -219,10 +223,10 @@ class TestValidRate:
         solution = solve_exhaustive(model, SolverParams(k_best=600))  # valid and invalid samples alike
         for include_weak in (False, True):
             count = sum(
-                solution_is_valid(problem, model, binary, decoded, include_weak)
+                solution_is_valid(model, binary, decoded, include_weak)
                 for (binary, _), decoded in zip(solution.samples, solution.decoded)
             )
-            assert valid_rate(problem, model, solution, include_weak) == 100.0 * count / len(solution.samples)
+            assert valid_rate(model, solution, include_weak) == 100.0 * count / len(solution.samples)
 
 
 class TestAnalyzeAndPersist:
@@ -281,3 +285,77 @@ class TestAnalyzeAndPersist:
         assert lines[0] == "energy,cumulative_fraction"
         assert lines[1] == "-35,0.5"
         assert lines[2] == "-30,1"
+
+
+def fractional_knapsack():
+    """Fractional weights whose slack step defaults to 1: at [1, 1, 1] the load is 1.1 > 1."""
+    problem = Problem()
+    for name in ("x0", "x1", "x2"):
+        problem.add_binary_variable(name)
+    problem.add_objective("x0 + x1 + x2", direction="maximize")
+    problem.add_constraint("0.4*x0 + 0.4*x1 + 0.3*x2 <= 1")
+    return problem.freeze()
+
+
+class TestExactFeasibility:
+    def test_fractional_overload_is_infeasible(self):
+        problem = fractional_knapsack()
+        (check,) = check_constraints({"x0": 1.0, "x1": 1.0, "x2": 1.0}, problem)
+        assert not check.satisfied and check.residual == pytest.approx(0.1)
+        model = compile_problem(problem)
+        full = dict.fromkeys(model.binary_variables(), 1)
+        (block,) = check_model_constraints(model, full)
+        assert not block.satisfied and block.residual == pytest.approx(0.1)
+
+    def test_valid_rate_counts_only_feasible_loads(self):
+        problem = fractional_knapsack()
+        model = compile_problem(problem)
+        solution = solve_exhaustive(model, SolverParams(k_best=100))
+        assert len(solution.samples) == 16  # three items and one slack bit
+        count = sum(
+            solution_is_valid(model, binary, decoded)
+            for (binary, _), decoded in zip(solution.samples, solution.decoded)
+        )
+        assert count == 14  # both slack values of [1, 1, 1] are infeasible
+        assert valid_rate(model, solution) == 100.0 * 14 / 16
+
+
+_KINDS = st.sampled_from(["binary", "continuous", "discrete"])
+
+
+def _declare(problem, name, kind):
+    if kind == "binary":
+        problem.add_binary_variable(name)
+    elif kind == "continuous":
+        problem.add_continuous_variable(name, 0, 1, 0.25)
+    else:
+        problem.add_discrete_variable(name, [-0.5, 0, 0.75])
+
+
+@pytest.mark.filterwarnings("ignore:constraint unsatisfiable")  # every assignment is then infeasible
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.lists(st.tuples(_KINDS, st.integers(-9, 9).filter(bool)), min_size=1, max_size=3),
+    op=st.sampled_from(["=", "<=", ">="]),
+    rhs_tenths=st.integers(-10, 10),
+)
+def test_verdict_is_the_exact_residual_rule(terms, op, rhs_tenths):
+    """Every assignment of a small model with fractional coefficients: each (non-strict)
+    block holds iff its residual is within FEASIBILITY_TOL, and the user constraint's
+    verdict is the exact rational one."""
+    problem = Problem()
+    coefficients = {}
+    for k, (kind, tenths) in enumerate(terms):
+        _declare(problem, f"v{k}", kind)
+        coefficients[f"v{k}"] = Fraction(tenths, 10)
+    problem.add_objective(" + ".join(coefficients))
+    lhs = Polynomial({(name,): float(c) for name, c in coefficients.items()})
+    problem.add_constraint(Comparison(lhs, op, rhs_tenths / 10))
+    model = compile_problem(problem.freeze())
+    solution = solve_exhaustive(model, SolverParams(k_best=2 ** len(model.binary_variables())))
+    holds = {"=": operator.eq, "<=": operator.le, ">=": operator.ge}[op]
+    for (binary, _), decoded in zip(solution.samples, solution.decoded):
+        results = check_model_constraints(model, binary, decoded)
+        assert all(r.satisfied == (r.residual <= FEASIBILITY_TOL) for r in results)
+        load = sum(c * Fraction(decoded[name]) for name, c in coefficients.items())
+        assert results[0].satisfied == holds(load, Fraction(rhs_tenths, 10))

@@ -188,6 +188,11 @@ class TestSolveCommand:
         assert code == 1
         assert "lambda-value" in capsys.readouterr().err
 
+    def test_infinite_lambda_max_is_a_usage_error(self, f3_problem_file, tmp_path, capsys):
+        code = run_cli("solve", f3_problem_file, "--lambda-update", "scaled", "--lambda-max", "inf", "--out-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: lambda_max must be finite and positive")
+
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("solve", tmp_path / "nope.json") == 1
 
@@ -295,6 +300,18 @@ class TestCompareCommand:
         assert run_cli(*argv, "--val-ref", -1e9, "--time", "--out-dir", timed) == 0
         summary = json.loads((timed / "f3.problem.compare.json").read_text())
         assert [entry["tts"] for entry in summary] == ["inf"] * 3
+
+    def test_negative_values_with_an_exponent(self, f3_problem_file, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert run_cli("compare", f3_problem_file, "--solvers", "exhaustive", "--val-ref", "-3e1", "--out-dir", out) == 0
+        (row,) = json.loads((out / "f3.problem.compare.json").read_text())
+        assert row["p_range"] == 100.0  # -35 < -30
+        argv = ["solve", f3_problem_file, "--lambda-method", "manual", "--lambda-value", "-1e-2", "--out-dir", tmp_path]
+        assert run_cli(*argv) == 1
+        assert "manual lambda values must be positive" in capsys.readouterr().err
+        argv = ["solve", f3_problem_file, "--lambda-update", "scaled", "--lambda-max", "-5E+0", "--out-dir", tmp_path]
+        assert run_cli(*argv) == 1
+        assert "lambda_max must be finite and positive, got -5.0" in capsys.readouterr().err
 
     def test_empty_solver_list_is_usage_error(self, f3_problem_file, tmp_path, capsys):
         assert run_cli("compare", f3_problem_file, "--solvers", ",", "--out-dir", tmp_path) == 1

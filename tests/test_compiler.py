@@ -298,7 +298,7 @@ class TestLambdaSufficiency:
 
         model = compile_problem(mixed_problem, CompileConfig(lambda_method=method))
         solution = solve_exhaustive(model)
-        assert solution_is_valid(mixed_problem, model, solution.best_binary, solution.best_decoded)
+        assert solution_is_valid(model, solution.best_binary, solution.best_decoded)
         # non-dyadic weights (momc's 12/1.9375) leave ~1e-13 of float drift
         assert solution.best_energy == pytest.approx(-2.0, abs=1e-9)
 
@@ -311,7 +311,7 @@ class TestLambdaSufficiency:
         _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
         model = compile_problem(problem, CompileConfig(lambda_method=method))
         solution = solve_exhaustive(model)
-        assert solution_is_valid(problem, model, solution.best_binary, solution.best_decoded)
+        assert solution_is_valid(model, solution.best_binary, solution.best_decoded)
         assert solution.best_energy == -35.0
 
     def test_moc_reference_weight_is_insufficient_but_loop_recovers(self, mixed_problem):
@@ -324,7 +324,7 @@ class TestLambdaSufficiency:
         model = compile_problem(mixed_problem, CompileConfig(lambda_method="moc"))
         solution = solve_exhaustive(model)
         assert solution.best_energy == pytest.approx(-2.125)
-        assert not solution_is_valid(mixed_problem, model, solution.best_binary, solution.best_decoded)
+        assert not solution_is_valid(model, solution.best_binary, solution.best_decoded)
 
         outcome = solve_with_lambda_update(
             mixed_problem,
@@ -519,9 +519,7 @@ class TestIntervalsAndPrecision:
     def test_slack_precision_policies(self, mixed_problem):
         decl = mixed_problem.constraints[0]
         assert infer_slack_precision(decl, mixed_problem) == 0.25
-        assert infer_slack_precision(decl, mixed_problem, CompileConfig(slack_precision_policy="integer")) == 1.0
-        explicit = CompileConfig(slack_precision_policy="explicit", slack_precision=0.1)
-        assert infer_slack_precision(decl, mixed_problem, explicit) == 0.1
+        assert not hasattr(CompileConfig(), "slack_precision")  # the step is set per constraint only
 
     def test_integer_default_without_continuous_vars(self, tiny_knapsack):
         assert infer_slack_precision(tiny_knapsack.constraints[0], tiny_knapsack) == 1.0
@@ -565,4 +563,4 @@ class TestDomainWall:
         model = compile_problem(problem, CompileConfig(lambda_method="manual", manual_lambdas=10.0))
         solution = solve_exhaustive(model)
         assert solution.best_decoded == {"x": 1.5}
-        assert solution_is_valid(problem, model, solution.best_binary, solution.best_decoded)
+        assert solution_is_valid(model, solution.best_binary, solution.best_decoded)

@@ -81,6 +81,12 @@ class TestVariableDeclaration:
         with pytest.raises(ValueError, match=message):
             call(Problem())
 
+    @pytest.mark.parametrize("name", ["a-b", "x#0", "x y", "é", "", "1x"])
+    def test_names_must_be_parser_identifiers(self, name):
+        # "a-b" would read back as a - b and "x#0" would shadow the encoding binary of x
+        with pytest.raises(ValueError, match="invalid variable name"):
+            Problem().add_binary_variable(name)
+
 
 class TestObjectivesAndConstraints:
     def test_objective_from_string(self):
@@ -141,10 +147,11 @@ class TestObjectivesAndConstraints:
         problem.add_boolean_constraint("and", "z", ["x", "y"])
         problem.add_constraint("x + y <= 1")
         relation, comparison = problem.constraints
-        assert relation.evaluate({"x": 1, "y": 1, "z": 1}, 0.0) == (True, 0.0)
-        assert relation.evaluate({"x": 1, "y": 0, "z": 1}, 0.0) == (False, 1.0)
-        assert comparison.evaluate({"x": 1, "y": 0.25}, 0.25) == (True, 0.25)  # residual kept within tolerance
-        assert comparison.evaluate({"x": 1, "y": 1}, 0.25) == (False, 1.0)
+        assert relation.evaluate({"x": 1, "y": 1, "z": 1}) == (True, 0.0)
+        assert relation.evaluate({"x": 1, "y": 0, "z": 1}) == (False, 1.0)
+        assert comparison.evaluate({"x": 1, "y": 0.25}) == (False, 0.25)  # exact: no tolerance beyond 1e-9
+        assert comparison.evaluate({"x": 1, "y": 2.0**-40}) == (True, 2.0**-40)  # float noise still holds
+        assert comparison.evaluate({"x": 1, "y": 1}) == (False, 1.0)
 
     def test_boolean_constraint_rejects_non_binary(self):
         problem = Problem()

@@ -466,6 +466,11 @@ class TestLambdaUpdate:
         assert next_lambda(10.0, UpdateStrategy("scaled", lambda_max=1000.0, max_trials=4)) == 100.0
         assert next_lambda(10.0, UpdateStrategy("binary-search", lambda_max=1000.0, max_trials=5)) == 100.0
 
+    @pytest.mark.parametrize("lambda_max", [float("inf"), float("nan"), 0.0, -5.0])
+    def test_lambda_max_must_be_finite_and_positive(self, lambda_max):
+        with pytest.raises(ValueError, match="lambda_max must be finite and positive"):
+            UpdateStrategy("scaled", lambda_max=lambda_max)
+
     @pytest.mark.parametrize("kind", ["sequential", "scaled", "binary-search"])
     def test_strictly_increasing_until_cap(self, kind):
         strategy = UpdateStrategy(kind, lambda_max=1e4, max_trials=6)
