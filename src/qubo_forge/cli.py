@@ -240,10 +240,10 @@ def _compile_config(options: dict) -> CompileConfig:
 
 
 def _update_strategy(options: dict) -> UpdateStrategy:
-    """``--lambda-update none`` is a single trial."""
-    if options["lambda_update"] == "none":
-        return UpdateStrategy(max_trials=1)
-    return UpdateStrategy(kind=options["lambda_update"], lambda_max=options["lambda_max"], max_trials=options["trials"])
+    """``--lambda-max`` and ``--trials`` are checked under every strategy; ``none`` is a single trial."""
+    kind = options["lambda_update"]
+    strategy = UpdateStrategy(lambda_max=options["lambda_max"], max_trials=options["trials"])
+    return replace(strategy, max_trials=1) if kind == "none" else replace(strategy, kind=kind)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -50,15 +52,17 @@ class CompileConfig:
             raise ValueError("manual lambda method needs manual_lambdas")
         if self.manual_lambdas is not None:
             values = self.manual_lambdas
-            if not all(math.isfinite(float(v)) for v in ([values] if isinstance(values, (int, float)) else values)):
+            listed = [float(v) for v in ([values] if isinstance(values, (int, float)) else values)]
+            if not all(math.isfinite(v) for v in listed):
                 raise ValueError(f"manual_lambdas must be finite, got {values!r}")
+            if not all(v > 0 for v in listed):
+                raise ValueError("manual lambda values must be positive")
 
 
 @dataclass
 class PenaltyBlock:
     """One constraint's quadratic penalty: zero iff satisfied (best slack/aux choice)."""
 
-    source_constraint: int
     constraint: ConstraintDecl
     penalty: Polynomial
     lam: float
@@ -185,13 +189,13 @@ class QuboModel:
             "encodings": [plan_dict(plan) for plan in self.encodings],
             "penalties": [
                 {
-                    "constraint": block.source_constraint,
+                    "constraint": index,
                     "label": block.label,
                     "lambda": block.lam,
                     "hardness": block.hardness,
                     "slack": plan_dict(block.slack_plan) if block.slack_plan is not None else None,
                 }
-                for block in self.penalties
+                for index, block in enumerate(self.penalties)
             ],
             "aux_registry": [[pair[0], pair[1], aux] for pair, aux in sorted(self.aux_registry.items())],
         }
@@ -251,15 +255,18 @@ def _reduce(poly: Polynomial) -> Polynomial:
     return reduce_binary_idempotence(poly, poly.variables())
 
 
+def _substitute_all(poly: Polynomial, substitutions: dict[str, Polynomial]) -> Polynomial:
+    """Replace each variable that has a substitution, one at a time in name order."""
+    for name in sorted(poly.variables()):
+        if name in substitutions:
+            poly = poly.substitute(name, substitutions[name])
+    return poly
+
+
 def compose_cost(objectives: Sequence, substitutions: dict[str, Polynomial]) -> Polynomial:
     """Weighted signed sum of objectives with variables replaced by their encodings."""
-    expanded: list[Polynomial] = []
-    for term in objectives:
-        signed = term.expr.scale(term.weight if term.direction == "minimize" else -term.weight)
-        for name in sorted(signed.variables()):
-            signed = signed.substitute(name, substitutions[name])
-        expanded.append(signed)
-    return _reduce(sum_polynomials(expanded))
+    signed = [term.expr.scale(term.weight if term.direction == "minimize" else -term.weight) for term in objectives]
+    return _reduce(sum_polynomials(_substitute_all(poly, substitutions) for poly in signed))
 
 
 def equality_penalty(comparison: Comparison) -> Polynomial:
@@ -300,10 +307,8 @@ def inequality_to_penalty(
 
     if unsatisfiable:
         warnings.warn(f"constraint unsatisfiable: '{comparison.to_text()}' over lhs range [{low}, {high}]")
-        return _reduce((comparison.lhs - rhs) ** 2), None
-
-    if slack_high - slack_low < precision - _EPS:
-        # Equality-tight window: no representable slack value besides zero.
+    if unsatisfiable or slack_high - slack_low < precision - _EPS:
+        # No slack, or an equality-tight window with no representable slack value besides zero.
         return _reduce((comparison.lhs - rhs) ** 2), None
 
     plan = encode_range(slack_source, slack_low, slack_high, precision, method="logarithmic")
@@ -446,35 +451,31 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
     ``M * (b_i b_j - 2 b_i y - 2 b_j y + 3 y)``.  Minimizing over the
     auxiliaries reproduces the original on every assignment provided
     ``penalty_scale`` exceeds the polynomial's range bound.
+    Only degree->=3 monomials are rewritten; a fresh auxiliary cannot make two
+    monomials meet, so every term keeps its coefficient and its place in the order.
     """
     registry: dict[tuple[str, str], str] = {}
-    work = poly
+    current = {mono: mono for mono, _ in poly if len(mono) >= 3}  # input monomial -> its rewritten form
+    active = list(current)
     gadgets: list[Polynomial] = []
-    while work.degree() > 2:
-        counts: dict[tuple[str, str], int] = {}
-        for mono, _ in work:
-            if len(mono) < 3:
-                continue
-            for i in range(len(mono)):
-                for j in range(i + 1, len(mono)):
-                    pair = (mono[i], mono[j])
-                    counts[pair] = counts.get(pair, 0) + 1
+    while active:
+        counts = Counter(chain.from_iterable(combinations(current[mono], 2) for mono in active))
         top = max(counts.values())
         pair = min(p for p, c in counts.items() if c == top)  # ties break lexicographically
         left, right = pair
         aux = f"__aux{len(registry)}"
         registry[pair] = aux
-        rebuilt: dict[tuple[str, ...], float] = {}
-        for mono, coeff in work:
-            if len(mono) >= 3 and left in mono and right in mono:
-                stripped = list(mono)
+        for mono in active:
+            form = current[mono]
+            if left in form and right in form:
+                stripped = list(form)
                 stripped.remove(left)
                 stripped.remove(right)
-                mono = tuple(sorted(stripped + [aux]))
-            rebuilt[mono] = rebuilt.get(mono, 0.0) + coeff
-        work = Polynomial(rebuilt)
+                current[mono] = tuple(sorted(stripped + [aux]))
+        active = [mono for mono in active if len(current[mono]) >= 3]
         bl, br, by = Polynomial.variable(left), Polynomial.variable(right), Polynomial.variable(aux)
         gadgets.append(penalty_scale * (bl * br - 2 * bl * by - 2 * br * by + 3 * by))
+    work = Polynomial({current.get(mono, mono): coeff for mono, coeff in poly})
     return work + sum_polynomials(gadgets), registry
 
 
@@ -517,11 +518,7 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
             penalty, slack_plan = boolean_penalty(decl.boolean, aux_source=f"__bool{index}")
         else:
             comparison = decl.comparison
-            lhs_binary = comparison.lhs
-            for name in sorted(lhs_binary.variables()):
-                if name in substitutions:
-                    lhs_binary = lhs_binary.substitute(name, substitutions[name])
-            lhs_binary = _reduce(lhs_binary)
+            lhs_binary = _reduce(_substitute_all(comparison.lhs, substitutions))
             binary_comparison = Comparison(lhs=lhs_binary, op=comparison.op, rhs=comparison.rhs)
             if comparison.op == "=":
                 penalty, slack_plan = equality_penalty(binary_comparison), None
@@ -531,11 +528,12 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
                 penalty, slack_plan = inequality_to_penalty(
                     binary_comparison, bounds, precision, slack_source=f"__slack{index}"
                 )
-        blocks.append(PenaltyBlock(index, decl, penalty, lam=0.0, slack_plan=slack_plan))
+        blocks.append(PenaltyBlock(decl, penalty, lam=0.0, slack_plan=slack_plan))
 
     _assign_lambdas(blocks, cost, config)
 
-    total = _reduce(sum_polynomials([cost, *(block.penalty.scale(block.lam) for block in blocks)]))
+    # the cost and every penalty are already idempotence-reduced, so their sum is too
+    total = sum_polynomials([cost, *(block.penalty.scale(block.lam) for block in blocks)])
 
     aux_registry: dict[tuple[str, str], str] = {}
     if total.degree() > 2:
@@ -557,17 +555,13 @@ def _assign_lambdas(blocks: list[PenaltyBlock], cost: Polynomial, config: Compil
     if config.lambda_method == "manual":
         values = config.manual_lambdas
         if isinstance(values, (int, float)):
-            values = [float(values)] * len(blocks)
-        else:
-            values = [float(v) for v in values]
-            if len(values) != len(blocks):
-                raise ValueError(
-                    f"manual_lambdas needs {len(blocks)} values (user + encoding-induced constraints), got {len(values)}"
-                )
+            values = [values] * len(blocks)
+        elif len(values) != len(blocks):
+            raise ValueError(
+                f"manual_lambdas needs {len(blocks)} values (user + encoding-induced constraints), got {len(values)}"
+            )
         for block, value in zip(blocks, values):
-            if not value > 0:
-                raise ValueError("manual lambda values must be positive")
-            block.lam = value
+            block.lam = float(value)
         return
 
     per_constraint = config.lambda_method in ("momc", "moc")

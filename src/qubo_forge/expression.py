@@ -245,12 +245,16 @@ class Comparison:
         return self.violation(value) <= FEASIBILITY_TOL
 
     def violation(self, value: float) -> float:
-        """Magnitude of the constraint violation at ``value`` (0 when satisfied)."""
+        """Magnitude of the constraint violation at ``value`` (0 when satisfied).
+
+        A strict op that fails reports at least ``FEASIBILITY_TOL``, so it holds iff this is 0.
+        """
         if self.op == "=":
             return abs(value - self.rhs)
-        if self.op in (">=", ">"):
-            return max(0.0, self.rhs - value)
-        return max(0.0, value - self.rhs)
+        miss = self.rhs - value if self.op in (">=", ">") else value - self.rhs
+        if self.op in (">", "<"):
+            return 0.0 if self.holds(value) else max(miss, FEASIBILITY_TOL)
+        return max(0.0, miss)
 
 
 def format_float(value: float) -> str:

@@ -70,6 +70,32 @@ class TestCheckConstraints:
         results = check_constraints({"c": 0.5 - 1e-12}, problem)
         assert results[0].satisfied
 
+    @staticmethod
+    def strict_problem(op):
+        problem = Problem()
+        problem.add_continuous_variable("x", 0, 2, 0.5)
+        problem.add_objective("x")
+        problem.add_constraint(f"x {op} 1")
+        return problem.freeze()
+
+    @pytest.mark.parametrize(
+        "op, value, residual", [(">", 1.0, FEASIBILITY_TOL), (">", 0.5, 0.5), ("<", 1.0, FEASIBILITY_TOL), ("<", 1.5, 0.5)]
+    )
+    def test_violated_strict_bound_has_a_positive_residual(self, op, value, residual):
+        problem = self.strict_problem(op)
+        (decl,) = problem.constraints
+        assert decl.evaluate({"x": value}) == (False, pytest.approx(residual))
+        (check,) = check_constraints({"x": value}, problem)
+        assert (check.satisfied, check.residual) == (False, pytest.approx(residual))
+
+    @pytest.mark.parametrize("op", [">", "<"])
+    def test_strict_bound_holds_iff_its_residual_is_zero(self, op):
+        (decl,) = self.strict_problem(op).constraints
+        tol = FEASIBILITY_TOL
+        for value in (0.0, 1 - 2 * tol, 1 - tol / 2, 1.0, 1 + tol / 2, 1 + 2 * tol, 2.0):
+            satisfied, residual = decl.evaluate({"x": value})
+            assert satisfied == (residual == 0.0), value
+
     def test_induced_constraints_checked_on_binaries(self, mixed_problem):
         model = compile_problem(mixed_problem)
         solution = solve_exhaustive(model)

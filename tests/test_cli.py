@@ -193,6 +193,14 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: lambda_max must be finite and positive")
 
+    @pytest.mark.parametrize(
+        "flag, message", [("--lambda-max=inf", "error: lambda_max must be finite"), ("--trials=0", "error: max_trials")]
+    )
+    def test_update_flags_are_checked_without_an_update(self, f3_problem_file, tmp_path, capsys, flag, message):
+        assert run_cli("solve", f3_problem_file, flag, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("solve", tmp_path / "nope.json") == 1
 

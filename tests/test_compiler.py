@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubo_forge.cli import bundled_data, load_knapsack
 from qubo_forge.compiler import (
@@ -27,7 +29,7 @@ from qubo_forge.compiler import (
     quadratize,
 )
 from qubo_forge.encoding import encode
-from qubo_forge.expression import Comparison, Polynomial, parse_expression, reduce_binary_idempotence
+from qubo_forge.expression import Comparison, Polynomial, parse_expression, reduce_binary_idempotence, sum_polynomials
 from qubo_forge.problem import BooleanRelation, Problem
 
 V = Polynomial.variable
@@ -275,6 +277,11 @@ class TestLambdaEstimation:
         with pytest.raises(ValueError, match="manual_lambdas must be finite"):
             CompileConfig(lambda_method="manual", manual_lambdas=values)
 
+    @pytest.mark.parametrize("values", [0, -1, [1.0, -2.0]])
+    def test_manual_values_must_be_positive(self, values):
+        with pytest.raises(ValueError, match="manual lambda values must be positive"):
+            CompileConfig(lambda_method="manual", manual_lambdas=values)
+
 
 class TestLambdaSufficiency:
     """Estimated weights that do dominate must yield feasible exhaustive optima.
@@ -337,7 +344,79 @@ class TestLambdaSufficiency:
         assert outcome.solution.best_energy == -2.0
 
 
+def rebuild_quadratize(poly, penalty_scale):
+    """Reference: the pair-substitution reduction rebuilding the whole polynomial once per auxiliary."""
+    registry = {}
+    work = poly
+    gadgets = []
+    while work.degree() > 2:
+        counts = {}
+        for mono, _ in work:
+            if len(mono) < 3:
+                continue
+            for i in range(len(mono)):
+                for j in range(i + 1, len(mono)):
+                    pair = (mono[i], mono[j])
+                    counts[pair] = counts.get(pair, 0) + 1
+        top = max(counts.values())
+        pair = min(p for p, c in counts.items() if c == top)
+        left, right = pair
+        aux = f"__aux{len(registry)}"
+        registry[pair] = aux
+        rebuilt = {}
+        for mono, coeff in work:
+            if len(mono) >= 3 and left in mono and right in mono:
+                stripped = list(mono)
+                stripped.remove(left)
+                stripped.remove(right)
+                mono = tuple(sorted(stripped + [aux]))
+            rebuilt[mono] = rebuilt.get(mono, 0.0) + coeff
+        work = Polynomial(rebuilt)
+        bl, br, by = V(left), V(right), V(aux)
+        gadgets.append(penalty_scale * (bl * br - 2 * bl * by - 2 * br * by + 3 * by))
+    return work + sum_polynomials(gadgets), registry
+
+
+def exact_terms(poly):
+    return [(mono, coeff.hex()) for mono, coeff in poly]
+
+
+_COEFFS = st.one_of(st.integers(-9, 9).filter(bool).map(float), st.fractions(-5, 5, max_denominator=30).map(float))
+_MULTILINEAR = st.dictionaries(
+    st.lists(st.sampled_from([f"v{k}" for k in range(9)]), max_size=5, unique=True).map(lambda m: tuple(sorted(m))),
+    _COEFFS,
+    max_size=25,
+).map(Polynomial)
+
+
 class TestQuadratize:
+    @settings(max_examples=150, deadline=None)
+    @given(poly=_MULTILINEAR, scale=_COEFFS.map(abs).filter(bool))
+    def test_matches_whole_polynomial_rebuild(self, poly, scale):
+        reduced, registry = quadratize(poly, scale)
+        expected, expected_registry = rebuild_quadratize(poly, scale)
+        assert exact_terms(reduced) == exact_terms(expected)
+        assert list(registry.items()) == list(expected_registry.items())
+
+    def test_ties_break_on_the_smallest_pair_and_terms_keep_their_place(self):
+        # rounds 1-3 tie at the top count: (a,d)/(b,c)/(c,e), then (b,c)/(c,e), then (c,e)/(c,f)/(e,f)
+        poly = Polynomial(
+            {("a", "b", "c", "d"): 1.0, ("b", "c", "e"): 2.0, ("a", "b"): 0.5, ("a", "d", "e"): -1.5, ("c", "e", "f"): 0.25}
+        )
+        reduced, registry = quadratize(poly, penalty_scale=6.0)
+        assert list(registry.items()) == [(("a", "d"), "__aux0"), (("b", "c"), "__aux1"), (("c", "e"), "__aux2")]
+        assert [mono for mono, _ in reduced][:5] == [
+            ("__aux0", "__aux1"),
+            ("__aux1", "e"),
+            ("a", "b"),
+            ("__aux0", "e"),
+            ("__aux2", "f"),
+        ]
+        names = ("a", "b", "c", "d", "e", "f")
+        for bits in itertools.product([0, 1], repeat=6):
+            base = dict(zip(names, bits))
+            assert min_over_aux(reduced, base, list(registry.values())) == poly.evaluate(base)
+
     def test_triple_product(self):
         poly = Polynomial({("b1", "b2", "b3"): 1.0})
         reduced, registry = quadratize(poly, penalty_scale=2.0)
