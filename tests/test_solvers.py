@@ -7,6 +7,7 @@ targets under fixed seeds.
 
 import heapq
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 import qubo_forge
 from qubo_forge import solvers
 from qubo_forge.analysis import load_report, save_report
-from qubo_forge.cli import bundled_data, load_knapsack
+from qubo_forge.cli import build_regression, bundled_data, load_knapsack
 from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
 from qubo_forge.expression import Polynomial
 from qubo_forge.problem import Problem
@@ -372,7 +373,7 @@ class TestQaoa:
 
         monkeypatch.setattr(solvers, "minimize", counting)
         solve_qaoa_sim(bare_model({("b",): 1.0}), SolverParams(runs=1, shots=10, layers=1))
-        assert len(calls) == 3  # one Nelder-Mead search per ramp start
+        assert len(calls) == 3  # one L-BFGS-B search per ramp start
 
     @pytest.mark.parametrize("name", ["readme", "f3"])
     def test_spectrum_is_exact_on_dyadic_models(self, name, request, monkeypatch):
@@ -381,11 +382,72 @@ class TestQaoa:
         else:
             _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
         model = compile_problem(problem)
-        monkeypatch.setattr(solvers, "minimize", lambda f, x0, **_: SimpleNamespace(x=x0, fun=f(x0), success=True))
+        monkeypatch.setattr(solvers, "minimize", lambda f, x0, **_: SimpleNamespace(x=x0, fun=f(x0)[0], success=True))
         _, energies, _, _ = solvers._qaoa_distribution(model, SolverParams(layers=1))
         n = len(model.binary_variables())
         bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # row r is index r
         assert energies.tolist() == [model.arrays.energy(row) for row in bits]  # dyadic terms: float sums are exact
+
+
+    def test_mixer_and_its_generator_match_dense_matrices_on_stacked_states(self):
+        n, beta = 3, 0.7
+        rng = np.random.default_rng(4)
+        states = rng.normal(size=(2, 2**n)) + 1j * rng.normal(size=(2, 2**n))
+        x, eye = np.array([[0, 1], [1, 0]]), np.eye(2)
+        rotation = np.cos(beta) * eye - 1j * np.sin(beta) * x
+        mixer = np.kron(np.kron(rotation, rotation), rotation)
+        x_sum = np.kron(np.kron(x, eye), eye) + np.kron(np.kron(eye, x), eye) + np.kron(np.kron(eye, eye), x)
+        assert np.allclose(solvers._apply_mixer(states.copy(), n, beta), states @ mixer.T, rtol=0, atol=1e-12)
+        assert np.allclose(solvers._apply_x_sum(states[0], n), x_sum @ states[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["readme", "f3", "iris"])
+    def test_adjoint_gradient_matches_central_differences(self, name, layers, request):
+        if name == "readme":
+            problem = request.getfixturevalue("mixed_problem")
+        elif name == "f3":
+            _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        else:
+            _, problem = build_regression(bundled_data("iris30.csv"), None, -0.25, 0.25, 0.25)
+        arrays = compile_problem(problem).arrays
+        n = len(arrays.order)
+        energies = np.concatenate([block for _, block in solvers._energy_blocks(arrays)])
+        centered = energies - energies.mean()
+        phase = centered / np.max(np.abs(centered))
+        angles = np.array([0.37, 0.81, 1.13, 0.29, 1.72, 0.55])[: 2 * layers]
+        _, gradient = solvers._qaoa_objective(energies, phase, n, angles)
+        h = 1e-6
+        central = [
+            (solvers._qaoa_objective(energies, phase, n, angles + step)[0]
+             - solvers._qaoa_objective(energies, phase, n, angles - step)[0]) / (2 * h)
+            for step in np.eye(2 * layers) * h
+        ]
+        assert np.abs(gradient - central).max() <= 1e-6 * (1 + np.abs(energies).max())
+
+    def test_diagnostics_are_plain_data(self, mixed_problem, monkeypatch):
+        nfev = []
+        original = solvers.minimize
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(solvers, "minimize", recording)
+        model = compile_problem(mixed_problem)
+        params = SolverParams(runs=2, shots=40, layers=2, seed=1)
+        qaoa = solve_qaoa_sim(model, params).diagnostics["qaoa"]
+        assert json.loads(json.dumps(qaoa)) == qaoa
+        assert type(qaoa["evaluations"]) is int and qaoa["evaluations"] == sum(nfev)
+        assert type(qaoa["converged"]) is bool and qaoa["converged"]
+        assert type(qaoa["expected_energy"]) is float
+        assert qaoa["expected_energy"] == qaoa_expected_energy(model, params)
+        assert type(qaoa["ground_state_probability"]) is float
+        assert 0 < qaoa["ground_state_probability"] <= 1
+
+    def test_readme_expectation_beats_the_nelder_mead_search(self, mixed_problem):
+        # 32.19 is what Nelder-Mead from the same three ramp starts reached at p = 2
+        assert qaoa_expected_energy(compile_problem(mixed_problem), SolverParams(layers=2)) < 32.19
 
 
 class TestCrossSolverProperties:
