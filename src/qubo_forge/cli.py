@@ -242,6 +242,8 @@ def _compile_config(options: dict) -> CompileConfig:
 def _update_strategy(options: dict) -> UpdateStrategy:
     """``--lambda-max`` and ``--trials`` are checked under every strategy; ``none`` is a single trial."""
     kind = options["lambda_update"]
+    if options["trials"] < 1:  # named after the flag: UpdateStrategy's message names its field, max_trials
+        raise ValueError(f"--trials must be >= 1, got {options['trials']}")
     strategy = UpdateStrategy(lambda_max=options["lambda_max"], max_trials=options["trials"])
     return replace(strategy, max_trials=1) if kind == "none" else replace(strategy, kind=kind)
 

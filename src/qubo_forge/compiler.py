@@ -457,9 +457,10 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
     registry: dict[tuple[str, str], str] = {}
     current = {mono: mono for mono, _ in poly if len(mono) >= 3}  # input monomial -> its rewritten form
     active = list(current)
+    # pair -> how many degree->=3 forms hold it; a rewrite moves its form's pairs out, and back in while degree >= 3
+    counts = Counter(chain.from_iterable(combinations(form, 2) for form in current.values()))
     gadgets: list[Polynomial] = []
     while active:
-        counts = Counter(chain.from_iterable(combinations(current[mono], 2) for mono in active))
         top = max(counts.values())
         pair = min(p for p, c in counts.items() if c == top)  # ties break lexicographically
         left, right = pair
@@ -468,10 +469,13 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
         for mono in active:
             form = current[mono]
             if left in form and right in form:
+                counts.subtract(combinations(form, 2))
                 stripped = list(form)
                 stripped.remove(left)
                 stripped.remove(right)
-                current[mono] = tuple(sorted(stripped + [aux]))
+                current[mono] = form = tuple(sorted(stripped + [aux]))
+                if len(form) >= 3:
+                    counts.update(combinations(form, 2))
         active = [mono for mono in active if len(current[mono]) >= 3]
         bl, br, by = Polynomial.variable(left), Polynomial.variable(right), Polynomial.variable(aux)
         gadgets.append(penalty_scale * (bl * br - 2 * bl * by - 2 * br * by + 3 * by))

@@ -36,6 +36,7 @@ QAOA_MAX_BINARIES = 16
 UPDATE_KINDS = ("sequential", "scaled", "binary-search")
 
 _LOW_BITS = 16  # exhaustive enumeration runs through 2**16 low-bit assignments per block
+_SA_BLOCK = 16  # simulated annealing defers local-field updates across blocks of this many spins
 
 
 def __getattr__(name: str):
@@ -222,21 +223,30 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
 def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Single-flip Metropolis under a geometric inverse-temperature schedule.
 
-    The ``params.runs`` replicas anneal together as the rows of a ``runs × n``
-    sign matrix ``s = 1 - 2x``.  Each row keeps its local fields
+    The ``params.runs`` replicas anneal together as the columns of an
+    ``n × runs`` sign matrix ``s = 1 - 2x``.  Each run keeps its local fields
     ``h = linear + x·Q``, with ``Q`` the dense symmetric couplings, so flipping
-    spin ``i`` changes the energy by ``s_i·h_i`` and an accepted flip adds
-    ``±Q[i]`` to the fields.  Run ``r`` draws from its own generator
-    ``default_rng(seed + r)``: the initial state ``integers(0, 2, n)``, then
-    ``u = random(n)`` before each sweep.  Spins are visited in order
-    ``0..n-1``, and spin ``i`` flips iff ``delta <= -log1p(-u_i) / β``, which
-    accepts with probability ``min(1, exp(-β·delta))``.  Each run reports its
-    best-seen state; ``diagnostics["sa"]`` holds the acceptance rate per tenth
-    of the schedule and the spin visits (attempted flips) per second.
+    spin ``i`` changes the energy by ``s_i·h_i``.  Run ``r`` draws from its own
+    generator ``default_rng(seed + r)``: the initial state
+    ``integers(0, 2, n)``, then ``u = random(n)`` before each sweep.  Spins
+    are visited in order ``0..n-1``, and spin ``i`` flips iff
+    ``delta <= -log1p(-u_i) / β``, which accepts with probability
+    ``min(1, exp(-β·delta))``.
+
+    Field updates are deferred across blocks of ``_SA_BLOCK`` spins: a visit
+    reads its field as the block-start field plus the couplings to the block's
+    earlier flips (one dot product), and the block's flips reach every field
+    together through one matmul when the block ends.  Each visit only records
+    its ``delta`` and accept flag; once per sweep, one ``cumsum`` gives each
+    run's energy after every visit, and a run whose minimum beats its best
+    rebuilds that state from the sweep-start signs and the flips up to the
+    first minimum.  Each run reports its best-seen state;
+    ``diagnostics["sa"]`` holds the acceptance rate per tenth of the schedule
+    and the spin visits (attempted flips) per second.
     """
     params = params or SolverParams()
     arrays = model.arrays
-    n, runs = len(arrays.order), params.runs
+    n, runs, width = len(arrays.order), params.runs, _SA_BLOCK
     couplings = np.zeros((n, n))
     couplings[arrays.rows, arrays.cols] = arrays.values
     couplings += couplings.T
@@ -253,30 +263,56 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     started = time.monotonic()
     rngs = [np.random.default_rng(params.seed + run) for run in range(runs)]
     x = np.array([rng.integers(0, 2, size=n) for rng in rngs], dtype=float)
-    energy = np.array([arrays.energy(row) for row in x])
-    fields = arrays.linear + x @ couplings
-    signs = 1.0 - 2.0 * x
-    best_signs, best_energy = signs.copy(), energy.copy()
+    # Spin-major buffers: row i holds spin i in every run.
+    fields = (arrays.linear + x @ couplings).T.copy()
+    signs = (1.0 - 2.0 * x).T.copy()
+    best_signs = signs.copy()
+    trajectory = np.empty((n + 1, runs))  # row k: each run's energy after visit k - 1
+    trajectory[-1] = [arrays.energy(row) for row in x]
+    best_energy = trajectory[-1].copy()
+    draws, thresholds, deltas = np.empty((runs, n)), np.empty((n, runs)), np.empty((n, runs))
+    accepts = np.empty((n, runs), dtype=bool)
+    window = np.zeros((2 * width, runs))  # the block's start fields, then its steps (the changes of x)
+    spins = np.arange(n)[:, None]
+
+    blocks = []
+    for first in range(0, n, width):
+        size = min(width, n - first)
+        part = slice(first, first + size)
+        # Visit k of the block reads window row k plus the couplings to the block's earlier steps.
+        reads = np.zeros((size, 2 * width))
+        reads[:, :size] = np.eye(size)
+        reads[:, width : width + size] = np.tril(couplings[part, part], -1)
+        rows = list(zip(reads, signs[part], deltas[part], thresholds[part], accepts[part], window[width:]))
+        blocks.append((fields[part], window[:size], couplings[:, part], window[width : width + size], rows))
+    draw_rows = list(zip(rngs, draws))
+    multiply, less_equal, dot = np.multiply, np.less_equal, np.dot
+
     accepted = np.zeros(len(betas))
     for t, beta in enumerate(betas):
-        draws = np.array([rng.random(n) for rng in rngs])
-        thresholds = -np.log1p(-draws) / beta
-        sweep_start = signs.copy()
-        for i in range(n):
-            column = signs[:, i]
-            delta = column * fields[:, i]
-            accept = delta <= thresholds[:, i]
-            if not np.count_nonzero(accept):  # count_nonzero: a cheaper call than .any() on short arrays
-                continue
-            step = column * accept  # the change of x_i: +1, -1, or 0 where rejected
-            column -= 2.0 * step
-            fields += step[:, None] * couplings[i]
-            energy += delta * accept
-            improved = energy < best_energy
-            if np.count_nonzero(improved):
-                best_energy[improved] = energy[improved]
-                best_signs[improved] = signs[improved]
-        accepted[t] = np.count_nonzero(signs != sweep_start)  # each spin is visited once per sweep
+        for rng, row in draw_rows:
+            rng.random(out=row)
+        np.log1p(np.negative(draws, out=draws), out=draws)
+        np.divide(draws.T, -beta, out=thresholds)  # -log1p(-u) / β
+        for block_fields, start_fields, columns, steps, rows in blocks:
+            start_fields[:] = block_fields
+            for read, sign, delta, threshold, accept, step in rows:
+                multiply(sign, dot(read, window), out=delta)
+                less_equal(delta, threshold, out=accept)
+                multiply(sign, accept, out=step)
+            fields += columns @ steps
+
+        trajectory[0] = trajectory[-1]
+        multiply(deltas, accepts, out=trajectory[1:])
+        np.cumsum(trajectory, axis=0, out=trajectory)
+        lows = trajectory.min(axis=0)  # row 0 is never below the best, so only a visit can improve
+        improved = np.flatnonzero(lows < best_energy)
+        if len(improved):
+            flipped = accepts[:, improved] & (spins < trajectory[:, improved].argmin(axis=0))
+            best_signs[:, improved] = np.where(flipped, -signs[:, improved], signs[:, improved])
+            best_energy[improved] = lows[improved]
+        accepted[t] = np.count_nonzero(accepts)  # each spin is visited once per sweep
+        np.negative(signs, out=signs, where=accepts)
     elapsed = time.monotonic() - started
 
     visits = runs * n  # per sweep
@@ -290,7 +326,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
         }
     }
     run_times = [elapsed / runs] * runs if params.record_time else None
-    return _finalize(model, (1 - best_signs) / 2, run_times, diagnostics)
+    return _finalize(model, (1 - best_signs.T) / 2, run_times, diagnostics)
 
 
 # -- qaoa statevector simulation -----------------------------------------------------

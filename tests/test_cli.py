@@ -194,12 +194,18 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: lambda_max must be finite and positive")
 
     @pytest.mark.parametrize(
-        "flag, message", [("--lambda-max=inf", "error: lambda_max must be finite"), ("--trials=0", "error: max_trials")]
+        "flag, message",
+        [("--lambda-max=inf", "error: lambda_max must be finite"), ("--trials=0", "error: --trials must be >= 1")],
     )
     def test_update_flags_are_checked_without_an_update(self, f3_problem_file, tmp_path, capsys, flag, message):
         assert run_cli("solve", f3_problem_file, flag, "--out-dir", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize("update", ["none", "scaled"])
+    def test_zero_trials_names_the_flag(self, f3_problem_file, tmp_path, capsys, update):
+        assert run_cli("solve", f3_problem_file, "--trials", "0", "--lambda-update", update, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("solve", tmp_path / "nope.json") == 1

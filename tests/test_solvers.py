@@ -137,6 +137,17 @@ def reference_sa(model: QuboModel, params: SolverParams) -> tuple[list, list[int
     return samples, accepted
 
 
+def assert_matches_reference_sa(model: QuboModel, params: SolverParams) -> list[int]:
+    """``solve_sa`` gives the reference's samples and acceptance; returns the accepted flips per sweep."""
+    solution = solve_sa(model, params)
+    samples, accepted = reference_sa(model, params)
+    assert solution.samples == samples
+    visits = params.runs * len(model.binary_variables())
+    deciles = np.array_split(np.array(accepted, dtype=float), min(10, params.sweeps))
+    assert solution.diagnostics["sa"]["acceptance_by_decile"] == [part.sum() / (len(part) * visits) for part in deciles]
+    return accepted
+
+
 class TestExhaustive:
     def test_reference_problem_optimum(self, mixed_problem):
         model = compile_problem(mixed_problem)
@@ -265,6 +276,26 @@ class TestSimulatedAnnealing:
         deciles = np.array_split(np.array(accepted, dtype=float), min(10, sweeps))
         expected = [part.sum() / (len(part) * runs * n) if n else 0.0 for part in deciles]
         assert solution.diagnostics["sa"]["acceptance_by_decile"] == expected
+
+    @pytest.mark.parametrize(
+        "kind, n, runs, sweeps, seed",
+        [
+            ("integer", solvers._SA_BLOCK, 3, 25, 2),
+            ("integer", solvers._SA_BLOCK + 1, 4, 15, 5),
+            ("integer", 37, 3, 20, 11),  # two full blocks and a short one
+            ("float", 40, 3, 30, 4),
+        ],
+    )
+    def test_block_boundaries_match_the_one_replica_reference(self, kind, n, runs, sweeps, seed):
+        make = integer_model if kind == "integer" else random_model
+        model = make(np.random.default_rng(60 + n), n)
+        assert_matches_reference_sa(model, SolverParams(runs=runs, sweeps=sweeps, seed=seed))
+
+    def test_sweeps_that_accept_nothing_match_the_one_replica_reference(self):
+        model = integer_model(np.random.default_rng(77), 37)
+        params = SolverParams(runs=3, sweeps=12, seed=9, beta_start=20.0, beta_end=40.0)
+        accepted = assert_matches_reference_sa(model, params)
+        assert accepted[0] > 0 and accepted[-1] == 0  # the chain freezes in a local minimum
 
     def test_each_run_of_a_batch_is_its_own_single_run(self, mixed_problem):
         model = compile_problem(mixed_problem)
