@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from qubo_forge.compiler import QuboModel
 from qubo_forge.problem import ConstraintDecl, Problem
 from qubo_forge.solvers import SolutionSet
@@ -86,15 +88,26 @@ def solution_is_valid(
 
 
 def valid_rate(model: QuboModel, solution: SolutionSet, include_weak: bool = False) -> float:
-    """Percentage of samples satisfying every hard constraint (``solution_is_valid`` per sample)."""
+    """Percentage of samples satisfying every hard constraint (``solution_is_valid`` per sample).
+
+    Each name becomes one column over the samples, taken from the decoded values
+    where they hold it and from the binaries otherwise (the merge
+    ``check_model_constraints`` makes), and each declaration is evaluated once.
+    """
     if not solution.samples:
         return 0.0
     checks = [block.constraint for block in model.penalties if block.hardness == "hard" or include_weak]
-    valid = 0
-    for (binary, _), decoded in zip(solution.samples, solution.decoded):
-        values = {**binary, **decoded}
-        valid += all(decl.evaluate(values)[0] for decl in checks)
-    return 100.0 * valid / len(solution.samples)
+    binary, decoded = solution.samples[0][0], solution.decoded[0]
+    columns = {}
+    for name in set().union(*(decl.variables() for decl in checks)):
+        if name in decoded:
+            columns[name] = np.array([values[name] for values in solution.decoded], dtype=float)
+        elif name in binary:
+            columns[name] = np.array([assignment[name] for assignment, _ in solution.samples], dtype=float)
+    valid = np.ones(len(solution.samples), dtype=bool)
+    for decl in checks:
+        valid &= decl.evaluate(columns)[0]
+    return 100.0 * int(np.count_nonzero(valid)) / len(solution.samples)
 
 
 def objective_values(decoded: dict[str, float], problem: Problem) -> list[float]:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -32,6 +31,8 @@ MODEL_SCHEMA = "qubo-forge-model/1"
 LAMBDA_METHODS = ("ub-positive", "mqc", "vlm", "momc", "moc", "ub-naive", "ub-posiform", "manual")
 
 _EPS = 1e-9
+
+_TERM_CHUNK = 2**15  # QuboArrays.energies builds at most this many terms (256 KB of floats) at a time
 
 
 @dataclass
@@ -126,9 +127,35 @@ class QuboArrays:
         return q
 
     def energy(self, x: np.ndarray) -> float:
-        """Correctly rounded sum of the terms, so term order cannot change the result."""
-        terms = np.concatenate([self.linear * x, self.values * x[self.rows] * x[self.cols], [self.offset]])
-        return math.fsum(terms.tolist())
+        """The energy of one assignment vector; see ``energies``."""
+        return self.energies(np.asarray(x)[None, :])[0]
+
+    def energies(self, bits: np.ndarray) -> list[float]:
+        """Energy of each row of a ``k × n`` matrix: the correctly rounded sum of its terms.
+
+        The rows' terms form a ``k × (n + m + 1)`` matrix, built ``_TERM_CHUNK``
+        entries at a time.  Its exact zeros are dropped (they cannot change a
+        correctly rounded sum), and ``math.fsum`` runs on each row's slice of
+        one flat list, so term order cannot change a result.
+        """
+        bits = np.asarray(bits, dtype=float)
+        n, m = len(self.linear), len(self.values)
+        energies: list[float] = []
+        step = max(1, _TERM_CHUNK // (n + m + 1))
+        for start in range(0, len(bits), step):
+            x = bits[start : start + step]
+            terms = np.empty((len(x), n + m + 1))
+            np.multiply(self.linear, x, out=terms[:, :n])
+            couplers = terms[:, n : n + m]
+            np.take(x, self.rows, axis=1, out=couplers)
+            np.multiply(self.values, couplers, out=couplers)  # values * x[rows] * x[cols], in that order
+            couplers *= x[:, self.cols]
+            terms[:, n + m] = self.offset
+            nonzero = terms != 0.0
+            flat = terms[nonzero].tolist()
+            ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+            energies.extend(math.fsum(flat[begin:end]) for begin, end in zip([0, *ends], ends))
+        return energies
 
 
 @dataclass
@@ -456,27 +483,32 @@ def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict
     """
     registry: dict[tuple[str, str], str] = {}
     current = {mono: mono for mono, _ in poly if len(mono) >= 3}  # input monomial -> its rewritten form
-    active = list(current)
-    # pair -> how many degree->=3 forms hold it; a rewrite moves its form's pairs out, and back in while degree >= 3
-    counts = Counter(chain.from_iterable(combinations(form, 2) for form in current.values()))
+    # pair -> the input monomials whose degree->=3 form holds it; a pair leaves with its last holder
+    holders: dict[tuple[str, str], set[tuple[str, ...]]] = {}
+    for mono in current:
+        for pair in combinations(mono, 2):
+            holders.setdefault(pair, set()).add(mono)
     gadgets: list[Polynomial] = []
-    while active:
-        top = max(counts.values())
-        pair = min(p for p, c in counts.items() if c == top)  # ties break lexicographically
+    while holders:
+        top = max(map(len, holders.values()))
+        pair = min(p for p, held in holders.items() if len(held) == top)  # ties break lexicographically
         left, right = pair
         aux = f"__aux{len(registry)}"
         registry[pair] = aux
-        for mono in active:
+        for mono in list(holders[pair]):
             form = current[mono]
-            if left in form and right in form:
-                counts.subtract(combinations(form, 2))
-                stripped = list(form)
-                stripped.remove(left)
-                stripped.remove(right)
-                current[mono] = form = tuple(sorted(stripped + [aux]))
-                if len(form) >= 3:
-                    counts.update(combinations(form, 2))
-        active = [mono for mono in active if len(current[mono]) >= 3]
+            for old_pair in combinations(form, 2):
+                held = holders[old_pair]
+                held.discard(mono)
+                if not held:
+                    del holders[old_pair]
+            stripped = list(form)
+            stripped.remove(left)
+            stripped.remove(right)
+            current[mono] = form = tuple(sorted(stripped + [aux]))
+            if len(form) >= 3:
+                for new_pair in combinations(form, 2):
+                    holders.setdefault(new_pair, set()).add(mono)
         bl, br, by = Polynomial.variable(left), Polynomial.variable(right), Polynomial.variable(aux)
         gadgets.append(penalty_scale * (bl * br - 2 * bl * by - 2 * br * by + 3 * by))
     work = Polynomial({current.get(mono, mono): coeff for mono, coeff in poly})

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 # Coefficients below this magnitude are treated as exact zeros.
 COEFF_EPS = 1e-12
 
@@ -27,6 +29,11 @@ COMPARISON_OPS = ("=", ">=", ">", "<=", "<")
 
 # How far the exact left-hand side may miss a non-strict bound and still hold.
 FEASIBILITY_TOL = 1e-9
+
+# The largest exponent the parser accepts, and the largest degree a power may reach (so nested
+# powers cannot multiply past it).  A degree-16 power of one encoded variable already expands to
+# thousands of terms; larger exponents only make the parser run away.
+MAX_EXPONENT = 16
 
 # What the tokenizer reads as a variable name (declarations must match it whole) and as a number.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -235,26 +242,37 @@ class Comparison:
     def to_text(self) -> str:
         return f"{self.lhs.to_text()} {self.op} {format_float(self.rhs)}"
 
-    def holds(self, value: float) -> bool:
+    def holds(self, value):
         """Whether ``value <op> rhs`` holds: a non-strict op when the violation is at
-        most ``FEASIBILITY_TOL``, a strict op when ``value`` clears the bound by more."""
-        if self.op == ">":
-            return value > self.rhs + FEASIBILITY_TOL
-        if self.op == "<":
-            return value < self.rhs - FEASIBILITY_TOL
-        return self.violation(value) <= FEASIBILITY_TOL
+        most ``FEASIBILITY_TOL``, a strict op when ``value`` clears the bound by more.
 
-    def violation(self, value: float) -> float:
+        ``value`` may be an array of values; a scalar gives a Python ``bool``.
+        """
+        if self.op == ">":
+            return unwrap_scalar(value > self.rhs + FEASIBILITY_TOL)
+        if self.op == "<":
+            return unwrap_scalar(value < self.rhs - FEASIBILITY_TOL)
+        return unwrap_scalar(self.violation(value) <= FEASIBILITY_TOL)
+
+    def violation(self, value):
         """Magnitude of the constraint violation at ``value`` (0 when satisfied).
 
         A strict op that fails reports at least ``FEASIBILITY_TOL``, so it holds iff this is 0.
+        ``value`` may be an array of values; a scalar gives a Python ``float``.
         """
         if self.op == "=":
-            return abs(value - self.rhs)
+            return unwrap_scalar(abs(value - self.rhs))
         miss = self.rhs - value if self.op in (">=", ">") else value - self.rhs
+        # np.where mirrors max(): a tie keeps the first argument, so 0.0 beats a -0.0 miss
         if self.op in (">", "<"):
-            return 0.0 if self.holds(value) else max(miss, FEASIBILITY_TOL)
-        return max(0.0, miss)
+            floored = np.where(FEASIBILITY_TOL > miss, FEASIBILITY_TOL, miss)
+            return unwrap_scalar(np.where(self.holds(value), 0.0, floored))
+        return unwrap_scalar(np.where(miss > 0.0, miss, 0.0))
+
+
+def unwrap_scalar(result):
+    """A zero-dimensional result as a Python ``bool``/``float``; array results pass through."""
+    return np.asarray(result).item() if np.ndim(result) == 0 else result
 
 
 def format_float(value: float) -> str:
@@ -357,6 +375,18 @@ def _number(token: tuple[str, str, int]) -> float:
     return value
 
 
+def _finite(poly: Polynomial, operator: tuple[str, str, int], addend: Polynomial | None = None) -> Polynomial:
+    """``poly`` when its coefficients are finite; else a ``ParseError`` at the operator that folded it.
+
+    For a sum, only the monomials of ``addend`` can have changed, so only they are checked.
+    """
+    terms = poly._terms
+    monomials = terms if addend is None else addend._terms
+    if not all(math.isfinite(terms.get(mono, 0.0)) for mono in monomials):
+        raise ParseError(f"the result of {operator[1]!r} is not finite", operator[2])
+    return poly
+
+
 class _Parser:
     """Recursive-descent parser for +, -, *, **/^ and parentheses."""
 
@@ -387,7 +417,7 @@ class _Parser:
                 return result
             self.advance()
             rhs = self.parse_term()
-            result = result + rhs if token[1] == "+" else result - rhs
+            result = _finite(result + rhs if token[1] == "+" else result - rhs, token, rhs)
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()
@@ -397,7 +427,7 @@ class _Parser:
                 return result
             if token[1] == "*":
                 self.advance()
-                result = result * self.parse_factor()
+                result = _finite(result * self.parse_factor(), token)
             elif token[1] == "/":
                 raise ParseError("division is not supported; only polynomial expressions are accepted", token[2])
             else:
@@ -417,7 +447,10 @@ class _Parser:
         if token is not None and token[1] in ("**", "^"):
             self.advance()
             exponent = self.parse_exponent()
-            return base**exponent
+            degree = base.degree() * exponent
+            if degree > MAX_EXPONENT:
+                raise ParseError(f"a power of degree {degree} is above the largest accepted, {MAX_EXPONENT}", token[2])
+            return _finite(base**exponent, token)
         return base
 
     def parse_exponent(self) -> int:
@@ -445,6 +478,8 @@ class _Parser:
         value = _number(token)
         if sign * value < 0 or value != int(value):
             raise ParseError(f"exponent must be a non-negative integer, got {sign * value:g}", token[2])
+        if value > MAX_EXPONENT:
+            raise ParseError(f"exponent {value:g} is above the largest accepted, {MAX_EXPONENT}", token[2])
         return int(value)
 
     def parse_atom(self) -> Polynomial:
@@ -503,7 +538,7 @@ def parse_constraint(text: str, known_vars: Iterable[str]) -> Comparison:
     right = _Parser(tokens[split + 1 :], known, len(text))
     rhs = right.parse_expr()
     right.expect_end()
-    combined = lhs - rhs
+    combined = _finite(lhs - rhs, comparators[0][1], rhs)
     constant = combined.constant_term
     op = "=" if op_text == "==" else op_text
     return Comparison(lhs=combined - constant, op=op, rhs=-constant)

@@ -20,11 +20,21 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from qubo_forge.expression import IDENTIFIER, Comparison, Polynomial, parse_constraint, parse_expression
+import numpy as np
+
+from qubo_forge.expression import IDENTIFIER, Comparison, Polynomial, parse_constraint, parse_expression, unwrap_scalar
 
 PROBLEM_SCHEMA = "qubo-forge-problem/1"
 
 BOOLEAN_KINDS = ("not", "and", "or", "xor")
+
+
+class ProblemFileError(ValueError):
+    """A problem file whose JSON does not have the documented shape; ``path`` names the place."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"problem file: {path}: {message}")
+        self.path = path
 
 
 class VariableKind(Enum):
@@ -85,9 +95,10 @@ class BooleanRelation:
         if len(self.inputs) != arity:
             raise ValueError(f"boolean '{self.kind}' takes {arity} input(s), got {len(self.inputs)}")
 
-    def truth(self, values: dict[str, float]) -> bool:
-        bits = [int(round(values[name])) for name in self.inputs]
-        out = int(round(values[self.output]))
+    def truth(self, values: Mapping[str, float]) -> bool:
+        """Whether the output matches the gate; values may be arrays (one entry per row)."""
+        bits = [np.rint(values[name]).astype(int) for name in self.inputs]
+        out = np.rint(values[self.output]).astype(int)
         if self.kind == "not":
             expected = 1 - bits[0]
         elif self.kind == "and":
@@ -96,7 +107,7 @@ class BooleanRelation:
             expected = bits[0] | bits[1]
         else:
             expected = bits[0] ^ bits[1]
-        return out == expected
+        return unwrap_scalar(out == expected)
 
 
 @dataclass(frozen=True)
@@ -124,10 +135,14 @@ class ConstraintDecl:
 
     def evaluate(self, values: Mapping[str, float]) -> tuple[bool, float]:
         """``(satisfied, residual)``: a boolean relation's truth, or the comparison on the exact
-        left-hand side (a non-strict one holds iff ``residual <= expression.FEASIBILITY_TOL``)."""
+        left-hand side (a non-strict one holds iff ``residual <= expression.FEASIBILITY_TOL``).
+
+        Each value may be a column array (one entry per assignment); the results are then
+        arrays too.  Scalar values give a Python ``bool`` and ``float``.
+        """
         if self.boolean is not None:
             satisfied = self.boolean.truth(values)
-            return satisfied, 0.0 if satisfied else 1.0
+            return satisfied, unwrap_scalar(np.where(satisfied, 0.0, 1.0))
         value = self.comparison.lhs.evaluate(values)
         return self.comparison.holds(value), self.comparison.violation(value)
 
@@ -375,9 +390,8 @@ class Problem:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "Problem":
-        schema = data.get("schema")
-        if schema != PROBLEM_SCHEMA:
-            raise ValueError(f"unsupported problem schema {schema!r}; expected {PROBLEM_SCHEMA!r}")
+        """Build a problem from a parsed problem file; its shape is checked before anything is built."""
+        _check_problem_file(data)
         problem = cls()
         for entry in data.get("variables", []):
             kind = entry["kind"]
@@ -397,8 +411,6 @@ class Problem:
                     base=entry.get("base", 2),
                     bound=entry.get("bound"),
                 )
-            else:
-                raise ValueError(f"unknown variable kind {kind!r}")
         for entry in data.get("objectives", []):
             problem.add_objective(
                 entry["expression"],
@@ -412,17 +424,12 @@ class Problem:
                     hardness=entry.get("hardness", "hard"),
                     slack_precision=entry.get("slack_precision"),
                 )
-            elif "boolean" in entry:
+            else:
                 rel = entry["boolean"]
                 problem.add_boolean_constraint(
                     rel["kind"], rel["output"], rel["inputs"], hardness=entry.get("hardness", "hard")
                 )
-            else:
-                raise ValueError("constraint entry needs 'comparison' or 'boolean'")
-        solver = data.get("solver", {})
-        if not isinstance(solver, dict):
-            raise ValueError("'solver' section must be an object of option defaults")
-        problem.solver_defaults = dict(solver)
+        problem.solver_defaults = dict(data.get("solver", {}))
         return problem
 
     def save(self, path: str | Path) -> None:
@@ -432,6 +439,101 @@ class Problem:
     def load(cls, path: str | Path) -> "Problem":
         """Read a problem file; the result is frozen (a file is a finished declaration)."""
         return cls.from_json_dict(json.loads(Path(path).read_text())).freeze()
+
+
+# -- problem-file shape ------------------------------------------------------------
+
+# The JSON types a problem file's fields may take, by the names its error messages use.
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "number": (int, float),
+    "integer": (int,),
+    "number or null": (int, float, type(None)),
+}
+_SECTIONS = {"variables": "array", "objectives": "array", "constraints": "array", "solver": "object"}
+_VARIABLE_FIELDS = {
+    "name": "string",
+    "kind": "string",
+    "levels": "array",
+    "low": "number",
+    "high": "number",
+    "precision": "number",
+    "encoding": "string",
+    "base": "integer",
+    "bound": "number or null",
+}
+_KIND_FIELDS = {"binary": (), "bipolar": (), "discrete": ("levels",), "continuous": ("low", "high", "precision")}
+_OBJECTIVE_FIELDS = {"expression": "string", "direction": "string", "weight": "number"}
+_CONSTRAINT_FIELDS = {
+    "comparison": "string",
+    "boolean": "object",
+    "hardness": "string",
+    "slack_precision": "number or null",
+}
+_BOOLEAN_FIELDS = {"kind": "string", "output": "string", "inputs": "array"}
+
+
+def _check_problem_file(data: Any) -> None:
+    """Check a parsed problem file's keys and JSON types; raise ``ProblemFileError`` naming the path."""
+    _expect(data, "object", "top level")
+    schema = data.get("schema")
+    if schema != PROBLEM_SCHEMA:
+        raise ProblemFileError("schema", f"unsupported problem schema {schema!r}; expected {PROBLEM_SCHEMA!r}")
+    for key, kind in _SECTIONS.items():
+        if key in data:
+            _expect(data[key], kind, key)
+    for index, entry in enumerate(data.get("variables", [])):
+        path = f"variables[{index}]"
+        _check_fields(entry, path, _VARIABLE_FIELDS, ("name", "kind"))
+        if entry["kind"] not in _KIND_FIELDS:
+            raise ProblemFileError(f"{path}.kind", f"unknown variable kind {entry['kind']!r}")
+        _require(entry, path, _KIND_FIELDS[entry["kind"]])
+        for position, level in enumerate(entry.get("levels", [])):
+            _expect(level, "number", f"{path}.levels[{position}]")
+    for index, entry in enumerate(data.get("objectives", [])):
+        _check_fields(entry, f"objectives[{index}]", _OBJECTIVE_FIELDS, ("expression",))
+    for index, entry in enumerate(data.get("constraints", [])):
+        path = f"constraints[{index}]"
+        _check_fields(entry, path, _CONSTRAINT_FIELDS, ())
+        if ("comparison" in entry) == ("boolean" in entry):
+            raise ProblemFileError(path, "needs exactly one of 'comparison' or 'boolean'")
+        if "boolean" in entry:
+            _check_fields(entry["boolean"], f"{path}.boolean", _BOOLEAN_FIELDS, tuple(_BOOLEAN_FIELDS))
+            for position, name in enumerate(entry["boolean"]["inputs"]):
+                _expect(name, "string", f"{path}.boolean.inputs[{position}]")
+
+
+def _check_fields(entry: Any, path: str, fields: dict[str, str], required: Sequence[str]) -> None:
+    _expect(entry, "object", path)
+    _require(entry, path, required)
+    for key, kind in fields.items():
+        if key in entry:
+            _expect(entry[key], kind, f"{path}.{key}")
+
+
+def _require(entry: dict, path: str, keys: Sequence[str]) -> None:
+    for key in keys:
+        if key not in entry:
+            raise ProblemFileError(f"{path}.{key}", "missing")
+
+
+def _expect(value: Any, kind: str, path: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ProblemFileError(path, f"expected {kind}, got {_json_type(value)}")
+
+
+def _json_type(value: Any) -> str:
+    names = (
+        (bool, "boolean"),  # before "number": a JSON true is a Python int too
+        (type(None), "null"),
+        ((int, float), "number"),
+        (str, "string"),
+        (list, "array"),
+        (dict, "object"),
+    )
+    return next((name for kind, name in names if isinstance(value, kind)), type(value).__name__)
 
 
 def _check_finite(poly: Polynomial, where: str) -> None:

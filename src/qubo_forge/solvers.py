@@ -147,42 +147,74 @@ def _bits(indices: np.ndarray, width: int) -> np.ndarray:
     return ((indices[:, None] >> np.arange(width)) & 1).astype(np.float64)
 
 
+def _subset_sums(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x·weights`` for every 0/1 vector ``x``, in index order (bit k of the index is ``x_k``).
+
+    Built by doubling: the sums with bit k set are the sums below ``2**k``
+    plus ``weights[k]``, so each entry is its set weights added in bit order.
+    """
+    size = 2 ** len(weights)
+    out = np.empty(size) if out is None else out[:size]
+    out[0] = 0.0
+    for k, weight in enumerate(weights.tolist()):
+        half = 1 << k
+        np.add(out[:half], weight, out=out[half : 2 * half])
+    return out
+
+
 def _energy_blocks(arrays: QuboArrays) -> Iterator[tuple[int, np.ndarray]]:
     """Every energy ``xᵀQx + offset`` in index order, as ``(first index, energies)`` blocks.
 
     Bit k of an index is the binary at position k of ``arrays.order``.  The
     low ``L = min(n, _LOW_BITS)`` bits vary within a block and the high bits
     ``h`` are fixed, so splitting ``Q`` into low and high parts gives the block
-    as ``xᵀQ_ll x + offset`` (built once) plus ``x·(Q_lh h) + hᵀQ_hh h``: one
-    ``2**L × L`` matvec per block.
+    as ``xᵀQ_ll x + offset`` plus ``x·(Q_lh h) + hᵀQ_hh h``.  Both parts are
+    built by doubling over the low bits, with no ``2**L × L`` bit matrix:
+    ``E(i + 2**k) = E(i) + Q_kk + x(i)·Q[:k, k]`` once, then one subset-sum
+    pass of ``Q_lh h`` and one add per block.
     """
     q = arrays.upper_triangular()
     n = len(q)
     low = min(n, _LOW_BITS)
-    bits = _bits(np.arange(2**low), low)
-    base = np.einsum("ij,ij->i", bits @ q[:low, :low], bits) + arrays.offset
+    base = np.empty(2**low)  # xᵀQ_ll x, then the offset is added once
+    base[0] = 0.0
+    column = np.empty(2**low)  # x(i)·Q[:k, k] for the i below 2**k
+    for k in range(low):
+        half = 1 << k
+        np.add(_subset_sums(q[:k, k], out=column), q[k, k], out=base[half : 2 * half])
+        base[half : 2 * half] += base[:half]
+    base += arrays.offset
     q_lh, q_hh = q[:low, low:], q[low:, low:]
+    cross = np.empty(2**low)
     for prefix in range(2 ** (n - low)):
         high = _bits(np.array([prefix]), n - low)[0]
-        yield prefix << low, base + (bits @ (q_lh @ high) + high @ q_hh @ high)
+        _subset_sums(q_lh @ high, out=cross)
+        cross += high @ q_hh @ high
+        yield prefix << low, base + cross
 
 
 def _finalize(model: QuboModel, bits: np.ndarray, run_times, diagnostics: dict | None = None) -> SolutionSet:
     """Samples from a ``k × n`` 0/1 float matrix whose columns follow ``model.arrays.order``.
 
-    Assignment values are Python ints; each energy is ``arrays.energy`` of
-    the row, the sum ``model.energy`` computes.
+    Assignment values are Python ints; the energies are ``arrays.energies`` of
+    the rows, the sums ``model.energy`` computes.  Decoding runs once, on the
+    columns: ``EncodingPlan.decode`` does the same float operations on arrays.
     """
     arrays = model.arrays
-    samples = [(dict(zip(arrays.order, row)), arrays.energy(x)) for row, x in zip(bits.astype(int).tolist(), bits)]
-    decoded = [model.decode(assignment) for assignment, _ in samples]
-    best = min(range(len(samples)), key=lambda i: samples[i][1])
+    energies = arrays.energies(bits)
+    samples = list(zip((dict(zip(arrays.order, row)) for row in bits.astype(int).tolist()), energies))
+    columns = model.decode(dict(zip(arrays.order, bits.T)))
+    values = np.empty((len(bits), len(columns)))
+    for position, column in enumerate(columns.values()):
+        values[:, position] = column
+    decoded = [dict(zip(columns, row)) for row in values.tolist()]
+    best = min(range(len(samples)), key=energies.__getitem__)
     return SolutionSet(
         samples=samples,
         decoded=decoded,
         best_binary=samples[best][0],
         best_decoded=decoded[best],
-        best_energy=samples[best][1],
+        best_energy=energies[best],
         run_times=run_times,
         diagnostics=diagnostics,
     )
@@ -268,7 +300,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     signs = (1.0 - 2.0 * x).T.copy()
     best_signs = signs.copy()
     trajectory = np.empty((n + 1, runs))  # row k: each run's energy after visit k - 1
-    trajectory[-1] = [arrays.energy(row) for row in x]
+    trajectory[-1] = arrays.energies(x)
     best_energy = trajectory[-1].copy()
     draws, thresholds, deltas = np.empty((runs, n)), np.empty((n, runs)), np.empty((n, runs))
     accepts = np.empty((n, runs), dtype=bool)

@@ -207,6 +207,29 @@ class TestSolveCommand:
         assert run_cli("solve", f3_problem_file, "--trials", "0", "--lambda-update", update, "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"schema": "qubo-forge-problem/1", "variables": 3}, "error: problem file: variables: expected array"),
+            ({"schema": "qubo-forge-problem/1", "variables": [{"name": "x"}]}, "error: problem file: variables[0].kind: missing"),
+            (
+                {"schema": "qubo-forge-problem/1", "variables": [{"name": "x", "kind": "binary"}], "objectives": [{"expression": 5}]},
+                "error: problem file: objectives[0].expression: expected string",
+            ),
+            ([{"schema": "qubo-forge-problem/1"}], "error: problem file: top level: expected object"),
+            (
+                {"schema": "qubo-forge-problem/1", "variables": [{"name": "x", "kind": "binary"}], "objectives": [{"expression": "x*2**2000"}]},
+                "error: exponent 2000 is above the largest accepted",
+            ),
+        ],
+    )
+    def test_malformed_problem_file_is_an_error_line(self, document, message, tmp_path, capsys):
+        path = tmp_path / "bad.problem.json"
+        path.write_text(json.dumps(document))
+        assert run_cli("solve", path, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("solve", tmp_path / "nope.json") == 1
 

@@ -8,15 +8,19 @@ against brute-force enumeration.
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubo_forge.cli import bundled_data, load_knapsack
+from qubo_forge import compiler
 from qubo_forge.compiler import (
     CompileConfig,
+    QuboArrays,
     boolean_penalty,
     compile_problem,
     compose_cost,
@@ -557,6 +561,39 @@ class TestArrayForm:
             assignment = dict(zip(order, rng.integers(0, 2, len(order)).tolist()))
             expected = model.quadratic.evaluate(assignment) + model.offset
             assert model.energy(assignment) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 9),
+        coefficients=st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=60, max_size=60),
+        offset=st.floats(-1e6, 1e6),
+        chunk=st.sampled_from([1, 7, 2**18]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, coefficients=[0.0] * 60, offset=-0.0, chunk=7, seed=0)  # all-zero terms and a -0.0 offset
+    @example(n=4, coefficients=[-1.5, 0.1, 0.2, 0.3] * 15, offset=-0.0, chunk=1, seed=1)
+    def test_energies_are_the_per_row_correctly_rounded_sums(self, n, coefficients, offset, chunk, seed):
+        """``energies`` equals, in ``repr``, the per-row ``fsum`` over every term, zero terms included."""
+        pairs = list(itertools.combinations(range(n), 2))
+        arrays = QuboArrays(
+            order=tuple(f"v{k}" for k in range(n)),
+            linear=np.array(coefficients[:n]),
+            rows=np.array([i for i, _ in pairs], dtype=np.int64),
+            cols=np.array([j for _, j in pairs], dtype=np.int64),
+            values=np.array(coefficients[n : n + len(pairs)]),
+            offset=offset,
+        )
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(12, n)).astype(float)
+        bits[0] = 0.0  # an all-zero row: only the offset term is left
+        expected = [
+            math.fsum(np.concatenate([arrays.linear * x, arrays.values * x[arrays.rows] * x[arrays.cols], [offset]]).tolist())
+            for x in bits
+        ]
+        with mock.patch.object(compiler, "_TERM_CHUNK", chunk):  # several row chunks, or one
+            energies = arrays.energies(bits)
+        assert list(map(repr, energies)) == list(map(repr, expected))
+        assert [repr(arrays.energy(x)) for x in bits] == list(map(repr, expected))
 
     def test_energy_names_a_missing_binary(self, mixed_problem):
         model = compile_problem(mixed_problem)

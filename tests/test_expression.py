@@ -4,13 +4,17 @@ Expected values come from independent oracles: direct arithmetic evaluation
 at enumerated or random points, or hand expansion for the small cases.
 """
 
+import contextlib
 import itertools
+import math
+import signal
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubo_forge.expression import (
+    MAX_EXPONENT,
     Comparison,
     ParseError,
     Polynomial,
@@ -72,6 +76,68 @@ class TestParseExpression:
         with pytest.raises(ParseError, match=f"number '{literal}' is not finite") as info:
             parse_expression(text, {"a"})
         assert info.value.position == position
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float = 1.0):
+    """Fail the enclosed block with ``TimeoutError`` after ``seconds`` of wall time (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRunawayAndNonFiniteInput:
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("2**2000", "exponent 2000 is above the largest accepted", 3),
+            ("6^7e79", "exponent 7e\\+79 is above the largest accepted", 2),
+            ("x*10**200*10**200", "exponent 200 is above the largest accepted", 6),
+            ("1e200*1e200", "the result of '\\*' is not finite", 5),
+            ("x*1e300*1e10", "the result of '\\*' is not finite", 7),
+            ("1e308 + 1e308*x + 1e308", "the result of '\\+' is not finite", 16),
+            ("(1e200*x)**2", "the result of '\\*\\*' is not finite", 9),
+        ],
+    )
+    def test_rejected_quickly_with_the_position(self, text, message, position):
+        with time_limit(1.0), pytest.raises(ParseError, match=message) as info:
+            parse_expression(text, ["x"])
+        assert info.value.position == position
+
+    def test_constraint_sides_that_overflow_are_rejected(self):
+        with time_limit(1.0), pytest.raises(ParseError, match="not finite") as info:
+            parse_constraint("1e308*x + 1e308 >= -1e308", ["x"])
+        assert info.value.position == 16  # the comparison operator folds the two sides
+
+    def test_nested_powers_cannot_pass_the_degree_cap(self):
+        with time_limit(1.0), pytest.raises(ParseError, match="a power of degree 256 is above") as info:
+            parse_expression("(((x+2)^16)^16)^16", ["x"])
+        assert info.value.position == 11  # the second "^"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="x21.e^*+-() ", max_size=24))
+    def test_any_text_parses_or_raises_parse_error_within_a_second(self, text):
+        with time_limit(1.0):
+            try:
+                poly = parse_expression(text, ["x"])
+            except ParseError:
+                return
+        assert all(math.isfinite(coeff) for _, coeff in poly) and poly.degree() <= MAX_EXPONENT
+
+    def test_largest_accepted_exponent_still_parses(self):
+        with time_limit(1.0):
+            assert parse_expression(f"x**{MAX_EXPONENT}", ["x"]).terms == {("x",) * MAX_EXPONENT: 1.0}
+            assert parse_expression(f"2**{MAX_EXPONENT}", []).constant_term == 2.0**MAX_EXPONENT
+        with pytest.raises(ParseError, match="above the largest accepted"):
+            parse_expression(f"x**{MAX_EXPONENT + 1}", ["x"])
 
 
 class TestParseConstraint:

@@ -1,13 +1,15 @@
 """Problem declaration, validation, and the problem-file JSON schema."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubo_forge.expression import Comparison, Polynomial
-from qubo_forge.problem import Problem, VariableKind
+from qubo_forge.expression import FEASIBILITY_TOL, Comparison, ParseError, Polynomial
+from qubo_forge.problem import BOOLEAN_KINDS, BooleanRelation, ConstraintDecl, Problem, ProblemFileError, VariableKind
 
 
 class TestVariableDeclaration:
@@ -153,6 +155,43 @@ class TestObjectivesAndConstraints:
         assert comparison.evaluate({"x": 1, "y": 2.0**-40}) == (True, 2.0**-40)  # float noise still holds
         assert comparison.evaluate({"x": 1, "y": 1}) == (False, 1.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        op=st.sampled_from(["=", "<=", ">=", "<", ">"]),
+        rhs=st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1]),
+        offsets=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, FEASIBILITY_TOL, -FEASIBILITY_TOL, 2 * FEASIBILITY_TOL, -2 * FEASIBILITY_TOL]),
+                st.floats(-3, 3),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_array_evaluation_agrees_with_scalar_calls_row_by_row(self, op, rhs, offsets):
+        decl = ConstraintDecl(comparison=Comparison(lhs=Polynomial.variable("x") - 0.5 * Polynomial.variable("y"), op=op, rhs=rhs))
+        xs = [rhs + offset + 0.5 for offset in offsets]
+        ys = [1.0] * len(offsets)
+        satisfied, residual = decl.evaluate({"x": np.array(xs), "y": np.array(ys)})
+        for row, (x, y) in enumerate(zip(xs, ys)):
+            scalar = decl.evaluate({"x": x, "y": y})
+            assert type(scalar[0]) is bool and type(scalar[1]) is float
+            assert (bool(satisfied[row]), repr(float(residual[row]))) == (scalar[0], repr(scalar[1]))
+
+    @pytest.mark.parametrize("kind", BOOLEAN_KINDS)
+    def test_array_boolean_evaluation_agrees_with_scalar_calls(self, kind):
+        inputs = ("x",) if kind == "not" else ("x", "y")
+        decl = ConstraintDecl(boolean=BooleanRelation(kind=kind, output="z", inputs=inputs))
+        rows = list(itertools.product([0, 1], repeat=len(inputs) + 1))
+        names = (*inputs, "z")
+        columns = {name: np.array([row[k] for row in rows], dtype=float) for k, name in enumerate(names)}
+        satisfied, residual = decl.evaluate(columns)
+        for index, row in enumerate(rows):
+            scalar = decl.evaluate(dict(zip(names, row)))
+            assert type(scalar[0]) is bool and type(scalar[1]) is float
+            assert (bool(satisfied[index]), float(residual[index])) == scalar
+        assert satisfied.sum() == 2 ** len(inputs)  # one consistent output per input row
+
     def test_boolean_constraint_rejects_non_binary(self):
         problem = Problem()
         problem.add_binary_variable("x")
@@ -172,7 +211,7 @@ class TestObjectivesAndConstraints:
             problem.add_constraint(Comparison(lhs=bad, op="<=", rhs=1.0))
         with pytest.raises(ValueError, match="right-hand side must be finite"):
             problem.add_constraint(Comparison(lhs=Polynomial.variable("a"), op="<=", rhs=value))
-        with pytest.raises(ValueError, match="objective has a non-finite coefficient"):
+        with pytest.raises(ParseError, match=r"the result of '\*' is not finite \(at position 5\)"):
             problem.add_objective("1e200*1e200*a")  # each literal is finite, their product is not
         assert not problem.objectives and not problem.constraints
 
@@ -260,3 +299,83 @@ class TestProblemFile:
         path.write_text(json.dumps({"schema": "qubo-forge-problem/999", "variables": []}))
         with pytest.raises(ValueError, match="schema"):
             Problem.load(path)
+
+
+class TestProblemFileShape:
+    """A problem file with the wrong keys or JSON types is refused with the JSON path named."""
+
+    @staticmethod
+    def document(**changes):
+        data = {
+            "schema": "qubo-forge-problem/1",
+            "variables": [{"name": "x", "kind": "binary"}, {"name": "c", "kind": "continuous", "low": 0, "high": 1, "precision": 0.5}],
+            "objectives": [{"expression": "x + c"}],
+            "constraints": [{"comparison": "x + c <= 1"}, {"boolean": {"kind": "not", "output": "x", "inputs": ["x"]}}],
+        }
+        data.update(changes)
+        return data
+
+    @pytest.mark.parametrize(
+        "data, path, message",
+        [
+            ({"schema": "qubo-forge-problem/1", "variables": 3}, "variables", "expected array, got number"),
+            (
+                {"schema": "qubo-forge-problem/1", "variables": [{"name": "x"}]},
+                "variables[0].kind",
+                "missing",
+            ),
+            (
+                {"schema": "qubo-forge-problem/1", "variables": [{"name": "x", "kind": "binary"}], "objectives": [{"expression": 5}]},
+                "objectives[0].expression",
+                "expected string, got number",
+            ),
+            ([{"schema": "qubo-forge-problem/1"}], "top level", "expected object, got array"),
+            (
+                {"schema": "qubo-forge-problem/1", "variables": [{"name": "c", "kind": "continuous", "low": 0, "high": 1}]},
+                "variables[0].precision",
+                "missing",
+            ),
+            (
+                {"schema": "qubo-forge-problem/1", "variables": [{"name": "b", "kind": "discrete", "levels": [1, "2"]}]},
+                "variables[0].levels[1]",
+                "expected number, got string",
+            ),
+            ({"schema": "qubo-forge-problem/1", "variables": [{"name": "x", "kind": "ternary"}]}, "variables[0].kind", "unknown"),
+            ({"schema": "qubo-forge-problem/1", "objectives": [{"expression": "1", "weight": True}]}, "objectives[0].weight", "got boolean"),
+            ({"schema": "qubo-forge-problem/1", "constraints": [{"hardness": "hard"}]}, "constraints[0]", "exactly one"),
+            (
+                {"schema": "qubo-forge-problem/1", "constraints": [{"boolean": {"kind": "not", "output": "z", "inputs": [1]}}]},
+                "constraints[0].boolean.inputs[0]",
+                "expected string, got number",
+            ),
+            ({"schema": "qubo-forge-problem/1", "solver": []}, "solver", "expected object, got array"),
+        ],
+    )
+    def test_wrong_shape_names_the_path(self, data, path, message):
+        with pytest.raises(ProblemFileError, match=message) as info:
+            Problem.from_json_dict(data)
+        assert info.value.path == path
+        assert str(info.value).startswith(f"problem file: {path}: ")
+
+    def test_nulls_stay_optional_where_the_writer_omits_them(self):
+        data = self.document()
+        data["variables"][1]["bound"] = None
+        data["constraints"][0]["slack_precision"] = None
+        problem = Problem.from_json_dict(data)
+        assert problem.variable("c").bound is None and problem.constraints[0].slack_precision is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_dropped_key_or_swapped_type_is_a_value_error(self, data):
+        document = self.document()
+        containers = [document, *document["variables"], *document["objectives"], *document["constraints"]]
+        container = data.draw(st.sampled_from(containers))
+        key = data.draw(st.sampled_from(sorted(container)))
+        if data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(st.sampled_from([3, 2.5, "text", None, True, [], {}]))
+        try:
+            Problem.from_json_dict(document)
+        except ValueError:
+            pass  # a named error, never a TypeError, KeyError or AttributeError

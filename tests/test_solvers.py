@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qubo_forge
 from qubo_forge import solvers
@@ -234,6 +236,61 @@ class TestExhaustive:
         assert solution.best_binary == expected
         assert solution.best_energy == -sum(range(2, n + 1, 2)) + 25 - 100  # -257
         assert solution.energies == sorted(solution.energies)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 19), k_kind=st.sampled_from(["one", "middle", "all"]), seed=st.integers(0, 2**32 - 1))
+    @example(n=16, k_kind="middle", seed=1)
+    @example(n=17, k_kind="one", seed=2)
+    @example(n=19, k_kind="middle", seed=3)
+    @example(n=12, k_kind="all", seed=4)
+    def test_matches_exact_brute_force_on_dyadic_models(self, n, k_kind, seed):
+        """Every kept ``(energy, index)`` pair is the brute force's, and every energy is ``model.energy``'s.
+
+        Coefficients are small integers or eighths, so every float sum is exact and the order
+        is fixed; narrow ranges force ties, which the index breaks.  The brute force evaluates
+        the polynomial on every assignment in integer arithmetic (in eighths).
+        """
+        model, k_best = dyadic_case(np.random.default_rng(seed), n, k_kind)
+        order = model.binary_variables()
+        assert len(order) == n
+        position = {name: k for k, name in enumerate(order)}
+        indices = np.arange(2**n, dtype=np.int64)
+        eighths = np.full(2**n, int(model.offset * 8), dtype=np.int64)
+        for mono, coeff in model.quadratic:
+            product = np.ones(2**n, dtype=np.int64)
+            for name in mono:
+                product &= (indices >> position[name]) & 1
+            eighths += int(coeff * 8) * product
+        ranked = np.lexsort((indices, eighths))[:k_best]
+
+        solution = solve_exhaustive(model, SolverParams(k_best=k_best))
+        assert sample_indices(model, solution) == ranked.tolist()
+        assert solution.energies == (eighths[ranked] / 8).tolist()
+        assert solution.energies == [model.energy(assignment) for assignment, _ in solution.samples]
+        assert solution.best_energy == solution.energies[0]
+
+
+def dyadic_case(rng: np.random.Generator, n: int, k_kind: str) -> tuple[QuboModel, int]:
+    """A model with integer or eighth coefficients over ``n`` binaries, and a ``k_best`` of the given kind.
+
+    Half the models draw from {-3..3} and half from eighths in [-5, 5], so ties are common in both.
+    """
+    if rng.random() < 0.5:
+        values = np.arange(-3.0, 4.0)
+    else:
+        values = np.arange(-40, 41) / 8
+    nonzero = values[values != 0]
+    terms = {(f"v{k:02d}",): float(rng.choice(nonzero)) for k in range(n)}  # every binary stays in the model
+    for _ in range(int(rng.integers(0, 2 * n + 1)) if n >= 2 else 0):
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        terms[(f"v{i:02d}", f"v{j:02d}")] = float(rng.choice(values))
+    model = bare_model(terms, offset=float(rng.choice(values)))
+    if k_kind == "one":
+        return model, 1
+    if k_kind == "middle":
+        return model, int(rng.integers(2, max(3, min(2**n, 1500))))
+    return model, 2 ** min(n, 12) + int(rng.integers(0, 4))  # at least 2**n for n <= 12
 
 
 class TestSimulatedAnnealing:
