@@ -82,32 +82,27 @@ def solution_is_valid(
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
     include_weak: bool = False,
-) -> bool:
-    results = check_model_constraints(model, binary, decoded)
-    return all(r.satisfied for r in results if r.hardness == "hard" or include_weak)
+) -> bool | np.ndarray:
+    """Whether every hard (with ``include_weak``, every) declaration holds on the binaries plus decoded values.
+
+    The values may be columns, one entry per sample; the result is then a boolean array.
+    """
+    values = {**binary, **(decoded if decoded is not None else model.decode(binary))}
+    valid = True
+    for block in model.penalties:
+        if block.hardness == "hard" or include_weak:
+            valid = valid & block.constraint.evaluate(values)[0]
+    return valid
 
 
 def valid_rate(model: QuboModel, solution: SolutionSet, include_weak: bool = False) -> float:
-    """Percentage of samples satisfying every hard constraint (``solution_is_valid`` per sample).
-
-    Each name becomes one column over the samples, taken from the decoded values
-    where they hold it and from the binaries otherwise (the merge
-    ``check_model_constraints`` makes), and each declaration is evaluated once.
-    """
-    if not solution.samples:
+    """Percentage of samples satisfying every hard constraint: ``solution_is_valid`` on the columns."""
+    rows = len(solution.bits)
+    if not rows:
         return 0.0
-    checks = [block.constraint for block in model.penalties if block.hardness == "hard" or include_weak]
-    binary, decoded = solution.samples[0][0], solution.decoded[0]
-    columns = {}
-    for name in set().union(*(decl.variables() for decl in checks)):
-        if name in decoded:
-            columns[name] = np.array([values[name] for values in solution.decoded], dtype=float)
-        elif name in binary:
-            columns[name] = np.array([assignment[name] for assignment, _ in solution.samples], dtype=float)
-    valid = np.ones(len(solution.samples), dtype=bool)
-    for decl in checks:
-        valid &= decl.evaluate(columns)[0]
-    return 100.0 * int(np.count_nonzero(valid)) / len(solution.samples)
+    binary = dict(zip(solution.order, solution.bits.T.astype(float)))
+    valid = solution_is_valid(model, binary, dict(zip(solution.names, solution.values.T)), include_weak)
+    return 100.0 * int(np.count_nonzero(np.broadcast_to(valid, rows))) / rows
 
 
 def objective_values(decoded: dict[str, float], problem: Problem) -> list[float]:
@@ -206,14 +201,15 @@ def solution_to_dict(solution: SolutionSet) -> dict[str, Any]:
 
 
 def solution_from_dict(data: dict[str, Any]) -> SolutionSet:
-    return SolutionSet(
-        samples=[(entry["assignment"], entry["energy"]) for entry in data["samples"]],
-        decoded=data["decoded"],
-        best_binary=data["best_binary"],
-        best_decoded=data["best_decoded"],
-        best_energy=data["best_energy"],
-        run_times=data.get("run_times"),
-    )
+    """The saved rows as arrays; the saved best is kept, not picked again from rounded energies."""
+    order, names = tuple(data["best_binary"]), tuple(data["best_decoded"])
+    bits = np.array([[entry["assignment"][name] for name in order] for entry in data["samples"]])
+    if not np.isin(bits, (0, 1)).all():  # uint8 would wrap or truncate any other value
+        raise ValueError("solution file: every sample assignment value must be 0 or 1")
+    values = np.array([[row[name] for name in names] for row in data["decoded"]], dtype=float)
+    energies = [entry["energy"] for entry in data["samples"]]
+    best = (data["best_binary"], data["best_decoded"], data["best_energy"])
+    return SolutionSet(order, bits.astype(np.uint8), energies, names, values, *best, run_times=data.get("run_times"))
 
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:

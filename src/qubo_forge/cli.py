@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import re
@@ -32,7 +33,7 @@ import numpy as np
 from qubo_forge.analysis import analyze, report_to_dict, save_report, write_cumulative_csv
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.expression import NUMBER, Polynomial, format_float
-from qubo_forge.problem import Problem
+from qubo_forge.problem import Problem, _expect
 from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve, solve_with_lambda_update
 
 
@@ -158,61 +159,68 @@ _UPDATE_STRATEGY = UpdateStrategy()
 LAMBDA_UPDATES = ("none",) + UPDATE_KINDS
 _NEGATIVE_NUMBER = re.compile(f"-(?:{NUMBER})")
 
-# Built-in option values, taken from the library's own defaults.
+# Built-in option values, taken from the library's own defaults, and the JSON type
+# each takes in a problem file's solver section (which also sets the flag's type).
 _OPTION_DEFAULTS = {
-    "solver": "sa",
-    "runs": _SOLVER_PARAMS.runs,
-    "seed": _SOLVER_PARAMS.seed,
-    "sweeps": _SOLVER_PARAMS.sweeps,
-    "layers": _SOLVER_PARAMS.layers,
-    "shots": _SOLVER_PARAMS.shots,
-    "lambda_method": CompileConfig().lambda_method,
-    "lambda_value": None,
-    "lambda_update": "none",
-    "lambda_max": _UPDATE_STRATEGY.lambda_max,
-    "trials": _UPDATE_STRATEGY.max_trials,
-    "val_ref": None,
-    "p_conf": 0.99,
+    "solver": ("sa", "string"),
+    "runs": (_SOLVER_PARAMS.runs, "integer"),
+    "seed": (_SOLVER_PARAMS.seed, "integer"),
+    "sweeps": (_SOLVER_PARAMS.sweeps, "integer"),
+    "layers": (_SOLVER_PARAMS.layers, "integer"),
+    "shots": (_SOLVER_PARAMS.shots, "integer"),
+    "lambda_method": (CompileConfig().lambda_method, "string"),
+    "lambda_value": (None, "number or null"),
+    "lambda_update": ("none", "string"),
+    "lambda_max": (_UPDATE_STRATEGY.lambda_max, "number"),
+    "trials": (_UPDATE_STRATEGY.max_trials, "integer"),
+    "val_ref": (None, "number or null"),
+    "p_conf": (inspect.signature(analyze).parameters["p_conf"].default, "number"),
+    "time": (False, "boolean"),
 }
+_FLAG_TYPES = {"integer": int, "number": float, "number or null": float, "string": str}
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     # Flag defaults are None so the problem file's optional "solver" section
     # can fill values in; explicit flags always win (see _resolve_options).
     def flag(name: str, text: str, **kwargs) -> None:
-        default = _OPTION_DEFAULTS[name[2:].replace("-", "_")]
-        if default is not None:
-            text += f" (default: {default})"
-        parser.add_argument(name, help=text, **kwargs)
+        default, kind = _OPTION_DEFAULTS[name[2:].replace("-", "_")]
+        if kind == "boolean":
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["type"] = _FLAG_TYPES[kind]
+            text += "" if default is None else f" (default: {default})"
+        parser.add_argument(name, help=text, default=None, **kwargs)
 
     flag("--solver", "solver to run", choices=sorted(SOLVERS))
-    flag("--runs", "independent runs", type=int)
-    flag("--seed", "base RNG seed", type=int)
-    flag("--sweeps", "SA sweeps per run", type=int)
-    flag("--layers", "QAOA layers p", type=int)
-    flag("--shots", "QAOA shots per run", type=int)
+    flag("--runs", "independent runs")
+    flag("--seed", "base RNG seed")
+    flag("--sweeps", "SA sweeps per run")
+    flag("--layers", "QAOA layers p")
+    flag("--shots", "QAOA shots per run")
     flag("--lambda-method", "penalty-weight estimation method", choices=LAMBDA_METHODS)
-    flag("--lambda-value", "penalty weight for --lambda-method manual", type=float)
+    flag("--lambda-value", "penalty weight for --lambda-method manual")
     flag("--lambda-update", "retry strategy when the best solution violates a hard constraint", choices=LAMBDA_UPDATES)
-    flag("--lambda-max", "cap for updated penalty weights", type=float)
-    flag("--trials", "max solve attempts with --lambda-update", type=int)
-    flag("--val-ref", "reference energy for p_range", type=float)
-    flag("--p-conf", "TTS confidence level", type=float)
-    parser.add_argument("--time", action="store_true", help="record per-run wall time (enables TTS)")
+    flag("--lambda-max", "cap for updated penalty weights")
+    flag("--trials", "max solve attempts with --lambda-update")
+    flag("--val-ref", "reference energy for p_range")
+    flag("--p-conf", "TTS confidence level")
+    flag("--time", "record per-run wall time (enables TTS)")
     parser.add_argument("--out-dir", default=".", help="output directory (QUBO_FORGE_OUT overrides)")
 
 
 def _resolve_options(args: argparse.Namespace, problem: Problem) -> dict:
     """Merge flag > problem-file solver section > built-in default."""
     section = problem.solver_defaults
-    unknown = sorted(set(section) - set(_OPTION_DEFAULTS) - {"time"})
+    unknown = sorted(set(section) - set(_OPTION_DEFAULTS))
     if unknown:
         raise ValueError(f"unknown option(s) in the problem's solver section: {', '.join(unknown)}")
     options = {}
-    for key, fallback in _OPTION_DEFAULTS.items():
+    for key, (fallback, kind) in _OPTION_DEFAULTS.items():
+        if key in section:
+            _expect(section[key], kind, f"solver.{key}")
         flag = getattr(args, key)
         options[key] = flag if flag is not None else section.get(key, fallback)
-    options["time"] = bool(args.time or section.get("time", False))
     if options["solver"] not in SOLVERS:
         raise ValueError(f"unknown solver {options['solver']!r}")
     if options["lambda_update"] not in LAMBDA_UPDATES:
@@ -315,10 +323,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     val_ref, p_conf = options["val_ref"], options["p_conf"]
     summary = []
     for name in solvers:
-        solution = solve(model, name, params)
-        if name == "exhaustive":  # the deterministic oracle counts as one run returning its optimum
-            best = [(solution.best_binary, solution.best_energy)]
-            solution = replace(solution, samples=best, decoded=[solution.best_decoded])
+        # The deterministic oracle counts as one run returning its optimum.
+        solution = solve(model, name, replace(params, k_best=1) if name == "exhaustive" else params)
         report = analyze(problem, model, solution, val_ref=val_ref, p_conf=p_conf)
         write_cumulative_csv(out / f"{stem}.{name}.cdf.csv", report.cumulative)
         row = report_to_dict(report)  # writes an infinite TTS as "inf"

@@ -35,6 +35,10 @@ FEASIBILITY_TOL = 1e-9
 # thousands of terms; larger exponents only make the parser run away.
 MAX_EXPONENT = 16
 
+# The most terms a power may expand to, bounded before it is expanded: a ``t``-term base to the
+# ``k`` has at most ``C(t + k - 1, k)`` terms, so a short power of a long sum cannot stall the parser.
+MAX_POWER_TERMS = 10_000
+
 # What the tokenizer reads as a variable name (declarations must match it whole) and as a number.
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
@@ -450,6 +454,13 @@ class _Parser:
             degree = base.degree() * exponent
             if degree > MAX_EXPONENT:
                 raise ParseError(f"a power of degree {degree} is above the largest accepted, {MAX_EXPONENT}", token[2])
+            bound = math.comb(max(len(base), 1) + exponent - 1, exponent)
+            if bound > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"a power of {len(base)} terms to the {exponent} can expand to {bound} terms, "
+                    f"above the largest accepted, {MAX_POWER_TERMS}",
+                    token[2],
+                )
             return _finite(base**exponent, token)
         return base
 

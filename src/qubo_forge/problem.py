@@ -451,8 +451,15 @@ _JSON_TYPES: dict[str, tuple[type, ...]] = {
     "number": (int, float),
     "integer": (int,),
     "number or null": (int, float, type(None)),
+    "boolean": (bool,),
 }
-_SECTIONS = {"variables": "array", "objectives": "array", "constraints": "array", "solver": "object"}
+_TOP_LEVEL_FIELDS = {
+    "schema": "string",
+    "variables": "array",
+    "objectives": "array",
+    "constraints": "array",
+    "solver": "object",
+}
 _VARIABLE_FIELDS = {
     "name": "string",
     "kind": "string",
@@ -481,9 +488,10 @@ def _check_problem_file(data: Any) -> None:
     schema = data.get("schema")
     if schema != PROBLEM_SCHEMA:
         raise ProblemFileError("schema", f"unsupported problem schema {schema!r}; expected {PROBLEM_SCHEMA!r}")
-    for key, kind in _SECTIONS.items():
-        if key in data:
-            _expect(data[key], kind, key)
+    for key, value in data.items():
+        if key not in _TOP_LEVEL_FIELDS:
+            raise ProblemFileError(key, "unknown key")
+        _expect(value, _TOP_LEVEL_FIELDS[key], key)
     for index, entry in enumerate(data.get("variables", [])):
         path = f"variables[{index}]"
         _check_fields(entry, path, _VARIABLE_FIELDS, ("name", "kind"))
@@ -508,9 +516,10 @@ def _check_problem_file(data: Any) -> None:
 def _check_fields(entry: Any, path: str, fields: dict[str, str], required: Sequence[str]) -> None:
     _expect(entry, "object", path)
     _require(entry, path, required)
-    for key, kind in fields.items():
-        if key in entry:
-            _expect(entry[key], kind, f"{path}.{key}")
+    for key, value in entry.items():
+        if key not in fields:
+            raise ProblemFileError(f"{path}.{key}", "unknown key")
+        _expect(value, fields[key], f"{path}.{key}")
 
 
 def _require(entry: dict, path: str, keys: Sequence[str]) -> None:
@@ -520,7 +529,7 @@ def _require(entry: dict, path: str, keys: Sequence[str]) -> None:
 
 
 def _expect(value: Any, kind: str, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
         raise ProblemFileError(path, f"expected {kind}, got {_json_type(value)}")
 
 

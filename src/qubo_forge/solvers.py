@@ -5,8 +5,8 @@ All solvers share the same contract: they take a ``QuboModel`` and
 (the exhaustive oracle instead reports the k best assignments of the full
 landscape).  Every solver reads the model's array form (``model.arrays``)
 and hands its answers, a ``k × n`` 0/1 matrix with columns in
-``arrays.order``, to one finisher that builds the assignments, evaluates
-their energies exactly, decodes them and picks the best.
+``arrays.order``, to one finisher, ``SolutionSet.from_bits``, that keeps the
+matrix, evaluates the energies exactly, decodes the columns and picks the best.
 Results are deterministic for a fixed seed; stochastic solvers derive
 per-run generators from ``seed + run_index``.
 
@@ -23,6 +23,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -91,21 +92,51 @@ class SolverParams:
             raise ValueError("k_best must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolutionSet:
-    """Samples with energies, their decodings, and the best of each."""
+    """Samples as arrays, their energies, and the best sample.
 
-    samples: list[tuple[dict[str, int], float]]
-    decoded: list[dict[str, float]]
+    Row ``r`` of ``bits`` (0/1, columns in ``order``) is sample ``r``, and row
+    ``r`` of ``values`` (columns in ``names``) holds its decoded values.
+    ``samples`` and ``decoded`` are the same rows as dicts of Python numbers.
+    """
+
+    order: tuple[str, ...]
+    bits: np.ndarray  # k × n uint8
+    energies: list[float]
+    names: tuple[str, ...]
+    values: np.ndarray  # k × d float
     best_binary: dict[str, int]
     best_decoded: dict[str, float]
     best_energy: float
     run_times: list[float] | None = None
     diagnostics: dict | None = None  # solver-specific plain data; SA and QAOA fill it
 
-    @property
-    def energies(self) -> list[float]:
-        return [energy for _, energy in self.samples]
+    @classmethod
+    def from_bits(cls, model: QuboModel, bits: np.ndarray, run_times=None, diagnostics=None) -> "SolutionSet":
+        """The one finisher: samples from a ``k × n`` 0/1 matrix whose columns follow ``model.arrays.order``.
+
+        The energies are ``arrays.energies`` of the rows, the sums ``model.energy``
+        computes.  Decoding runs once, on the columns: ``EncodingPlan.decode``
+        does the same float operations on arrays.  The best is the first minimum.
+        """
+        order, bits = model.arrays.order, np.asarray(bits, dtype=np.uint8)
+        energies = model.arrays.energies(bits)
+        columns = model.decode(dict(zip(order, bits.T.astype(float))))
+        names, values = tuple(columns), np.empty((len(bits), len(columns)))
+        for position, column in enumerate(columns.values()):
+            values[:, position] = column
+        best = min(range(len(bits)), key=energies.__getitem__)
+        best_of_each = dict(zip(order, bits[best].tolist())), dict(zip(names, values[best].tolist())), energies[best]
+        return cls(order, bits, energies, names, values, *best_of_each, run_times, diagnostics)
+
+    @cached_property
+    def samples(self) -> list[tuple[dict[str, int], float]]:
+        return list(zip((dict(zip(self.order, row)) for row in self.bits.tolist()), self.energies))
+
+    @cached_property
+    def decoded(self) -> list[dict[str, float]]:
+        return [dict(zip(self.names, row)) for row in self.values.tolist()]
 
     def mean_run_time(self) -> float | None:
         if not self.run_times:
@@ -193,33 +224,6 @@ def _energy_blocks(arrays: QuboArrays) -> Iterator[tuple[int, np.ndarray]]:
         yield prefix << low, base + cross
 
 
-def _finalize(model: QuboModel, bits: np.ndarray, run_times, diagnostics: dict | None = None) -> SolutionSet:
-    """Samples from a ``k × n`` 0/1 float matrix whose columns follow ``model.arrays.order``.
-
-    Assignment values are Python ints; the energies are ``arrays.energies`` of
-    the rows, the sums ``model.energy`` computes.  Decoding runs once, on the
-    columns: ``EncodingPlan.decode`` does the same float operations on arrays.
-    """
-    arrays = model.arrays
-    energies = arrays.energies(bits)
-    samples = list(zip((dict(zip(arrays.order, row)) for row in bits.astype(int).tolist()), energies))
-    columns = model.decode(dict(zip(arrays.order, bits.T)))
-    values = np.empty((len(bits), len(columns)))
-    for position, column in enumerate(columns.values()):
-        values[:, position] = column
-    decoded = [dict(zip(columns, row)) for row in values.tolist()]
-    best = min(range(len(samples)), key=energies.__getitem__)
-    return SolutionSet(
-        samples=samples,
-        decoded=decoded,
-        best_binary=samples[best][0],
-        best_decoded=decoded[best],
-        best_energy=energies[best],
-        run_times=run_times,
-        diagnostics=diagnostics,
-    )
-
-
 # -- exhaustive oracle -----------------------------------------------------------
 
 
@@ -246,7 +250,7 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
         keep = np.lexsort((merged_idx, merged_en))[:k_best]  # by energy, then index
         top_indices, top_energies = merged_idx[keep], merged_en[keep]
     run_times = [time.monotonic() - started] if params.record_time else None
-    return _finalize(model, _bits(top_indices, n), run_times)
+    return SolutionSet.from_bits(model, _bits(top_indices, n), run_times)
 
 
 # -- simulated annealing ------------------------------------------------------------
@@ -358,7 +362,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
         }
     }
     run_times = [elapsed / runs] * runs if params.record_time else None
-    return _finalize(model, (1 - best_signs.T) / 2, run_times, diagnostics)
+    return SolutionSet.from_bits(model, (1 - best_signs.T) / 2, run_times, diagnostics)
 
 
 # -- qaoa statevector simulation -----------------------------------------------------
@@ -504,7 +508,7 @@ def solve_qaoa_sim(model: QuboModel, params: SolverParams | None = None) -> Solu
         kept[run] = drawn[np.argmin(energies[drawn])]
         if run_times is not None:
             run_times.append(time.monotonic() - started)
-    return _finalize(model, _bits(kept, len(order)), run_times, {"qaoa": diagnostics})
+    return SolutionSet.from_bits(model, _bits(kept, len(order)), run_times, {"qaoa": diagnostics})
 
 
 SOLVERS: dict[str, Callable[[QuboModel, SolverParams], SolutionSet]] = {

@@ -5,6 +5,7 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from qubo_forge.cli import bundled_data, build_regression, load_knapsack
 from qubo_forge.compiler import compile_problem
 from qubo_forge.expression import FEASIBILITY_TOL, Comparison, Polynomial
 from qubo_forge.problem import Problem
-from qubo_forge.solvers import SolverParams, solve_exhaustive, solve_sa
+from qubo_forge.solvers import SolutionSet, SolverParams, solve_exhaustive, solve_sa
 
 
 class TestCheckConstraints:
@@ -225,15 +226,9 @@ class TestValidRate:
         model = compile_problem(mixed_problem)
         names = model.binary_variables()
         infeasible = dict.fromkeys(names, 0)  # b one-hot violated, b + c = -2 < 2
-        from qubo_forge.solvers import SolutionSet
-
-        solution = SolutionSet(
-            samples=[(infeasible, model.energy(infeasible))],
-            decoded=[model.decode(infeasible)],
-            best_binary=infeasible,
-            best_decoded=model.decode(infeasible),
-            best_energy=model.energy(infeasible),
-        )
+        solution = SolutionSet.from_bits(model, np.zeros((1, len(names))))
+        assert solution.samples == [(infeasible, model.energy(infeasible))]
+        assert solution.decoded == [model.decode(infeasible)]
         assert valid_rate(model, solution) == 0.0
         assert not solution_is_valid(model, infeasible)
 
@@ -284,6 +279,17 @@ class TestAnalyzeAndPersist:
         path = tmp_path / "solution.json"
         path.write_text(json.dumps({"schema": "qubo-forge-solution/9", "solution": {}}))
         with pytest.raises(ValueError, match="schema"):
+            load_report(path)
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_non_binary_assignment_rejected(self, tiny_knapsack, tmp_path, value):
+        path = tmp_path / "solution.json"
+        save_report(path, solve_exhaustive(compile_problem(tiny_knapsack), SolverParams(k_best=2)))
+        data = json.loads(path.read_text())
+        assignment = data["solution"]["samples"][1]["assignment"]
+        assignment[next(iter(assignment))] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="must be 0 or 1"):
             load_report(path)
 
     def test_reanalysis_of_saved_report_is_identical(self, tmp_path):

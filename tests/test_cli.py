@@ -20,6 +20,7 @@ from qubo_forge.cli import (
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.problem import Problem
 from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve_exhaustive
+from test_expression import time_limit
 
 
 @pytest.fixture
@@ -229,6 +230,40 @@ class TestSolveCommand:
         assert run_cli("solve", path, "--out-dir", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"solver": {"runs": "ten"}}, "error: problem file: solver.runs: expected integer, got string"),
+            ({"solver": {"sweeps": 2.5}}, "error: problem file: solver.sweeps: expected integer, got number"),
+            ({"solver": {"time": "yes"}}, "error: problem file: solver.time: expected boolean, got string"),
+            ({"solvr": {"runs": 3}}, "error: problem file: solvr: unknown key"),
+            (
+                {
+                    "variables": [{"name": name, "kind": "binary"} for name in "abcdefgh"],
+                    "objectives": [{"expression": "(a+b+c+d+e+f+g+h)^16"}],
+                    "constraints": [],
+                },
+                "error: a power of 8 terms to the 16 can expand to 245157 terms",
+            ),
+        ],
+    )
+    def test_pinned_robustness_cases_are_error_lines(self, change, message, tmp_path, capsys):
+        _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        path = tmp_path / "bad.problem.json"
+        path.write_text(json.dumps(problem.to_json_dict() | change))
+        with time_limit(1.0):
+            assert run_cli("solve", path, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+
+    def test_misspelt_constraint_key_is_an_error_line(self, f3_problem_file, tmp_path, capsys):
+        data = json.loads(f3_problem_file.read_text())
+        data["constraints"][0]["hardnes"] = "weak"
+        f3_problem_file.write_text(json.dumps(data))
+        with time_limit(1.0):
+            assert run_cli("solve", f3_problem_file, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == "error: problem file: constraints[0].hardnes: unknown key\n"
 
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("solve", tmp_path / "nope.json") == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qubo_forge.expression import (
     MAX_EXPONENT,
+    MAX_POWER_TERMS,
     Comparison,
     ParseError,
     Polynomial,
@@ -121,6 +122,17 @@ class TestRunawayAndNonFiniteInput:
         with time_limit(1.0), pytest.raises(ParseError, match="a power of degree 256 is above") as info:
             parse_expression("(((x+2)^16)^16)^16", ["x"])
         assert info.value.position == 11  # the second "^"
+
+    def test_powers_of_long_sums_are_refused_before_expanding(self):
+        names = list("abcdefgh")
+        with time_limit(1.0), pytest.raises(ParseError, match="can expand to 245157 terms, above") as info:
+            parse_expression("(a+b+c+d+e+f+g+h)^16", names)
+        assert info.value.position == 17  # the "^"
+        assert math.comb(8 + 8 - 1, 8) <= MAX_POWER_TERMS < math.comb(8 + 9 - 1, 9)
+        with time_limit(1.0):
+            assert len(parse_expression("(a+b+c+d+e+f+g+h)^8", names)) == math.comb(8 + 8 - 1, 8)
+        with pytest.raises(ParseError, match="can expand to 11440 terms"):
+            parse_expression("(a+b+c+d+e+f+g+h)^9", names)
 
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(alphabet="x21.e^*+-() ", max_size=24))

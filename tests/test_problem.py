@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qubo_forge.expression import FEASIBILITY_TOL, Comparison, ParseError, Polynomial
 from qubo_forge.problem import BOOLEAN_KINDS, BooleanRelation, ConstraintDecl, Problem, ProblemFileError, VariableKind
+from test_expression import time_limit
 
 
 class TestVariableDeclaration:
@@ -356,6 +357,23 @@ class TestProblemFileShape:
             Problem.from_json_dict(data)
         assert info.value.path == path
         assert str(info.value).startswith(f"problem file: {path}: ")
+
+    @pytest.mark.parametrize(
+        "path, misspell",
+        [
+            ("solvr", lambda data: data.update(solvr={"runs": 3})),
+            ("variables[1].bonud", lambda data: data["variables"][1].update(bonud=0.5)),
+            ("objectives[0].directon", lambda data: data["objectives"][0].update(directon="maximize")),
+            ("constraints[0].hardnes", lambda data: data["constraints"][0].update(hardnes="weak")),
+            ("constraints[1].boolean.input", lambda data: data["constraints"][1]["boolean"].update(input=["x"])),
+        ],
+    )
+    def test_unknown_keys_are_refused(self, path, misspell):
+        data = self.document()
+        misspell(data)
+        with time_limit(1.0), pytest.raises(ProblemFileError, match="unknown key") as info:
+            Problem.from_json_dict(data)
+        assert info.value.path == path
 
     def test_nulls_stay_optional_where_the_writer_omits_them(self):
         data = self.document()

@@ -584,6 +584,29 @@ class TestCrossSolverProperties:
         assert loaded.best_decoded == pytest.approx(solution.best_decoded, rel=1e-11)
         assert loaded.best_energy == pytest.approx(solution.best_energy, rel=1e-11)
 
+    @pytest.mark.parametrize("solver", ["exhaustive", "sa", "qaoa"])
+    @pytest.mark.parametrize("name", ["readme", "f3"])
+    def test_arrays_are_the_rows_of_the_views_and_round_trip(self, solver, name, request, tmp_path):
+        if name == "readme":
+            problem = request.getfixturevalue("mixed_problem")
+        else:
+            _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        model = compile_problem(problem)
+        solution = solve(model, solver, SolverParams(runs=4, seed=5, sweeps=100, shots=40, k_best=20))
+        assert solution.order == model.arrays.order and solution.bits.dtype == np.uint8
+        assert [dict(zip(solution.order, row)) for row in solution.bits.tolist()] == [a for a, _ in solution.samples]
+        assert [energy for _, energy in solution.samples] == solution.energies
+        assert [dict(zip(solution.names, row)) for row in solution.values.tolist()] == solution.decoded
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_report(first, solution)
+        loaded, _, _ = load_report(first)
+        save_report(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(loaded.bits, solution.bits) and loaded.order == solution.order
+        assert loaded.energies == pytest.approx(solution.energies, rel=1e-11)  # files keep 12 digits
+        columns = [solution.names.index(column) for column in loaded.names]  # a file sorts the names
+        assert loaded.values == pytest.approx(solution.values[:, columns], rel=1e-11)
+
     def test_seed_determinism(self, mixed_problem):
         model = compile_problem(mixed_problem)
         for solver in ("sa", "qaoa"):
