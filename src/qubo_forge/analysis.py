@@ -55,16 +55,9 @@ def _check(decl: ConstraintDecl, index: int, values: dict[str, float]) -> Constr
     return ConstraintCheck(decl.describe(), satisfied, residual, decl.hardness, index)
 
 
-def check_constraints(decoded: dict[str, float], problem: Problem, include_weak: bool = False) -> list[ConstraintCheck]:
-    """Evaluate the user-declared constraints on a decoded assignment.
-
-    Weak constraints are skipped unless ``include_weak`` is set.
-    """
-    return [
-        _check(decl, index, decoded)
-        for index, decl in enumerate(problem.constraints)
-        if decl.hardness == "hard" or include_weak
-    ]
+def check_constraints(decoded: dict[str, float], problem: Problem) -> list[ConstraintCheck]:
+    """Each user-declared constraint, hard and weak, on a decoded assignment."""
+    return [_check(decl, index, decoded) for index, decl in enumerate(problem.constraints)]
 
 
 def check_model_constraints(
@@ -81,27 +74,26 @@ def solution_is_valid(
     model: QuboModel,
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
-    include_weak: bool = False,
 ) -> bool | np.ndarray:
-    """Whether every hard (with ``include_weak``, every) declaration holds on the binaries plus decoded values.
+    """Whether every hard declaration holds on the binaries plus decoded values.
 
     The values may be columns, one entry per sample; the result is then a boolean array.
     """
     values = {**binary, **(decoded if decoded is not None else model.decode(binary))}
     valid = True
     for block in model.penalties:
-        if block.hardness == "hard" or include_weak:
+        if block.hardness == "hard":
             valid = valid & block.constraint.evaluate(values)[0]
     return valid
 
 
-def valid_rate(model: QuboModel, solution: SolutionSet, include_weak: bool = False) -> float:
+def valid_rate(model: QuboModel, solution: SolutionSet) -> float:
     """Percentage of samples satisfying every hard constraint: ``solution_is_valid`` on the columns."""
     rows = len(solution.bits)
     if not rows:
         return 0.0
     binary = dict(zip(solution.order, solution.bits.T.astype(float)))
-    valid = solution_is_valid(model, binary, dict(zip(solution.names, solution.values.T)), include_weak)
+    valid = solution_is_valid(model, binary, dict(zip(solution.names, solution.values.T)))
     return 100.0 * int(np.count_nonzero(np.broadcast_to(valid, rows))) / rows
 
 
@@ -155,11 +147,10 @@ def analyze(
     solution: SolutionSet,
     val_ref: float | None = None,
     p_conf: float = 0.99,
-    include_weak: bool = False,
 ) -> AnalysisReport:
     """Score a solution set: validity, best-solution checks, distribution, optional TTS."""
     report = AnalysisReport(
-        valid_rate=valid_rate(model, solution, include_weak),
+        valid_rate=valid_rate(model, solution),
         objective_values=objective_values(solution.best_decoded, problem),
         constraint_results=check_model_constraints(model, solution.best_binary, solution.best_decoded),
         cumulative=cumulative_distribution(solution.energies),

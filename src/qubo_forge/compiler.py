@@ -32,23 +32,21 @@ LAMBDA_METHODS = ("ub-positive", "mqc", "vlm", "momc", "moc", "ub-naive", "ub-po
 
 _EPS = 1e-9
 
+WEAK_MULTIPLIER = 0.3  # an estimated λ of a weak constraint is scaled by this; a hard one's is not
+
 _TERM_CHUNK = 2**15  # QuboArrays.energies builds at most this many terms (256 KB of floats) at a time
 
 
 @dataclass
 class CompileConfig:
-    """Knobs for penalty construction and weight estimation."""
+    """How penalty weights are chosen: an estimation method, or manual values."""
 
     lambda_method: str = "vlm"
     manual_lambdas: float | Sequence[float] | None = None
-    hard_multiplier: float = 1.0
-    weak_multiplier: float = 0.3
 
     def __post_init__(self):
         if self.lambda_method not in LAMBDA_METHODS:
             raise ValueError(f"unknown lambda method {self.lambda_method!r}; expected one of {LAMBDA_METHODS}")
-        if not self.hard_multiplier > 0 or not self.weak_multiplier > 0:
-            raise ValueError("hard_multiplier and weak_multiplier must be positive")
         if self.lambda_method == "manual" and self.manual_lambdas is None:
             raise ValueError("manual lambda method needs manual_lambdas")
         if self.manual_lambdas is not None:
@@ -604,8 +602,8 @@ def _assign_lambdas(blocks: list[PenaltyBlock], cost: Polynomial, config: Compil
     base = None if per_constraint else estimate_lambda(config.lambda_method, cost)
     for block in blocks:
         value = estimate_lambda(config.lambda_method, cost, block.penalty) if per_constraint else base
-        multiplier = config.hard_multiplier if block.hardness == "hard" else config.weak_multiplier
-        value = value * multiplier
+        if block.hardness == "weak":
+            value *= WEAK_MULTIPLIER
         if not value > 0:
             value = 1.0  # degenerate objective (e.g. constant); keep the penalty active
         block.lam = value

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from qubo_forge.expression import Comparison, Polynomial
-from qubo_forge.problem import ConstraintDecl, VariableDecl, VariableKind
+from qubo_forge.problem import ConstraintDecl, VariableDecl, VariableKind, check_encoding
 
 _EPS = 1e-9
-
-CONTINUOUS_ENCODINGS = ("dictionary", "logarithmic", "unitary", "arithmetic", "domain_wall", "bounded")
 
 
 def _clean(value: float) -> float:
@@ -97,8 +95,7 @@ def encode_range(
     Also used for slack variables, which are just anonymous continuous
     ranges.
     """
-    if method not in CONTINUOUS_ENCODINGS:
-        raise ValueError(f"unknown continuous encoding {method!r}; expected one of {CONTINUOUS_ENCODINGS}")
+    check_encoding(source, method, base, bound)
     span = high - low
     if not span > 0:
         raise ValueError(f"empty range [{low}, {high}] for '{source}'")
@@ -110,8 +107,6 @@ def encode_range(
         return _dictionary_plan(source, values, offset=0.0)
 
     if method == "logarithmic":
-        if base < 2:
-            raise ValueError(f"logarithmic base must be >= 2, got {base}")
         weights = _log_weights(span, precision, base, cap=None)
     elif method == "unitary":
         count = max(1, math.ceil(span / precision - _EPS))
@@ -148,8 +143,6 @@ def encode_range(
         binaries = tuple(zip(names, (_clean(w) for w in weights)))
         return EncodingPlan(source=source, binaries=binaries, offset=low, induced=induced)
     else:  # bounded coefficient
-        if bound is None:
-            raise ValueError(f"bounded-coefficient encoding of '{source}' needs a coefficient bound")
         if bound < precision - _EPS:
             raise ValueError(f"coefficient bound {bound} is below the precision {precision}")
         weights = _log_weights(span, precision, 2, cap=bound)

@@ -30,13 +30,14 @@ COMPARISON_OPS = ("=", ">=", ">", "<=", "<")
 # How far the exact left-hand side may miss a non-strict bound and still hold.
 FEASIBILITY_TOL = 1e-9
 
-# The largest exponent the parser accepts, and the largest degree a power may reach (so nested
-# powers cannot multiply past it).  A degree-16 power of one encoded variable already expands to
-# thousands of terms; larger exponents only make the parser run away.
+# The largest exponent the parser accepts, and the largest degree a power or a product may reach
+# (so nested powers and chained factors cannot multiply past it).  A degree-16 power of one encoded
+# variable already expands to thousands of terms; larger exponents only make the parser run away.
 MAX_EXPONENT = 16
 
-# The most terms a power may expand to, bounded before it is expanded: a ``t``-term base to the
-# ``k`` has at most ``C(t + k - 1, k)`` terms, so a short power of a long sum cannot stall the parser.
+# The most terms a power or a product of two sums may expand to, bounded before it is expanded: a
+# ``t``-term base to the ``k`` has at most ``C(t + k - 1, k)`` terms, and a product of ``s`` and
+# ``t`` terms at most ``s * t``, so a short text of long sums cannot stall the parser.
 MAX_POWER_TERMS = 10_000
 
 # What the tokenizer reads as a variable name (declarations must match it whole) and as a number.
@@ -431,7 +432,17 @@ class _Parser:
                 return result
             if token[1] == "*":
                 self.advance()
-                result = _finite(result * self.parse_factor(), token)
+                factor = self.parse_factor()
+                degree = result.degree() + factor.degree()
+                if degree > MAX_EXPONENT:
+                    raise ParseError(f"a product of degree {degree} is above the largest accepted, {MAX_EXPONENT}", token[2])
+                if len(result) > 1 and len(factor) > 1 and len(result) * len(factor) > MAX_POWER_TERMS:
+                    raise ParseError(
+                        f"a product of {len(result)} and {len(factor)} terms can expand to "
+                        f"{len(result) * len(factor)} terms, above the largest accepted, {MAX_POWER_TERMS}",
+                        token[2],
+                    )
+                result = _finite(result * factor, token)
             elif token[1] == "/":
                 raise ParseError("division is not supported; only polynomial expressions are accepted", token[2])
             else:

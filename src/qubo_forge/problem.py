@@ -28,6 +28,8 @@ PROBLEM_SCHEMA = "qubo-forge-problem/1"
 
 BOOLEAN_KINDS = ("not", "and", "or", "xor")
 
+CONTINUOUS_ENCODINGS = ("dictionary", "logarithmic", "unitary", "arithmetic", "domain_wall", "bounded")
+
 
 class ProblemFileError(ValueError):
     """A problem file whose JSON does not have the documented shape; ``path`` names the place."""
@@ -67,6 +69,20 @@ class VariableDecl:
         if self.kind is VariableKind.DISCRETE:
             return (min(self.levels), max(self.levels))
         return (self.low, self.high)
+
+
+def check_encoding(source: str, method: str, base: int, bound: float | None) -> None:
+    """Refuse a continuous encoding that cannot be built.
+
+    That is an unknown method, a logarithmic base below 2, or a bounded-coefficient
+    encoding without its bound.  Declarations check it, and so does ``encoding.encode_range``.
+    """
+    if method not in CONTINUOUS_ENCODINGS:
+        raise ValueError(f"unknown continuous encoding {method!r}; expected one of {CONTINUOUS_ENCODINGS}")
+    if method == "logarithmic" and base < 2:
+        raise ValueError(f"logarithmic base must be >= 2, got {base}")
+    if method == "bounded" and bound is None:
+        raise ValueError(f"bounded-coefficient encoding of '{source}' needs a coefficient bound")
 
 
 @dataclass(frozen=True)
@@ -230,6 +246,7 @@ class Problem:
             raise ValueError(f"continuous variable '{name}' needs low < high, got [{low}, {high}]")
         if not 0 < precision <= high - low:
             raise ValueError(f"precision must be in (0, high - low], got {precision}")
+        check_encoding(name, encoding, base, bound)
         return self._register(
             VariableDecl(
                 name=name,
@@ -471,7 +488,13 @@ _VARIABLE_FIELDS = {
     "base": "integer",
     "bound": "number or null",
 }
-_KIND_FIELDS = {"binary": (), "bipolar": (), "discrete": ("levels",), "continuous": ("low", "high", "precision")}
+# The keys each variable kind takes besides name and kind, as (required, optional); it refuses the rest.
+_KIND_FIELDS = {
+    "binary": ((), ()),
+    "bipolar": ((), ()),
+    "discrete": (("levels",), ()),
+    "continuous": (("low", "high", "precision"), ("encoding", "base", "bound")),
+}
 _OBJECTIVE_FIELDS = {"expression": "string", "direction": "string", "weight": "number"}
 _CONSTRAINT_FIELDS = {
     "comparison": "string",
@@ -495,9 +518,14 @@ def _check_problem_file(data: Any) -> None:
     for index, entry in enumerate(data.get("variables", [])):
         path = f"variables[{index}]"
         _check_fields(entry, path, _VARIABLE_FIELDS, ("name", "kind"))
-        if entry["kind"] not in _KIND_FIELDS:
-            raise ProblemFileError(f"{path}.kind", f"unknown variable kind {entry['kind']!r}")
-        _require(entry, path, _KIND_FIELDS[entry["kind"]])
+        kind = entry["kind"]
+        if kind not in _KIND_FIELDS:
+            raise ProblemFileError(f"{path}.kind", f"unknown variable kind {kind!r}")
+        required, optional = _KIND_FIELDS[kind]
+        _require(entry, path, required)
+        for key in entry:
+            if key not in ("name", "kind", *required, *optional):
+                raise ProblemFileError(f"{path}.{key}", f"not a key of a {kind} variable")
         for position, level in enumerate(entry.get("levels", [])):
             _expect(level, "number", f"{path}.levels[{position}]")
     for index, entry in enumerate(data.get("objectives", [])):

@@ -24,7 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,6 +38,8 @@ UPDATE_KINDS = ("sequential", "scaled", "binary-search")
 
 _LOW_BITS = 16  # exhaustive enumeration runs through 2**16 low-bit assignments per block
 _SA_BLOCK = 16  # simulated annealing defers local-field updates across blocks of this many spins
+_BETA_START, _BETA_END = 0.1, 10.0  # SA inverse temperatures, divided by the largest coefficient magnitude
+_QAOA_MAX_ITERS = 400  # L-BFGS-B iterations per QAOA angle-search start
 
 
 def __getattr__(name: str):
@@ -59,16 +61,10 @@ class SolverParams:
     record_time: bool = False
     # simulated annealing
     sweeps: int = 1000
-    beta_start: float = 0.1
-    beta_end: float = 10.0
-    beta_autoscale: bool = True
     # qaoa statevector simulation
     layers: int = 2
     shots: int = 200
-    max_optimizer_iters: int = 400
-    initial_angles: Sequence[float] | None = None
     # exhaustive
-    exhaustive_cap: int = EXHAUSTIVE_DEFAULT_CAP
     k_best: int = 1000
 
     def __post_init__(self):
@@ -76,18 +72,10 @@ class SolverParams:
             raise ValueError("runs must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if not (math.isfinite(self.beta_start) and math.isfinite(self.beta_end)):
-            raise ValueError("beta_start and beta_end must be finite")
-        if self.beta_start <= 0:
-            raise ValueError("beta_start must be positive")
-        if not self.beta_start < self.beta_end:
-            raise ValueError("beta_start must be below beta_end")
         if self.layers < 1:
             raise ValueError("QAOA needs at least one layer")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.max_optimizer_iters < 1:
-            raise ValueError("max_optimizer_iters must be >= 1")
         if self.k_best < 1:
             raise ValueError("k_best must be >= 1")
 
@@ -232,8 +220,8 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
     params = params or SolverParams()
     arrays = model.arrays
     n = len(arrays.order)
-    if n > params.exhaustive_cap:
-        raise ValueError(f"exhaustive solver handles at most {params.exhaustive_cap} binaries, model has {n}")
+    if n > EXHAUSTIVE_DEFAULT_CAP:
+        raise ValueError(f"exhaustive solver handles at most {EXHAUSTIVE_DEFAULT_CAP} binaries, model has {n}")
     started = time.monotonic()
     k_best = min(params.k_best, 2**n)
     top_indices = np.empty(0, dtype=np.int64)
@@ -287,14 +275,13 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     couplings[arrays.rows, arrays.cols] = arrays.values
     couplings += couplings.T
 
-    scale = 1.0
-    if params.beta_autoscale:  # largest coefficient magnitude; 1.0 when the model has no terms
-        scale = float(np.abs(np.concatenate([arrays.linear, arrays.values])).max(initial=0.0)) or 1.0
+    # largest coefficient magnitude; 1.0 when the model has no terms
+    scale = float(np.abs(np.concatenate([arrays.linear, arrays.values])).max(initial=0.0)) or 1.0
     if params.sweeps > 1:
-        ratio = (params.beta_end / params.beta_start) ** (1.0 / (params.sweeps - 1))
-        betas = [params.beta_start * ratio**t / scale for t in range(params.sweeps)]
+        ratio = (_BETA_END / _BETA_START) ** (1.0 / (params.sweeps - 1))
+        betas = [_BETA_START * ratio**t / scale for t in range(params.sweeps)]
     else:
-        betas = [params.beta_end / scale]
+        betas = [_BETA_END / scale]
 
     started = time.monotonic()
     rngs = [np.random.default_rng(params.seed + run) for run in range(runs)]
@@ -443,25 +430,18 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
         return _qaoa_objective(energies, phase, n, angles)
 
     p = params.layers
-    if params.initial_angles is not None:
-        starts = [np.asarray(params.initial_angles, dtype=float)]
-        if starts[0].shape != (2 * p,):
-            raise ValueError(f"initial_angles needs {2 * p} values (gamma, beta per layer)")
-    else:
-        starts = []
-        for gamma_max, beta_max in ((0.6, 0.8), (1.2, 0.5), (2.4, 1.1)):
-            angles = np.empty(2 * p)
-            for layer in range(p):
-                angles[2 * layer] = gamma_max * (layer + 1) / p  # annealing-style ramps
-                angles[2 * layer + 1] = beta_max * (1 - layer / p)
-            starts.append(angles)
+    starts = []
+    for gamma_max, beta_max in ((0.6, 0.8), (1.2, 0.5), (2.4, 1.1)):
+        angles = np.empty(2 * p)
+        for layer in range(p):
+            angles[2 * layer] = gamma_max * (layer + 1) / p  # annealing-style ramps
+            angles[2 * layer + 1] = beta_max * (1 - layer / p)
+        starts.append(angles)
 
     optimize = sys.modules[__name__].minimize  # module attribute, so it can be replaced from outside
     best_angles, best_value, converged = starts[0], math.inf, False
     for start in starts:
-        result = optimize(
-            objective, start, jac=True, method="L-BFGS-B", options={"maxiter": params.max_optimizer_iters}
-        )
+        result = optimize(objective, start, jac=True, method="L-BFGS-B", options={"maxiter": _QAOA_MAX_ITERS})
         converged = converged or bool(result.success)
         if result.fun < best_value:
             best_value, best_angles = float(result.fun), result.x
@@ -551,16 +531,13 @@ def solve_with_lambda_update(
     solver: str,
     params: SolverParams | None = None,
     strategy: UpdateStrategy | None = None,
-    include_weak: bool = False,
-    update_all: bool = False,
 ) -> LambdaUpdateResult:
     """Compile / solve / check loop that grows penalty weights until valid.
 
     Each trial solves the compiled model and checks the hard constraints on
-    the best solution; if any are violated, their weights (or all weights,
-    with ``update_all``) are increased and the problem is recompiled with the
-    new values as manual lambdas.  Trial exhaustion is reported through the
-    ``valid`` flag rather than raised.
+    the best solution; if any are violated, their weights are increased and
+    the problem is recompiled with the new values as manual lambdas.  Trial
+    exhaustion is reported through the ``valid`` flag rather than raised.
     """
     from qubo_forge.analysis import check_model_constraints  # local import avoids a cycle
 
@@ -572,11 +549,7 @@ def solve_with_lambda_update(
         trials += 1
         solution = solve(model, solver, params)
         results = check_model_constraints(model, solution.best_binary, solution.best_decoded)
-        violated = [
-            r.block_index
-            for r in results
-            if not r.satisfied and (r.hardness == "hard" or include_weak)
-        ]
+        violated = [r.block_index for r in results if not r.satisfied and r.hardness == "hard"]
         if not violated or trials >= strategy.max_trials:
             return LambdaUpdateResult(
                 solution=solution,
@@ -586,8 +559,7 @@ def solve_with_lambda_update(
                 valid=not violated,
             )
         lambdas = model.lambdas()
-        targets = range(len(lambdas)) if update_all else violated
-        for index in targets:
+        for index in violated:
             if lambdas[index] < strategy.lambda_max:
                 lambdas[index] = next_lambda(lambdas[index], strategy)
         retry_config = replace(config, lambda_method="manual", manual_lambdas=lambdas)

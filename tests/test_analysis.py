@@ -51,15 +51,17 @@ class TestCheckConstraints:
         assert not results[0].satisfied
         assert results[0].residual == pytest.approx(sum(instance.w_arr) - instance.w_max)  # excess 7
 
-    def test_weak_constraints_skipped_unless_flagged(self):
+    def test_weak_constraints_are_reported_with_their_hardness(self):
         problem = Problem()
         problem.add_binary_variable("x")
         problem.add_objective("x")
         problem.add_constraint("x >= 1", hardness="weak")
+        problem.add_constraint("x <= 1")
         problem.freeze()
-        assert check_constraints({"x": 0.0}, problem) == []
-        flagged = check_constraints({"x": 0.0}, problem, include_weak=True)
-        assert len(flagged) == 1 and not flagged[0].satisfied
+        weak, hard = check_constraints({"x": 0.0}, problem)
+        assert (weak.hardness, weak.satisfied, weak.block_index) == ("weak", False, 0)
+        assert (hard.hardness, hard.satisfied, hard.block_index) == ("hard", True, 1)
+        assert solution_is_valid(compile_problem(problem), {"x#0": 0})  # validity reads the hard ones only
 
     def test_boundary_grid_point_tolerated(self):
         # a boundary grid value with float noise is within FEASIBILITY_TOL
@@ -242,12 +244,11 @@ class TestValidRate:
         }[name]()
         model = compile_problem(problem)
         solution = solve_exhaustive(model, SolverParams(k_best=600))  # valid and invalid samples alike
-        for include_weak in (False, True):
-            count = sum(
-                solution_is_valid(model, binary, decoded, include_weak)
-                for (binary, _), decoded in zip(solution.samples, solution.decoded)
-            )
-            assert valid_rate(model, solution, include_weak) == 100.0 * count / len(solution.samples)
+        count = sum(
+            solution_is_valid(model, binary, decoded)
+            for (binary, _), decoded in zip(solution.samples, solution.decoded)
+        )
+        assert valid_rate(model, solution) == 100.0 * count / len(solution.samples)
 
 
 class TestAnalyzeAndPersist:

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -246,6 +247,26 @@ class TestSolveCommand:
                 },
                 "error: a power of 8 terms to the 16 can expand to 245157 terms",
             ),
+            (
+                {
+                    "variables": [{"name": name, "kind": "binary"} for name in "abcdefgh"],
+                    "objectives": [{"expression": "*".join(["(a+b+c+d+e+f+g+h)"] * 12)}],
+                    "constraints": [],
+                },
+                "error: a product of 1716 and 8 terms can expand to 13728 terms",
+            ),
+            (
+                {"variables": [{"name": "obj_0", "kind": "binary", "encoding": "unitary", "levels": [1, 2]}]},
+                "error: problem file: variables[0].encoding: not a key of a binary variable",
+            ),
+            (
+                {
+                    "variables": [{"name": "c", "kind": "continuous", "low": 0, "high": 1, "precision": 0.5, "encoding": "bogus"}],
+                    "objectives": [{"expression": "c"}],
+                    "constraints": [],
+                },
+                "error: unknown continuous encoding 'bogus'",
+            ),
         ],
     )
     def test_pinned_robustness_cases_are_error_lines(self, change, message, tmp_path, capsys):
@@ -326,6 +347,18 @@ class TestOptionTable:
             strategy.lambda_max,
             strategy.max_trials,
         )
+
+    def test_every_library_setting_is_a_flag(self, mixed_problem_file):
+        # A setting no caller sets is an untested configuration; compare sets k_best itself.
+        argv = ["--runs", "3", "--seed", "4", "--time", "--sweeps", "5", "--layers", "6", "--shots", "7"]
+        argv += ["--lambda-method", "manual", "--lambda-value", "2.5"]
+        args = build_parser().parse_args(["solve", str(mixed_problem_file), *argv])
+        options = _resolve_options(args, Problem.load(mixed_problem_file))
+        params = _solver_params(options)
+        settings = {field.name: getattr(params, field.name) for field in fields(SolverParams) if field.name != "k_best"}
+        assert settings == {"runs": 3, "seed": 4, "record_time": True, "sweeps": 5, "layers": 6, "shots": 7}
+        assert {field.name for field in fields(CompileConfig)} == {"lambda_method", "manual_lambdas"}
+        assert _compile_config(options) == CompileConfig(lambda_method="manual", manual_lambdas=2.5)
 
 
 class TestCompareCommand:

@@ -263,7 +263,7 @@ class TestLambdaEstimation:
         problem.add_objective("x_0 + x_1")
         problem.add_constraint("x_0 + x_1 >= 1", hardness="weak")
         problem.freeze()
-        model = compile_problem(problem, CompileConfig(lambda_method="vlm", weak_multiplier=0.3))
+        model = compile_problem(problem, CompileConfig(lambda_method="vlm"))
         assert model.penalties[0].lam == pytest.approx(0.3 * 1.0)
 
     def test_manual_values(self, mixed_problem):

@@ -134,6 +134,19 @@ class TestRunawayAndNonFiniteInput:
         with pytest.raises(ParseError, match="can expand to 11440 terms"):
             parse_expression("(a+b+c+d+e+f+g+h)^9", names)
 
+    def test_products_are_bounded_like_powers(self):
+        names = list("abcdefgh")
+        twelve = "*".join(["(a+b+c+d+e+f+g+h)"] * 12)
+        with time_limit(1.0), pytest.raises(ParseError, match="a product of 1716 and 8 terms can expand to 13728") as info:
+            parse_expression(twelve, names)
+        assert info.value.position == 107  # the sixth "*": six factors hold 1,716 terms
+        with time_limit(1.0), pytest.raises(ParseError, match="a product of degree 17 is above") as info:
+            parse_expression("*".join(["c"] * 20), ["c"])
+        assert info.value.position == 31  # the sixteenth "*"
+        with time_limit(1.0):
+            assert parse_expression("*".join(["c"] * MAX_EXPONENT), ["c"]).terms == {("c",) * MAX_EXPONENT: 1.0}
+            assert len(parse_expression("*".join(["(a+b+c+d+e+f+g+h)"] * 6), names)) == math.comb(8 + 6 - 1, 6)
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(alphabet="x21.e^*+-() ", max_size=24))
     def test_any_text_parses_or_raises_parse_error_within_a_second(self, text):

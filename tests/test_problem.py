@@ -84,6 +84,20 @@ class TestVariableDeclaration:
         with pytest.raises(ValueError, match=message):
             call(Problem())
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"encoding": "bogus"}, "unknown continuous encoding 'bogus'"),
+            ({"base": 1}, "logarithmic base must be >= 2, got 1"),
+            ({"encoding": "bounded"}, "bounded-coefficient encoding of 'c' needs a coefficient bound"),
+        ],
+    )
+    def test_encoding_options_are_checked_at_the_declaration(self, options, message):
+        problem = Problem()
+        with time_limit(1.0), pytest.raises(ValueError, match=message):
+            problem.add_continuous_variable("c", 0, 1, 0.25, **options)
+        assert problem.variable_names() == set()
+
     @pytest.mark.parametrize("name", ["a-b", "x#0", "x y", "é", "", "1x"])
     def test_names_must_be_parser_identifiers(self, name):
         # "a-b" would read back as a - b and "x#0" would shadow the encoding binary of x
@@ -372,6 +386,21 @@ class TestProblemFileShape:
         data = self.document()
         misspell(data)
         with time_limit(1.0), pytest.raises(ProblemFileError, match="unknown key") as info:
+            Problem.from_json_dict(data)
+        assert info.value.path == path
+
+    @pytest.mark.parametrize(
+        "variable, path, kind",
+        [
+            ({"name": "x", "kind": "binary", "encoding": "unitary", "levels": [1, 2]}, "variables[0].encoding", "binary"),
+            ({"name": "x", "kind": "bipolar", "low": 0}, "variables[0].low", "bipolar"),
+            ({"name": "x", "kind": "discrete", "levels": [1, 2], "precision": 0.5}, "variables[0].precision", "discrete"),
+            ({"name": "x", "kind": "continuous", "low": 0, "high": 1, "precision": 0.5, "levels": [0]}, "variables[0].levels", "continuous"),
+        ],
+    )
+    def test_keys_of_another_kind_are_refused(self, variable, path, kind):
+        data = {"schema": "qubo-forge-problem/1", "variables": [variable], "objectives": [{"expression": "x"}]}
+        with time_limit(1.0), pytest.raises(ProblemFileError, match=f"not a key of a {kind} variable") as info:
             Problem.from_json_dict(data)
         assert info.value.path == path
 
