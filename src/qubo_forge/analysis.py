@@ -75,15 +75,14 @@ def solution_is_valid(
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
 ) -> bool | np.ndarray:
-    """Whether every hard declaration holds on the binaries plus decoded values.
+    """Whether every hard result of ``check_model_constraints`` holds.
 
     The values may be columns, one entry per sample; the result is then a boolean array.
     """
-    values = {**binary, **(decoded if decoded is not None else model.decode(binary))}
     valid = True
-    for block in model.penalties:
-        if block.hardness == "hard":
-            valid = valid & block.constraint.evaluate(values)[0]
+    for check in check_model_constraints(model, binary, decoded):
+        if check.hardness == "hard":
+            valid = valid & check.satisfied
     return valid
 
 
@@ -116,8 +115,7 @@ def time_to_solution(t_f: float, p_conf: float, p_range_fraction: float) -> floa
     edge conventions: +inf when the target was never reached, ``t_f`` when it
     is reached every run.
     """
-    if not 0 < p_conf < 1:
-        raise ValueError("p_conf must be in (0, 1)")
+    _check_p_conf(p_conf)
     if not 0 <= p_range_fraction <= 1:
         raise ValueError("p_range fraction must be in [0, 1]")
     if p_range_fraction == 0:
@@ -125,6 +123,11 @@ def time_to_solution(t_f: float, p_conf: float, p_range_fraction: float) -> floa
     if p_range_fraction == 1:
         return t_f
     return t_f * math.log(1 - p_conf) / math.log(1 - p_range_fraction)
+
+
+def _check_p_conf(p_conf: float) -> None:
+    if not 0 < p_conf < 1:
+        raise ValueError(f"p_conf must be in (0, 1), got {p_conf}")
 
 
 def cumulative_distribution(energies: Sequence[float]) -> list[tuple[float, float]]:
@@ -149,6 +152,7 @@ def analyze(
     p_conf: float = 0.99,
 ) -> AnalysisReport:
     """Score a solution set: validity, best-solution checks, distribution, optional TTS."""
+    _check_p_conf(p_conf)  # on every call, not only when a TTS is computed
     report = AnalysisReport(
         valid_rate=valid_rate(model, solution),
         objective_values=objective_values(solution.best_decoded, problem),
@@ -247,6 +251,11 @@ def save_report(
         "report": None if report is None else report_to_dict(report),
         "meta": meta or {},
     }
+    write_rounded_json(path, payload)
+
+
+def write_rounded_json(path: str | Path, payload: Any) -> None:
+    """Write ``payload`` as sorted, indented JSON with every float at 12 significant digits."""
     Path(path).write_text(json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n")
 
 

@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from qubo_forge.analysis import analyze, report_to_dict, save_report, write_cumulative_csv
+from qubo_forge.analysis import analyze, report_to_dict, save_report, write_cumulative_csv, write_rounded_json
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.expression import NUMBER, Polynomial, format_float
-from qubo_forge.problem import Problem, _expect
+from qubo_forge.problem import Problem, ProblemFileError, _expect
 from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve, solve_with_lambda_update
 
 
@@ -159,23 +159,23 @@ _UPDATE_STRATEGY = UpdateStrategy()
 LAMBDA_UPDATES = ("none",) + UPDATE_KINDS
 _NEGATIVE_NUMBER = re.compile(f"-(?:{NUMBER})")
 
-# Built-in option values, taken from the library's own defaults, and the JSON type
-# each takes in a problem file's solver section (which also sets the flag's type).
+# Each option's built-in value (the library's own default), the JSON type it takes in a problem
+# file's solver section (which also sets the flag's type), its help text, and its choices.
 _OPTION_DEFAULTS = {
-    "solver": ("sa", "string"),
-    "runs": (_SOLVER_PARAMS.runs, "integer"),
-    "seed": (_SOLVER_PARAMS.seed, "integer"),
-    "sweeps": (_SOLVER_PARAMS.sweeps, "integer"),
-    "layers": (_SOLVER_PARAMS.layers, "integer"),
-    "shots": (_SOLVER_PARAMS.shots, "integer"),
-    "lambda_method": (CompileConfig().lambda_method, "string"),
-    "lambda_value": (None, "number or null"),
-    "lambda_update": ("none", "string"),
-    "lambda_max": (_UPDATE_STRATEGY.lambda_max, "number"),
-    "trials": (_UPDATE_STRATEGY.max_trials, "integer"),
-    "val_ref": (None, "number or null"),
-    "p_conf": (inspect.signature(analyze).parameters["p_conf"].default, "number"),
-    "time": (False, "boolean"),
+    "solver": ("sa", "string", "solver to run", sorted(SOLVERS)),
+    "runs": (_SOLVER_PARAMS.runs, "integer", "independent runs", None),
+    "seed": (_SOLVER_PARAMS.seed, "integer", "base RNG seed", None),
+    "sweeps": (_SOLVER_PARAMS.sweeps, "integer", "SA sweeps per run", None),
+    "layers": (_SOLVER_PARAMS.layers, "integer", "QAOA layers p", None),
+    "shots": (_SOLVER_PARAMS.shots, "integer", "QAOA shots per run", None),
+    "lambda_method": (CompileConfig().lambda_method, "string", "penalty-weight estimation method", LAMBDA_METHODS),
+    "lambda_value": (None, "number or null", "penalty weight for --lambda-method manual", None),
+    "lambda_update": ("none", "string", "retry strategy when the best solution violates a hard constraint", LAMBDA_UPDATES),
+    "lambda_max": (_UPDATE_STRATEGY.lambda_max, "number", "cap for updated penalty weights", None),
+    "trials": (_UPDATE_STRATEGY.max_trials, "integer", "max solve attempts with --lambda-update", None),
+    "val_ref": (None, "number or null", "reference energy for p_range", None),
+    "p_conf": (inspect.signature(analyze).parameters["p_conf"].default, "number", "TTS confidence level", None),
+    "time": (False, "boolean", "record per-run wall time (enables TTS)", None),
 }
 _FLAG_TYPES = {"integer": int, "number": float, "number or null": float, "string": str}
 
@@ -183,29 +183,13 @@ _FLAG_TYPES = {"integer": int, "number": float, "number or null": float, "string
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     # Flag defaults are None so the problem file's optional "solver" section
     # can fill values in; explicit flags always win (see _resolve_options).
-    def flag(name: str, text: str, **kwargs) -> None:
-        default, kind = _OPTION_DEFAULTS[name[2:].replace("-", "_")]
+    for key, (default, kind, text, choices) in _OPTION_DEFAULTS.items():
         if kind == "boolean":
-            kwargs["action"] = "store_true"
+            kwargs = {"action": "store_true"}
         else:
-            kwargs["type"] = _FLAG_TYPES[kind]
+            kwargs = {"type": _FLAG_TYPES[kind], "choices": choices}
             text += "" if default is None else f" (default: {default})"
-        parser.add_argument(name, help=text, default=None, **kwargs)
-
-    flag("--solver", "solver to run", choices=sorted(SOLVERS))
-    flag("--runs", "independent runs")
-    flag("--seed", "base RNG seed")
-    flag("--sweeps", "SA sweeps per run")
-    flag("--layers", "QAOA layers p")
-    flag("--shots", "QAOA shots per run")
-    flag("--lambda-method", "penalty-weight estimation method", choices=LAMBDA_METHODS)
-    flag("--lambda-value", "penalty weight for --lambda-method manual")
-    flag("--lambda-update", "retry strategy when the best solution violates a hard constraint", choices=LAMBDA_UPDATES)
-    flag("--lambda-max", "cap for updated penalty weights")
-    flag("--trials", "max solve attempts with --lambda-update")
-    flag("--val-ref", "reference energy for p_range")
-    flag("--p-conf", "TTS confidence level")
-    flag("--time", "record per-run wall time (enables TTS)")
+        parser.add_argument(f"--{key.replace('_', '-')}", help=text, default=None, **kwargs)
     parser.add_argument("--out-dir", default=".", help="output directory (QUBO_FORGE_OUT overrides)")
 
 
@@ -216,15 +200,13 @@ def _resolve_options(args: argparse.Namespace, problem: Problem) -> dict:
     if unknown:
         raise ValueError(f"unknown option(s) in the problem's solver section: {', '.join(unknown)}")
     options = {}
-    for key, (fallback, kind) in _OPTION_DEFAULTS.items():
+    for key, (fallback, kind, _, choices) in _OPTION_DEFAULTS.items():
         if key in section:
             _expect(section[key], kind, f"solver.{key}")
+            if choices is not None and section[key] not in choices:
+                raise ProblemFileError(f"solver.{key}", f"expected one of {', '.join(choices)}, got {section[key]!r}")
         flag = getattr(args, key)
         options[key] = flag if flag is not None else section.get(key, fallback)
-    if options["solver"] not in SOLVERS:
-        raise ValueError(f"unknown solver {options['solver']!r}")
-    if options["lambda_update"] not in LAMBDA_UPDATES:
-        raise ValueError(f"unknown lambda-update strategy {options['lambda_update']!r}")
     return options
 
 
@@ -293,7 +275,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "trials": outcome.trials,
     }
     save_report(out / f"{stem}.solution.json", solution, report, meta)
-    (out / f"{stem}.report.json").write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    write_rounded_json(out / f"{stem}.report.json", report_to_dict(report))
     (out / f"{stem}.model.json").write_text(json.dumps(model.to_json_dict(), indent=2, sort_keys=True) + "\n")
     model.save_matrix(out / f"{stem}.matrix.txt")
     write_cumulative_csv(out / f"{stem}.{options['solver']}.cdf.csv", report.cumulative)
@@ -331,7 +313,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         entry = {"solver": name, "best_energy": solution.best_energy}
         summary.append(entry | {key: row[key] for key in ("valid_rate", "p_range", "tts")})
 
-    (out / f"{stem}.compare.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_rounded_json(out / f"{stem}.compare.json", summary)
     header = f"{'solver':<12} {'best':>12} {'valid%':>8} {'p_range%':>9} {'tts[s]':>10}"
     print(header)
     print("-" * len(header))

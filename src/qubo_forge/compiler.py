@@ -184,9 +184,6 @@ class QuboModel:
         """Recover the declared variables' values from a binary assignment."""
         return {plan.source: plan.decode(assignment) for plan in self.encodings}
 
-    def encoding_valid(self, assignment: dict[str, int]) -> bool:
-        return all(plan.encoding_valid(assignment) for plan in self.encodings)
-
     def lambdas(self) -> list[float]:
         return [block.lam for block in self.penalties]
 

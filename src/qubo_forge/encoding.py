@@ -95,7 +95,7 @@ def encode_range(
     Also used for slack variables, which are just anonymous continuous
     ranges.
     """
-    check_encoding(source, method, base, bound)
+    check_encoding(source, method, base, bound, precision)
     span = high - low
     if not span > 0:
         raise ValueError(f"empty range [{low}, {high}] for '{source}'")
@@ -143,8 +143,6 @@ def encode_range(
         binaries = tuple(zip(names, (_clean(w) for w in weights)))
         return EncodingPlan(source=source, binaries=binaries, offset=low, induced=induced)
     else:  # bounded coefficient
-        if bound < precision - _EPS:
-            raise ValueError(f"coefficient bound {bound} is below the precision {precision}")
         weights = _log_weights(span, precision, 2, cap=bound)
 
     binaries = tuple((f"{source}#{k}", _clean(w)) for k, w in enumerate(weights))

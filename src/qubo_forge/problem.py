@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,11 +71,11 @@ class VariableDecl:
         return (self.low, self.high)
 
 
-def check_encoding(source: str, method: str, base: int, bound: float | None) -> None:
+def check_encoding(source: str, method: str, base: int, bound: float | None, precision: float) -> None:
     """Refuse a continuous encoding that cannot be built.
 
-    That is an unknown method, a logarithmic base below 2, or a bounded-coefficient
-    encoding without its bound.  Declarations check it, and so does ``encoding.encode_range``.
+    That is an unknown method, a logarithmic base below 2, or a bounded-coefficient encoding without
+    its bound or with one below the precision.  Declarations check it, and so does ``encoding.encode_range``.
     """
     if method not in CONTINUOUS_ENCODINGS:
         raise ValueError(f"unknown continuous encoding {method!r}; expected one of {CONTINUOUS_ENCODINGS}")
@@ -83,6 +83,8 @@ def check_encoding(source: str, method: str, base: int, bound: float | None) -> 
         raise ValueError(f"logarithmic base must be >= 2, got {base}")
     if method == "bounded" and bound is None:
         raise ValueError(f"bounded-coefficient encoding of '{source}' needs a coefficient bound")
+    if method == "bounded" and bound < precision - 1e-9:  # the encoder's float tolerance
+        raise ValueError(f"coefficient bound {bound} is below the precision {precision}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ class Problem:
             raise ValueError(f"continuous variable '{name}' needs low < high, got [{low}, {high}]")
         if not 0 < precision <= high - low:
             raise ValueError(f"precision must be in (0, high - low], got {precision}")
-        check_encoding(name, encoding, base, bound)
+        check_encoding(name, encoding, base, bound, precision)
         return self._register(
             VariableDecl(
                 name=name,
@@ -260,46 +262,32 @@ class Problem:
             )
         )
 
-    def _array_names(self, name: str, shape: Sequence[int]) -> list:
+    def _add_array(self, add: Callable[..., str], name: str, shape: Sequence[int], *args: Any, **kwargs: Any) -> list:
+        """Declare ``name_i`` (1-D) or ``name_i_j`` (2-D) through ``add``; return the names in the array's shape."""
         if len(shape) not in (1, 2) or any(int(s) <= 0 for s in shape):
             raise ValueError("arrays must be 1-D or 2-D with positive extents")
         if len(shape) == 1:
-            return [f"{name}_{i}" for i in range(int(shape[0]))]
-        return [[f"{name}_{i}_{j}" for j in range(int(shape[1]))] for i in range(int(shape[0]))]
+            names = [f"{name}_{i}" for i in range(int(shape[0]))]
+        else:
+            names = [[f"{name}_{i}_{j}" for j in range(int(shape[1]))] for i in range(int(shape[0]))]
+        for flat in _flatten(names):
+            add(flat, *args, **kwargs)
+        return names
 
     def add_binary_variables_array(self, name: str, shape: Sequence[int]) -> list:
-        names = self._array_names(name, shape)
-        for flat in _flatten(names):
-            self.add_binary_variable(flat)
-        return names
+        return self._add_array(self.add_binary_variable, name, shape)
 
     def add_bipolar_variables_array(self, name: str, shape: Sequence[int]) -> list:
-        names = self._array_names(name, shape)
-        for flat in _flatten(names):
-            self.add_bipolar_variable(flat)
-        return names
+        return self._add_array(self.add_bipolar_variable, name, shape)
 
     def add_discrete_variables_array(self, name: str, shape: Sequence[int], levels: Sequence[float]) -> list:
-        names = self._array_names(name, shape)
-        for flat in _flatten(names):
-            self.add_discrete_variable(flat, levels)
-        return names
+        return self._add_array(self.add_discrete_variable, name, shape, levels)
 
     def add_continuous_variables_array(
-        self,
-        name: str,
-        shape: Sequence[int],
-        low: float,
-        high: float,
-        precision: float,
-        encoding: str = "logarithmic",
-        base: int = 2,
-        bound: float | None = None,
+        self, name: str, shape: Sequence[int], low: float, high: float, precision: float, **encoding: Any
     ) -> list:
-        names = self._array_names(name, shape)
-        for flat in _flatten(names):
-            self.add_continuous_variable(flat, low, high, precision, encoding, base, bound)
-        return names
+        """``encoding`` takes the keyword options of ``add_continuous_variable``."""
+        return self._add_array(self.add_continuous_variable, name, shape, low, high, precision, **encoding)
 
     # -- objectives and constraints ----------------------------------------
 
@@ -407,46 +395,19 @@ class Problem:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "Problem":
-        """Build a problem from a parsed problem file; its shape is checked before anything is built."""
-        _check_problem_file(data)
+        """Build a problem from a parsed problem file through its builders; the shape is checked first."""
+        data = _check_problem_file(data)
         problem = cls()
-        for entry in data.get("variables", []):
-            kind = entry["kind"]
-            if kind == "binary":
-                problem.add_binary_variable(entry["name"])
-            elif kind == "bipolar":
-                problem.add_bipolar_variable(entry["name"])
-            elif kind == "discrete":
-                problem.add_discrete_variable(entry["name"], entry["levels"])
-            elif kind == "continuous":
-                problem.add_continuous_variable(
-                    entry["name"],
-                    entry["low"],
-                    entry["high"],
-                    entry["precision"],
-                    encoding=entry.get("encoding", "logarithmic"),
-                    base=entry.get("base", 2),
-                    bound=entry.get("bound"),
-                )
-        for entry in data.get("objectives", []):
-            problem.add_objective(
-                entry["expression"],
-                direction=entry.get("direction", "minimize"),
-                weight=entry.get("weight", 1.0),
-            )
-        for entry in data.get("constraints", []):
+        for entry in data["variables"]:
+            getattr(problem, f"add_{entry['kind']}_variable")(entry["name"], **_without(entry, "name", "kind"))
+        for entry in data["objectives"]:
+            problem.add_objective(entry["expression"], **_without(entry, "expression"))
+        for entry in data["constraints"]:
             if "comparison" in entry:
-                problem.add_constraint(
-                    entry["comparison"],
-                    hardness=entry.get("hardness", "hard"),
-                    slack_precision=entry.get("slack_precision"),
-                )
+                problem.add_constraint(entry["comparison"], **_without(entry, "comparison"))
             else:
-                rel = entry["boolean"]
-                problem.add_boolean_constraint(
-                    rel["kind"], rel["output"], rel["inputs"], hardness=entry.get("hardness", "hard")
-                )
-        problem.solver_defaults = dict(data.get("solver", {}))
+                problem.add_boolean_constraint(**entry["boolean"], **_without(entry, "boolean"))
+        problem.solver_defaults = dict(data["solver"])
         return problem
 
     def save(self, path: str | Path) -> None:
@@ -502,11 +463,17 @@ _CONSTRAINT_FIELDS = {
     "hardness": "string",
     "slack_precision": "number or null",
 }
+# The keys each constraint kind (the one of "comparison" and "boolean" it holds) takes besides its own.
+_CONSTRAINT_KIND_FIELDS = {"comparison": ("hardness", "slack_precision"), "boolean": ("hardness",)}
 _BOOLEAN_FIELDS = {"kind": "string", "output": "string", "inputs": "array"}
+_EMPTY_SECTIONS = {"variables": [], "objectives": [], "constraints": [], "solver": {}}
 
 
-def _check_problem_file(data: Any) -> None:
-    """Check a parsed problem file's keys and JSON types; raise ``ProblemFileError`` naming the path."""
+def _check_problem_file(data: Any) -> dict[str, Any]:
+    """Check a parsed problem file's keys and JSON types; raise ``ProblemFileError`` naming the path.
+
+    Returns the file with every absent section empty.
+    """
     _expect(data, "object", "top level")
     schema = data.get("schema")
     if schema != PROBLEM_SCHEMA:
@@ -515,7 +482,8 @@ def _check_problem_file(data: Any) -> None:
         if key not in _TOP_LEVEL_FIELDS:
             raise ProblemFileError(key, "unknown key")
         _expect(value, _TOP_LEVEL_FIELDS[key], key)
-    for index, entry in enumerate(data.get("variables", [])):
+    data = _EMPTY_SECTIONS | data
+    for index, entry in enumerate(data["variables"]):
         path = f"variables[{index}]"
         _check_fields(entry, path, _VARIABLE_FIELDS, ("name", "kind"))
         kind = entry["kind"]
@@ -523,22 +491,23 @@ def _check_problem_file(data: Any) -> None:
             raise ProblemFileError(f"{path}.kind", f"unknown variable kind {kind!r}")
         required, optional = _KIND_FIELDS[kind]
         _require(entry, path, required)
-        for key in entry:
-            if key not in ("name", "kind", *required, *optional):
-                raise ProblemFileError(f"{path}.{key}", f"not a key of a {kind} variable")
+        _refuse_other_keys(entry, path, ("name", "kind", *required, *optional), f"{kind} variable")
         for position, level in enumerate(entry.get("levels", [])):
             _expect(level, "number", f"{path}.levels[{position}]")
-    for index, entry in enumerate(data.get("objectives", [])):
+    for index, entry in enumerate(data["objectives"]):
         _check_fields(entry, f"objectives[{index}]", _OBJECTIVE_FIELDS, ("expression",))
-    for index, entry in enumerate(data.get("constraints", [])):
+    for index, entry in enumerate(data["constraints"]):
         path = f"constraints[{index}]"
         _check_fields(entry, path, _CONSTRAINT_FIELDS, ())
         if ("comparison" in entry) == ("boolean" in entry):
             raise ProblemFileError(path, "needs exactly one of 'comparison' or 'boolean'")
-        if "boolean" in entry:
+        kind = "comparison" if "comparison" in entry else "boolean"
+        _refuse_other_keys(entry, path, (kind, *_CONSTRAINT_KIND_FIELDS[kind]), f"{kind} constraint")
+        if kind == "boolean":
             _check_fields(entry["boolean"], f"{path}.boolean", _BOOLEAN_FIELDS, tuple(_BOOLEAN_FIELDS))
             for position, name in enumerate(entry["boolean"]["inputs"]):
                 _expect(name, "string", f"{path}.boolean.inputs[{position}]")
+    return data
 
 
 def _check_fields(entry: Any, path: str, fields: dict[str, str], required: Sequence[str]) -> None:
@@ -548,6 +517,12 @@ def _check_fields(entry: Any, path: str, fields: dict[str, str], required: Seque
         if key not in fields:
             raise ProblemFileError(f"{path}.{key}", "unknown key")
         _expect(value, fields[key], f"{path}.{key}")
+
+
+def _refuse_other_keys(entry: dict, path: str, allowed: Sequence[str], what: str) -> None:
+    for key in entry:
+        if key not in allowed:
+            raise ProblemFileError(f"{path}.{key}", f"not a key of a {what}")
 
 
 def _require(entry: dict, path: str, keys: Sequence[str]) -> None:
@@ -577,6 +552,10 @@ def _check_finite(poly: Polynomial, where: str) -> None:
     for mono, coeff in poly:
         if not math.isfinite(coeff):
             raise ValueError(f"{where} has a non-finite coefficient {coeff!r} on {'*'.join(mono) or 'the constant'}")
+
+
+def _without(entry: dict[str, Any], *keys: str) -> dict[str, Any]:
+    return {key: value for key, value in entry.items() if key not in keys}
 
 
 def _flatten(names: list) -> Iterable[str]:

@@ -8,6 +8,8 @@ import pytest
 
 from qubo_forge.analysis import load_report
 from qubo_forge.cli import (
+    _FLAG_TYPES,
+    _OPTION_DEFAULTS,
     _compile_config,
     _resolve_options,
     _solver_params,
@@ -148,6 +150,15 @@ class TestSolveCommand:
         assert report.objective_values == [35.0]
         assert meta["solver"] == "sa" and meta["runs"] == 100
 
+    def test_report_file_equals_the_report_in_the_solution_file(self, f3_problem_file, tmp_path):
+        # 2 of 3 samples valid, and a measured t_f: floats that 12 significant digits round
+        argv = ["--runs", 3, "--sweeps", 5, "--seed", 3, "--lambda-method", "manual", "--lambda-value", 3]
+        out = tmp_path / "o"
+        assert run_cli("solve", f3_problem_file, *argv, "--val-ref", -30, "--time", "--out-dir", out) in (0, 2)
+        report = json.loads((out / "f3.problem.report.json").read_text())
+        assert report == json.loads((out / "f3.problem.solution.json").read_text())["report"]
+        assert report["t_f"] is not None
+
     def test_infeasible_after_retries_exits_two(self, tmp_path):
         problem = Problem()
         problem.add_binary_variable("x")
@@ -278,6 +289,21 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("where", ["flag", "section"])
+    def test_p_conf_outside_zero_one_is_refused_on_every_run(self, command, where, f3_problem_file, tmp_path, capsys):
+        argv = [command, f3_problem_file, "--out-dir", tmp_path / "o"] + (["--solvers", "sa"] if command == "compare" else [])
+        if where == "flag":
+            argv += ["--p-conf", 5]
+        else:
+            data = json.loads(f3_problem_file.read_text())
+            f3_problem_file.write_text(json.dumps(data | {"solver": {"p_conf": 7}}))
+        with time_limit(1.0):
+            assert run_cli(*argv) == 1  # no --val-ref or --time, so no TTS is computed
+        err = capsys.readouterr().err
+        assert err.startswith("error: p_conf must be in (0, 1), got ") and "Traceback" not in err
+        assert not (tmp_path / "o" / "f3.problem.solution.json").exists()
+
     def test_misspelt_constraint_key_is_an_error_line(self, f3_problem_file, tmp_path, capsys):
         data = json.loads(f3_problem_file.read_text())
         data["constraints"][0]["hardnes"] = "weak"
@@ -328,6 +354,17 @@ class TestSolverSection:
         assert "solver section" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key", ["solver", "lambda_method", "lambda_update"])
+    def test_section_value_outside_the_choices_is_an_error_line(self, key, tmp_path, capsys):
+        _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        problem.solver_defaults = {key: "bogus"}
+        path = tmp_path / "f3.problem.json"
+        problem.save(path)
+        assert run_cli("solve", path, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: problem file: solver.{key}: expected one of ") and err.endswith(", got 'bogus'\n")
+
+
 class TestOptionTable:
     def test_choices_and_defaults_follow_the_library(self, mixed_problem_file):
         parser = build_parser()
@@ -347,6 +384,15 @@ class TestOptionTable:
             strategy.lambda_max,
             strategy.max_trials,
         )
+
+    def test_every_flag_comes_from_the_table(self):
+        for name in ("solve", "compare"):
+            subparser = next(action for action in build_parser()._actions if action.dest == "command").choices[name]
+            flags = {action.dest: action for action in subparser._actions}
+            for key, (_, kind, text, choices) in _OPTION_DEFAULTS.items():
+                assert flags[key].help.startswith(text) and flags[key].default is None
+                assert flags[key].choices == choices
+                assert flags[key].type is (None if kind == "boolean" else _FLAG_TYPES[kind])
 
     def test_every_library_setting_is_a_flag(self, mixed_problem_file):
         # A setting no caller sets is an untested configuration; compare sets k_best itself.
@@ -391,6 +437,14 @@ class TestCompareCommand:
         by_name = {entry["solver"]: entry for entry in summary}
         assert by_name["sa"]["best_energy"] == -2.0
         assert by_name["qaoa"]["best_energy"] >= -2.0 - 1e-9
+
+    def test_floats_are_written_at_twelve_significant_digits(self, f3_problem_file, tmp_path):
+        argv = ["--solvers", "exhaustive,sa", "--runs", 3, "--sweeps", 5, "--seed", 3, "--val-ref", -30, "--time"]
+        assert run_cli("compare", f3_problem_file, *argv, "--out-dir", tmp_path) == 0
+        rows = json.loads((tmp_path / "f3.problem.compare.json").read_text())
+        floats = [value for row in rows for value in row.values() if isinstance(value, float)]
+        assert floats and all(value == float(f"{value:.12g}") for value in floats)
+        assert any(isinstance(row["tts"], float) for row in rows)
 
     def test_per_run_rows(self, f3_problem_file, tmp_path):
         out = tmp_path / "cmp"

@@ -663,13 +663,14 @@ class TestDomainWall:
 
     @pytest.mark.parametrize("direction, optimum", [("minimize", 0.0), ("maximize", 2.0)])
     def test_objective_optimum_decodes(self, direction, optimum):
+        from qubo_forge.analysis import solution_is_valid
         from qubo_forge.solvers import solve_exhaustive
 
         model = compile_problem(self.wall_problem(direction))
         assert [block.slack_plan for block in model.penalties] == [None, None, None]  # product penalties, no slack
         solution = solve_exhaustive(model)
         assert solution.best_decoded == {"x": optimum}
-        assert model.encoding_valid(solution.best_binary)
+        assert solution_is_valid(model, solution.best_binary, solution.best_decoded)
 
     def test_inequality_optimum_decodes(self):
         from qubo_forge.analysis import solution_is_valid

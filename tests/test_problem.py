@@ -1,7 +1,10 @@
 """Problem declaration, validation, and the problem-file JSON schema."""
 
+import copy
+import functools
 import itertools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -97,6 +100,27 @@ class TestVariableDeclaration:
         with time_limit(1.0), pytest.raises(ValueError, match=message):
             problem.add_continuous_variable("c", 0, 1, 0.25, **options)
         assert problem.variable_names() == set()
+
+    def test_bounded_encoding_below_its_precision_is_refused_at_the_declaration(self):
+        problem = Problem()
+        with time_limit(1.0), pytest.raises(ValueError, match="coefficient bound 0.1 is below the precision 0.25"):
+            problem.add_continuous_variable("c", 0, 1, 0.25, encoding="bounded", bound=0.1)
+        assert problem.variable_names() == set()
+        problem.add_continuous_variable("c", 0, 1, 0.25, encoding="bounded", bound=0.25)  # a bound at the precision is fine
+
+    def test_arrays_of_every_kind_match_scalar_declarations(self):
+        via_array = Problem()
+        via_array.add_bipolar_variables_array("s", [2])
+        via_array.add_discrete_variables_array("d", [1, 2], [0, 2])
+        via_array.add_continuous_variables_array("c", [2], 0, 1, 0.25, encoding="bounded", bound=0.5)
+        one_by_one = Problem()
+        for name in ("s_0", "s_1"):
+            one_by_one.add_bipolar_variable(name)
+        for name in ("d_0_0", "d_0_1"):
+            one_by_one.add_discrete_variable(name, [0, 2])
+        for name in ("c_0", "c_1"):
+            one_by_one.add_continuous_variable(name, 0, 1, 0.25, encoding="bounded", bound=0.5)
+        assert via_array.variables == one_by_one.variables
 
     @pytest.mark.parametrize("name", ["a-b", "x#0", "x y", "é", "", "1x"])
     def test_names_must_be_parser_identifiers(self, name):
@@ -404,6 +428,31 @@ class TestProblemFileShape:
             Problem.from_json_dict(data)
         assert info.value.path == path
 
+    @pytest.mark.parametrize("value", [0.5, None])
+    def test_slack_precision_is_refused_on_a_boolean_constraint(self, value):
+        data = self.document()
+        data["constraints"][1]["slack_precision"] = value
+        with time_limit(1.0), pytest.raises(ProblemFileError, match="not a key of a boolean constraint") as info:
+            Problem.from_json_dict(data)
+        assert info.value.path == "constraints[1].slack_precision"
+
+    def test_bounded_encoding_below_its_precision_is_refused_on_load(self):
+        data = self.document()
+        data["variables"][1].update(encoding="bounded", bound=0.25)
+        with time_limit(1.0), pytest.raises(ValueError, match="coefficient bound 0.25 is below the precision 0.5"):
+            Problem.from_json_dict(data)
+
+    def test_absent_keys_take_the_builders_defaults(self):
+        built = Problem()
+        built.add_binary_variable("x")
+        built.add_continuous_variable("c", 0, 1, 0.5)
+        built.add_objective("x + c")
+        built.add_constraint("x + c <= 1")
+        built.add_boolean_constraint("not", "x", ["x"])
+        loaded = Problem.from_json_dict(self.document())
+        assert (loaded.variables, loaded.objectives, loaded.constraints) == (built.variables, built.objectives, built.constraints)
+        assert loaded.solver_defaults == {}
+
     def test_nulls_stay_optional_where_the_writer_omits_them(self):
         data = self.document()
         data["variables"][1]["bound"] = None
@@ -426,3 +475,62 @@ class TestProblemFileShape:
             Problem.from_json_dict(document)
         except ValueError:
             pass  # a named error, never a TypeError, KeyError or AttributeError
+
+
+@functools.cache
+def _fuzz_bases() -> dict[str, dict]:
+    """The README example, f3 (with a solver section), iris, and a file holding every kind of entry."""
+    from qubo_forge.cli import build_regression, bundled_data, load_knapsack
+
+    readme = Problem()
+    readme.add_binary_variable("a")
+    readme.add_discrete_variable("b", [-1, 1, 3])
+    readme.add_continuous_variable("c", -2, 2, 0.25)
+    readme.add_objective("a + b*c + c**2")
+    readme.add_constraint("b + c >= 2")
+    f3 = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1].to_json_dict()
+    f3["solver"] = {"solver": "exhaustive", "runs": 3, "time": True}
+    iris = build_regression(bundled_data("iris30.csv"), 2, -0.25, 0.25, 0.25)[1]
+    return {
+        "readme": readme.to_json_dict(),
+        "f3": f3,
+        "iris": iris.to_json_dict(),
+        "every-kind": TestProblemFile().build().to_json_dict(),
+    }
+
+
+_FUZZ_VALUES = [3, 2.5, "text", None, True, [], {}, ["x"], {"kind": "binary"}]
+
+
+def _json_kind(value) -> str:
+    return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) else type(value).__name__
+
+
+def _paths(value, path=()):
+    """The path of every value inside a JSON document, at any depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+class TestWholeProblemFileFuzz:
+    """One key dropped at any depth, or one value swapped for another JSON type: a load or a ``ValueError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_change_at_any_depth_loads_or_is_a_value_error(self, data):
+        bases = _fuzz_bases()
+        document = copy.deepcopy(bases[data.draw(st.sampled_from(sorted(bases)))])
+        *head, key = data.draw(st.sampled_from(list(_paths(document))))
+        parent = functools.reduce(operator.getitem, head, document)
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            kind = _json_kind(parent[key])
+            parent[key] = data.draw(st.sampled_from([value for value in _FUZZ_VALUES if _json_kind(value) != kind]))
+        with time_limit(1.0):
+            try:
+                Problem.from_json_dict(document)
+            except ValueError:
+                pass  # a named error, never a TypeError, KeyError or AttributeError
