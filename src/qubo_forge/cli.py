@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qubo_forge.analysis import analyze, report_to_dict, save_report, write_cumulative_csv, write_rounded_json
+from qubo_forge.analysis import _check_p_conf, analyze, report_to_dict, save_report, write_cumulative_csv, write_rounded_json
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.expression import NUMBER, Polynomial, format_float
 from qubo_forge.problem import Problem, ProblemFileError, _expect
@@ -178,6 +178,7 @@ _OPTION_DEFAULTS = {
     "time": (False, "boolean", "record per-run wall time (enables TTS)", None),
 }
 _FLAG_TYPES = {"integer": int, "number": float, "number or null": float, "string": str}
+_SOLVE_ONLY = ("solver", "lambda_update", "lambda_max", "trials")  # compare takes --solvers and never retries
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -207,6 +208,7 @@ def _resolve_options(args: argparse.Namespace, problem: Problem) -> dict:
                 raise ProblemFileError(f"solver.{key}", f"expected one of {', '.join(choices)}, got {section[key]!r}")
         flag = getattr(args, key)
         options[key] = flag if flag is not None else section.get(key, fallback)
+    _check_p_conf(options["p_conf"])  # refused before any work; analyze checks it again for library callers
     return options
 
 
@@ -293,6 +295,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     unknown = [name for name in solvers if name not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown solver(s): {', '.join(unknown)}")
+    ignored = [f"--{key.replace('_', '-')}" for key in _SOLVE_ONLY if getattr(args, key) is not None]
+    if ignored:
+        raise ValueError(f"compare does not take {', '.join(ignored)}; they apply to solve only")
 
     problem = Problem.load(args.problem)
     options = _resolve_options(args, problem)

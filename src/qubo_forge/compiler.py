@@ -7,14 +7,16 @@ estimate a penalty weight for each, and reduce the total polynomial to
 degree two with auxiliary binaries where needed.
 
 Penalty weights are estimated on the composed objective *before*
-quadratization, so they do not depend on auxiliary bookkeeping.
+quadratization, so they do not depend on auxiliary bookkeeping.  The model
+keeps that λ-free objective, so ``QuboModel.with_lambdas`` can weigh the same
+penalty blocks again, through the same function, without recompiling.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -39,10 +41,10 @@ _TERM_CHUNK = 2**15  # QuboArrays.energies builds at most this many terms (256 K
 
 @dataclass
 class CompileConfig:
-    """How penalty weights are chosen: an estimation method, or manual values."""
+    """How penalty weights are chosen: an estimation method, or one manual value for every block."""
 
     lambda_method: str = "vlm"
-    manual_lambdas: float | Sequence[float] | None = None
+    manual_lambdas: float | None = None
 
     def __post_init__(self):
         if self.lambda_method not in LAMBDA_METHODS:
@@ -50,15 +52,13 @@ class CompileConfig:
         if self.lambda_method == "manual" and self.manual_lambdas is None:
             raise ValueError("manual lambda method needs manual_lambdas")
         if self.manual_lambdas is not None:
-            values = self.manual_lambdas
-            listed = [float(v) for v in ([values] if isinstance(values, (int, float)) else values)]
-            if not all(math.isfinite(v) for v in listed):
-                raise ValueError(f"manual_lambdas must be finite, got {values!r}")
-            if not all(v > 0 for v in listed):
+            if not math.isfinite(self.manual_lambdas):
+                raise ValueError(f"manual_lambdas must be finite, got {self.manual_lambdas!r}")
+            if not self.manual_lambdas > 0:
                 raise ValueError("manual lambda values must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PenaltyBlock:
     """One constraint's quadratic penalty: zero iff satisfied (best slack/aux choice)."""
 
@@ -165,6 +165,7 @@ class QuboModel:
     encodings: list[EncodingPlan]
     penalties: list[PenaltyBlock]
     aux_registry: dict[tuple[str, str], str] = field(default_factory=dict)
+    cost: Polynomial | None = None  # the λ-free objective that with_lambdas re-weights; None unless compiled
 
     @cached_property
     def arrays(self) -> QuboArrays:
@@ -186,6 +187,21 @@ class QuboModel:
 
     def lambdas(self) -> list[float]:
         return [block.lam for block in self.penalties]
+
+    def with_lambdas(self, lambdas: Sequence[float]) -> "QuboModel":
+        """The same compiled model with one new λ per penalty block, without recompiling."""
+        if self.cost is None:
+            raise ValueError("with_lambdas needs a compiled model (one with a cost)")
+        if len(lambdas) != len(self.penalties):
+            raise ValueError(
+                f"with_lambdas needs {len(self.penalties)} values (user + encoding-induced constraints), got {len(lambdas)}"
+            )
+        if not all(math.isfinite(v) for v in lambdas):
+            raise ValueError(f"lambdas must be finite, got {list(lambdas)!r}")
+        if not all(v > 0 for v in lambdas):
+            raise ValueError("lambda values must be positive")
+        blocks = [replace(block, lam=float(lam)) for block, lam in zip(self.penalties, lambdas)]
+        return _weigh(self.cost, self.encodings, blocks)
 
     # -- export -------------------------------------------------------------
 
@@ -543,7 +559,7 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
     for plan in plans:
         all_constraints.extend(plan.induced)
 
-    blocks: list[PenaltyBlock] = []
+    parts: list[tuple[ConstraintDecl, Polynomial, EncodingPlan | None]] = []
     for index, decl in enumerate(all_constraints):
         if decl.boolean is not None:
             penalty, slack_plan = boolean_penalty(decl.boolean, aux_source=f"__bool{index}")
@@ -559,10 +575,32 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
                 penalty, slack_plan = inequality_to_penalty(
                     binary_comparison, bounds, precision, slack_source=f"__slack{index}"
                 )
-        blocks.append(PenaltyBlock(decl, penalty, lam=0.0, slack_plan=slack_plan))
+        parts.append((decl, penalty, slack_plan))
 
-    _assign_lambdas(blocks, cost, config)
+    lambdas = _estimate_lambdas(parts, cost, config)
+    blocks = [PenaltyBlock(decl, penalty, lam, slack_plan) for (decl, penalty, slack_plan), lam in zip(parts, lambdas)]
+    return _weigh(cost, plans, blocks)
 
+
+def _estimate_lambdas(parts: list[tuple], cost: Polynomial, config: CompileConfig) -> list[float]:
+    """One λ per (declaration, penalty, slack plan) part, in order."""
+    if config.lambda_method == "manual":
+        return [float(config.manual_lambdas)] * len(parts)
+
+    per_constraint = config.lambda_method in ("momc", "moc")
+    base = None if per_constraint else estimate_lambda(config.lambda_method, cost)
+    lambdas = []
+    for decl, penalty, _ in parts:
+        value = estimate_lambda(config.lambda_method, cost, penalty) if per_constraint else base
+        if decl.hardness == "weak":
+            value *= WEAK_MULTIPLIER
+        # a degenerate objective (e.g. constant) estimates no weight; keep the penalty active
+        lambdas.append(value if value > 0 else 1.0)
+    return lambdas
+
+
+def _weigh(cost: Polynomial, encodings: list[EncodingPlan], blocks: list[PenaltyBlock]) -> QuboModel:
+    """The model ``cost + Σ λ_k·P_k`` in block order, quadratized above degree 2: compile and re-weight both end here."""
     # the cost and every penalty are already idempotence-reduced, so their sum is too
     total = sum_polynomials([cost, *(block.penalty.scale(block.lam) for block in blocks)])
 
@@ -572,35 +610,4 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
         total, aux_registry = quadratize(total, scale)
 
     offset = total.constant_term
-    quadratic = total - offset
-    return QuboModel(
-        quadratic=quadratic,
-        offset=offset,
-        encodings=plans,
-        penalties=blocks,
-        aux_registry=aux_registry,
-    )
-
-
-def _assign_lambdas(blocks: list[PenaltyBlock], cost: Polynomial, config: CompileConfig) -> None:
-    if config.lambda_method == "manual":
-        values = config.manual_lambdas
-        if isinstance(values, (int, float)):
-            values = [values] * len(blocks)
-        elif len(values) != len(blocks):
-            raise ValueError(
-                f"manual_lambdas needs {len(blocks)} values (user + encoding-induced constraints), got {len(values)}"
-            )
-        for block, value in zip(blocks, values):
-            block.lam = float(value)
-        return
-
-    per_constraint = config.lambda_method in ("momc", "moc")
-    base = None if per_constraint else estimate_lambda(config.lambda_method, cost)
-    for block in blocks:
-        value = estimate_lambda(config.lambda_method, cost, block.penalty) if per_constraint else base
-        if block.hardness == "weak":
-            value *= WEAK_MULTIPLIER
-        if not value > 0:
-            value = 1.0  # degenerate objective (e.g. constant); keep the penalty active
-        block.lam = value
+    return QuboModel(total - offset, offset, encodings, blocks, aux_registry, cost)

@@ -12,6 +12,7 @@ constraints, so files round-trip through the parser.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -356,6 +357,7 @@ class Problem:
     # -- JSON problem file ------------------------------------------------------
 
     def to_json_dict(self) -> dict[str, Any]:
+        default_base = inspect.signature(self.add_continuous_variable).parameters["base"].default  # omitted when unchanged
         variables = []
         for decl in self._variables.values():
             entry: dict[str, Any] = {"name": decl.name, "kind": decl.kind.value}
@@ -363,7 +365,7 @@ class Problem:
                 entry["levels"] = list(decl.levels)
             elif decl.kind is VariableKind.CONTINUOUS:
                 entry.update(low=decl.low, high=decl.high, precision=decl.precision, encoding=decl.encoding)
-                if decl.encoding == "logarithmic" and decl.base != 2:
+                if decl.encoding == "logarithmic" and decl.base != default_base:
                     entry["base"] = decl.base
                 if decl.bound is not None:
                     entry["bound"] = decl.bound

@@ -10,10 +10,10 @@ matrix, evaluates the energies exactly, decodes the columns and picks the best.
 Results are deterministic for a fixed seed; stochastic solvers derive
 per-run generators from ``seed + run_index``.
 
-The penalty-weight retry loop lives here too: compile, solve, check the
+The penalty-weight retry loop lives here too: compile once, solve, check the
 hard constraints on the best solution, and grow the violated constraints'
-weights (sequential / scaled / binary-search) until the solution is valid
-or the trial budget runs out.
+weights (sequential / scaled / binary-search), re-weighting the compiled
+model, until the solution is valid or the trial budget runs out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -153,7 +153,6 @@ class UpdateStrategy:
 class LambdaUpdateResult:
     solution: SolutionSet
     model: QuboModel
-    lambdas: list[float]
     trials: int
     valid: bool
 
@@ -534,9 +533,9 @@ def solve_with_lambda_update(
 ) -> LambdaUpdateResult:
     """Compile / solve / check loop that grows penalty weights until valid.
 
-    Each trial solves the compiled model and checks the hard constraints on
-    the best solution; if any are violated, their weights are increased and
-    the problem is recompiled with the new values as manual lambdas.  Trial
+    Each trial solves the model and checks the hard constraints on the best
+    solution; if any are violated, their weights are increased and the model
+    compiled once is re-weighted (``QuboModel.with_lambdas``).  Trial
     exhaustion is reported through the ``valid`` flag rather than raised.
     """
     from qubo_forge.analysis import check_model_constraints  # local import avoids a cycle
@@ -551,16 +550,9 @@ def solve_with_lambda_update(
         results = check_model_constraints(model, solution.best_binary, solution.best_decoded)
         violated = [r.block_index for r in results if not r.satisfied and r.hardness == "hard"]
         if not violated or trials >= strategy.max_trials:
-            return LambdaUpdateResult(
-                solution=solution,
-                model=model,
-                lambdas=model.lambdas(),
-                trials=trials,
-                valid=not violated,
-            )
+            return LambdaUpdateResult(solution=solution, model=model, trials=trials, valid=not violated)
         lambdas = model.lambdas()
         for index in violated:
             if lambdas[index] < strategy.lambda_max:
                 lambdas[index] = next_lambda(lambdas[index], strategy)
-        retry_config = replace(config, lambda_method="manual", manual_lambdas=lambdas)
-        model = compile_problem(problem, retry_config)
+        model = model.with_lambdas(lambdas)

@@ -480,6 +480,20 @@ class TestCompareCommand:
         assert run_cli("compare", f3_problem_file, "--solvers", "sa,annealer9000", "--out-dir", tmp_path) == 1
         assert "unknown solver" in capsys.readouterr().err
 
+    def test_solve_only_flags_are_refused(self, f3_problem_file, tmp_path, capsys):
+        assert run_cli("compare", f3_problem_file, "--solvers", "sa", "--trials", 0, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == "error: compare does not take --trials; they apply to solve only\n"
+        argv = ["--solver", "qaoa", "--lambda-max", "inf", "--lambda-update", "scaled", "--trials", 0]
+        assert run_cli("compare", f3_problem_file, "--solvers", "exhaustive,sa", *argv, "--out-dir", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err == "error: compare does not take --solver, --lambda-update, --lambda-max, --trials; they apply to solve only\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_p_conf_is_refused_before_any_solver_runs(self, f3_problem_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(SOLVERS, "qaoa", lambda *args: pytest.fail("QAOA ran before p_conf was checked"))
+        assert run_cli("compare", f3_problem_file, "--solvers", "qaoa", "--p-conf", 5, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == "error: p_conf must be in (0, 1), got 5.0\n"
+
 
 class TestGenerators:
     def test_knapsack_command_round_trip(self, tmp_path, capsys):

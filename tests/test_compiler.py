@@ -9,6 +9,7 @@ against brute-force enumeration.
 
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -269,22 +270,87 @@ class TestLambdaEstimation:
     def test_manual_values(self, mixed_problem):
         model = compile_problem(mixed_problem, CompileConfig(lambda_method="manual", manual_lambdas=7.5))
         assert [b.lam for b in model.penalties] == [7.5, 7.5]
-        model = compile_problem(
-            mixed_problem, CompileConfig(lambda_method="manual", manual_lambdas=[2.0, 3.0])
-        )
-        assert [b.lam for b in model.penalties] == [2.0, 3.0]
-        with pytest.raises(ValueError, match="manual_lambdas needs 2 values"):
-            compile_problem(mixed_problem, CompileConfig(lambda_method="manual", manual_lambdas=[1.0]))
 
-    @pytest.mark.parametrize("values", [float("inf"), float("nan"), [2.0, float("inf")]])
+    @pytest.mark.parametrize("values", [float("inf"), float("nan")])
     def test_manual_values_must_be_finite(self, values):
         with pytest.raises(ValueError, match="manual_lambdas must be finite"):
             CompileConfig(lambda_method="manual", manual_lambdas=values)
 
-    @pytest.mark.parametrize("values", [0, -1, [1.0, -2.0]])
+    @pytest.mark.parametrize("values", [0, -1])
     def test_manual_values_must_be_positive(self, values):
         with pytest.raises(ValueError, match="manual lambda values must be positive"):
             CompileConfig(lambda_method="manual", manual_lambdas=values)
+
+
+def mixed_kinds_problem() -> Problem:
+    """Every variable kind, dictionary and domain-wall encodings (so induced blocks), an equality and a weak inequality."""
+    problem = Problem()
+    problem.add_binary_variable("a")
+    problem.add_discrete_variable("b", [-1, 1, 3])
+    problem.add_continuous_variable("c", -1, 1, 0.5, encoding="dictionary")
+    problem.add_continuous_variable("d", 0, 2, 0.5, encoding="domain_wall")
+    problem.add_objective("a*b + b*c - 2*c*d + d")
+    problem.add_constraint("a + 2*d = 2")
+    problem.add_constraint("b + c <= 2", hardness="weak")
+    return problem.freeze()
+
+
+def cubic_problem() -> Problem:
+    """A degree-3 objective under a capacity: every model of it goes through ``quadratize``."""
+    problem = Problem()
+    problem.add_binary_variables_array("x", [4])
+    problem.add_objective("x_0*x_1*x_2 - 2*x_1*x_2*x_3 + x_0 - x_3")
+    problem.add_constraint("x_0 + x_1 + x_2 + x_3 <= 2")
+    return problem.freeze()
+
+
+class TestReweighting:
+    """``compile_problem`` and ``QuboModel.with_lambdas`` weigh the penalty blocks in one place."""
+
+    PROBLEMS = {
+        "readme": lambda request: request.getfixturevalue("mixed_problem"),
+        "f3": lambda request: load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1],
+        "mixed": lambda request: mixed_kinds_problem(),
+        "cubic": lambda request: cubic_problem(),
+    }
+
+    @staticmethod
+    def terms(model):
+        return list(model.quadratic), model.offset, model.aux_registry, model.lambdas()
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_compile_and_reweight_agree_term_for_term(self, name, request):
+        problem = self.PROBLEMS[name](request)
+        model = compile_problem(problem)
+        n = len(model.penalties)
+        assert n >= 1 and (name != "cubic" or model.aux_registry)
+        manual = compile_problem(problem, CompileConfig(lambda_method="manual", manual_lambdas=2.5))
+        assert self.terms(model.with_lambdas([2.5] * n)) == self.terms(manual)
+        vector = [1.5 + k for k in range(n)]
+        from_vlm = compile_problem(problem, CompileConfig(lambda_method="vlm")).with_lambdas(vector)
+        from_mqc = compile_problem(problem, CompileConfig(lambda_method="mqc")).with_lambdas(vector)
+        assert self.terms(from_vlm) == self.terms(from_mqc)
+        assert from_vlm.lambdas() == vector and model.lambdas() != vector  # the source model is left as it was
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.0], r"with_lambdas needs 2 values \(user \+ encoding-induced constraints\), got 1"),
+            ([2.0, float("inf")], "lambdas must be finite"),
+            ([1.0, -2.0], "lambda values must be positive"),
+        ],
+        ids=["length", "infinite", "negative"],
+    )
+    def test_with_lambdas_refuses_a_bad_vector(self, mixed_problem, values, message):
+        with pytest.raises(ValueError, match=message):
+            compile_problem(mixed_problem).with_lambdas(values)
+
+    def test_blocks_are_frozen_and_a_built_model_has_no_cost(self, mixed_problem):
+        with pytest.raises(FrozenInstanceError):
+            compile_problem(mixed_problem).penalties[0].lam = 1.0
+        built = compiler.QuboModel(quadratic=V("x"), offset=0.0, encodings=[], penalties=[])
+        with pytest.raises(ValueError, match="needs a compiled model"):
+            built.with_lambdas([])
 
 
 class TestLambdaSufficiency:

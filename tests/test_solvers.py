@@ -656,7 +656,17 @@ class TestLambdaUpdate:
         assert outcome.valid
         assert outcome.trials <= 5
         assert outcome.solution.best_energy == -35.0
-        assert all(lam > 0.01 for lam in outcome.lambdas)
+        assert all(lam > 0.01 for lam in outcome.model.lambdas())
+
+    def test_retries_reweight_the_one_compiled_model(self, monkeypatch):
+        compiles = []
+        compile_once = solvers.compile_problem
+        monkeypatch.setattr(solvers, "compile_problem", lambda *args: compiles.append(args) or compile_once(*args))
+        _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        config = CompileConfig(lambda_method="manual", manual_lambdas=0.01)
+        outcome = solve_with_lambda_update(problem, config, "sa", SolverParams(), UpdateStrategy("sequential"))
+        assert (outcome.trials, len(compiles), outcome.valid) == (4, 1, True)
+        assert outcome.model.lambdas() == [10.0]  # 0.01 grown three times, ×10 each
 
     def test_valid_first_trial_stops_immediately(self, mixed_problem):
         outcome = solve_with_lambda_update(
