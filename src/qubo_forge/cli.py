@@ -181,15 +181,17 @@ _FLAG_TYPES = {"integer": int, "number": float, "number or null": float, "string
 _SOLVE_ONLY = ("solver", "lambda_update", "lambda_max", "trials")  # compare takes --solvers and never retries
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+def _add_solver_flags(parser: argparse.ArgumentParser, hidden: tuple[str, ...] = ()) -> None:
     # Flag defaults are None so the problem file's optional "solver" section
     # can fill values in; explicit flags always win (see _resolve_options).
+    # The hidden rows stay registered, so that a command can refuse them by name.
     for key, (default, kind, text, choices) in _OPTION_DEFAULTS.items():
         if kind == "boolean":
             kwargs = {"action": "store_true"}
         else:
             kwargs = {"type": _FLAG_TYPES[kind], "choices": choices}
             text += "" if default is None else f" (default: {default})"
+        text = argparse.SUPPRESS if key in hidden else text
         parser.add_argument(f"--{key.replace('_', '-')}", help=text, default=None, **kwargs)
     parser.add_argument("--out-dir", default=".", help="output directory (QUBO_FORGE_OUT overrides)")
 
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser = commands.add_parser("compare", help="run several solvers and tabulate metrics")
     compare_parser.add_argument("problem", help="problem JSON file (qubo-forge-problem/1)")
     compare_parser.add_argument("--solvers", required=True, help="comma-separated solver names")
-    _add_solver_flags(compare_parser)
+    _add_solver_flags(compare_parser, hidden=_SOLVE_ONLY)
     compare_parser.set_defaults(handler=cmd_compare)
 
     knapsack_parser = commands.add_parser("knapsack", help="generate a problem file from a knapsack instance")

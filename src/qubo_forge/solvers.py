@@ -13,13 +13,13 @@ per-run generators from ``seed + run_index``.
 The penalty-weight retry loop lives here too: compile once, solve, check the
 hard constraints on the best solution, and grow the violated constraints'
 weights (sequential / scaled / binary-search), re-weighting the compiled
-model, until the solution is valid or the trial budget runs out.
+model, until the solution is valid, the trial budget runs out, or every
+violated weight is at its cap.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from qubo_forge.compiler import CompileConfig, QuboArrays, QuboModel, compile_problem
+from qubo_forge.lbfgs import lbfgs
 from qubo_forge.problem import Problem
 
 EXHAUSTIVE_DEFAULT_CAP = 26
@@ -39,11 +40,16 @@ UPDATE_KINDS = ("sequential", "scaled", "binary-search")
 _LOW_BITS = 16  # exhaustive enumeration runs through 2**16 low-bit assignments per block
 _SA_BLOCK = 16  # simulated annealing defers local-field updates across blocks of this many spins
 _BETA_START, _BETA_END = 0.1, 10.0  # SA inverse temperatures, divided by the largest coefficient magnitude
-_QAOA_MAX_ITERS = 400  # L-BFGS-B iterations per QAOA angle-search start
+_QAOA_MAX_ITERS = 400  # L-BFGS iterations per QAOA angle-search start
 
 
 def __getattr__(name: str):
-    """Import ``scipy.optimize.minimize`` on first use: only QAOA needs it, and it is slow to import."""
+    """Import ``scipy.optimize.minimize`` on first use of ``solvers.minimize``.
+
+    Nothing in qubo-forge calls it: QAOA searches its angles with ``lbfgs``.
+    The name stays only because the benchmark harness under ``perfbench/``
+    still wraps and checks it; it goes when the harness stops naming it.
+    """
     if name == "minimize":
         from scipy.optimize import minimize
 
@@ -437,10 +443,9 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
             angles[2 * layer + 1] = beta_max * (1 - layer / p)
         starts.append(angles)
 
-    optimize = sys.modules[__name__].minimize  # module attribute, so it can be replaced from outside
     best_angles, best_value, converged = starts[0], math.inf, False
     for start in starts:
-        result = optimize(objective, start, jac=True, method="L-BFGS-B", options={"maxiter": _QAOA_MAX_ITERS})
+        result = lbfgs(objective, start, _QAOA_MAX_ITERS)  # a module global, looked up per call so tests can replace it
         converged = converged or bool(result.success)
         if result.fun < best_value:
             best_value, best_angles = float(result.fun), result.x
@@ -467,10 +472,10 @@ def qaoa_expected_energy(model: QuboModel, params: SolverParams | None = None) -
 def solve_qaoa_sim(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Statevector QAOA: alternating diagonal-cost and single-qubit-mixer layers.
 
-    The 2p angles are tuned by L-BFGS-B on the exact adjoint gradient from
-    fixed ramp initializations, then each run samples ``shots`` bitstrings
-    from the optimized state and keeps its best.  The model offset is folded
-    into the reported energies, not the phase operator.
+    The 2p angles are tuned by L-BFGS (``qubo_forge.lbfgs``) on the exact
+    adjoint gradient from three fixed ramp starts, then each run samples
+    ``shots`` bitstrings from the optimized state and keeps its best.  The
+    model offset is folded into the reported energies, not the phase operator.
     ``diagnostics["qaoa"]`` holds the objective evaluations summed over the
     starts, whether any start converged, the optimized expected energy, and
     the probability mass on the minimum-energy assignments.
@@ -535,8 +540,10 @@ def solve_with_lambda_update(
 
     Each trial solves the model and checks the hard constraints on the best
     solution; if any are violated, their weights are increased and the model
-    compiled once is re-weighted (``QuboModel.with_lambdas``).  Trial
-    exhaustion is reported through the ``valid`` flag rather than raised.
+    compiled once is re-weighted (``QuboModel.with_lambdas``).  The loop stops
+    when the trials run out or no violated weight is below ``lambda_max``
+    (another trial would solve the same model again); either is reported
+    through the ``valid`` flag rather than raised.
     """
     from qubo_forge.analysis import check_model_constraints  # local import avoids a cycle
 
@@ -549,10 +556,10 @@ def solve_with_lambda_update(
         solution = solve(model, solver, params)
         results = check_model_constraints(model, solution.best_binary, solution.best_decoded)
         violated = [r.block_index for r in results if not r.satisfied and r.hardness == "hard"]
-        if not violated or trials >= strategy.max_trials:
-            return LambdaUpdateResult(solution=solution, model=model, trials=trials, valid=not violated)
         lambdas = model.lambdas()
-        for index in violated:
-            if lambdas[index] < strategy.lambda_max:
-                lambdas[index] = next_lambda(lambdas[index], strategy)
+        growable = [index for index in violated if lambdas[index] < strategy.lambda_max]
+        if not growable or trials >= strategy.max_trials:
+            return LambdaUpdateResult(solution=solution, model=model, trials=trials, valid=not violated)
+        for index in growable:
+            lambdas[index] = next_lambda(lambdas[index], strategy)
         model = model.with_lambdas(lambdas)

@@ -8,6 +8,7 @@ targets under fixed seeds.
 import heapq
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qubo_forge
-from qubo_forge import solvers
+from qubo_forge import lbfgs, solvers
 from qubo_forge.analysis import load_report, save_report
 from qubo_forge.cli import build_regression, bundled_data, load_knapsack
 from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
@@ -86,6 +87,15 @@ def brute_force_top(model: QuboModel, k_best: int) -> tuple[list[int], list[floa
         energies += int(coeff) * product
     best = heapq.nsmallest(k_best, zip(energies.tolist(), itertools.count()))
     return [index for _, index in best], [float(energy) for energy, _ in best]
+
+
+def qaoa_cell_problem(name: str, request) -> Problem:
+    """One row of the QAOA table: the README example, the bundled knapsack f3, or iris regression."""
+    if name == "readme":
+        return request.getfixturevalue("mixed_problem")
+    if name == "f3":
+        return load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1]
+    return build_regression(bundled_data("iris30.csv"), None, -0.25, 0.25, 0.25)[1]
 
 
 def sample_indices(model: QuboModel, solution) -> list[int]:
@@ -438,25 +448,21 @@ class TestQaoa:
 
     def test_optimizer_is_looked_up_on_the_module_at_call_time(self, monkeypatch):
         calls = []
-        original = solvers.minimize
-        assert original.__module__.startswith("scipy")
+        original = solvers.lbfgs
+        assert original is lbfgs.lbfgs  # qubo-forge's own optimizer, not scipy's
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "minimize", counting)
+        monkeypatch.setattr(solvers, "lbfgs", counting)
         solve_qaoa_sim(bare_model({("b",): 1.0}), SolverParams(runs=1, shots=10, layers=1))
-        assert len(calls) == 3  # one L-BFGS-B search per ramp start
+        assert len(calls) == 3  # one L-BFGS search per ramp start
 
     @pytest.mark.parametrize("name", ["readme", "f3"])
     def test_spectrum_is_exact_on_dyadic_models(self, name, request, monkeypatch):
-        if name == "readme":
-            problem = request.getfixturevalue("mixed_problem")
-        else:
-            _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
-        model = compile_problem(problem)
-        monkeypatch.setattr(solvers, "minimize", lambda f, x0, **_: SimpleNamespace(x=x0, fun=f(x0)[0], success=True))
+        model = compile_problem(qaoa_cell_problem(name, request))
+        monkeypatch.setattr(solvers, "lbfgs", lambda f, x0, _: SimpleNamespace(x=x0, fun=f(x0)[0], success=True))
         _, energies, _, _ = solvers._qaoa_distribution(model, SolverParams(layers=1))
         n = len(model.binary_variables())
         bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # row r is index r
@@ -477,13 +483,7 @@ class TestQaoa:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("name", ["readme", "f3", "iris"])
     def test_adjoint_gradient_matches_central_differences(self, name, layers, request):
-        if name == "readme":
-            problem = request.getfixturevalue("mixed_problem")
-        elif name == "f3":
-            _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
-        else:
-            _, problem = build_regression(bundled_data("iris30.csv"), None, -0.25, 0.25, 0.25)
-        arrays = compile_problem(problem).arrays
+        arrays = compile_problem(qaoa_cell_problem(name, request)).arrays
         n = len(arrays.order)
         energies = np.concatenate([block for _, block in solvers._energy_blocks(arrays)])
         centered = energies - energies.mean()
@@ -500,14 +500,14 @@ class TestQaoa:
 
     def test_diagnostics_are_plain_data(self, mixed_problem, monkeypatch):
         nfev = []
-        original = solvers.minimize
+        original = solvers.lbfgs
 
         def recording(*args, **kwargs):
             result = original(*args, **kwargs)
             nfev.append(result.nfev)
             return result
 
-        monkeypatch.setattr(solvers, "minimize", recording)
+        monkeypatch.setattr(solvers, "lbfgs", recording)
         model = compile_problem(mixed_problem)
         params = SolverParams(runs=2, shots=40, layers=2, seed=1)
         qaoa = solve_qaoa_sim(model, params).diagnostics["qaoa"]
@@ -518,6 +518,45 @@ class TestQaoa:
         assert qaoa["expected_energy"] == qaoa_expected_energy(model, params)
         assert type(qaoa["ground_state_probability"]) is float
         assert 0 < qaoa["ground_state_probability"] <= 1
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["readme", "f3", "iris"])
+    def test_angle_search_follows_scipy_lbfgs_b(self, name, layers, request, monkeypatch):
+        # lbfgs takes L-BFGS-B's path on an unbounded problem; its two-loop direction
+        # differs from L-BFGS-B's compact form only by rounding.  That rounding grows
+        # along f3's first start at p = 3 (2e-16 at its third point, 1e-6 by its 35th),
+        # which stops by relative decrease in a flat valley: there the stop rule fixes
+        # ⟨C⟩ to about _FACTR and the angles, so the probability, only to about √_FACTR.
+        optimize = pytest.importorskip("scipy.optimize")
+        model = compile_problem(qaoa_cell_problem(name, request))
+        params = SolverParams(layers=layers)
+        ours = solvers._qaoa_distribution(model, params)[3]
+
+        def lbfgs_b(fun, x0, max_iters):
+            return optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": max_iters})
+
+        monkeypatch.setattr(solvers, "lbfgs", lbfgs_b)
+        theirs = solvers._qaoa_distribution(model, params)[3]
+        assert (ours["evaluations"], ours["converged"]) == (theirs["evaluations"], theirs["converged"])
+        assert ours["expected_energy"] == pytest.approx(theirs["expected_energy"], rel=1e-9, abs=0)
+        probability = ours["ground_state_probability"]
+        assert probability == pytest.approx(theirs["ground_state_probability"], rel=math.sqrt(lbfgs._FACTR), abs=0)
+
+    def test_compare_runs_qaoa_without_scipy(self, mixed_problem, tmp_path):
+        mixed_problem.save(tmp_path / "readme.json")
+        src = str(Path(qubo_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from qubo_forge import cli\n"
+            "code = cli.main(['compare', 'readme.json', '--solvers', 'exhaustive,sa,qaoa', '--out-dir', 'out'])\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None]\n"
+            "sys.exit(code)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        rows = {row["solver"]: row for row in json.loads((tmp_path / "out" / "readme.compare.json").read_text())}
+        assert rows["qaoa"]["best_energy"] >= rows["exhaustive"]["best_energy"]
 
     def test_readme_expectation_beats_the_nelder_mead_search(self, mixed_problem):
         # 32.19 is what Nelder-Mead from the same three ramp starts reached at p = 2
@@ -667,6 +706,14 @@ class TestLambdaUpdate:
         outcome = solve_with_lambda_update(problem, config, "sa", SolverParams(), UpdateStrategy("sequential"))
         assert (outcome.trials, len(compiles), outcome.valid) == (4, 1, True)
         assert outcome.model.lambdas() == [10.0]  # 0.01 grown three times, ×10 each
+
+    def test_stops_when_no_violated_weight_can_grow(self):
+        _, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        config = CompileConfig(lambda_method="manual", manual_lambdas=0.01)
+        strategy = UpdateStrategy("sequential", lambda_max=1.0, max_trials=5)
+        outcome = solve_with_lambda_update(problem, config, "sa", SolverParams(), strategy)
+        # 0.01 -> 0.1 -> 1.0; a fourth trial would solve the same λ = 1 model again
+        assert (outcome.trials, outcome.valid, outcome.model.lambdas()) == (3, False, [1.0])
 
     def test_valid_first_trial_stops_immediately(self, mixed_problem):
         outcome = solve_with_lambda_update(
