@@ -38,7 +38,8 @@ QAOA_MAX_BINARIES = 16
 UPDATE_KINDS = ("sequential", "scaled", "binary-search")
 
 _LOW_BITS = 16  # exhaustive enumeration runs through 2**16 low-bit assignments per block
-_SA_BLOCK = 16  # simulated annealing defers local-field updates across blocks of this many spins
+_SA_BLOCK = 64  # simulated annealing decides the visits of this many consecutive spins together
+_SA_CHUNK_BYTES = 2**19  # SA draws, decides and tracks bests for as many sweeps at once as fit in about this
 _BETA_START, _BETA_END = 0.1, 10.0  # SA inverse temperatures, divided by the largest coefficient magnitude
 _QAOA_MAX_ITERS = 400  # L-BFGS iterations per QAOA angle-search start
 
@@ -249,6 +250,16 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
 # -- simulated annealing ------------------------------------------------------------
 
 
+def _sa_chunk_sweeps(n: int, runs: int) -> int:
+    """Sweeps per SA chunk, at least one.
+
+    A chunk's buffers take 41 bytes per spin visit of a run: its draw,
+    threshold, delta, sweep-start sign and trajectory entry (8 bytes each)
+    and its accept flag.
+    """
+    return max(1, _SA_CHUNK_BYTES // (41 * max(n, 1) * runs))
+
+
 def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Single-flip Metropolis under a geometric inverse-temperature schedule.
 
@@ -262,20 +273,27 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     ``delta <= -log1p(-u_i) / β``, which accepts with probability
     ``min(1, exp(-β·delta))``.
 
-    Field updates are deferred across blocks of ``_SA_BLOCK`` spins: a visit
-    reads its field as the block-start field plus the couplings to the block's
-    earlier flips (one dot product), and the block's flips reach every field
-    together through one matmul when the block ends.  Each visit only records
-    its ``delta`` and accept flag; once per sweep, one ``cumsum`` gives each
-    run's energy after every visit, and a run whose minimum beats its best
-    rebuilds that state from the sweep-start signs and the flips up to the
-    first minimum.  Each run reports its best-seen state;
-    ``diagnostics["sa"]`` holds the acceptance rate per tenth of the schedule
-    and the spin visits (attempted flips) per second.
+    The visits of a block of ``_SA_BLOCK`` spins are decided together, by
+    rounds that reach the sequential sweep's own decisions: starting from the
+    guess that every visit flips, a round gives every visit, in all runs at
+    once, the block-start field plus the couplings to the block's earlier
+    guessed flips (one matmul), and decides all of them by the rule above; the
+    decisions become the next guess until a round changes none.  Visit ``k``
+    depends only on the visits before it, so round ``t`` settles the first
+    ``t`` visits and the fixed point, reached within ``block + 1`` rounds, is
+    the sequential sweep.  The block's flips then reach every field through
+    one matmul.  The draws, the thresholds and the best-state tracking run
+    once per chunk of sweeps, sized so the chunk's buffers stay near
+    ``_SA_CHUNK_BYTES``: one ``cumsum`` gives each run's energy after every
+    visit of the chunk, and a run whose minimum beats its best rebuilds that
+    state from the signs saved at the start of its sweep.  Each run reports
+    its best-seen state; ``diagnostics["sa"]`` holds the acceptance rate per
+    tenth of the schedule, the spin visits (attempted flips) per second and
+    the mean rounds per block visit.
     """
     params = params or SolverParams()
     arrays = model.arrays
-    n, runs, width = len(arrays.order), params.runs, _SA_BLOCK
+    n, runs = len(arrays.order), params.runs
     couplings = np.zeros((n, n))
     couplings[arrays.rows, arrays.cols] = arrays.values
     couplings += couplings.T
@@ -284,9 +302,9 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     scale = float(np.abs(np.concatenate([arrays.linear, arrays.values])).max(initial=0.0)) or 1.0
     if params.sweeps > 1:
         ratio = (_BETA_END / _BETA_START) ** (1.0 / (params.sweeps - 1))
-        betas = [_BETA_START * ratio**t / scale for t in range(params.sweeps)]
+        betas = np.array([_BETA_START * ratio**t / scale for t in range(params.sweeps)])
     else:
-        betas = [_BETA_END / scale]
+        betas = np.array([_BETA_END / scale])
 
     started = time.monotonic()
     rngs = [np.random.default_rng(params.seed + run) for run in range(runs)]
@@ -295,52 +313,75 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     fields = (arrays.linear + x @ couplings).T.copy()
     signs = (1.0 - 2.0 * x).T.copy()
     best_signs = signs.copy()
-    trajectory = np.empty((n + 1, runs))  # row k: each run's energy after visit k - 1
-    trajectory[-1] = arrays.energies(x)
-    best_energy = trajectory[-1].copy()
-    draws, thresholds, deltas = np.empty((runs, n)), np.empty((n, runs)), np.empty((n, runs))
-    accepts = np.empty((n, runs), dtype=bool)
-    window = np.zeros((2 * width, runs))  # the block's start fields, then its steps (the changes of x)
-    spins = np.arange(n)[:, None]
+    energy = np.array(arrays.energies(x))
+    best_energy = energy.copy()
+
+    chunk = min(len(betas), _sa_chunk_sweeps(n, runs))
+    draws = np.empty((runs, chunk * n))
+    thresholds, deltas, sweep_signs = (np.empty((chunk, n, runs)) for _ in range(3))
+    accepts = np.empty((chunk, n, runs), dtype=bool)
+    trajectory = np.empty((chunk * n + 1, runs))  # row k: each run's energy after the chunk's visit k - 1
 
     blocks = []
-    for first in range(0, n, width):
-        size = min(width, n - first)
+    for first in range(0, n, _SA_BLOCK):
+        size = min(_SA_BLOCK, n - first)
         part = slice(first, first + size)
-        # Visit k of the block reads window row k plus the couplings to the block's earlier steps.
-        reads = np.zeros((size, 2 * width))
-        reads[:, :size] = np.eye(size)
-        reads[:, width : width + size] = np.tril(couplings[part, part], -1)
-        rows = list(zip(reads, signs[part], deltas[part], thresholds[part], accepts[part], window[width:]))
-        blocks.append((fields[part], window[:size], couplings[:, part], window[width : width + size], rows))
-    draw_rows = list(zip(rngs, draws))
-    multiply, less_equal, dot = np.multiply, np.less_equal, np.dot
+        # ``lift @ stacked`` is ``start + tril(Q_bb, -1) @ steps``: each visit's block-start field
+        # plus the couplings to the block's earlier steps (the changes of x).
+        lift = np.hstack([np.eye(size), np.tril(couplings[part, part], -1)])
+        stacked = np.empty((2 * size, runs))
+        all_flip = b"\x01" * (size * runs)  # the accept flags of the first guess
+        views = [(thresholds[c, part], deltas[c, part], accepts[c, part]) for c in range(chunk)]
+        blocks.append((fields[part], signs[part], lift, stacked, all_flip, couplings[:, part], views))
+    matmul, multiply, less_equal = np.matmul, np.multiply, np.less_equal
 
     accepted = np.zeros(len(betas))
-    for t, beta in enumerate(betas):
-        for rng, row in draw_rows:
-            rng.random(out=row)
-        np.log1p(np.negative(draws, out=draws), out=draws)
-        np.divide(draws.T, -beta, out=thresholds)  # -log1p(-u) / β
-        for block_fields, start_fields, columns, steps, rows in blocks:
-            start_fields[:] = block_fields
-            for read, sign, delta, threshold, accept, step in rows:
-                multiply(sign, dot(read, window), out=delta)
-                less_equal(delta, threshold, out=accept)
-                multiply(sign, accept, out=step)
-            fields += columns @ steps
+    rounds = 0
+    for first_sweep in range(0, len(betas), chunk):
+        count = min(chunk, len(betas) - first_sweep)
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row[: count * n])
+        u = draws[:, : count * n]
+        np.log1p(np.negative(u, out=u), out=u)
+        chunk_betas = betas[first_sweep : first_sweep + count, None, None]
+        np.divide(u.reshape(runs, count, n).transpose(1, 2, 0), -chunk_betas, out=thresholds[:count])  # -log1p(-u) / β
 
-        trajectory[0] = trajectory[-1]
-        multiply(deltas, accepts, out=trajectory[1:])
-        np.cumsum(trajectory, axis=0, out=trajectory)
-        lows = trajectory.min(axis=0)  # row 0 is never below the best, so only a visit can improve
+        for sweep in range(count):
+            sweep_signs[sweep] = signs
+            for block_fields, sign, lift, stacked, settled, columns, views in blocks:
+                threshold, delta, accept = views[sweep]
+                size = len(sign)
+                stacked[:size] = block_fields
+                steps = stacked[size:]
+                steps[:] = sign  # the guess that every visit flips
+                for rounds_here in range(1, size + 2):
+                    multiply(sign, matmul(lift, stacked, out=delta), out=delta)
+                    less_equal(delta, threshold, out=accept)
+                    decided = accept.tobytes()
+                    if decided == settled:
+                        break
+                    settled = decided
+                    multiply(sign, accept, out=steps)
+                else:
+                    raise RuntimeError("SA block decisions did not settle within block + 1 rounds")
+                rounds += rounds_here
+                fields += columns @ steps
+            np.negative(signs, out=signs, where=accepts[sweep])
+
+        used = trajectory[: count * n + 1]
+        used[0] = energy
+        multiply(deltas[:count], accepts[:count], out=used[1:].reshape(count, n, runs))
+        np.cumsum(used, axis=0, out=used)
+        energy = used[-1].copy()
+        lows = used.min(axis=0)  # row 0 is never below the best, so only a visit can improve
         improved = np.flatnonzero(lows < best_energy)
         if len(improved):
-            flipped = accepts[:, improved] & (spins < trajectory[:, improved].argmin(axis=0))
-            best_signs[:, improved] = np.where(flipped, -signs[:, improved], signs[:, improved])
+            at_sweep, at_visit = np.divmod(used[:, improved].argmin(axis=0) - 1, n)  # row k follows visit k - 1
+            start_signs = sweep_signs[at_sweep, :, improved]
+            flipped = accepts[at_sweep, :, improved] & (np.arange(n) <= at_visit[:, None])
+            best_signs[:, improved] = np.where(flipped, -start_signs, start_signs).T
             best_energy[improved] = lows[improved]
-        accepted[t] = np.count_nonzero(accepts)  # each spin is visited once per sweep
-        np.negative(signs, out=signs, where=accepts)
+        accepted[first_sweep : first_sweep + count] = np.count_nonzero(accepts[:count], axis=(1, 2))
     elapsed = time.monotonic() - started
 
     visits = runs * n  # per sweep
@@ -351,6 +392,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
                 for part in np.array_split(accepted, min(10, len(betas)))
             ],
             "flips_per_s": visits * len(betas) / elapsed if elapsed > 0 else 0.0,
+            "rounds_per_block": rounds / (len(betas) * len(blocks)) if blocks else 0.0,
         }
     }
     run_times = [elapsed / runs] * runs if params.record_time else None

@@ -347,8 +347,8 @@ class TestSimulatedAnnealing:
         [
             ("integer", solvers._SA_BLOCK, 3, 25, 2),
             ("integer", solvers._SA_BLOCK + 1, 4, 15, 5),
-            ("integer", 37, 3, 20, 11),  # two full blocks and a short one
-            ("float", 40, 3, 30, 4),
+            ("integer", 2 * solvers._SA_BLOCK + 5, 3, 20, 11),  # two full blocks and a short one
+            ("float", solvers._SA_BLOCK + 12, 3, 30, 4),
         ],
     )
     def test_block_boundaries_match_the_one_replica_reference(self, kind, n, runs, sweeps, seed):
@@ -362,6 +362,29 @@ class TestSimulatedAnnealing:
         model = integer_model(np.random.default_rng(77), 37)
         accepted = assert_matches_reference_sa(model, SolverParams(runs=3, sweeps=12, seed=9))
         assert accepted[0] > 0 and accepted[-1] == 0  # the chain freezes in a local minimum
+
+    @pytest.mark.parametrize("extra_sweeps", [0, 1])
+    def test_cascading_decisions_match_the_one_replica_reference(self, monkeypatch, extra_sweeps):
+        # Antiferromagnetic chain: each flip changes its neighbour's decision, so a block takes many rounds.
+        monkeypatch.setattr(solvers, "_BETA_START", 1.0)
+        monkeypatch.setattr(solvers, "_BETA_END", 3.0)
+        n, runs = 130, 3
+        terms = {(f"v{i:03d}",): -1.0 for i in range(n)}
+        terms.update({(f"v{i:03d}", f"v{i + 1:03d}"): 2.0 for i in range(n - 1)})
+        model = bare_model(terms)
+        sweeps = 2 * solvers._sa_chunk_sweeps(n, runs) + extra_sweeps  # two full chunks, then one more sweep
+        assert sweeps < 100
+        params = SolverParams(runs=runs, sweeps=sweeps, seed=3)
+        assert_matches_reference_sa(model, params)
+        assert solve_sa(model, params).diagnostics["sa"]["rounds_per_block"] > 3
+
+    @pytest.mark.parametrize("chunk_sweeps", [1, 3])
+    def test_chunk_boundaries_match_the_one_replica_reference(self, mixed_problem, monkeypatch, chunk_sweeps):
+        model = compile_problem(mixed_problem)
+        n, runs = len(model.binary_variables()), 4
+        monkeypatch.setattr(solvers, "_SA_CHUNK_BYTES", 41 * n * runs * chunk_sweeps)
+        assert solvers._sa_chunk_sweeps(n, runs) == chunk_sweeps
+        assert_matches_reference_sa(model, SolverParams(runs=runs, sweeps=40, seed=3))
 
     def test_each_run_of_a_batch_is_its_own_single_run(self, mixed_problem):
         model = compile_problem(mixed_problem)
@@ -377,6 +400,8 @@ class TestSimulatedAnnealing:
         assert all(0.0 <= rate <= 1.0 for rate in sa["acceptance_by_decile"])
         assert sa["acceptance_by_decile"][-1] < sa["acceptance_by_decile"][0]  # the chain cools
         assert sa["flips_per_s"] > 0
+        assert type(sa["rounds_per_block"]) is float
+        assert 1.0 <= sa["rounds_per_block"] <= solvers._SA_BLOCK + 1
         assert len(set(solution.run_times)) == 1  # equal shares of the batch's wall time
         assert solve_exhaustive(model).diagnostics is None
 
