@@ -57,8 +57,8 @@ class VariableDecl:
     low: float | None = None
     high: float | None = None
     precision: float | None = None
-    encoding: str = "logarithmic"
-    base: int = 2
+    encoding: str | None = None
+    base: int | None = None
     bound: float | None = None
 
     def domain_interval(self) -> tuple[float, float]:
@@ -91,8 +91,8 @@ def check_encoding(source: str, method: str, base: int, bound: float | None, pre
 @dataclass(frozen=True)
 class ObjectiveTerm:
     expr: Polynomial
-    direction: str = "minimize"
-    weight: float = 1.0
+    direction: str
+    weight: float
 
     def __post_init__(self):
         if self.direction not in ("minimize", "maximize"):
@@ -133,9 +133,9 @@ class BooleanRelation:
 class ConstraintDecl:
     """Either a comparison or a boolean relation, with a hardness tag."""
 
+    hardness: str
     comparison: Comparison | None = None
     boolean: BooleanRelation | None = None
-    hardness: str = "hard"
     slack_precision: float | None = None
     label: str = ""
 

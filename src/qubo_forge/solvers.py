@@ -23,7 +23,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -42,6 +42,7 @@ _SA_BLOCK = 64  # simulated annealing decides the visits of this many consecutiv
 _SA_CHUNK_BYTES = 2**19  # SA draws, decides and tracks bests for as many sweeps at once as fit in about this
 _BETA_START, _BETA_END = 0.1, 10.0  # SA inverse temperatures, divided by the largest coefficient magnitude
 _QAOA_MAX_ITERS = 400  # L-BFGS iterations per QAOA angle-search start
+_QAOA_GROUP = 5  # QAOA's mixer and ΣX act on balanced groups of at most this many qubits, one matmul each
 
 
 def __getattr__(name: str):
@@ -402,57 +403,109 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
 # -- qaoa statevector simulation -----------------------------------------------------
 
 
+@cache
+def _hamming(width: int) -> np.ndarray:
+    """Hamming distances between the ``2**width`` basis states of a group of ``width`` qubits."""
+    index = np.arange(2**width)
+    table = ((index[:, None] ^ index)[..., None] >> np.arange(width) & 1).sum(axis=-1)
+    table.setflags(write=False)  # shared by every caller
+    return table
+
+
+def _group_widths(n: int) -> list[int]:
+    """Widths of the qubit groups, lowest bits first: as few groups as ``_QAOA_GROUP`` allows, balanced."""
+    count = -(-n // _QAOA_GROUP)
+    return [n // count + (group < n % count) for group in range(count)]
+
+
 def _apply_mixer(amplitudes: np.ndarray, n: int, beta: float) -> np.ndarray:
-    """``Π_k exp(-iβ·X_k)`` applied to a state, or to each row of a stack of states, as a new array."""
-    cos, minus_i_sin = math.cos(beta), -1j * math.sin(beta)
-    shape = amplitudes.shape
-    for k in range(n):
-        shaped = amplitudes.reshape(-1, 2, 2**k)  # X_k swaps the middle axis
-        flipped = shaped[:, ::-1, :] * minus_i_sin
-        amplitudes = shaped * cos
-        amplitudes += flipped
-        amplitudes = amplitudes.reshape(shape)
-    return amplitudes
+    """``Π_k exp(-iβ·X_k)`` applied to a state, or to each row of a stack of states, as a new array.
+
+    On a group of ``w`` qubits the product is the ``2**w × 2**w`` matrix with
+    entries ``cos(β)^(w-d)·(-i·sin β)^d``, ``d`` the Hamming distance of its
+    row and column.  Each group, lowest bits first, is one matmul against the
+    transposed rows, which also moves the group's bits above the others, so
+    after the last group the bits are back in their order.
+    """
+    if n == 0:
+        return amplitudes.copy()
+    cos, sin = math.cos(beta), math.sin(beta)
+    rows = amplitudes.reshape(-1, 2**n)
+    for width in _group_widths(n):
+        distance = np.arange(width + 1)
+        entries = cos ** (width - distance) * sin**distance * (-1j) ** distance
+        rows = np.matmul(entries[_hamming(width)], rows.reshape(len(rows), -1, 2**width).transpose(0, 2, 1))
+    return rows.reshape(amplitudes.shape)
 
 
 def _apply_x_sum(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """``ΣX_k·amplitudes``, the mixer's generator, as a new array."""
+    """``ΣX_k·amplitudes``, the mixer's generator, as a new array.
+
+    On a group of qubits the sum of its ``X_k`` is the 0/1 adjacency of the
+    group's hypercube (Hamming distance 1), one matmul over the group's bits.
+    """
     total = np.zeros_like(amplitudes)
-    for k in range(n):
-        total += amplitudes.reshape(-1, 2, 2**k)[:, ::-1, :].reshape(amplitudes.shape)
+    below = 1  # 2**(bits below the group)
+    for width in _group_widths(n):
+        adjacency = (_hamming(width) == 1).astype(amplitudes.dtype)
+        if below == 1:  # one 2-D product from the right (the adjacency is symmetric), not 2**(n-w) tiny ones
+            total += (amplitudes.reshape(-1, 2**width) @ adjacency).reshape(amplitudes.shape)
+        else:
+            total += np.matmul(adjacency, amplitudes.reshape(-1, 2**width, below)).reshape(amplitudes.shape)
+        below <<= width
     return total
 
 
-def _qaoa_state(phase: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    amplitudes = np.full(2**n, 2 ** (-n / 2), dtype=np.complex128)
-    layers = len(angles) // 2
-    for layer in range(layers):
-        gamma, beta = angles[2 * layer], angles[2 * layer + 1]
-        amplitudes = amplitudes * np.exp(-1j * gamma * phase)
-        amplitudes = _apply_mixer(amplitudes, n, beta)
-    return amplitudes
+class _QaoaCircuit:
+    """A spectrum as the QAOA kernel reads it: ``energies``, the cost ``phase`` and its distinct levels.
+
+    ``phase == levels[inverse]``, so a layer's phase factors take one ``exp``
+    per distinct level and a gather.
+    """
+
+    def __init__(self, energies: np.ndarray, phase: np.ndarray, n: int):
+        self.energies, self.phase, self.n = energies, phase, n
+        self.levels, self.inverse = np.unique(phase, return_inverse=True)
+
+    def phase_factors(self, gamma: float) -> np.ndarray:
+        """``exp(-iγ·phase)``."""
+        return np.exp(-1j * gamma * self.levels)[self.inverse]
 
 
-def _qaoa_objective(energies: np.ndarray, phase: np.ndarray, n: int, angles: np.ndarray) -> tuple[float, np.ndarray]:
+def _qaoa_forward(circuit: _QaoaCircuit, angles: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's states after its phase and after its mixer (``2p`` states, the output last) and phase factors."""
+    amplitudes = np.full(2**circuit.n, 2 ** (-circuit.n / 2), dtype=np.complex128)
+    states, factors = [], []
+    for gamma, beta in angles.reshape(-1, 2):
+        factors.append(circuit.phase_factors(gamma))
+        amplitudes = amplitudes * factors[-1]
+        states.append(amplitudes)
+        amplitudes = _apply_mixer(amplitudes, circuit.n, beta)
+        states.append(amplitudes)
+    return states, factors
+
+
+def _qaoa_objective(circuit: _QaoaCircuit, angles: np.ndarray) -> tuple[float, np.ndarray]:
     """``⟨C⟩`` and its exact gradient in the 2p angles from one backward pass (adjoint method).
 
-    With ``λ = C·ψ`` at the end of the circuit, walking the layers backwards
-    gives ``∂⟨C⟩/∂β = 2·Im⟨λ|ΣX_k|ψ⟩`` before un-applying that mixer and
-    ``∂⟨C⟩/∂γ = 2·Im⟨λ|phase·ψ⟩`` before un-applying that phase, with ψ and
-    λ un-applied together as the two rows of one array.
+    The forward pass keeps each layer's phase factors and its states after the
+    phase and after the mixer.  With ``λ = C·ψ`` at the end of the circuit,
+    walking the layers backwards gives ``∂⟨C⟩/∂β = 2·Im⟨λ|ΣX|ψ⟩`` with ψ the
+    state kept after that mixer, before un-applying the mixer from λ, and
+    ``∂⟨C⟩/∂γ = 2·Im⟨λ|phase·ψ⟩`` with ψ the state kept after that phase,
+    before un-applying the phase from λ by the conjugate of its factors.  Only
+    λ is carried backwards.
     """
-    amplitudes = _qaoa_state(phase, n, angles)
-    value = float(np.abs(amplitudes) ** 2 @ energies)
-    pair = np.stack([amplitudes, energies * amplitudes])  # rows ψ and λ
+    n, energies = circuit.n, circuit.energies
+    states, factors = _qaoa_forward(circuit, angles)
+    value = float(np.abs(states[-1]) ** 2 @ energies)
+    lam = energies * states[-1]
     gradient = np.empty(len(angles))
-    for layer in reversed(range(len(angles) // 2)):
-        gamma, beta = angles[2 * layer], angles[2 * layer + 1]
-        psi, lam = pair
-        gradient[2 * layer + 1] = 2.0 * np.vdot(lam, _apply_x_sum(psi, n)).imag
-        pair = _apply_mixer(pair, n, -beta)
-        psi, lam = pair
-        gradient[2 * layer] = 2.0 * np.vdot(lam, phase * psi).imag
-        pair = pair * np.exp(1j * gamma * phase)
+    for layer in reversed(range(len(factors))):
+        gradient[2 * layer + 1] = 2.0 * np.vdot(lam, _apply_x_sum(states[2 * layer + 1], n)).imag
+        lam = _apply_mixer(lam, n, -angles[2 * layer + 1])
+        gradient[2 * layer] = 2.0 * np.vdot(lam, circuit.phase * states[2 * layer]).imag
+        lam *= factors[layer].conj()
     return value, gradient
 
 
@@ -468,13 +521,14 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
     centered = energies - energies.mean()
     spread = np.max(np.abs(centered))
     phase = centered / spread if spread > 0 else np.zeros_like(centered)
+    circuit = _QaoaCircuit(energies, phase, n)
 
     evaluations = 0
 
     def objective(angles: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
-        return _qaoa_objective(energies, phase, n, angles)
+        return _qaoa_objective(circuit, angles)
 
     p = params.layers
     starts = []
@@ -486,19 +540,22 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
         starts.append(angles)
 
     best_angles, best_value, converged = starts[0], math.inf, False
+    started = time.monotonic()
     for start in starts:
         result = lbfgs(objective, start, _QAOA_MAX_ITERS)  # a module global, looked up per call so tests can replace it
         converged = converged or bool(result.success)
         if result.fun < best_value:
             best_value, best_angles = float(result.fun), result.x
+    elapsed = time.monotonic() - started
     if not converged:
         warnings.warn("QAOA angle search did not converge; using best-seen angles")
 
-    amplitudes = _qaoa_state(phase, n, best_angles)
+    amplitudes = _qaoa_forward(circuit, best_angles)[0][-1]
     probabilities = np.abs(amplitudes) ** 2
     probabilities = probabilities / probabilities.sum()
     diagnostics = {
         "evaluations": evaluations,
+        "evaluations_per_s": evaluations / elapsed if elapsed > 0 else 0.0,
         "converged": converged,
         "expected_energy": best_value,
         "ground_state_probability": float(probabilities[energies == energies.min()].sum()),
@@ -519,8 +576,9 @@ def solve_qaoa_sim(model: QuboModel, params: SolverParams | None = None) -> Solu
     ``shots`` bitstrings from the optimized state and keeps its best.  The
     model offset is folded into the reported energies, not the phase operator.
     ``diagnostics["qaoa"]`` holds the objective evaluations summed over the
-    starts, whether any start converged, the optimized expected energy, and
-    the probability mass on the minimum-energy assignments.
+    starts, the evaluations per second of the angle search, whether any start
+    converged, the optimized expected energy, and the probability mass on the
+    minimum-energy assignments.
     """
     params = params or SolverParams()
     order, energies, probabilities, diagnostics = _qaoa_distribution(model, params)

@@ -208,7 +208,10 @@ class TestObjectivesAndConstraints:
         ),
     )
     def test_array_evaluation_agrees_with_scalar_calls_row_by_row(self, op, rhs, offsets):
-        decl = ConstraintDecl(comparison=Comparison(lhs=Polynomial.variable("x") - 0.5 * Polynomial.variable("y"), op=op, rhs=rhs))
+        decl = ConstraintDecl(
+            comparison=Comparison(lhs=Polynomial.variable("x") - 0.5 * Polynomial.variable("y"), op=op, rhs=rhs),
+            hardness="hard",
+        )
         xs = [rhs + offset + 0.5 for offset in offsets]
         ys = [1.0] * len(offsets)
         satisfied, residual = decl.evaluate({"x": np.array(xs), "y": np.array(ys)})
@@ -220,7 +223,7 @@ class TestObjectivesAndConstraints:
     @pytest.mark.parametrize("kind", BOOLEAN_KINDS)
     def test_array_boolean_evaluation_agrees_with_scalar_calls(self, kind):
         inputs = ("x",) if kind == "not" else ("x", "y")
-        decl = ConstraintDecl(boolean=BooleanRelation(kind=kind, output="z", inputs=inputs))
+        decl = ConstraintDecl(boolean=BooleanRelation(kind=kind, output="z", inputs=inputs), hardness="hard")
         rows = list(itertools.product([0, 1], repeat=len(inputs) + 1))
         names = (*inputs, "z")
         columns = {name: np.array([row[k] for row in rows], dtype=float) for k, name in enumerate(names)}
@@ -294,7 +297,7 @@ class TestFreezeAndValidate:
             problem.add_binary_variable(name)
         expr = Polynomial({("a",): 1.0, ("b",): 1.0, ("c",): 1.0, ("d",): 1.0})
         # Bypass add_objective's own check to exercise validate() directly.
-        problem.objectives.append(ObjectiveTerm(expr=expr))
+        problem.objectives.append(ObjectiveTerm(expr=expr, direction="minimize", weight=1.0))
         if declared == {"a", "b", "c", "d"}:
             problem.validate()
         else:

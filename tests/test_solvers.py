@@ -5,6 +5,7 @@ required to stay at or above its optimum and to hit documented statistical
 targets under fixed seeds.
 """
 
+import functools
 import heapq
 import itertools
 import json
@@ -505,6 +506,50 @@ class TestQaoa:
         assert np.allclose(solvers._apply_mixer(states.copy(), n, beta), states @ mixer.T, rtol=0, atol=1e-12)
         assert np.allclose(solvers._apply_x_sum(states[0], n), x_sum @ states[0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_grouped_mixer_and_generator_match_kronecker_products(self, n):
+        # n = 0 and 1 have no or one qubit; n = 6 splits into groups of 3 and 3, n = 7 into 4 and 3
+        beta = 0.3 + 0.2 * n
+        rng = np.random.default_rng(n)
+        states = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+        given = states.copy()
+        x, eye, one = np.array([[0, 1], [1, 0]]), np.eye(2), np.eye(1)
+        rotation = np.cos(beta) * eye - 1j * np.sin(beta) * x
+        mixer = functools.reduce(np.kron, [rotation] * n, one)
+        x_sum = sum(
+            (functools.reduce(np.kron, [x if j == k else eye for j in range(n)], one) for k in range(n)),
+            np.zeros((2**n, 2**n)),
+        )
+        assert np.allclose(solvers._apply_mixer(states, n, beta), states @ mixer.T, rtol=0, atol=1e-12)
+        assert np.allclose(solvers._apply_x_sum(states, n), states @ x_sum.T, rtol=0, atol=1e-12)
+        assert np.array_equal(states, given)  # both return new arrays
+
+    @pytest.mark.parametrize("n", [9, 13, 16])
+    def test_grouped_mixer_and_generator_match_the_per_qubit_definition(self, n):
+        beta = -0.83
+        rng = np.random.default_rng(n)
+        states = rng.normal(size=(2, 2**n)) + 1j * rng.normal(size=(2, 2**n))
+        mixed, x_sum = states, np.zeros_like(states)
+        for k in range(n):  # X_k swaps the middle axis
+            flipped = states.reshape(-1, 2, 2**k)[:, ::-1, :]
+            x_sum += flipped.reshape(states.shape)
+            shaped = mixed.reshape(-1, 2, 2**k)
+            mixed = (math.cos(beta) * shaped - 1j * math.sin(beta) * shaped[:, ::-1, :]).reshape(states.shape)
+        atol = 1e-12 * np.linalg.norm(states, axis=1).max()
+        assert np.allclose(solvers._apply_mixer(states, n, beta), mixed, rtol=0, atol=atol)
+        assert np.allclose(solvers._apply_x_sum(states, n), x_sum, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("name", ["readme", "f3"])
+    def test_phase_factors_per_level_are_the_factors_per_amplitude(self, name, request):
+        arrays = compile_problem(qaoa_cell_problem(name, request)).arrays
+        energies = np.concatenate([block for _, block in solvers._energy_blocks(arrays)])
+        centered = energies - energies.mean()
+        phase = centered / np.max(np.abs(centered))
+        circuit = solvers._QaoaCircuit(energies, phase, len(arrays.order))
+        assert len(circuit.levels) < len(phase)
+        for gamma in (0.37, -1.13, 2.4):
+            assert np.array_equal(circuit.phase_factors(gamma), np.exp(-1j * gamma * phase))
+
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("name", ["readme", "f3", "iris"])
     def test_adjoint_gradient_matches_central_differences(self, name, layers, request):
@@ -514,11 +559,12 @@ class TestQaoa:
         centered = energies - energies.mean()
         phase = centered / np.max(np.abs(centered))
         angles = np.array([0.37, 0.81, 1.13, 0.29, 1.72, 0.55])[: 2 * layers]
-        _, gradient = solvers._qaoa_objective(energies, phase, n, angles)
+        circuit = solvers._QaoaCircuit(energies, phase, n)
+        _, gradient = solvers._qaoa_objective(circuit, angles)
         h = 1e-6
         central = [
-            (solvers._qaoa_objective(energies, phase, n, angles + step)[0]
-             - solvers._qaoa_objective(energies, phase, n, angles - step)[0]) / (2 * h)
+            (solvers._qaoa_objective(circuit, angles + step)[0]
+             - solvers._qaoa_objective(circuit, angles - step)[0]) / (2 * h)
             for step in np.eye(2 * layers) * h
         ]
         assert np.abs(gradient - central).max() <= 1e-6 * (1 + np.abs(energies).max())
@@ -538,6 +584,7 @@ class TestQaoa:
         qaoa = solve_qaoa_sim(model, params).diagnostics["qaoa"]
         assert json.loads(json.dumps(qaoa)) == qaoa
         assert type(qaoa["evaluations"]) is int and qaoa["evaluations"] == sum(nfev)
+        assert type(qaoa["evaluations_per_s"]) is float and qaoa["evaluations_per_s"] > 0
         assert type(qaoa["converged"]) is bool and qaoa["converged"]
         assert type(qaoa["expected_energy"]) is float
         assert qaoa["expected_energy"] == qaoa_expected_energy(model, params)
@@ -566,6 +613,12 @@ class TestQaoa:
         assert ours["expected_energy"] == pytest.approx(theirs["expected_energy"], rel=1e-9, abs=0)
         probability = ours["ground_state_probability"]
         assert probability == pytest.approx(theirs["ground_state_probability"], rel=math.sqrt(lbfgs._FACTR), abs=0)
+
+    def test_readme_search_path_at_the_default_depth(self, mixed_problem):
+        # the bench's QAOA cell: a kernel that moves the L-BFGS path changes these, not only the time
+        qaoa = solvers._qaoa_distribution(compile_problem(mixed_problem), SolverParams())[3]
+        assert qaoa["evaluations"] == 103 and qaoa["converged"]
+        assert qaoa["expected_energy"] == pytest.approx(28.0582361904, rel=1e-9, abs=0)
 
     def test_compare_runs_qaoa_without_scipy(self, mixed_problem, tmp_path):
         mixed_problem.save(tmp_path / "readme.json")
