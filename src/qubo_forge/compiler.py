@@ -1,10 +1,18 @@
 """Assemble a solver-ready QUBO from a frozen problem.
 
-The pipeline: substitute every declared variable by its binary encoding,
+The pipeline: encode every declared variable as an affine map of binaries,
 aggregate the weighted objectives (maximize terms flip sign), turn each
 constraint (user-declared plus encoding-induced) into a quadratic penalty,
-estimate a penalty weight for each, and reduce the total polynomial to
-degree two with auxiliary binaries where needed.
+estimate a penalty weight for each, and reduce what is left above degree two
+with auxiliary binaries.
+
+Every stage returns a ``QuadraticForm``: a matrix over binaries for the terms
+of degree <= 2, and a symbolic ``Polynomial`` only for monomials of degree >= 3.
+The encodings are one affine map ``v = o + W·b``, so a degree-2 objective
+``xᵀAx + a·x + c`` is ``bᵀ(WᵀAW)b + (Wᵀ(A + Aᵀ)o + Wᵀa)·b + const`` with the
+0/1 rule ``b² = b`` folding the diagonal into the linear terms, and a linear
+constraint's penalty ``(u·b + k)²`` is one outer product.  Only monomials of
+degree >= 3 are substituted symbolically and quadratized.
 
 Penalty weights are estimated on the composed objective *before*
 quadratization, so they do not depend on auxiliary bookkeeping.  The model
@@ -20,12 +28,20 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from qubo_forge.encoding import EncodingPlan, encode, encode_range
-from qubo_forge.expression import Comparison, Polynomial, format_float, reduce_binary_idempotence, sum_polynomials
+from qubo_forge.expression import (
+    COEFF_EPS,
+    Comparison,
+    Monomial,
+    Polynomial,
+    format_float,
+    reduce_binary_idempotence,
+    sum_polynomials,
+)
 from qubo_forge.problem import BooleanRelation, ConstraintDecl, Problem, VariableKind
 
 MODEL_SCHEMA = "qubo-forge-model/1"
@@ -58,14 +74,175 @@ class CompileConfig:
                 raise ValueError("manual lambda values must be positive")
 
 
+@dataclass(frozen=True, eq=False)
+class QuadraticForm:
+    """``bᵀ·matrix·b + constant + higher(b)`` over the 0/1 binaries ``names`` (sorted).
+
+    ``matrix`` is upper triangular with the linear terms on its diagonal;
+    ``higher`` holds the monomials of degree >= 3, which only ``quadratize``
+    can bring down.  Coefficients below ``COEFF_EPS`` are zero.
+    """
+
+    names: tuple[str, ...]
+    matrix: np.ndarray
+    constant: float = 0.0
+    higher: Polynomial = field(default_factory=Polynomial)
+
+    @classmethod
+    def from_polynomial(cls, poly: Polynomial, substitutions: Mapping[str, Polynomial] | None = None) -> "QuadraticForm":
+        """``poly`` with each variable that has an affine substitution replaced by it; other names are binaries.
+
+        Monomials of degree <= 2 go straight into the matrix.  Those of degree
+        >= 3 are substituted symbolically and idempotence-reduced; what falls to
+        degree <= 2 is added into the matrix, and the rest is ``higher``.
+        """
+        substitutions = substitutions or {}
+        low = {mono: coeff for mono, coeff in poly if len(mono) <= 2}
+        form = _lower(low, substitutions)
+        if len(low) == len(poly):
+            return form
+        high = Polynomial._wrap({mono: coeff for mono, coeff in poly if len(mono) > 2})
+        reduced = _reduce(_substitute_all(high, substitutions))
+        higher = Polynomial._wrap({mono: coeff for mono, coeff in reduced if len(mono) > 2})
+        rest = replace(_lower({mono: coeff for mono, coeff in reduced if len(mono) <= 2}, {}), higher=higher)
+        return _weighted_sum([(1.0, form), (1.0, rest)], higher.variables())
+
+    def coefficients(self) -> np.ndarray:
+        """Every non-constant coefficient: the matrix's nonzero entries, then ``higher``'s."""
+        return np.concatenate([self.matrix[self.matrix != 0.0], [c for mono, c in self.higher if mono]])
+
+    @cached_property
+    def polynomial(self) -> Polynomial:
+        """The same function as a ``Polynomial`` (a view, for text output and tests)."""
+        rows, cols = np.nonzero(np.triu(self.matrix, 1))
+        return _polynomial(
+            self.names, np.diagonal(self.matrix), rows, cols, self.matrix[rows, cols], self.constant, self.higher
+        )
+
+
+def _form(names: Sequence[str], matrix: np.ndarray, constant: float, higher: Polynomial | None = None) -> QuadraticForm:
+    """A stage's result: coefficients below ``COEFF_EPS`` are dropped (and -0.0 becomes 0.0)."""
+    matrix[np.abs(matrix) < COEFF_EPS] = 0.0
+    constant = float(constant) if abs(constant) >= COEFF_EPS else 0.0
+    return QuadraticForm(tuple(names), matrix, constant, Polynomial() if higher is None else higher)
+
+
+class _TermsView(Polynomial):
+    """A ``Polynomial`` whose terms are built on first use; its length is known without them."""
+
+    __slots__ = ("_length", "_build", "_built")
+
+    def __init__(self, length: int, build: Callable[[], dict[Monomial, float]]):
+        self._length, self._build, self._built = length, build, None
+
+    @property
+    def _terms(self) -> dict[Monomial, float]:
+        if self._built is None:
+            self._built = self._build()
+        return self._built
+
+    def __len__(self) -> int:
+        return self._length
+
+
+def _polynomial(names, linear, rows, cols, values, constant: float = 0.0, higher: Polynomial | None = None) -> Polynomial:
+    """The terms of an upper-triangular array form as a canonical ``Polynomial`` (``names`` sorted)."""
+    higher = higher or Polynomial()
+
+    def build() -> dict[Monomial, float]:
+        terms: dict[Monomial, float] = {(names[i],): c for i, c in enumerate(linear.tolist()) if c}
+        pairs = zip(map(names.__getitem__, rows.tolist()), map(names.__getitem__, cols.tolist()))
+        terms.update(zip(pairs, values.tolist()))
+        if constant:
+            terms[()] = constant
+        terms.update(higher)
+        return terms
+
+    return _TermsView(int(np.count_nonzero(linear)) + len(values) + bool(constant) + len(higher), build)
+
+
+def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomial]) -> QuadraticForm:
+    """Degree-<=2 ``terms`` with each variable replaced by its affine substitution (or kept as a binary).
+
+    The variables' quadratic part is ``A`` (upper triangular), their linear part
+    ``a``.  ``W`` is held by column: binary ``j`` encodes the one variable
+    ``owner[j]`` with weight ``weight[j]``, so ``WᵀAW`` is a gather, not a product.
+    """
+    symbols = sorted({name for mono in terms for name in mono})
+    row = {name: k for k, name in enumerate(symbols)}
+    quad, lin, constant = np.zeros((len(symbols), len(symbols))), np.zeros(len(symbols)), 0.0
+    for mono, coeff in terms.items():
+        if len(mono) == 2:
+            quad[row[mono[0]], row[mono[1]]] = coeff
+        elif mono:
+            lin[row[mono[0]]] = coeff
+        else:
+            constant = coeff
+    names: list[str] = []
+    owner: list[int] = []
+    weight: list[float] = []
+    offset = np.zeros(len(symbols))
+    for k, symbol in enumerate(symbols):
+        for mono, coeff in _substitution(symbol, substitutions):
+            if len(mono) > 1:
+                raise ValueError(f"the substitution for '{symbol}' is not affine")
+            if mono:
+                names.append(mono[0])
+                owner.append(k)
+                weight.append(coeff)
+            else:
+                offset[k] = coeff
+    if len(set(names)) != len(names):
+        raise ValueError("a binary encodes two variables of one polynomial")
+    order = sorted(range(len(names)), key=names.__getitem__)
+    owners = np.array(owner, dtype=np.int64)[order]
+    weights = np.array(weight, dtype=float)[order]
+    coupled = quad[np.ix_(owners, owners)] * np.outer(weights, weights)
+    matrix = np.triu(coupled + coupled.T, 1)
+    np.fill_diagonal(matrix, weights * ((quad + quad.T) @ offset + lin)[owners] + np.diagonal(coupled))
+    return _form([names[j] for j in order], matrix, constant + lin @ offset + offset @ quad @ offset)
+
+
+def _substitution(name: str, substitutions: Mapping[str, Polynomial]) -> Polynomial:
+    """The affine polynomial that replaces ``name``; a name without one is a binary."""
+    affine = substitutions.get(name)
+    return Polynomial.variable(name) if affine is None else affine
+
+
+def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[str] = ()) -> QuadraticForm:
+    """``Σ scale·form`` over the sorted union of their binaries and ``names``, added in the given order.
+
+    Each entry is summed as a chain of ``+`` of polynomials would sum it: from
+    0.0, in order, and a partial sum that cancels below ``COEFF_EPS`` is dropped
+    before the next form adds.  The ``higher`` parts are summed symbolically.
+    """
+    order = sorted(set(names).union(*(form.names for _, form in terms)))
+    position = {name: k for k, name in enumerate(order)}
+    matrix = np.zeros((len(order), len(order)))
+    constant = 0.0
+    for scale, form in terms:
+        grid = np.ix_(*[np.array([position[name] for name in form.names], dtype=np.int64)] * 2)
+        block = matrix[grid] + form.matrix * scale
+        block[np.abs(block) < COEFF_EPS] = 0.0
+        matrix[grid] = block
+        constant += form.constant * scale
+        constant = constant if abs(constant) >= COEFF_EPS else 0.0
+    higher = sum_polynomials(form.higher.scale(scale) for scale, form in terms if not form.higher.is_zero())
+    return _form(order, matrix, constant, higher)
+
+
 @dataclass(frozen=True)
 class PenaltyBlock:
     """One constraint's quadratic penalty: zero iff satisfied (best slack/aux choice)."""
 
     constraint: ConstraintDecl
-    penalty: Polynomial
+    form: QuadraticForm
     lam: float
     slack_plan: EncodingPlan | None = None
+
+    @property
+    def penalty(self) -> Polynomial:
+        return self.form.polynomial
 
     @property
     def label(self) -> str:
@@ -80,8 +257,8 @@ class PenaltyBlock:
 class QuboArrays:
     """A compiled QUBO as arrays: ``E(x) = linear·x + Σ values·x[rows]·x[cols] + offset``.
 
-    ``order`` names the binary at each position (sorted); couplers keep the
-    polynomial's term order, with ``rows < cols``.
+    ``order`` names the binary at each position (sorted); couplers are in
+    row-major order, with ``rows < cols``.
     """
 
     order: tuple[str, ...]
@@ -92,26 +269,12 @@ class QuboArrays:
     offset: float
 
     @classmethod
-    def from_model(cls, model: "QuboModel") -> "QuboArrays":
-        names: set[str] = set(model.aux_registry.values()) | model.quadratic.variables()
-        for plan in model.encodings:
-            names.update(plan.binary_names())
-        for block in model.penalties:
-            if block.slack_plan is not None:
-                names.update(block.slack_plan.binary_names())
-        order = tuple(sorted(names))
-        position = {name: k for k, name in enumerate(order)}
-        linear = np.zeros(len(order))
-        couplers: list[tuple[int, int, float]] = []
-        for mono, coeff in model.quadratic:
-            if len(mono) == 1:
-                linear[position[mono[0]]] = coeff
-            elif len(mono) == 2 and mono[0] != mono[1]:
-                couplers.append((position[mono[0]], position[mono[1]], coeff))
-            else:
-                raise ValueError(f"QUBO term {mono} is neither linear nor a product of two distinct binaries")
-        rows, cols = np.array([pair[:2] for pair in couplers], dtype=np.int64).reshape(-1, 2).T
-        return cls(order, linear, rows, cols, np.array([pair[2] for pair in couplers]), model.offset)
+    def from_form(cls, form: QuadraticForm) -> "QuboArrays":
+        if not form.higher.is_zero():
+            raise ValueError(f"a QUBO has no terms of degree {form.higher.degree()}")
+        upper = np.triu(form.matrix, 1)
+        rows, cols = np.nonzero(upper)
+        return cls(form.names, np.diagonal(form.matrix).copy(), rows, cols, upper[rows, cols], form.constant)
 
     def entries(self) -> list[tuple[int, int, float]]:
         """Upper-triangular ``(row, col, value)`` entries by position, linear terms on the diagonal."""
@@ -156,20 +319,85 @@ class QuboArrays:
         return energies
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class QuboModel:
-    """Degree-<=2 polynomial over binaries plus the metadata to decode and audit it (read-only)."""
+    """A QUBO as arrays plus the metadata to decode and audit it (read-only).
 
-    quadratic: Polynomial
-    offset: float
+    ``QuboModel(quadratic=poly, offset=c, ...)`` builds the arrays from a
+    degree-<=2 polynomial of linear terms and products of two distinct
+    binaries; ``compile_problem`` passes ``arrays`` directly.  ``offset``, when
+    given, sets the arrays' constant.
+    """
+
+    arrays: QuboArrays
     encodings: list[EncodingPlan]
     penalties: list[PenaltyBlock]
-    aux_registry: dict[tuple[str, str], str] = field(default_factory=dict)
-    cost: Polynomial | None = None  # the λ-free objective that with_lambdas re-weights; None unless compiled
+    aux_registry: dict[tuple[str, str], str]
+    cost: QuadraticForm | None  # the λ-free objective that with_lambdas re-weights; None unless compiled
+
+    def __init__(
+        self,
+        quadratic: Polynomial | None = None,
+        offset: float | None = None,
+        encodings: Sequence[EncodingPlan] = (),
+        penalties: Sequence[PenaltyBlock] = (),
+        aux_registry: dict[tuple[str, str], str] | None = None,
+        cost: QuadraticForm | None = None,
+        arrays: QuboArrays | None = None,
+    ):
+        self.encodings, self.penalties = list(encodings), list(penalties)
+        self.aux_registry, self.cost = dict(aux_registry or {}), cost
+        if arrays is None:
+            if quadratic is None:
+                raise TypeError("QuboModel needs arrays or a quadratic polynomial")
+            for mono, _ in quadratic:
+                if not (len(mono) == 1 or (len(mono) == 2 and mono[0] != mono[1])):
+                    raise ValueError(f"QUBO term {mono} is neither linear nor a product of two distinct binaries")
+            # every binary the model owns, also where no term names it
+            names = [name for plan in self.encodings for name in plan.binary_names()]
+            names += [name for block in self.penalties if block.slack_plan for name in block.slack_plan.binary_names()]
+            names += self.aux_registry.values()
+            arrays = QuboArrays.from_form(_weighted_sum([(1.0, QuadraticForm.from_polynomial(quadratic))], names))
+        self.arrays = arrays if offset is None else replace(arrays, offset=float(offset))
+
+    @property
+    def offset(self) -> float:
+        return self.arrays.offset
 
     @cached_property
-    def arrays(self) -> QuboArrays:
-        return QuboArrays.from_model(self)
+    def quadratic(self) -> Polynomial:
+        """The linear and coupler terms as a ``Polynomial`` (a view, for text output and tests)."""
+        arrays = self.arrays
+        return _polynomial(arrays.order, arrays.linear, arrays.rows, arrays.cols, arrays.values)
+
+    @cached_property
+    def stats(self) -> dict[str, Any]:
+        """Plain-data figures of the compiled model, read from its arrays and blocks.
+
+        ``binaries`` by origin, ``terms`` (linear and couplers), ``degree``
+        before quadratization, the coefficients' ``dynamic_range``
+        (max|c| / min|c|, None without terms) and each block's λ.
+        """
+        arrays = self.arrays
+        extra = {"slack": 0, "boolean_aux": 0}
+        for block in self.penalties:
+            if block.slack_plan is not None:
+                extra["slack" if block.constraint.boolean is None else "boolean_aux"] += len(block.slack_plan.binaries)
+        magnitudes = np.abs(np.concatenate([arrays.linear[arrays.linear != 0.0], arrays.values]))
+        forms = [] if self.cost is None else [self.cost, *(block.form for block in self.penalties)]
+        quadratic_degree = 2 if len(arrays.values) else int(bool(np.any(arrays.linear)))
+        return {
+            "binaries": {
+                "total": len(arrays.order),
+                "encoding": sum(len(plan.binaries) for plan in self.encodings),
+                **extra,
+                "quadratization_aux": len(self.aux_registry),
+            },
+            "terms": {"linear": int(np.count_nonzero(arrays.linear)), "couplers": len(arrays.values)},
+            "degree": max([quadratic_degree, *(form.higher.degree() for form in forms)]),
+            "dynamic_range": float(magnitudes.max() / magnitudes.min()) if magnitudes.size else None,
+            "lambdas": [{"label": block.label, "lambda": block.lam, "hardness": block.hardness} for block in self.penalties],
+        }
 
     def binary_variables(self) -> list[str]:
         return list(self.arrays.order)
@@ -293,7 +521,7 @@ def _reduce(poly: Polynomial) -> Polynomial:
     return reduce_binary_idempotence(poly, poly.variables())
 
 
-def _substitute_all(poly: Polynomial, substitutions: dict[str, Polynomial]) -> Polynomial:
+def _substitute_all(poly: Polynomial, substitutions: Mapping[str, Polynomial]) -> Polynomial:
     """Replace each variable that has a substitution, one at a time in name order."""
     for name in sorted(poly.variables()):
         if name in substitutions:
@@ -301,15 +529,56 @@ def _substitute_all(poly: Polynomial, substitutions: dict[str, Polynomial]) -> P
     return poly
 
 
-def compose_cost(objectives: Sequence, substitutions: dict[str, Polynomial]) -> Polynomial:
+def _affine(lhs: Polynomial, substitutions: Mapping[str, Polynomial]) -> tuple[list[str], list[float], float]:
+    """A linear ``lhs`` over binaries, ``u·b + k``, in one pass: (binary names, ``u``, ``k``)."""
+    coefficients: dict[str, float] = {}
+    constant = 0.0
+    for mono, coeff in lhs:
+        for binary, weight in _substitution(mono[0], substitutions) if mono else [((), 1.0)]:
+            if binary:
+                coefficients[binary[0]] = coefficients.get(binary[0], 0.0) + coeff * weight
+            else:
+                constant += coeff * weight
+    kept = {name: c for name, c in coefficients.items() if abs(c) >= COEFF_EPS}
+    return list(kept), list(kept.values()), constant
+
+
+def _squared(
+    lhs: Polynomial, rhs: float, substitutions: Mapping[str, Polynomial], slack: EncodingPlan | None = None
+) -> QuadraticForm:
+    """``(lhs + slack - rhs)²`` over binaries: one outer product when ``lhs`` is linear, else symbolically."""
+    if lhs.degree() > 1:
+        binary = _reduce(_substitute_all(lhs, substitutions))
+        if slack is not None:
+            binary = binary + slack.affine()
+        return QuadraticForm.from_polynomial(_reduce((binary - rhs) ** 2))
+    names, coefficients, constant = _affine(lhs, substitutions)
+    if slack is not None:
+        names += slack.binary_names()
+        coefficients += [weight for _, weight in slack.binaries]
+        constant += slack.offset
+    constant -= rhs
+    if abs(constant) < COEFF_EPS:
+        constant = 0.0
+    order = sorted(range(len(names)), key=names.__getitem__)
+    u = np.array(coefficients, dtype=float)[order]
+    # b² and the 2kb cross term are dropped below COEFF_EPS before they meet, as in expanding the square
+    square, cross = u * u, 2.0 * (u * constant)
+    square[np.abs(square) < COEFF_EPS] = cross[np.abs(cross) < COEFF_EPS] = 0.0
+    matrix = np.triu(2.0 * np.outer(u, u), 1)
+    np.fill_diagonal(matrix, square + cross)
+    return _form([names[j] for j in order], matrix, constant * constant)
+
+
+def compose_cost(objectives: Sequence, substitutions: Mapping[str, Polynomial]) -> QuadraticForm:
     """Weighted signed sum of objectives with variables replaced by their encodings."""
     signed = [term.expr.scale(term.weight if term.direction == "minimize" else -term.weight) for term in objectives]
-    return _reduce(sum_polynomials(_substitute_all(poly, substitutions) for poly in signed))
+    return QuadraticForm.from_polynomial(sum_polynomials(signed), substitutions)
 
 
-def equality_penalty(comparison: Comparison) -> Polynomial:
-    """(lhs - rhs)^2, expanded and idempotence-reduced; zero iff the equality holds."""
-    return _reduce((comparison.lhs - comparison.rhs) ** 2)
+def equality_penalty(comparison: Comparison, substitutions: Mapping[str, Polynomial] | None = None) -> QuadraticForm:
+    """(lhs - rhs)² over binaries; zero iff the equality holds."""
+    return _squared(comparison.lhs, comparison.rhs, substitutions or {})
 
 
 def inequality_to_penalty(
@@ -317,21 +586,23 @@ def inequality_to_penalty(
     bounds: tuple[float, float],
     precision: float,
     slack_source: str,
-) -> tuple[Polynomial, EncodingPlan | None]:
-    """Slack-augmented squared penalty for an inequality over binary variables.
+    substitutions: Mapping[str, Polynomial] | None = None,
+) -> tuple[QuadraticForm, EncodingPlan | None]:
+    """Slack-augmented squared penalty for an inequality, over binaries.
 
     ``bounds`` are (min, max) of the lhs over encodable assignments.  The
     slack is sized so every feasible lhs value admits a zeroing slack:
     ``[-(max - rhs), 0]`` for >=, ``[0, rhs - min]`` for <=.  Strict
     inequalities are tightened by one precision step first.
     """
+    substitutions = substitutions or {}
     op, rhs = comparison.op, comparison.rhs
     if op == ">":
         op, rhs = ">=", rhs + precision
     elif op == "<":
         op, rhs = "<=", rhs - precision
 
-    cheap = _binary_pair_penalty(comparison.lhs, op, rhs)
+    cheap = _binary_pair_penalty(comparison.lhs, op, rhs, substitutions)
     if cheap is not None:
         return cheap, None
 
@@ -347,135 +618,126 @@ def inequality_to_penalty(
         warnings.warn(f"constraint unsatisfiable: '{comparison.to_text()}' over lhs range [{low}, {high}]")
     if unsatisfiable or slack_high - slack_low < precision - _EPS:
         # No slack, or an equality-tight window with no representable slack value besides zero.
-        return _reduce((comparison.lhs - rhs) ** 2), None
+        return _squared(comparison.lhs, rhs, substitutions), None
 
     plan = encode_range(slack_source, slack_low, slack_high, precision, method="logarithmic")
-    return _reduce((comparison.lhs + plan.affine() - rhs) ** 2), plan
+    return _squared(comparison.lhs, rhs, substitutions, plan), plan
 
 
-def _binary_pair_penalty(lhs: Polynomial, op: str, rhs: float) -> Polynomial | None:
+def _binary_pair_penalty(
+    lhs: Polynomial, op: str, rhs: float, substitutions: Mapping[str, Polynomial]
+) -> QuadraticForm | None:
     """Product penalty for ``b - b' >= 0`` chains (domain-wall); avoids a slack bit."""
-    if op != ">=" or abs(rhs) > _EPS:
+    if op != ">=" or abs(rhs) > _EPS or lhs.degree() != 1:
         return None
-    if len(lhs) != 2 or any(len(m) != 1 for m, _ in lhs):
+    names, coefficients, constant = _affine(lhs, substitutions)
+    if len(names) != 2 or abs(constant) >= COEFF_EPS:
         return None
-    coeffs = sorted(lhs, key=lambda kv: kv[1])
-    (neg_mono, neg_c), (pos_mono, pos_c) = coeffs
+    (neg_c, lower), (pos_c, upper) = sorted(zip(coefficients, names))
     if abs(neg_c + 1.0) > _EPS or abs(pos_c - 1.0) > _EPS:
         return None
-    upper, lower = pos_mono[0], neg_mono[0]
     # lower * (1 - upper): 1 exactly on the single violating row.
-    return Polynomial({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0})
+    return QuadraticForm.from_polynomial(Polynomial({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0}))
 
 
-def boolean_penalty(relation: BooleanRelation, aux_source: str) -> tuple[Polynomial, EncodingPlan | None]:
+def boolean_penalty(
+    relation: BooleanRelation, aux_source: str, substitutions: Mapping[str, Polynomial] | None = None
+) -> tuple[QuadraticForm, EncodingPlan | None]:
     """Quadratic gate penalty: zero exactly on truth-table rows (min over aux for xor)."""
+    substitutions = substitutions or {}
     z = relation.output
     if relation.kind == "not":
         (x,) = relation.inputs
-        poly = (Polynomial.variable(x) + Polynomial.variable(z) - 1) ** 2
-        return _reduce(poly), None
+        return _squared(Polynomial.variable(x) + Polynomial.variable(z), 1.0, substitutions), None
     x, y = relation.inputs
     bx, by, bz = Polynomial.variable(x), Polynomial.variable(y), Polynomial.variable(z)
     if relation.kind == "and":
-        return _reduce(bx * by - 2 * (bx + by) * bz + 3 * bz), None
+        return QuadraticForm.from_polynomial(bx * by - 2 * (bx + by) * bz + 3 * bz, substitutions), None
     if relation.kind == "or":
-        return _reduce(bx * by + bx + by - 2 * bx * bz - 2 * by * bz + bz), None
+        return QuadraticForm.from_polynomial(bx * by + bx + by - 2 * bx * bz - 2 * by * bz + bz, substitutions), None
     # xor as a parity check: x + y + z - 2w is zero exactly on consistent rows.
     plan = EncodingPlan(source=aux_source, binaries=((f"{aux_source}#0", -2.0),), offset=0.0)
-    return _reduce((bx + by + bz + plan.affine()) ** 2), plan
+    return _squared(bx + by + bz, 0.0, substitutions, plan), plan
 
 
 # -- penalty weight estimation -------------------------------------------------
 
 
-def one_flip_bounds(poly: Polynomial) -> dict[str, tuple[float, float]]:
-    """Per-variable (max-gain, max-loss) bounds for a single 0/1 flip.
+def one_flip_bounds(form: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
+    """Per-binary (max-gain, max-loss) bounds for a single 0/1 flip, over ``form.names``.
 
-    For each variable the linear coefficient always fires, while each
+    For each binary the linear coefficient always fires, while each
     higher-order monomial contributes at most its positive (or negative)
-    part.  Exact for degree <= 2, an upper bound above that.
+    part: ``linear ± Σ max(±Q, 0)`` over the binary's row and column.
+    Exact for degree <= 2, an upper bound above that.
     """
-    bounds: dict[str, list[float]] = {}
-    for mono, coeff in poly:
-        for name in set(mono):
-            entry = bounds.setdefault(name, [0.0, 0.0])
-            if len(mono) == 1:
-                entry[0] += coeff
-                entry[1] -= coeff
-            else:
-                entry[0] += max(coeff, 0.0)
-                entry[1] += max(-coeff, 0.0)
-    return {name: (up, down) for name, (up, down) in bounds.items()}
+    linear = np.diagonal(form.matrix)
+    couplers = np.triu(form.matrix, 1)
+    positive, negative = np.maximum(couplers, 0.0), np.maximum(-couplers, 0.0)
+    gain = linear + positive.sum(axis=1) + positive.sum(axis=0)
+    loss = -linear + negative.sum(axis=1) + negative.sum(axis=0)
+    if not form.higher.is_zero():
+        position = {name: k for k, name in enumerate(form.names)}
+        for mono, coeff in form.higher:
+            for name in set(mono):
+                gain[position[name]] += max(coeff, 0.0)
+                loss[position[name]] += max(-coeff, 0.0)
+    return gain, loss
 
 
-def estimate_lambda(method: str, objective: Polynomial, penalty: Polynomial | None = None) -> float:
+def estimate_lambda(method: str, objective: QuadraticForm, penalty: QuadraticForm | None = None) -> float:
     """Penalty-weight estimate for one constraint; momc/moc also inspect the penalty."""
-    coeffs = [c for m, c in objective if m]
-    gamma = objective.constant_term
+    coeffs = objective.coefficients()
+    gamma = objective.constant
 
     if method == "ub-positive":
-        if any(c < 0 for c in coeffs):
+        if np.any(coeffs < 0):
             raise ValueError("ub-positive needs an objective with only positive coefficients")
-        return sum(coeffs)
+        return float(coeffs.sum())
     if method == "mqc":
-        return (max(coeffs) if coeffs else 0.0) + gamma
+        return (float(coeffs.max()) if coeffs.size else 0.0) + gamma
     if method == "vlm":
         return _vlm(objective)
     if method == "ub-naive":
-        return sum(c for c in coeffs if c > 0) - sum(c for c in coeffs if c < 0)
+        return float(coeffs[coeffs > 0].sum() - coeffs[coeffs < 0].sum())
     if method == "ub-posiform":
         return _posiform_bound(objective)
+    if method in ("momc", "moc") and penalty is None:
+        raise ValueError(f"{method} needs the constraint penalty")
     if method == "momc":
-        if penalty is None:
-            raise ValueError("momc needs the constraint penalty")
-        steps = [d for pair in one_flip_bounds(penalty).values() for d in pair if d > _EPS]
-        denominator = min(steps) if steps else 1.0
-        return _vlm(objective) / denominator
+        steps = np.stack(one_flip_bounds(penalty))
+        steps = steps[steps > _EPS]
+        return _vlm(objective) / (float(steps.min()) if steps.size else 1.0)
     if method == "moc":
-        if penalty is None:
-            raise ValueError("moc needs the constraint penalty")
-        objective_bounds = one_flip_bounds(objective)
-        ratios = []
-        for name, pen_pair in one_flip_bounds(penalty).items():
-            obj_pair = objective_bounds.get(name, (0.0, 0.0))
-            for obj_d, pen_d in zip(obj_pair, pen_pair):
-                if pen_d > _EPS:  # zero-denominator ratios are skipped
-                    ratios.append(obj_d / pen_d)
-        return max(ratios) if ratios else _vlm(objective)
+        position = {name: k for k, name in enumerate(objective.names)}
+        index = [position.get(name, -1) for name in penalty.names]  # -1: the zero column appended below
+        objective_bounds = np.hstack([np.stack(one_flip_bounds(objective)), np.zeros((2, 1))])[:, index]
+        penalty_bounds = np.stack(one_flip_bounds(penalty))
+        steps = penalty_bounds > _EPS  # zero-denominator ratios are skipped
+        ratios = objective_bounds[steps] / penalty_bounds[steps]
+        return float(ratios.max()) if ratios.size else _vlm(objective)
     raise ValueError(f"unknown lambda method {method!r}")
 
 
-def _vlm(objective: Polynomial) -> float:
-    bounds = one_flip_bounds(objective)
-    return max((max(pair) for pair in bounds.values()), default=0.0)
+def _vlm(objective: QuadraticForm) -> float:
+    gain, loss = one_flip_bounds(objective)
+    return float(np.maximum(gain, loss).max(initial=0.0))
 
 
-def _posiform_bound(objective: Polynomial) -> float:
+def _posiform_bound(objective: QuadraticForm) -> float:
     """Upper-minus-lower bound from balanced posiform/negaform rewrites.
 
     Each quadratic coefficient is split half-and-half onto its two
     variables' linear terms; the absorbed constants of the resulting
     all-negative (upper) and all-positive (lower) forms bound the range.
     """
-    if objective.degree() > 2:
+    if not objective.higher.is_zero():
         raise ValueError("ub-posiform needs a degree <= 2 objective")
-    linear: dict[str, float] = {}
-    half_pos: dict[str, float] = {}
-    half_neg: dict[str, float] = {}
-    for mono, coeff in objective:
-        if len(mono) == 1:
-            linear[mono[0]] = linear.get(mono[0], 0.0) + coeff
-        elif len(mono) == 2:
-            for name in mono:
-                if coeff > 0:
-                    half_pos[name] = half_pos.get(name, 0.0) + coeff / 2.0
-                else:
-                    half_neg[name] = half_neg.get(name, 0.0) + coeff / 2.0
-    names = set(linear) | set(half_pos) | set(half_neg)
-    upper = sum(max(linear.get(n, 0.0) + half_pos.get(n, 0.0), 0.0) for n in names)
-    lower = sum(min(linear.get(n, 0.0) + half_neg.get(n, 0.0), 0.0) for n in names)
-    return upper - lower
+    # a binary's linear term plus half its positive couplers is (gain + linear) / 2; with half
+    # its negative couplers, (linear - loss) / 2
+    gain, loss = one_flip_bounds(objective)
+    linear = np.diagonal(objective.matrix)
+    return float(np.maximum(gain + linear, 0.0).sum() / 2.0 - np.minimum(linear - loss, 0.0).sum() / 2.0)
 
 
 # -- quadratization ---------------------------------------------------------------
@@ -533,10 +795,11 @@ def infer_slack_precision(decl: ConstraintDecl, problem: Problem) -> float:
     """Slack step for an inequality: the declared value, else the finest continuous grid step in it, else 1."""
     if decl.slack_precision is not None:
         return decl.slack_precision
+    declared = problem.variable_names()
     precisions = [
         problem.variable(name).precision
-        for name in sorted(decl.variables())
-        if name in problem.variable_names() and problem.variable(name).kind is VariableKind.CONTINUOUS
+        for name in sorted(decl.variables() & declared)
+        if problem.variable(name).kind is VariableKind.CONTINUOUS
     ]
     return min(precisions) if precisions else 1.0
 
@@ -559,22 +822,18 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
     for plan in plans:
         all_constraints.extend(plan.induced)
 
-    parts: list[tuple[ConstraintDecl, Polynomial, EncodingPlan | None]] = []
+    parts: list[tuple[ConstraintDecl, QuadraticForm, EncodingPlan | None]] = []
     for index, decl in enumerate(all_constraints):
         if decl.boolean is not None:
-            penalty, slack_plan = boolean_penalty(decl.boolean, aux_source=f"__bool{index}")
+            penalty, slack_plan = boolean_penalty(decl.boolean, f"__bool{index}", substitutions)
+        elif decl.comparison.op == "=":
+            penalty, slack_plan = equality_penalty(decl.comparison, substitutions), None
         else:
-            comparison = decl.comparison
-            lhs_binary = _reduce(_substitute_all(comparison.lhs, substitutions))
-            binary_comparison = Comparison(lhs=lhs_binary, op=comparison.op, rhs=comparison.rhs)
-            if comparison.op == "=":
-                penalty, slack_plan = equality_penalty(binary_comparison), None
-            else:
-                bounds = polynomial_interval(comparison.lhs, intervals)
-                precision = infer_slack_precision(decl, problem)
-                penalty, slack_plan = inequality_to_penalty(
-                    binary_comparison, bounds, precision, slack_source=f"__slack{index}"
-                )
+            bounds = polynomial_interval(decl.comparison.lhs, intervals)
+            precision = infer_slack_precision(decl, problem)
+            penalty, slack_plan = inequality_to_penalty(
+                decl.comparison, bounds, precision, f"__slack{index}", substitutions
+            )
         parts.append((decl, penalty, slack_plan))
 
     lambdas = _estimate_lambdas(parts, cost, config)
@@ -582,7 +841,7 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
     return _weigh(cost, plans, blocks)
 
 
-def _estimate_lambdas(parts: list[tuple], cost: Polynomial, config: CompileConfig) -> list[float]:
+def _estimate_lambdas(parts: list[tuple], cost: QuadraticForm, config: CompileConfig) -> list[float]:
     """One λ per (declaration, penalty, slack plan) part, in order."""
     if config.lambda_method == "manual":
         return [float(config.manual_lambdas)] * len(parts)
@@ -599,15 +858,17 @@ def _estimate_lambdas(parts: list[tuple], cost: Polynomial, config: CompileConfi
     return lambdas
 
 
-def _weigh(cost: Polynomial, encodings: list[EncodingPlan], blocks: list[PenaltyBlock]) -> QuboModel:
-    """The model ``cost + Σ λ_k·P_k`` in block order, quadratized above degree 2: compile and re-weight both end here."""
-    # the cost and every penalty are already idempotence-reduced, so their sum is too
-    total = sum_polynomials([cost, *(block.penalty.scale(block.lam) for block in blocks)])
+def _weigh(cost: QuadraticForm, encodings: list[EncodingPlan], blocks: list[PenaltyBlock]) -> QuboModel:
+    """The model ``cost + Σ λ_k·P_k`` in block order, quadratized above degree 2: compile and re-weight both end here.
 
+    The degree-<=2 arrays are summed directly; only the weighed degree->=3 terms
+    go through ``quadratize``, and its output is added into the arrays.
+    """
+    binaries = [name for plan in encodings for name in plan.binary_names()]
+    total = _weighted_sum([(1.0, cost), *((block.lam, block.form) for block in blocks)], binaries)
     aux_registry: dict[tuple[str, str], str] = {}
-    if total.degree() > 2:
+    if not total.higher.is_zero():
         scale = estimate_lambda("ub-naive", total) + 1.0
-        total, aux_registry = quadratize(total, scale)
-
-    offset = total.constant_term
-    return QuboModel(total - offset, offset, encodings, blocks, aux_registry, cost)
+        reduced, aux_registry = quadratize(total.higher, scale)
+        total = _weighted_sum([(1.0, replace(total, higher=Polynomial())), (1.0, QuadraticForm.from_polynomial(reduced))])
+    return QuboModel(encodings=encodings, penalties=blocks, aux_registry=aux_registry, cost=cost, arrays=QuboArrays.from_form(total))

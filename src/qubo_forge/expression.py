@@ -36,8 +36,8 @@ FEASIBILITY_TOL = 1e-9
 MAX_EXPONENT = 16
 
 # The most terms a power or a product of two sums may expand to, bounded before it is expanded: a
-# ``t``-term base to the ``k`` has at most ``C(t + k - 1, k)`` terms, and a product of ``s`` and
-# ``t`` terms at most ``s * t``, so a short text of long sums cannot stall the parser.
+# ``t``-term base to the ``k`` has at most ``C(t + k - 1, k)`` terms, and a product at most its
+# distinct monomials (``_product_terms``), so a short text of long sums cannot stall the parser.
 MAX_POWER_TERMS = 10_000
 
 # What the tokenizer reads as a variable name (declarations must match it whole) and as a number.
@@ -392,6 +392,22 @@ def _finite(poly: Polynomial, operator: tuple[str, str, int], addend: Polynomial
     return poly
 
 
+def _product_terms(left: Polynomial, right: Polynomial) -> int:
+    """A bound on the distinct monomials of ``left * right``, before expanding it.
+
+    It is the smaller of ``len(left) * len(right)`` and the number of monomials
+    over their ``v`` variables whose degree lies in the product's degree range
+    ``[lo, hi]``: ``C(v + hi, hi) - C(v + lo - 1, lo - 1)``.  Seven sums of eight
+    variables (degree 7 exactly) give ``C(14, 7) = 3432``, the terms they expand to.
+    """
+    if len(left) <= 1 or len(right) <= 1:
+        return max(len(left), len(right))
+    v = len(left.variables() | right.variables())
+    lo = min(map(len, left._terms)) + min(map(len, right._terms))
+    hi = left.degree() + right.degree()
+    return min(len(left) * len(right), math.comb(v + hi, hi) - (math.comb(v + lo - 1, lo - 1) if lo else 0))
+
+
 class _Parser:
     """Recursive-descent parser for +, -, *, **/^ and parentheses."""
 
@@ -436,10 +452,11 @@ class _Parser:
                 degree = result.degree() + factor.degree()
                 if degree > MAX_EXPONENT:
                     raise ParseError(f"a product of degree {degree} is above the largest accepted, {MAX_EXPONENT}", token[2])
-                if len(result) > 1 and len(factor) > 1 and len(result) * len(factor) > MAX_POWER_TERMS:
+                bound = _product_terms(result, factor)
+                if bound > MAX_POWER_TERMS:
                     raise ParseError(
                         f"a product of {len(result)} and {len(factor)} terms can expand to "
-                        f"{len(result) * len(factor)} terms, above the largest accepted, {MAX_POWER_TERMS}",
+                        f"{bound} terms, above the largest accepted, {MAX_POWER_TERMS}",
                         token[2],
                     )
                 result = _finite(result * factor, token)

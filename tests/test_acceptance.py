@@ -24,6 +24,7 @@ from qubo_forge.analysis import (
 from qubo_forge.cli import build_regression, bundled_data, load_knapsack, main
 from qubo_forge.compiler import (
     CompileConfig,
+    QuadraticForm,
     boolean_penalty,
     compile_problem,
     compose_cost,
@@ -115,7 +116,7 @@ def test_criterion_02_encoding_fidelity():
 def test_criterion_03_equality_penalty_expansion():
     with criterion(3, "one-hot equality penalty expands coefficient-exact"):
         penalty = equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0))
-        assert penalty.terms == {
+        assert penalty.polynomial.terms == {
             ("b1",): -1.0,
             ("b2",): -1.0,
             ("b3",): -1.0,
@@ -176,7 +177,7 @@ def test_criterion_06_quadratization_soundness():
                 if coeff:
                     terms[mono] = terms.get(mono, 0.0) + coeff
             poly = Polynomial(terms)
-            scale = estimate_lambda("ub-naive", poly) + 1.0
+            scale = estimate_lambda("ub-naive", QuadraticForm.from_polynomial(poly)) + 1.0
             reduced, registry = quadratize(poly, scale)
             assert reduced.degree() <= 2
             aux = sorted(registry.values())
@@ -200,7 +201,7 @@ def test_criterion_07_boolean_penalties():
             for bits in itertools.product([0, 1], repeat=len(names)):
                 assignment = dict(zip(names, bits))
                 value = min(
-                    penalty.evaluate({**assignment, **dict(zip(aux_names, aux_bits))})
+                    penalty.polynomial.evaluate({**assignment, **dict(zip(aux_names, aux_bits))})
                     for aux_bits in itertools.product([0, 1], repeat=len(aux_names))
                 )
                 if relation.truth({k: float(v) for k, v in assignment.items()}):

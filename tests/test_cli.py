@@ -266,7 +266,7 @@ class TestSolveCommand:
                     "objectives": [{"expression": "*".join(["(a+b+c+d+e+f+g+h)"] * 12)}],
                     "constraints": [],
                 },
-                "error: a product of 1716 and 8 terms can expand to 13728 terms",
+                "error: a product of 6435 and 8 terms can expand to 11440 terms",
             ),
             (
                 {"variables": [{"name": "obj_0", "kind": "binary", "encoding": "unitary", "levels": [1, 2]}]},

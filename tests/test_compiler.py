@@ -8,19 +8,23 @@ against brute-force enumeration.
 """
 
 import itertools
+import json
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qubo_forge.cli import bundled_data, load_knapsack
 from qubo_forge import compiler
 from qubo_forge.compiler import (
+    LAMBDA_METHODS,
     CompileConfig,
+    QuadraticForm,
     QuboArrays,
     boolean_penalty,
     compile_problem,
@@ -33,7 +37,7 @@ from qubo_forge.compiler import (
     polynomial_interval,
     quadratize,
 )
-from qubo_forge.encoding import encode
+from qubo_forge.encoding import encode, encode_range
 from qubo_forge.expression import Comparison, Polynomial, parse_expression, reduce_binary_idempotence, sum_polynomials
 from qubo_forge.problem import BooleanRelation, Problem
 
@@ -58,7 +62,8 @@ def min_over_aux(poly, base_assignment, aux_names):
 
 class TestComposeCost:
     def test_reference_cost_shape(self, mixed_parts):
-        _, _, _, cost = mixed_parts
+        _, _, _, form = mixed_parts
+        cost = form.polynomial
         assert cost.constant_term == 4.0
         non_constant = {m: c for m, c in cost.terms.items() if m}
         top_monomial = max(non_constant, key=non_constant.get)
@@ -68,7 +73,8 @@ class TestComposeCost:
         assert cost.degree() == 2
 
     def test_reference_cost_matches_decoded_evaluation(self, mixed_parts):
-        problem, plans, _, cost = mixed_parts
+        problem, plans, _, form = mixed_parts
+        cost = form.polynomial
         names = sorted(cost.variables())
         objective = problem.objectives[0].expr
         rng = np.random.default_rng(11)
@@ -82,12 +88,12 @@ class TestComposeCost:
         problem.add_binary_variable("a")
         problem.add_objective("7")
         cost = compose_cost(problem.objectives, {"a": V("a#0")})
-        assert cost == Polynomial.constant(7.0)
+        assert cost.polynomial == Polynomial.constant(7.0)
 
     def test_maximize_flips_sign(self, tiny_knapsack):
         plans = [encode(decl) for decl in tiny_knapsack.variables]
         cost = compose_cost(tiny_knapsack.objectives, {p.source: p.affine() for p in plans})
-        assert cost.terms == {("obj_0#0",): -5.0, ("obj_1#0",): -10.0}
+        assert cost.polynomial.terms == {("obj_0#0",): -5.0, ("obj_1#0",): -10.0}
 
     def test_aggregation_weights_scale_terms(self):
         problem = Problem()
@@ -97,12 +103,12 @@ class TestComposeCost:
         problem.add_objective("y", direction="maximize", weight=3.0)
         subs = {"x": V("x#0"), "y": V("y#0")}
         cost = compose_cost(problem.objectives, subs)
-        assert cost.terms == {("x#0",): 2.0, ("y#0",): -3.0}
+        assert cost.polynomial.terms == {("x#0",): 2.0, ("y#0",): -3.0}
 
 
 class TestEqualityPenalty:
     def test_one_hot_expansion(self):
-        penalty = equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0))
+        penalty = equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0)).polynomial
         assert penalty.terms == {
             ("b1",): -1.0, ("b2",): -1.0, ("b3",): -1.0,
             ("b1", "b2"): 2.0, ("b1", "b3"): 2.0, ("b2", "b3"): 2.0,
@@ -110,10 +116,10 @@ class TestEqualityPenalty:
         }
 
     def test_zero_equals_zero(self):
-        assert equality_penalty(Comparison(lhs=Polynomial.zero(), op="=", rhs=0.0)).is_zero()
+        assert equality_penalty(Comparison(lhs=Polynomial.zero(), op="=", rhs=0.0)).polynomial.is_zero()
 
     def test_pair_sum_truth_table(self):
-        penalty = equality_penalty(Comparison(lhs=V("b4") + V("b5"), op="=", rhs=2.0))
+        penalty = equality_penalty(Comparison(lhs=V("b4") + V("b5"), op="=", rhs=2.0)).polynomial
         expected = {(0, 0): 4.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 0.0}
         for bits, value in expected.items():
             assert penalty.evaluate(dict(zip(("b4", "b5"), bits))) == value
@@ -194,7 +200,7 @@ class TestInequalityPenalty:
         assert plan is None
         table = {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0}
         for (hi, lo), expected in table.items():
-            assert penalty.evaluate({"hi": hi, "lo": lo}) == expected
+            assert penalty.polynomial.evaluate({"hi": hi, "lo": lo}) == expected
 
 
 class TestBooleanPenalty:
@@ -206,7 +212,7 @@ class TestBooleanPenalty:
         names = list(inputs) + ["z"]
         for bits in itertools.product([0, 1], repeat=len(names)):
             assignment = dict(zip(names, bits))
-            value = min_over_aux(penalty, assignment, aux_names)
+            value = min_over_aux(penalty.polynomial, assignment, aux_names)
             consistent = relation.truth({k: float(v) for k, v in assignment.items()})
             if consistent:
                 assert value == pytest.approx(0.0, abs=1e-9)
@@ -216,16 +222,16 @@ class TestBooleanPenalty:
     def test_xor_example_row(self):
         penalty, aux_plan = boolean_penalty(BooleanRelation("xor", "z", ("x", "y")), "__bool0")
         aux = aux_plan.binary_names()[0]
-        assert penalty.evaluate({"x": 1, "y": 0, "z": 1, aux: 1}) == 0.0
+        assert penalty.polynomial.evaluate({"x": 1, "y": 0, "z": 1, aux: 1}) == 0.0
 
     def test_and_all_zero_row(self):
         penalty, _ = boolean_penalty(BooleanRelation("and", "z", ("x", "y")), "__bool0")
-        assert penalty.evaluate({"x": 0, "y": 0, "z": 0}) == 0.0
+        assert penalty.polynomial.evaluate({"x": 0, "y": 0, "z": 0}) == 0.0
 
     def test_not_rows(self):
         penalty, _ = boolean_penalty(BooleanRelation("not", "z", ("x",)), "__bool0")
-        assert penalty.evaluate({"x": 1, "z": 0}) == 0.0
-        assert penalty.evaluate({"x": 1, "z": 1}) == 1.0
+        assert penalty.polynomial.evaluate({"x": 1, "z": 0}) == 0.0
+        assert penalty.polynomial.evaluate({"x": 1, "z": 1}) == 1.0
 
 
 class TestLambdaEstimation:
@@ -249,14 +255,14 @@ class TestLambdaEstimation:
 
     def test_ub_positive(self):
         poly = Polynomial({("b",): 1.0, ("b", "c"): 2.0})
-        assert estimate_lambda("ub-positive", poly) == 3.0
+        assert estimate_lambda("ub-positive", QuadraticForm.from_polynomial(poly)) == 3.0
         with pytest.raises(ValueError, match="positive coefficients"):
-            estimate_lambda("ub-positive", poly - 2 * V("d"))
+            estimate_lambda("ub-positive", QuadraticForm.from_polynomial(poly - 2 * V("d")))
 
     def test_one_flip_bounds_pair(self):
         poly = Polynomial({("x",): -4.0, ("x", "y"): 16.0})
-        bounds = one_flip_bounds(poly)
-        assert bounds["x"] == (12.0, 4.0)
+        gain, loss = one_flip_bounds(QuadraticForm.from_polynomial(poly))  # over the sorted binaries x, y
+        assert (gain[0], loss[0]) == (12.0, 4.0)
 
     def test_weak_multiplier_applies(self, mixed_problem):
         problem = Problem()
@@ -669,23 +675,284 @@ class TestArrayForm:
             model.energy(assignment)
 
 
+# -- the symbolic reference ------------------------------------------------------------
+
+
+def _symbolic_reduce(poly):
+    return reduce_binary_idempotence(poly, poly.variables())
+
+
+def _symbolic_substitute(poly, substitutions):
+    for name in sorted(poly.variables()):
+        if name in substitutions:
+            poly = poly.substitute(name, substitutions[name])
+    return poly
+
+
+def _symbolic_flip_bounds(poly):
+    bounds = {}
+    for mono, coeff in poly:
+        for name in set(mono):
+            entry = bounds.setdefault(name, [0.0, 0.0])
+            if len(mono) == 1:
+                entry[0] += coeff
+                entry[1] -= coeff
+            else:
+                entry[0] += max(coeff, 0.0)
+                entry[1] += max(-coeff, 0.0)
+    return bounds
+
+
+def _symbolic_lambda(method, objective, penalty):
+    """The penalty-weight estimators on ``Polynomial``s, term by term."""
+    coeffs = [c for m, c in objective if m]
+    vlm = max((max(pair) for pair in _symbolic_flip_bounds(objective).values()), default=0.0)
+    if method == "ub-positive":
+        if any(c < 0 for c in coeffs):
+            raise ValueError("ub-positive needs an objective with only positive coefficients")
+        return sum(coeffs)
+    if method == "mqc":
+        return (max(coeffs) if coeffs else 0.0) + objective.constant_term
+    if method == "vlm":
+        return vlm
+    if method == "ub-naive":
+        return sum(c for c in coeffs if c > 0) - sum(c for c in coeffs if c < 0)
+    if method == "ub-posiform":
+        linear, half_pos, half_neg = {}, {}, {}
+        for mono, coeff in objective:
+            if len(mono) == 1:
+                linear[mono[0]] = linear.get(mono[0], 0.0) + coeff
+            elif len(mono) == 2:
+                for name in mono:
+                    half = half_pos if coeff > 0 else half_neg
+                    half[name] = half.get(name, 0.0) + coeff / 2.0
+        names = set(linear) | set(half_pos) | set(half_neg)
+        upper = sum(max(linear.get(n, 0.0) + half_pos.get(n, 0.0), 0.0) for n in names)
+        return upper - sum(min(linear.get(n, 0.0) + half_neg.get(n, 0.0), 0.0) for n in names)
+    penalty_bounds = _symbolic_flip_bounds(penalty)
+    if method == "momc":
+        steps = [d for pair in penalty_bounds.values() for d in pair if d > 1e-9]
+        return vlm / (min(steps) if steps else 1.0)
+    objective_bounds = _symbolic_flip_bounds(objective)
+    ratios = [
+        obj_d / pen_d
+        for name, pen_pair in penalty_bounds.items()
+        for obj_d, pen_d in zip(objective_bounds.get(name, (0.0, 0.0)), pen_pair)
+        if pen_d > 1e-9
+    ]
+    return max(ratios) if ratios else vlm
+
+
+def symbolic_compile(problem, config):
+    """The compiler's stages as ``Polynomial`` algebra: substitute, expand, reduce and sum, term by term.
+
+    Returns ``(order, cost, penalties, lambdas)``; a degree-<=2 problem only.
+    """
+    plans = [encode(decl) for decl in problem.variables]
+    subs = {plan.source: plan.affine() for plan in plans}
+    intervals = {decl.name: decl.domain_interval() for decl in problem.variables}
+    intervals.update((name, (0.0, 1.0)) for plan in plans for name in plan.binary_names())
+    signed = [t.expr.scale(t.weight if t.direction == "minimize" else -t.weight) for t in problem.objectives]
+    cost = _symbolic_reduce(sum_polynomials(_symbolic_substitute(poly, subs) for poly in signed))
+    names = {name for plan in plans for name in plan.binary_names()} | cost.variables()
+    penalties = []
+    declarations = list(problem.constraints) + [decl for plan in plans for decl in plan.induced]
+    for index, decl in enumerate(declarations):
+        if decl.boolean is not None:
+            penalty, plan = boolean_penalty(decl.boolean, f"__bool{index}")
+            penalty = _symbolic_reduce(_symbolic_substitute(penalty.polynomial, subs))
+        else:
+            lhs = _symbolic_reduce(_symbolic_substitute(decl.comparison.lhs, subs))
+            op, rhs, plan = decl.comparison.op, decl.comparison.rhs, None
+            precision = infer_slack_precision(decl, problem)
+            if op in ("<", ">"):
+                op, rhs = op + "=", rhs + (precision if op == ">" else -precision)
+            terms = sorted(lhs, key=lambda kv: kv[1])
+            if (
+                op == ">="
+                and abs(rhs) <= 1e-9
+                and len(terms) == 2
+                and all(len(m) == 1 for m, _ in terms)
+                and abs(terms[0][1] + 1.0) <= 1e-9
+                and abs(terms[1][1] - 1.0) <= 1e-9
+            ):
+                (lower,), (upper,) = terms[0][0], terms[1][0]
+                penalty = Polynomial({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0})
+            else:
+                low, high = polynomial_interval(decl.comparison.lhs, intervals)
+                slack_low, slack_high = (-(high - rhs), 0.0) if op == ">=" else (0.0, rhs - low)
+                unsatisfiable = high < rhs - 1e-9 if op == ">=" else low > rhs + 1e-9
+                if op != "=" and not unsatisfiable and slack_high - slack_low >= precision - 1e-9:
+                    plan = encode_range(f"__slack{index}", slack_low, slack_high, precision, method="logarithmic")
+                    lhs = lhs + plan.affine()
+                penalty = _symbolic_reduce((lhs - rhs) ** 2)
+        names |= penalty.variables() | set(plan.binary_names() if plan else ())
+        penalties.append((decl, penalty))
+    if config.lambda_method == "manual":
+        lambdas = [config.manual_lambdas] * len(penalties)
+    else:
+        per_constraint = config.lambda_method in ("momc", "moc")
+        base = None if per_constraint else _symbolic_lambda(config.lambda_method, cost, None)
+        lambdas = []
+        for decl, penalty in penalties:
+            value = _symbolic_lambda(config.lambda_method, cost, penalty) if per_constraint else base
+            value *= 0.3 if decl.hardness == "weak" else 1.0
+            lambdas.append(value if value > 0 else 1.0)
+    return tuple(sorted(names)), cost, [penalty for _, penalty in penalties], lambdas
+
+
+def symbolic_weigh(cost, penalties, lambdas):
+    """``cost + Σ λ_k·P_k`` summed term by term in block order, as ``(terms, offset)``."""
+    total = sum_polynomials([cost, *(penalty.scale(lam) for penalty, lam in zip(penalties, lambdas))])
+    return {m: c for m, c in total if m}, total.constant_term
+
+
+def assert_matches_symbolic(model, reference, lambdas=None, exact=False):
+    """Same order and term set; coefficients, offset and λ equal, or within ``1e-12·max|c|``."""
+    order, cost, penalties, reference_lambdas = reference
+    lambdas = reference_lambdas if lambdas is None else lambdas
+    terms, offset = symbolic_weigh(cost, penalties, lambdas)
+    assert model.binary_variables() == list(order)
+    got = model.quadratic.terms
+    assert set(got) == set(terms)
+    if exact:
+        assert got == terms and model.offset == offset and model.lambdas() == list(lambdas)
+        return
+    scale = max(map(abs, [*terms.values(), offset]), default=0.0)
+    assert max((abs(got[m] - c) for m, c in terms.items()), default=0.0) <= 1e-12 * scale
+    assert abs(model.offset - offset) <= 1e-12 * scale
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(model.lambdas(), lambdas))
+
+
 def test_penalty_blocks_sum_like_chained_addition():
-    """One induced one-hot block per dictionary-encoded variable, plus a user constraint."""
+    """One induced one-hot block per dictionary-encoded variable, plus a user constraint (a float model)."""
     problem = Problem()
     names = problem.add_continuous_variables_array("c", [6], -1.0, 1.0, 0.25, encoding="dictionary")
     problem.add_objective(" + ".join(f"{0.3 * (i + 1)}*{a}*{b}" for i, (a, b) in enumerate(zip(names, names[1:]))))
     problem.add_constraint(" + ".join(names) + " <= 1.5")
     problem.freeze()
-    model = compile_problem(problem, CompileConfig(lambda_method="momc"))
+    config = CompileConfig(lambda_method="momc")
+    model = compile_problem(problem, config)
     assert len(model.penalties) == 7 and all(plan.induced for plan in model.encodings)
+    assert_matches_symbolic(model, symbolic_compile(problem, config))
 
-    cost = compose_cost(problem.objectives, {plan.source: plan.affine() for plan in model.encodings})
-    total = cost
-    for block in model.penalties:
-        total = total + block.penalty.scale(block.lam)
-    total = reduce_binary_idempotence(total, total.variables())
-    assert model.offset == total.constant_term
-    assert list(model.quadratic) == list(total - total.constant_term)
+
+_EXACT_COEFFS = st.one_of(st.integers(-6, 6).map(float), st.integers(-24, 24).map(lambda k: k / 8))
+_FLOAT_COEFFS = st.floats(-5, 5, allow_nan=False).map(lambda c: round(c, 7))
+
+
+@st.composite
+def degree_two_problems(draw):
+    """Up to five variables of every kind and encoding, a quadratic objective, linear constraints of every
+    operator and boolean relations; ``exact`` draws integer and dyadic numbers only."""
+    exact = draw(st.booleans())
+    coeffs = _EXACT_COEFFS if exact else _FLOAT_COEFFS
+    problem = Problem()
+    names, binaries = [], []
+    for k in range(draw(st.integers(1, 5))):
+        name = f"v{k}"
+        kind = draw(st.sampled_from(["binary", "bipolar", "discrete", "continuous"]))
+        if kind == "binary":
+            binaries.append(problem.add_binary_variable(name))
+        elif kind == "bipolar":
+            problem.add_bipolar_variable(name)
+        elif kind == "discrete":
+            problem.add_discrete_variable(name, draw(st.lists(coeffs, min_size=1, max_size=4, unique=True)))
+        else:
+            step = draw(st.sampled_from([0.25, 0.5, 1.0] if exact else [0.1, 0.3, 0.25]))
+            low = draw(st.integers(-3, 1)) * (0.5 if exact else 0.7)
+            encoding = draw(st.sampled_from(["dictionary", "logarithmic", "unitary", "arithmetic", "domain_wall", "bounded"]))
+            options = {"bound": 2 * step} if encoding == "bounded" else {}
+            high = round(low + step * draw(st.integers(1, 6)), 9)
+            assume(high - low >= step)
+            problem.add_continuous_variable(name, low, high, step, encoding=encoding, **options)
+        names.append(name)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    objective = Polynomial({(name,): draw(coeffs) for name in names})
+    objective += Polynomial({pair: draw(coeffs) for pair in draw(st.lists(st.sampled_from(pairs), max_size=6))})
+    problem.add_objective(objective if not objective.is_zero() else Polynomial.variable(names[0]))
+    for _ in range(draw(st.integers(0, 2))):
+        lhs = Polynomial({(name,): draw(coeffs) for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))})
+        if not lhs.is_zero():
+            problem.add_constraint(
+                Comparison(lhs=lhs, op=draw(st.sampled_from(["=", "<=", ">=", "<", ">"])), rhs=draw(coeffs)),
+                hardness=draw(st.sampled_from(["hard", "weak"])),
+            )
+    if len(binaries) >= 2 and draw(st.booleans()):
+        kind = draw(st.sampled_from(["not", "and", "or", "xor"]))
+        inputs = binaries[1:2] if kind == "not" else binaries[1:3] if len(binaries) >= 3 else binaries[:1] * 2
+        problem.add_boolean_constraint(kind, binaries[0], inputs)
+    method = draw(st.sampled_from(LAMBDA_METHODS))
+    config = CompileConfig(method, manual_lambdas=draw(coeffs.map(abs).filter(bool)) if method == "manual" else None)
+    return problem.freeze(), config, exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=degree_two_problems(), factors=st.lists(st.sampled_from([0.5, 1.0, 3.0, 0.1]), min_size=40, max_size=40))
+def test_array_compile_matches_the_symbolic_composition(case, factors):
+    """Order, term set, coefficients and λ of the array compile against ``symbolic_compile``; then one retry."""
+    problem, config, exact = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unsatisfiable draws warn in both
+        try:
+            reference = symbolic_compile(problem, config)
+        except ValueError as error:  # ub-positive on a negative coefficient
+            with pytest.raises(ValueError, match=str(error)):
+                compile_problem(problem, config)
+            return
+        model = compile_problem(problem, config)
+    assert_matches_symbolic(model, reference, exact=exact)
+    vector = [lam * factor for lam, factor in zip(model.lambdas(), factors)]
+    assert_matches_symbolic(model.with_lambdas(vector), reference, lambdas=vector, exact=exact)
+
+
+class TestStats:
+    def test_readme_model(self, mixed_problem):
+        model = compile_problem(mixed_problem)
+        assert "stats" not in model.__dict__  # a cached property: compile never builds it
+        stats = model.stats
+        assert stats["binaries"] == {"total": 13, "encoding": 9, "slack": 4, "boolean_aux": 0, "quadratization_aux": 0}
+        assert stats["terms"] == {"linear": 13, "couplers": 65} and stats["degree"] == 2
+        assert stats["dynamic_range"] == 414.0  # |-414·b#2| over |a#0|
+        assert stats["lambdas"] == [
+            {"label": "b + c >= 2", "lambda": 12.0, "hardness": "hard"},
+            {"label": "encoding[b] one-hot", "lambda": 12.0, "hardness": "hard"},
+        ]
+        assert json.loads(json.dumps(stats)) == stats
+
+    def test_cubic_model(self):
+        model = compile_problem(cubic_problem())
+        stats = model.stats
+        assert stats["degree"] == 3 and model.aux_registry == {("x#0", "y#0"): "__aux0"}
+        assert stats["binaries"] == {"total": 9, "encoding": 5, "slack": 3, "boolean_aux": 0, "quadratization_aux": 1}
+        assert stats["terms"]["linear"] + stats["terms"]["couplers"] == len(model.quadratic)
+        magnitudes = [abs(c) for _, c in model.quadratic]
+        assert stats["dynamic_range"] == max(magnitudes) / min(magnitudes)
+
+    def test_boolean_auxiliary_and_a_built_model(self):
+        problem = Problem()
+        for name in ("x", "y", "z"):
+            problem.add_binary_variable(name)
+        problem.add_objective("x + y + z")
+        problem.add_boolean_constraint("xor", "z", ["x", "y"])
+        stats = compile_problem(problem.freeze()).stats
+        assert stats["binaries"] == {"total": 4, "encoding": 3, "slack": 0, "boolean_aux": 1, "quadratization_aux": 0}
+        built = compiler.QuboModel(quadratic=Polynomial({("u",): 2.0, ("u", "v"): -0.5}), offset=1.0)
+        assert built.stats["binaries"]["total"] == 2 and built.stats["dynamic_range"] == 4.0 and built.stats["lambdas"] == []
+
+
+def test_boolean_constraints_bind_the_encoded_binaries():
+    """A relation penalizes the binaries that encode its variables, so the ground state obeys it."""
+    problem = Problem()
+    for name in ("x", "y", "z"):
+        problem.add_binary_variable(name)
+    problem.add_objective("x + y - 3*z")  # alone, z = 1 with x = y = 0
+    problem.add_boolean_constraint("and", "z", ["x", "y"])
+    model = compile_problem(problem.freeze())
+    from qubo_forge.solvers import solve_exhaustive
+
+    assert model.binary_variables() == ["x#0", "y#0", "z#0"]
+    assert solve_exhaustive(model).best_decoded == {"x": 1.0, "y": 1.0, "z": 1.0}
 
 
 class TestIntervalsAndPrecision:

@@ -137,15 +137,27 @@ class TestRunawayAndNonFiniteInput:
     def test_products_are_bounded_like_powers(self):
         names = list("abcdefgh")
         twelve = "*".join(["(a+b+c+d+e+f+g+h)"] * 12)
-        with time_limit(1.0), pytest.raises(ParseError, match="a product of 1716 and 8 terms can expand to 13728") as info:
+        with time_limit(1.0), pytest.raises(ParseError, match="a product of 6435 and 8 terms can expand to 11440") as info:
             parse_expression(twelve, names)
-        assert info.value.position == 107  # the sixth "*": six factors hold 1,716 terms
+        assert info.value.position == 143  # the eighth "*": a ninth factor makes C(16, 9) degree-9 monomials
         with time_limit(1.0), pytest.raises(ParseError, match="a product of degree 17 is above") as info:
             parse_expression("*".join(["c"] * 20), ["c"])
         assert info.value.position == 31  # the sixteenth "*"
         with time_limit(1.0):
             assert parse_expression("*".join(["c"] * MAX_EXPONENT), ["c"]).terms == {("c",) * MAX_EXPONENT: 1.0}
             assert len(parse_expression("*".join(["(a+b+c+d+e+f+g+h)"] * 6), names)) == math.comb(8 + 6 - 1, 6)
+
+    def test_products_are_bounded_by_their_distinct_monomials(self):
+        """Seven or eight sums multiply out like the power of one sum, not like a product of term counts."""
+        names = list("abcdefgh")
+        with time_limit(1.0):
+            assert len(parse_expression("*".join(["(a+b+c+d+e+f+g+h)"] * 7), names)) == math.comb(8 + 7 - 1, 7) == 3432
+            eight = parse_expression("*".join(["(a+b+c+d+e+f+g+h)"] * 8), names)
+            assert eight == parse_expression("(a+b+c+d+e+f+g+h)^8", names) and len(eight) == 6435
+        with pytest.raises(ParseError, match="can expand to 11440 terms"):
+            parse_expression("*".join(["(a+b+c+d+e+f+g+h)"] * 9), names)
+        # mixed degrees: x*(1 + a + ... + h) has 9 terms; the monomial count bounds it by degree range [1, 2]
+        assert len(parse_expression("x*(1+a+b+c+d+e+f+g+h)", [*names, "x"])) == 9
 
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(alphabet="x21.e^*+-() ", max_size=24))
