@@ -7,12 +7,15 @@ estimate a penalty weight for each, and reduce what is left above degree two
 with auxiliary binaries.
 
 Every stage returns a ``QuadraticForm``: a matrix over binaries for the terms
-of degree <= 2, and a symbolic ``Polynomial`` only for monomials of degree >= 3.
-The encodings are one affine map ``v = o + W·b``, so a degree-2 objective
-``xᵀAx + a·x + c`` is ``bᵀ(WᵀAW)b + (Wᵀ(A + Aᵀ)o + Wᵀa)·b + const`` with the
-0/1 rule ``b² = b`` folding the diagonal into the linear terms, and a linear
-constraint's penalty ``(u·b + k)²`` is one outer product.  Only monomials of
-degree >= 3 are substituted symbolically and quadratized.
+of degree <= 2, and a map from sorted tuples of binary names to coefficients
+for the monomials of degree >= 3.  The encodings are one affine map
+``v = o + W·b``, so a degree-2 objective ``xᵀAx + a·x + c`` is
+``bᵀ(WᵀAW)b + (Wᵀ(A + Aᵀ)o + Wᵀa)·b + const`` with the 0/1 rule ``b² = b``
+folding the diagonal into the linear terms, and a linear constraint's penalty
+``(u·b + k)²`` is one outer product.  A monomial of degree >= 3 (and the square
+of a non-linear constraint) is multiplied out over its variables' affine forms
+with ``b·b = b`` applied at each product, after its term count is bounded
+against ``COMPILE_BUDGET``; what stays above degree two is quadratized.
 
 Penalty weights are estimated on the composed objective *before*
 quadratization, so they do not depend on auxiliary bookkeeping.  The model
@@ -22,11 +25,12 @@ penalty blocks again, through the same function, without recompiling.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -38,8 +42,9 @@ from qubo_forge.expression import (
     Comparison,
     Monomial,
     Polynomial,
+    _accumulate,
     format_float,
-    reduce_binary_idempotence,
+    reduce_binary_idempotence,  # unused here; the benchmark's span harness wraps this name in this module
     sum_polynomials,
 )
 from qubo_forge.problem import BooleanRelation, ConstraintDecl, Problem, VariableKind
@@ -53,6 +58,12 @@ _EPS = 1e-9
 WEAK_MULTIPLIER = 0.3  # an estimated λ of a weak constraint is scaled by this; a hard one's is not
 
 _TERM_CHUNK = 2**15  # QuboArrays.energies builds at most this many terms (256 KB of floats) at a time
+
+# The most binary terms an objective or a constraint may expand to, and the most pair entries (one per pair
+# of binaries in a monomial of degree >= 3) quadratization may index, auxiliaries counted too; each count is
+# known before its work.  Over three 5-bit variables, (c0+c1+c2)**6 expands to at most 28,672 terms and
+# indexes 114,660 pairs (about 0.5 s); **7 would index 249,795 and **10 expand to 319,332.
+COMPILE_BUDGET = 150_000
 
 
 @dataclass
@@ -76,40 +87,46 @@ class CompileConfig:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """``bᵀ·matrix·b + constant + higher(b)`` over the 0/1 binaries ``names`` (sorted).
+    """``bᵀ·matrix·b + constant + Σ higher[t]·Π_{b ∈ t} b`` over the 0/1 binaries ``names`` (sorted).
 
     ``matrix`` is upper triangular with the linear terms on its diagonal;
-    ``higher`` holds the monomials of degree >= 3, which only ``quadratize``
-    can bring down.  Coefficients below ``COEFF_EPS`` are zero.
+    ``higher`` maps each monomial of degree >= 3, a sorted tuple of binary
+    names, to its coefficient; only ``quadratize`` can bring those down.
+    Coefficients below ``COEFF_EPS`` are zero.
     """
 
     names: tuple[str, ...]
     matrix: np.ndarray
     constant: float = 0.0
-    higher: Polynomial = field(default_factory=Polynomial)
+    higher: Mapping[Monomial, float] = field(default_factory=dict)
 
     @classmethod
-    def from_polynomial(cls, poly: Polynomial, substitutions: Mapping[str, Polynomial] | None = None) -> "QuadraticForm":
+    def from_polynomial(
+        cls, poly: Polynomial, substitutions: Mapping[str, Polynomial] | None = None, what: str = "the polynomial"
+    ) -> "QuadraticForm":
         """``poly`` with each variable that has an affine substitution replaced by it; other names are binaries.
 
         Monomials of degree <= 2 go straight into the matrix.  Those of degree
-        >= 3 are substituted symbolically and idempotence-reduced; what falls to
-        degree <= 2 is added into the matrix, and the rest is ``higher``.
+        >= 3 are multiplied out over the affine forms (``_expand``, which names
+        ``what`` when it refuses); what falls to degree <= 2 is added into the
+        matrix, and the rest is ``higher``.
         """
         substitutions = substitutions or {}
         low = {mono: coeff for mono, coeff in poly if len(mono) <= 2}
         form = _lower(low, substitutions)
         if len(low) == len(poly):
             return form
-        high = Polynomial._wrap({mono: coeff for mono, coeff in poly if len(mono) > 2})
-        reduced = _reduce(_substitute_all(high, substitutions))
-        higher = Polynomial._wrap({mono: coeff for mono, coeff in reduced if len(mono) > 2})
-        rest = replace(_lower({mono: coeff for mono, coeff in reduced if len(mono) <= 2}, {}), higher=higher)
-        return _weighted_sum([(1.0, form), (1.0, rest)], higher.variables())
+        terms = _expand((term for term in poly if len(term[0]) > 2), substitutions, what)
+        higher = {mono: coeff for mono, coeff in terms.items() if len(mono) > 2}
+        pairs = sum(len(mono) * (len(mono) - 1) // 2 for mono in higher)
+        _check_budget(pairs, what, "pairs to index for quadratization")
+        rest = _lower({mono: coeff for mono, coeff in terms.items() if len(mono) <= 2}, {}, {b for mono in higher for b in mono})
+        return _weighted_sum([(1.0, form), (1.0, replace(rest, higher=higher))])
 
     def coefficients(self) -> np.ndarray:
         """Every non-constant coefficient: the matrix's nonzero entries, then ``higher``'s."""
-        return np.concatenate([self.matrix[self.matrix != 0.0], [c for mono, c in self.higher if mono]])
+        higher = np.fromiter(self.higher.values(), float, len(self.higher))
+        return np.concatenate([self.matrix[self.matrix != 0.0], higher])
 
     @cached_property
     def polynomial(self) -> Polynomial:
@@ -120,11 +137,11 @@ class QuadraticForm:
         )
 
 
-def _form(names: Sequence[str], matrix: np.ndarray, constant: float, higher: Polynomial | None = None) -> QuadraticForm:
+def _form(names: Sequence[str], matrix: np.ndarray, constant: float, higher: Mapping[Monomial, float] | None = None) -> QuadraticForm:
     """A stage's result: coefficients below ``COEFF_EPS`` are dropped (and -0.0 becomes 0.0)."""
     matrix[np.abs(matrix) < COEFF_EPS] = 0.0
     constant = float(constant) if abs(constant) >= COEFF_EPS else 0.0
-    return QuadraticForm(tuple(names), matrix, constant, Polynomial() if higher is None else higher)
+    return QuadraticForm(tuple(names), matrix, constant, {} if higher is None else higher)
 
 
 class _TermsView(Polynomial):
@@ -145,9 +162,9 @@ class _TermsView(Polynomial):
         return self._length
 
 
-def _polynomial(names, linear, rows, cols, values, constant: float = 0.0, higher: Polynomial | None = None) -> Polynomial:
+def _polynomial(names, linear, rows, cols, values, constant: float = 0.0, higher: Mapping[Monomial, float] | None = None) -> Polynomial:
     """The terms of an upper-triangular array form as a canonical ``Polynomial`` (``names`` sorted)."""
-    higher = higher or Polynomial()
+    higher = higher or {}
 
     def build() -> dict[Monomial, float]:
         terms: dict[Monomial, float] = {(names[i],): c for i, c in enumerate(linear.tolist()) if c}
@@ -161,14 +178,15 @@ def _polynomial(names, linear, rows, cols, values, constant: float = 0.0, higher
     return _TermsView(int(np.count_nonzero(linear)) + len(values) + bool(constant) + len(higher), build)
 
 
-def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomial]) -> QuadraticForm:
+def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomial], binaries: Iterable[str] = ()) -> QuadraticForm:
     """Degree-<=2 ``terms`` with each variable replaced by its affine substitution (or kept as a binary).
 
-    The variables' quadratic part is ``A`` (upper triangular), their linear part
-    ``a``.  ``W`` is held by column: binary ``j`` encodes the one variable
-    ``owner[j]`` with weight ``weight[j]``, so ``WᵀAW`` is a gather, not a product.
+    ``binaries`` are more names the form spans.  The variables' quadratic part
+    is ``A`` (upper triangular), their linear part ``a``.  ``W`` is held by
+    column: binary ``j`` encodes the one variable ``owner[j]`` with weight
+    ``weight[j]``, so ``WᵀAW`` is a gather, not a product.
     """
-    symbols = sorted({name for mono in terms for name in mono})
+    symbols = sorted({name for mono in terms for name in mono}.union(binaries))
     row = {name: k for k, name in enumerate(symbols)}
     quad, lin, constant = np.zeros((len(symbols), len(symbols))), np.zeros(len(symbols)), 0.0
     for mono, coeff in terms.items():
@@ -209,17 +227,63 @@ def _substitution(name: str, substitutions: Mapping[str, Polynomial]) -> Polynom
     return Polynomial.variable(name) if affine is None else affine
 
 
+def _check_budget(count: int, what: str, unit: str = "binary terms") -> None:
+    if count > COMPILE_BUDGET:
+        raise ValueError(f"{what} needs {count} {unit}, above the compile budget of {COMPILE_BUDGET}")
+
+
+def _times(left: Mapping[Monomial, float], right: Mapping[Monomial, float]) -> dict[Monomial, float]:
+    """The product of two sums of multilinear monomials over binaries, with ``b·b = b``.
+
+    A product term below ``COEFF_EPS`` is dropped before it is added, as ``Polynomial.substitute`` drops it.
+    """
+    out: dict[Monomial, float] = {}
+    for t, a in left.items():
+        for u, b in right.items():
+            if abs(a * b) >= COEFF_EPS:
+                # disjoint runs of sorted names concatenate; a shared binary (b·b = b) or interleaving needs the merge
+                key = t + u if not t or not u or t[-1] < u[0] else tuple(sorted(set(t).union(u)))
+                out[key] = out.get(key, 0.0) + a * b
+    return out
+
+
+def _expand(terms: Iterable[tuple[Monomial, float]], substitutions: Mapping[str, Polynomial], what: str) -> dict[Monomial, float]:
+    """``Σ coeff·Π v`` over binaries: each variable's power multiplied out over its affine form ``o + Σ w·b``.
+
+    Before any product, the term count is bounded by ``Π_v Σ_{j <= min(k_v, bits_v)} C(bits_v, j)``
+    per monomial (``v**k_v`` a factor, ``bits_v`` its binaries) and refused above ``COMPILE_BUDGET``.
+    """
+    factors = [(coeff, [(name, len(list(run))) for name, run in groupby(mono)]) for mono, coeff in terms]
+    affine = {name: _substitution(name, substitutions) for _, group in factors for name, _ in group}
+    bits = {name: len(form) - (form.constant_term != 0.0) for name, form in affine.items()}
+    counts = [[sum(math.comb(bits[v], j) for j in range(min(k, bits[v]) + 1)) for v, k in group] for _, group in factors]
+    _check_budget(sum(map(math.prod, counts)), what)
+    powers: dict[tuple[str, int], dict[Monomial, float]] = {}
+    out: dict[Monomial, float] = {}
+    for coeff, group in factors:
+        product = {(): coeff}
+        for name, power in group:
+            if (name, power) not in powers:
+                powers[name, power] = reduce(_times, [affine[name]._terms] * power, {(): 1.0})
+            product = _times(product, powers[name, power])
+        for mono, value in product.items():
+            out[mono] = out.get(mono, 0.0) + value
+    return {mono: coeff for mono, coeff in out.items() if abs(coeff) >= COEFF_EPS}
+
+
 def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[str] = ()) -> QuadraticForm:
     """``Σ scale·form`` over the sorted union of their binaries and ``names``, added in the given order.
 
     Each entry is summed as a chain of ``+`` of polynomials would sum it: from
     0.0, in order, and a partial sum that cancels below ``COEFF_EPS`` is dropped
-    before the next form adds.  The ``higher`` parts are summed symbolically.
+    before the next form adds.  So is each ``higher`` term, whose scaled
+    value is dropped first if it falls below ``COEFF_EPS``.
     """
     order = sorted(set(names).union(*(form.names for _, form in terms)))
     position = {name: k for k, name in enumerate(order)}
     matrix = np.zeros((len(order), len(order)))
     constant = 0.0
+    higher: dict[Monomial, float] = {}
     for scale, form in terms:
         grid = np.ix_(*[np.array([position[name] for name in form.names], dtype=np.int64)] * 2)
         block = matrix[grid] + form.matrix * scale
@@ -227,7 +291,9 @@ def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[
         matrix[grid] = block
         constant += form.constant * scale
         constant = constant if abs(constant) >= COEFF_EPS else 0.0
-    higher = sum_polynomials(form.higher.scale(scale) for scale, form in terms if not form.higher.is_zero())
+        for mono, coeff in form.higher.items():
+            if abs(coeff * scale) >= COEFF_EPS:
+                _accumulate(higher, mono, coeff * scale)
     return _form(order, matrix, constant, higher)
 
 
@@ -270,8 +336,8 @@ class QuboArrays:
 
     @classmethod
     def from_form(cls, form: QuadraticForm) -> "QuboArrays":
-        if not form.higher.is_zero():
-            raise ValueError(f"a QUBO has no terms of degree {form.higher.degree()}")
+        if form.higher:
+            raise ValueError(f"a QUBO has no terms of degree {max(map(len, form.higher))}")
         upper = np.triu(form.matrix, 1)
         rows, cols = np.nonzero(upper)
         return cls(form.names, np.diagonal(form.matrix).copy(), rows, cols, upper[rows, cols], form.constant)
@@ -394,7 +460,7 @@ class QuboModel:
                 "quadratization_aux": len(self.aux_registry),
             },
             "terms": {"linear": int(np.count_nonzero(arrays.linear)), "couplers": len(arrays.values)},
-            "degree": max([quadratic_degree, *(form.higher.degree() for form in forms)]),
+            "degree": max([quadratic_degree, *(len(mono) for form in forms for mono in form.higher)]),
             "dynamic_range": float(magnitudes.max() / magnitudes.min()) if magnitudes.size else None,
             "lambdas": [{"label": block.label, "lambda": block.lam, "hardness": block.hardness} for block in self.penalties],
         }
@@ -517,18 +583,6 @@ def polynomial_interval(poly: Polynomial, intervals: dict[str, tuple[float, floa
 # -- cost and penalties -------------------------------------------------------
 
 
-def _reduce(poly: Polynomial) -> Polynomial:
-    return reduce_binary_idempotence(poly, poly.variables())
-
-
-def _substitute_all(poly: Polynomial, substitutions: Mapping[str, Polynomial]) -> Polynomial:
-    """Replace each variable that has a substitution, one at a time in name order."""
-    for name in sorted(poly.variables()):
-        if name in substitutions:
-            poly = poly.substitute(name, substitutions[name])
-    return poly
-
-
 def _affine(lhs: Polynomial, substitutions: Mapping[str, Polynomial]) -> tuple[list[str], list[float], float]:
     """A linear ``lhs`` over binaries, ``u·b + k``, in one pass: (binary names, ``u``, ``k``)."""
     coefficients: dict[str, float] = {}
@@ -544,14 +598,23 @@ def _affine(lhs: Polynomial, substitutions: Mapping[str, Polynomial]) -> tuple[l
 
 
 def _squared(
-    lhs: Polynomial, rhs: float, substitutions: Mapping[str, Polynomial], slack: EncodingPlan | None = None
+    lhs: Polynomial,
+    rhs: float,
+    substitutions: Mapping[str, Polynomial],
+    slack: EncodingPlan | None = None,
+    source: Comparison | None = None,
 ) -> QuadraticForm:
-    """``(lhs + slack - rhs)²`` over binaries: one outer product when ``lhs`` is linear, else symbolically."""
+    """``(lhs + slack - rhs)²`` over binaries: one outer product when ``lhs`` is linear.
+
+    A non-linear ``lhs`` is squared over its variables, ``m²`` products for ``m``
+    terms (bounded against ``COMPILE_BUDGET`` first), and the square goes
+    through ``_expand``; either refusal names the ``source`` comparison.
+    """
     if lhs.degree() > 1:
-        binary = _reduce(_substitute_all(lhs, substitutions))
-        if slack is not None:
-            binary = binary + slack.affine()
-        return QuadraticForm.from_polynomial(_reduce((binary - rhs) ** 2))
+        what = f"constraint '{source.to_text()}'"
+        shifted = (lhs if slack is None else lhs + slack.affine()) - rhs
+        _check_budget(len(shifted) ** 2, what, "products to square")
+        return QuadraticForm.from_polynomial(shifted**2, substitutions, what)
     names, coefficients, constant = _affine(lhs, substitutions)
     if slack is not None:
         names += slack.binary_names()
@@ -573,12 +636,12 @@ def _squared(
 def compose_cost(objectives: Sequence, substitutions: Mapping[str, Polynomial]) -> QuadraticForm:
     """Weighted signed sum of objectives with variables replaced by their encodings."""
     signed = [term.expr.scale(term.weight if term.direction == "minimize" else -term.weight) for term in objectives]
-    return QuadraticForm.from_polynomial(sum_polynomials(signed), substitutions)
+    return QuadraticForm.from_polynomial(sum_polynomials(signed), substitutions, "the objective")
 
 
 def equality_penalty(comparison: Comparison, substitutions: Mapping[str, Polynomial] | None = None) -> QuadraticForm:
     """(lhs - rhs)² over binaries; zero iff the equality holds."""
-    return _squared(comparison.lhs, comparison.rhs, substitutions or {})
+    return _squared(comparison.lhs, comparison.rhs, substitutions or {}, source=comparison)
 
 
 def inequality_to_penalty(
@@ -618,10 +681,10 @@ def inequality_to_penalty(
         warnings.warn(f"constraint unsatisfiable: '{comparison.to_text()}' over lhs range [{low}, {high}]")
     if unsatisfiable or slack_high - slack_low < precision - _EPS:
         # No slack, or an equality-tight window with no representable slack value besides zero.
-        return _squared(comparison.lhs, rhs, substitutions), None
+        return _squared(comparison.lhs, rhs, substitutions, source=comparison), None
 
     plan = encode_range(slack_source, slack_low, slack_high, precision, method="logarithmic")
-    return _squared(comparison.lhs, rhs, substitutions, plan), plan
+    return _squared(comparison.lhs, rhs, substitutions, plan, comparison), plan
 
 
 def _binary_pair_penalty(
@@ -676,12 +739,12 @@ def one_flip_bounds(form: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
     positive, negative = np.maximum(couplers, 0.0), np.maximum(-couplers, 0.0)
     gain = linear + positive.sum(axis=1) + positive.sum(axis=0)
     loss = -linear + negative.sum(axis=1) + negative.sum(axis=0)
-    if not form.higher.is_zero():
+    if form.higher:
         position = {name: k for k, name in enumerate(form.names)}
-        for mono, coeff in form.higher:
-            for name in set(mono):
-                gain[position[name]] += max(coeff, 0.0)
-                loss[position[name]] += max(-coeff, 0.0)
+        held = np.repeat(np.fromiter(form.higher.values(), float, len(form.higher)), [len(mono) for mono in form.higher])
+        index = [position[name] for mono in form.higher for name in mono]
+        gain += np.bincount(index, np.maximum(held, 0.0), len(form.names))
+        loss += np.bincount(index, np.maximum(-held, 0.0), len(form.names))
     return gain, loss
 
 
@@ -731,7 +794,7 @@ def _posiform_bound(objective: QuadraticForm) -> float:
     variables' linear terms; the absorbed constants of the resulting
     all-negative (upper) and all-positive (lower) forms bound the range.
     """
-    if not objective.higher.is_zero():
+    if objective.higher:
         raise ValueError("ub-posiform needs a degree <= 2 objective")
     # a binary's linear term plus half its positive couplers is (gain + linear) / 2; with half
     # its negative couplers, (linear - loss) / 2
@@ -743,49 +806,76 @@ def _posiform_bound(objective: QuadraticForm) -> float:
 # -- quadratization ---------------------------------------------------------------
 
 
-def quadratize(poly: Polynomial, penalty_scale: float) -> tuple[Polynomial, dict[tuple[str, str], str]]:
-    """Reduce a multilinear polynomial to degree <= 2 with auxiliary binaries.
+def quadratize(
+    poly: QuadraticForm | Polynomial, penalty_scale: float
+) -> tuple[QuadraticForm | Polynomial, dict[tuple[str, str], str]]:
+    """Reduce the monomials of degree >= 3 to degree <= 2 with auxiliary binaries (Rosenberg 1975).
 
-    Repeatedly substitutes the most frequent variable pair among degree->=3
-    monomials by a fresh auxiliary, adding the consistency penalty
+    Repeatedly substitutes the most frequent pair of binaries among the
+    degree->=3 monomials (ties break on the lexicographically smallest pair) by
+    a fresh auxiliary ``y``, adding the consistency penalty
     ``M * (b_i b_j - 2 b_i y - 2 b_j y + 3 y)``.  Minimizing over the
     auxiliaries reproduces the original on every assignment provided
-    ``penalty_scale`` exceeds the polynomial's range bound.
-    Only degree->=3 monomials are rewritten; a fresh auxiliary cannot make two
-    monomials meet, so every term keeps its coefficient and its place in the order.
+    ``M = penalty_scale`` exceeds the polynomial's range bound.  Pair counts are
+    kept in a heap, so a choice does not rescan every pair, and only the
+    monomials that hold the chosen pair are rewritten.
+
+    A ``QuadraticForm`` (the compile path) comes back over its names plus the
+    auxiliaries, each rewritten monomial and gadget term added into its matrix.
+    A ``Polynomial`` over binaries comes back as one: every term keeps its place
+    (a fresh auxiliary cannot make two monomials meet), and the gadget terms
+    follow.  The second result is the registry ``{pair: auxiliary}``.  The pair
+    index, one entry per pair of binaries in each degree->=3 monomial, and the
+    auxiliaries count against ``COMPILE_BUDGET``.
     """
-    registry: dict[tuple[str, str], str] = {}
-    current = {mono: mono for mono, _ in poly if len(mono) >= 3}  # input monomial -> its rewritten form
+    terms = poly.higher if isinstance(poly, QuadraticForm) else poly._terms
+    current = {mono: mono for mono in terms if len(mono) >= 3}  # input monomial -> its rewritten form
+    indexed = sum(len(mono) * (len(mono) - 1) // 2 for mono in current)
+    _check_budget(indexed, "quadratization", "pair entries")
     # pair -> the input monomials whose degree->=3 form holds it; a pair leaves with its last holder
-    holders: dict[tuple[str, str], set[tuple[str, ...]]] = {}
+    holders: dict[tuple[str, str], set[Monomial]] = {}
     for mono in current:
         for pair in combinations(mono, 2):
             holders.setdefault(pair, set()).add(mono)
-    gadgets: list[Polynomial] = []
+    # (-count, pair) for each pair, filed again after each round in which its count fell; an entry whose
+    # count is no longer the pair's is stale and dropped when it comes to the top
+    heap = [(-len(held), pair) for pair, held in holders.items()]
+    heapq.heapify(heap)
+    registry: dict[tuple[str, str], str] = {}
     while holders:
-        top = max(map(len, holders.values()))
-        pair = min(p for p, held in holders.items() if len(held) == top)  # ties break lexicographically
+        count, pair = heapq.heappop(heap)
+        if len(holders.get(pair, ())) != -count:
+            continue
         left, right = pair
-        aux = f"__aux{len(registry)}"
-        registry[pair] = aux
+        aux = registry[pair] = f"__aux{len(registry)}"
+        _check_budget(indexed + len(registry), "quadratization", "pair entries and auxiliaries")
+        touched = set()
         for mono in list(holders[pair]):
-            form = current[mono]
-            for old_pair in combinations(form, 2):
-                held = holders[old_pair]
-                held.discard(mono)
-                if not held:
-                    del holders[old_pair]
-            stripped = list(form)
-            stripped.remove(left)
-            stripped.remove(right)
-            current[mono] = form = tuple(sorted(stripped + [aux]))
-            if len(form) >= 3:
-                for new_pair in combinations(form, 2):
-                    holders.setdefault(new_pair, set()).add(mono)
-        bl, br, by = Polynomial.variable(left), Polynomial.variable(right), Polynomial.variable(aux)
-        gadgets.append(penalty_scale * (bl * br - 2 * bl * by - 2 * br * by + 3 * by))
-    work = Polynomial({current.get(mono, mono): coeff for mono, coeff in poly})
-    return work + sum_polynomials(gadgets), registry
+            for old in combinations(current[mono], 2):
+                holders[old].discard(mono)
+                touched.add(old)
+            current[mono] = form = tuple(sorted([name for name in current[mono] if name not in pair] + [aux]))
+            for new in combinations(form, 2) if len(form) >= 3 else ():
+                holders.setdefault(new, set()).add(mono)
+                touched.add(new)
+        for moved in touched:  # refile each pair whose count moved; a pair without holders leaves
+            if holders[moved]:
+                heapq.heappush(heap, (-len(holders[moved]), moved))
+            else:
+                del holders[moved]
+    out = {current.get(mono, mono): coeff for mono, coeff in terms.items()}
+    for (left, right), aux in registry.items():
+        gadget = [((left, right), 1.0), (tuple(sorted((left, aux))), -2.0), (tuple(sorted((right, aux))), -2.0), ((aux,), 3.0)]
+        for mono, factor in gadget:
+            out[mono] = out.get(mono, 0.0) + penalty_scale * factor
+    reduced = {mono: coeff for mono, coeff in out.items() if abs(coeff) >= COEFF_EPS}
+    if isinstance(poly, Polynomial):
+        return Polynomial._wrap(reduced), registry
+    form = _weighted_sum([(1.0, replace(poly, higher={}))], registry.values())
+    position = {name: k for k, name in enumerate(form.names)}
+    cells = [position[mono[0]] for mono in reduced], [position[mono[-1]] for mono in reduced]  # (b,): the diagonal
+    form.matrix[cells] += np.fromiter(reduced.values(), float, len(reduced))
+    return _form(form.names, form.matrix, form.constant), registry
 
 
 # -- compilation -----------------------------------------------------------------
@@ -862,13 +952,11 @@ def _weigh(cost: QuadraticForm, encodings: list[EncodingPlan], blocks: list[Pena
     """The model ``cost + Σ λ_k·P_k`` in block order, quadratized above degree 2: compile and re-weight both end here.
 
     The degree-<=2 arrays are summed directly; only the weighed degree->=3 terms
-    go through ``quadratize``, and its output is added into the arrays.
+    go through ``quadratize``, which writes its output into the arrays.
     """
     binaries = [name for plan in encodings for name in plan.binary_names()]
     total = _weighted_sum([(1.0, cost), *((block.lam, block.form) for block in blocks)], binaries)
     aux_registry: dict[tuple[str, str], str] = {}
-    if not total.higher.is_zero():
-        scale = estimate_lambda("ub-naive", total) + 1.0
-        reduced, aux_registry = quadratize(total.higher, scale)
-        total = _weighted_sum([(1.0, replace(total, higher=Polynomial())), (1.0, QuadraticForm.from_polynomial(reduced))])
+    if total.higher:
+        total, aux_registry = quadratize(total, estimate_lambda("ub-naive", total) + 1.0)
     return QuboModel(encodings=encodings, penalties=blocks, aux_registry=aux_registry, cost=cost, arrays=QuboArrays.from_form(total))

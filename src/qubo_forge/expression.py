@@ -76,11 +76,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: float) -> "Polynomial":
-        return cls({(): float(value)})
+        return cls._wrap({} if abs(value) < COEFF_EPS else {(): float(value)})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({(name,): 1.0})
+        return cls._wrap({(name,): 1.0})
 
     @classmethod
     def _wrap(cls, canonical: dict[Monomial, float]) -> "Polynomial":
@@ -153,7 +153,7 @@ class Polynomial:
             for mb, cb in other._terms.items():
                 mono = tuple(sorted(ma + mb))
                 out[mono] = out.get(mono, 0.0) + ca * cb
-        return Polynomial(out)
+        return Polynomial._wrap({mono: coeff for mono, coeff in out.items() if not abs(coeff) < COEFF_EPS})
 
     __rmul__ = __mul__
 
@@ -364,11 +364,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        for kind in ("number", "ident", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value, match.start(kind)))
-                break
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
     return tokens
 
@@ -431,14 +428,17 @@ class _Parser:
             raise ParseError(f"unexpected token {token[1]!r}", token[2])
 
     def parse_expr(self) -> Polynomial:
-        result = self.parse_term()
+        """A sum of terms, each added in place into one private copy of the first (``_accumulate``)."""
+        result = Polynomial._wrap(dict(self.parse_term()._terms))
         while True:
             token = self.peek()
             if token is None or token[1] not in ("+", "-"):
                 return result
             self.advance()
             rhs = self.parse_term()
-            result = _finite(result + rhs if token[1] == "+" else result - rhs, token, rhs)
+            for mono, coeff in rhs:
+                _accumulate(result._terms, mono, coeff if token[1] == "+" else -coeff)
+            _finite(result, token, rhs)
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()

@@ -314,6 +314,16 @@ class TestSolveCommand:
             assert run_cli("solve", f3_problem_file, "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err == "error: problem file: constraints[0].hardnes: unknown key\n"
 
+    def test_a_power_past_the_compile_budget_is_an_error_line(self, tmp_path, capsys):
+        variables = [{"name": f"c_{k}", "kind": "continuous", "low": -2, "high": 2, "precision": 0.25} for k in range(3)]
+        document = {"schema": "qubo-forge-problem/1", "variables": variables, "objectives": [{"expression": "(c_0+c_1+c_2)**10"}]}
+        path = tmp_path / "power.problem.json"
+        path.write_text(json.dumps(document))
+        with time_limit(2.0):
+            assert run_cli("solve", path, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the objective needs 319332 binary terms, above the compile budget") and "Traceback" not in err
+
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("solve", tmp_path / "nope.json") == 1
 

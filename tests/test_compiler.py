@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from qubo_forge.cli import bundled_data, load_knapsack
 from qubo_forge import compiler
+from qubo_forge import expression as expression_module
 from qubo_forge.compiler import (
     LAMBDA_METHODS,
     CompileConfig,
@@ -38,8 +39,9 @@ from qubo_forge.compiler import (
     quadratize,
 )
 from qubo_forge.encoding import encode, encode_range
-from qubo_forge.expression import Comparison, Polynomial, parse_expression, reduce_binary_idempotence, sum_polynomials
+from qubo_forge.expression import COEFF_EPS, Comparison, Polynomial, parse_expression, reduce_binary_idempotence, sum_polynomials
 from qubo_forge.problem import BooleanRelation, Problem
+from test_expression import time_limit
 
 V = Polynomial.variable
 
@@ -788,17 +790,21 @@ def symbolic_compile(problem, config):
                 penalty = _symbolic_reduce((lhs - rhs) ** 2)
         names |= penalty.variables() | set(plan.binary_names() if plan else ())
         penalties.append((decl, penalty))
+    return tuple(sorted(names)), cost, [penalty for _, penalty in penalties], symbolic_lambdas(config, cost, penalties)
+
+
+def symbolic_lambdas(config, cost, penalties):
+    """One λ per ``(declaration, penalty)``, estimated term by term."""
     if config.lambda_method == "manual":
-        lambdas = [config.manual_lambdas] * len(penalties)
-    else:
-        per_constraint = config.lambda_method in ("momc", "moc")
-        base = None if per_constraint else _symbolic_lambda(config.lambda_method, cost, None)
-        lambdas = []
-        for decl, penalty in penalties:
-            value = _symbolic_lambda(config.lambda_method, cost, penalty) if per_constraint else base
-            value *= 0.3 if decl.hardness == "weak" else 1.0
-            lambdas.append(value if value > 0 else 1.0)
-    return tuple(sorted(names)), cost, [penalty for _, penalty in penalties], lambdas
+        return [config.manual_lambdas] * len(penalties)
+    per_constraint = config.lambda_method in ("momc", "moc")
+    base = None if per_constraint else _symbolic_lambda(config.lambda_method, cost, None)
+    lambdas = []
+    for decl, penalty in penalties:
+        value = _symbolic_lambda(config.lambda_method, cost, penalty) if per_constraint else base
+        value *= 0.3 if decl.hardness == "weak" else 1.0
+        lambdas.append(value if value > 0 else 1.0)
+    return lambdas
 
 
 def symbolic_weigh(cost, penalties, lambdas):
@@ -1014,3 +1020,205 @@ class TestDomainWall:
         solution = solve_exhaustive(model)
         assert solution.best_decoded == {"x": 1.5}
         assert solution_is_valid(model, solution.best_binary, solution.best_decoded)
+
+
+# -- degree >= 3: the expander, quadratization and the compile budget ----------------------
+
+
+def assert_forms_match_symbolic(model, reference, config, exact):
+    """The λ-free cost, each penalty block and each λ against ``symbolic_compile``'s, before quadratization.
+
+    Integer and dyadic models are coefficient-identical.  On float models each coefficient, present or not,
+    agrees within ``1e-12·max|c|`` plus ``100·COEFF_EPS``: both routes drop product terms below
+    ``COEFF_EPS``, the symbolic one before ``b·b = b`` merges them and the expander after, so a
+    sub-``COEFF_EPS`` product one route keeps is lost in the other.  A float λ is checked against the
+    term-by-term estimator on the compile's own forms, since a tiny flip step (``momc``) amplifies that
+    difference.
+    """
+    _, cost, penalties, lambdas = reference
+    assert len(model.penalties) == len(penalties)
+    for form, polynomial in [(model.cost, cost), *((block.form, penalty) for block, penalty in zip(model.penalties, penalties))]:
+        got, want = form.polynomial.terms, polynomial.terms
+        if exact:
+            assert got == want
+        else:
+            tolerance = 1e-12 * max(map(abs, want.values()), default=0.0) + 100 * COEFF_EPS
+            assert all(abs(got.get(mono, 0.0) - want.get(mono, 0.0)) <= tolerance for mono in set(got) | set(want))
+    if exact:
+        assert model.lambdas() == list(lambdas)
+    else:
+        own = symbolic_lambdas(config, model.cost.polynomial, [(block.constraint, block.penalty) for block in model.penalties])
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(model.lambdas(), own))
+
+
+@st.composite
+def higher_degree_problems(draw):
+    """Up to three variables of every kind and encoding, an objective with a monomial of degree 3 to 5 (powers
+    and repeated variables, ``c**k``, ``x*y*y*z``), and non-linear constraints of every operator."""
+    exact = draw(st.booleans())
+    coeffs = _EXACT_COEFFS if exact else _FLOAT_COEFFS
+    problem = Problem()
+    names = []
+    for k in range(draw(st.integers(1, 3))):
+        name = f"v{k}"
+        kind = draw(st.sampled_from(["binary", "bipolar", "discrete", "continuous"]))
+        if kind == "binary":
+            problem.add_binary_variable(name)
+        elif kind == "bipolar":
+            problem.add_bipolar_variable(name)
+        elif kind == "discrete":
+            problem.add_discrete_variable(name, draw(st.lists(coeffs, min_size=1, max_size=3, unique=True)))
+        else:
+            step = draw(st.sampled_from([0.25, 0.5, 1.0] if exact else [0.1, 0.3, 0.25]))
+            low = draw(st.integers(-3, 1)) * (0.5 if exact else 0.7)
+            encoding = draw(st.sampled_from(["dictionary", "logarithmic", "unitary", "arithmetic", "domain_wall", "bounded"]))
+            options = {"bound": 2 * step} if encoding == "bounded" else {}
+            high = round(low + step * draw(st.integers(1, 4)), 9)
+            assume(high - low >= step)
+            problem.add_continuous_variable(name, low, high, step, encoding=encoding, **options)
+        names.append(name)
+
+    def monomial(low, high):
+        return tuple(sorted(draw(st.lists(st.sampled_from(names), min_size=low, max_size=high))))
+
+    terms = {monomial(3, 5): draw(coeffs.filter(bool))}
+    terms.update((monomial(0, 4), draw(coeffs)) for _ in range(draw(st.integers(0, 3))))
+    problem.add_objective(Polynomial(terms))
+    for _ in range(draw(st.integers(0, 2))):
+        lhs = Polynomial({monomial(2, 2): draw(coeffs.filter(bool)), monomial(1, 2): draw(coeffs)})
+        if lhs.degree() == 2:
+            op = draw(st.sampled_from(["=", "<=", ">=", "<", ">"]))
+            problem.add_constraint(Comparison(lhs=lhs, op=op, rhs=draw(coeffs)), hardness=draw(st.sampled_from(["hard", "weak"])))
+    method = draw(st.sampled_from([m for m in LAMBDA_METHODS if m != "ub-posiform"]))  # ub-posiform refuses degree 3
+    config = CompileConfig(method, manual_lambdas=draw(coeffs.map(abs).filter(bool)) if method == "manual" else None)
+    return problem.freeze(), config, exact
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=higher_degree_problems())
+def test_expansion_matches_the_symbolic_substitution(case):
+    """Every stage form of a degree->=3 problem against ``Polynomial.substitute`` + ``reduce_binary_idempotence``:
+    coefficient-identical on integer and dyadic draws, within ``1e-12·max|c|`` on float ones."""
+    problem, config, exact = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unsatisfiable draws warn in both
+        try:
+            reference = symbolic_compile(problem, config)
+        except ValueError as error:  # ub-positive on a negative coefficient
+            with pytest.raises(ValueError, match=str(error)):
+                compile_problem(problem, config)
+            return
+        model = compile_problem(problem, config)
+    assert_forms_match_symbolic(model, reference, config, exact)
+
+
+def rescanning_registry(poly):
+    """The pair choice as one loop that counts every pair's holders again for each auxiliary."""
+    registry = {}
+    current = {mono: mono for mono, _ in poly if len(mono) >= 3}
+    holders = {}
+    for mono in current:
+        for pair in itertools.combinations(mono, 2):
+            holders.setdefault(pair, set()).add(mono)
+    while holders:
+        top = max(map(len, holders.values()))
+        pair = min(p for p, held in holders.items() if len(held) == top)
+        aux = registry[pair] = f"__aux{len(registry)}"
+        for mono in list(holders[pair]):
+            for old in itertools.combinations(current[mono], 2):
+                holders[old].discard(mono)
+                if not holders[old]:
+                    del holders[old]
+            current[mono] = form = tuple(sorted([name for name in current[mono] if name not in pair] + [aux]))
+            if len(form) >= 3:
+                for new in itertools.combinations(form, 2):
+                    holders.setdefault(new, set()).add(mono)
+    return registry
+
+
+_BINARY_MULTILINEAR = st.dictionaries(
+    st.lists(st.sampled_from([f"b{k}" for k in range(8)]), min_size=0, max_size=5, unique=True).map(lambda m: tuple(sorted(m))),
+    _EXACT_COEFFS,
+    min_size=1,
+    max_size=12,
+).map(Polynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly=_BINARY_MULTILINEAR)
+def test_quadratize_minimum_over_auxiliaries_is_the_input(poly):
+    """Degree <= 5 over <= 8 binaries, dyadic: on every assignment the output minimized over the auxiliaries is
+    the input, exactly; the registry is the rescanning loop's, and the compile path writes the same terms."""
+    from test_acceptance import energies_over_assignments
+
+    scale = estimate_lambda("ub-naive", QuadraticForm.from_polynomial(poly)) + 1.0
+    reduced, registry = quadratize(poly, scale)
+    assert reduced.degree() <= 2 and registry == rescanning_registry(poly)
+    form, form_registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
+    assert form_registry == registry and not form.higher and form.polynomial.terms == reduced.terms
+    names, aux = sorted(poly.variables()), list(registry.values())
+    assume(len(names) + len(aux) <= 16)
+    minimized = energies_over_assignments(reduced, names + aux).reshape(2 ** len(aux), 2 ** len(names)).min(axis=0)
+    assert np.array_equal(minimized, energies_over_assignments(poly, names))
+
+
+def power_problem(expression, count=3, constraint=None):
+    """``count`` continuous variables on [-2, 2] at step 0.25 (5 bits each) under one objective."""
+    problem = Problem()
+    for k in range(count):
+        problem.add_continuous_variable(f"c_{k}", -2, 2, 0.25)
+    problem.add_objective(expression)
+    if constraint is not None:
+        problem.add_constraint(constraint)
+    return problem.freeze()
+
+
+class TestCompileBudget:
+    @pytest.mark.parametrize(
+        "expression, unit", [("(c_0+c_1+c_2)**8", "pairs to index for quadratization"), ("(c_0+c_1+c_2)**10", "binary terms")]
+    )
+    def test_high_powers_are_refused_within_two_seconds(self, expression, unit):
+        problem = power_problem(expression)
+        message = rf"^the objective needs \d+ {unit}, above the compile budget of {compiler.COMPILE_BUDGET}$"
+        with time_limit(2.0), pytest.raises(ValueError, match=message):
+            compile_problem(problem)
+
+    def test_the_sixteenth_power_compiles_within_two_seconds(self):
+        with time_limit(2.0):
+            model = compile_problem(power_problem("c_0**16", count=1))
+        order, aux = model.binary_variables(), set(model.aux_registry.values())
+        bits = (np.arange(2 ** len(order))[:, None] >> np.arange(len(order))) & 1
+        energies = np.array(model.arrays.energies(bits))
+        encoded = [k for k, name in enumerate(order) if name not in aux]
+        for pattern in np.unique(bits[:, encoded], axis=0):  # each of the 32 encodings: min over the auxiliaries
+            value = model.decode(dict(zip([order[k] for k in encoded], pattern.tolist())))["c_0"]
+            assert energies[np.all(bits[:, encoded] == pattern, axis=1)].min() == pytest.approx(value**16, rel=1e-12)
+
+    def test_a_non_linear_constraint_past_the_budget_is_named(self):
+        problem = power_problem("c_0", constraint="(c_0+c_1+c_2)**8 <= 1")
+        with time_limit(2.0), pytest.raises(ValueError, match=r"^constraint '.+ <= 1' needs \d+ binary terms, above"):
+            compile_problem(problem)
+
+
+def cubic_chain_problem() -> Problem:
+    """A cubic chain over six grid variables, as on the benchmark's mixed workload."""
+    rng = np.random.default_rng(6)
+    problem = Problem()
+    names = problem.add_continuous_variables_array("c", [6], -2.0, 2.0, 0.5)
+    terms = [f"{rng.normal():.6f}*{names[i]}*{names[j]}" for i in range(6) for j in range(i, 6)]
+    terms += [f"{rng.normal():.6f}*{names[i]}*{names[i + 1]}*{names[i + 2]}" for i in range(4)]
+    problem.add_objective(" + ".join(terms))
+    problem.add_constraint(" + ".join(names) + " = 1")
+    return problem.freeze()
+
+
+def test_the_compile_never_takes_the_symbolic_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbolic route was taken")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    monkeypatch.setattr(compiler, "reduce_binary_idempotence", refuse)
+    monkeypatch.setattr(expression_module, "reduce_binary_idempotence", refuse)
+    nonlinear = power_problem("c_0*c_1 - c_2", constraint="c_0*c_1*c_2 + c_0**2 <= 1.5")
+    for problem in (cubic_chain_problem(), nonlinear, power_problem("(c_0+c_1+c_2)**4")):
+        assert compile_problem(problem).aux_registry

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qubo_forge import expression
 from qubo_forge.expression import (
     MAX_EXPONENT,
     MAX_POWER_TERMS,
@@ -400,6 +401,59 @@ def test_sum_polynomials_matches_chained_addition(polys):
     for poly in polys:
         chained = chained + poly
     assert list(sum_polynomials(polys)) == list(chained)
+
+
+class _ChainedSumParser(expression._Parser):
+    """The parser summing as ``result + rhs`` per term, which copies the sum so far each time."""
+
+    def parse_expr(self):
+        result = self.parse_term()
+        while True:
+            token = self.peek()
+            if token is None or token[1] not in ("+", "-"):
+                return result
+            self.advance()
+            rhs = self.parse_term()
+            result = expression._finite(result + rhs if token[1] == "+" else result - rhs, token, rhs)
+
+
+def _chained_parse(text, names):
+    parser = _ChainedSumParser(expression._tokenize(text), set(names), len(text))
+    poly = parser.parse_expr()
+    parser.expect_end()
+    return poly
+
+
+_SUMMANDS = ["x", "2*x", "0.1*x", "0.2*x", "0.3*x", "x*y", "y**2", "3", "0.1", "1e-13*x", "1e308*x", "1e308", "(x - y)", "(0.1 + x*y)"]
+
+
+@given(terms=st.lists(st.tuples(st.sampled_from("+-"), st.sampled_from(_SUMMANDS)), min_size=1, max_size=14), nest=st.booleans())
+@example(terms=[("+", "0.1*x"), ("+", "0.2*x"), ("-", "0.3*x"), ("+", "y**2"), ("+", "x")], nest=False)  # x cancels, comes back
+@example(terms=[("+", "1e308*x"), ("+", "1e308*x")], nest=True)  # an overflow inside parentheses
+@settings(max_examples=300)
+def test_one_accumulator_sum_matches_chained_addition(terms, nest):
+    """Same terms in the same order, coefficients equal as float hex, and the same errors at the same positions."""
+    text = " ".join(f"{sign} {summand}" for sign, summand in terms)
+    if nest:
+        text = f"x*({text}) - ({text}) + y"
+    try:
+        expected = _chained_parse(text, ["x", "y"])
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            parse_expression(text, ["x", "y"])
+        assert (str(info.value), info.value.position) == (str(error), error.position)
+        return
+    assert [(mono, coeff.hex()) for mono, coeff in parse_expression(text, ["x", "y"])] == [
+        (mono, coeff.hex()) for mono, coeff in expected
+    ]
+
+
+def test_a_dense_sum_parses_in_linear_time():
+    """3,240 products over 80 variables: summing them one copy at a time took seconds."""
+    names = [f"c_{i}" for i in range(80)]
+    text = " + ".join(f"{(i + 2 * j + 1) / 7:.6f}*{names[i]}*{names[j]}" for i in range(80) for j in range(i, 80))
+    with time_limit(1.0):
+        assert len(parse_expression(text, names)) == 3240
 
 
 def test_comparison_requires_known_operator():
