@@ -6,13 +6,15 @@ constraint (user-declared plus encoding-induced) into a quadratic penalty,
 estimate a penalty weight for each, and reduce what is left above degree two
 with auxiliary binaries.
 
-Every stage returns a ``QuadraticForm``: a matrix over binaries for the terms
-of degree <= 2, and a map from sorted tuples of binary names to coefficients
-for the monomials of degree >= 3.  The encodings are one affine map
-``v = o + W·b``, so a degree-2 objective ``xᵀAx + a·x + c`` is
+Every stage returns a ``QuadraticForm``, the one array form from the first
+stage to the solvers: a linear vector and row-major couplers over sorted
+binaries, an offset, and the monomials of degree >= 3.  The encodings are one
+affine map ``v = o + W·b``, so a degree-2 objective ``xᵀAx + a·x + c`` is
 ``bᵀ(WᵀAW)b + (Wᵀ(A + Aᵀ)o + Wᵀa)·b + const`` with the 0/1 rule ``b² = b``
-folding the diagonal into the linear terms, and a linear constraint's penalty
-``(u·b + k)²`` is one outer product.  A monomial of degree >= 3 (and the square
+folding the diagonal into the linear terms.  Each binary encodes one variable,
+so ``WᵀAW`` is one coupler per pair of a term's binaries and no stage builds an
+``n × n`` array; a linear constraint's penalty ``(u·b + k)²`` is the upper
+triangle of one outer product.  A monomial of degree >= 3 (and the square
 of a non-linear constraint) is multiplied out over its variables' affine forms
 with ``b·b = b`` applied at each product, after its term count is bounded
 against ``COMPILE_BUDGET``; what stays above degree two is quadratized.
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import combinations, groupby
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +59,7 @@ _EPS = 1e-9
 
 WEAK_MULTIPLIER = 0.3  # an estimated λ of a weak constraint is scaled by this; a hard one's is not
 
-_TERM_CHUNK = 2**15  # QuboArrays.energies builds at most this many terms (256 KB of floats) at a time
+_TERM_CHUNK = 2**15  # QuadraticForm.energies builds at most this many terms (256 KB of floats) at a time
 
 # The most binary terms an objective or a constraint may expand to, and the most pair entries (one per pair
 # of binaries in a monomial of degree >= 3) quadratization may index, auxiliaries counted too; each count is
@@ -87,17 +89,21 @@ class CompileConfig:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """``bᵀ·matrix·b + constant + Σ higher[t]·Π_{b ∈ t} b`` over the 0/1 binaries ``names`` (sorted).
+    """``E(b) = linear·b + Σ values·b[rows]·b[cols] + offset + Σ higher[t]·Π_{b ∈ t} b`` over 0/1 binaries.
 
-    ``matrix`` is upper triangular with the linear terms on its diagonal;
-    ``higher`` maps each monomial of degree >= 3, a sorted tuple of binary
-    names, to its coefficient; only ``quadratize`` can bring those down.
-    Coefficients below ``COEFF_EPS`` are zero.
+    ``order`` names the binary at each position (sorted); couplers are in
+    row-major order, with ``rows < cols``.  ``higher`` maps each monomial of
+    degree >= 3, a sorted tuple of binary names, to its coefficient; only
+    ``quadratize`` can bring those down, and a model's arrays have none.
+    Coefficients below ``COEFF_EPS`` are zero, and a zero coupler is not held.
     """
 
-    names: tuple[str, ...]
-    matrix: np.ndarray
-    constant: float = 0.0
+    order: tuple[str, ...]
+    linear: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    offset: float = 0.0
     higher: Mapping[Monomial, float] = field(default_factory=dict)
 
     @classmethod
@@ -106,10 +112,10 @@ class QuadraticForm:
     ) -> "QuadraticForm":
         """``poly`` with each variable that has an affine substitution replaced by it; other names are binaries.
 
-        Monomials of degree <= 2 go straight into the matrix.  Those of degree
+        Monomials of degree <= 2 go straight into the arrays.  Those of degree
         >= 3 are multiplied out over the affine forms (``_expand``, which names
         ``what`` when it refuses); what falls to degree <= 2 is added into the
-        matrix, and the rest is ``higher``.
+        arrays, and the rest is ``higher``.
         """
         substitutions = substitutions or {}
         low = {mono: coeff for mono, coeff in poly if len(mono) <= 2}
@@ -124,81 +130,118 @@ class QuadraticForm:
         return _weighted_sum([(1.0, form), (1.0, replace(rest, higher=higher))])
 
     def coefficients(self) -> np.ndarray:
-        """Every non-constant coefficient: the matrix's nonzero entries, then ``higher``'s."""
+        """Every non-constant coefficient: the nonzero linear terms, the couplers, then ``higher``'s."""
         higher = np.fromiter(self.higher.values(), float, len(self.higher))
-        return np.concatenate([self.matrix[self.matrix != 0.0], higher])
+        return np.concatenate([self.linear[self.linear != 0.0], self.values, higher])
 
     @cached_property
     def polynomial(self) -> Polynomial:
-        """The same function as a ``Polynomial`` (a view, for text output and tests)."""
-        rows, cols = np.nonzero(np.triu(self.matrix, 1))
-        return _polynomial(
-            self.names, np.diagonal(self.matrix), rows, cols, self.matrix[rows, cols], self.constant, self.higher
-        )
+        """The same function as a canonical ``Polynomial`` (a view, for text output and tests)."""
+        return _TermsView(replace(self))  # a copy: a view of self, cached on self, would be a reference cycle
+
+    def entries(self) -> list[tuple[int, int, float]]:
+        """Upper-triangular ``(row, col, value)`` entries by position, linear terms on the diagonal."""
+        diagonal = [(i, i, coeff) for i, coeff in enumerate(self.linear.tolist()) if coeff]
+        return sorted(diagonal + list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist())))
+
+    def upper_triangular(self) -> np.ndarray:
+        """Dense ``Q`` with the linear terms on its diagonal: ``E(x) = xᵀQx + offset``."""
+        q = np.diag(self.linear)
+        q[self.rows, self.cols] = self.values
+        return q
+
+    def energy(self, x: np.ndarray) -> float:
+        """The energy of one assignment vector; see ``energies``."""
+        return self.energies(np.asarray(x)[None, :])[0]
+
+    def energies(self, bits: np.ndarray) -> list[float]:
+        """Energy of each row of a ``k × n`` matrix: the correctly rounded sum of its terms.
+
+        The rows' terms form a ``k × (n + m + 1)`` matrix, built ``_TERM_CHUNK``
+        entries at a time.  Its exact zeros are dropped (they cannot change a
+        correctly rounded sum), and ``math.fsum`` runs on each row's slice of
+        one flat list, so term order cannot change a result.
+        """
+        bits = np.asarray(bits, dtype=float)
+        n, m = len(self.linear), len(self.values)
+        energies: list[float] = []
+        step = max(1, _TERM_CHUNK // (n + m + 1))
+        for start in range(0, len(bits), step):
+            x = bits[start : start + step]
+            terms = np.empty((len(x), n + m + 1))
+            np.multiply(self.linear, x, out=terms[:, :n])
+            couplers = terms[:, n : n + m]
+            np.take(x, self.rows, axis=1, out=couplers)
+            np.multiply(self.values, couplers, out=couplers)  # values * x[rows] * x[cols], in that order
+            couplers *= x[:, self.cols]
+            terms[:, n + m] = self.offset
+            nonzero = terms != 0.0
+            flat = terms[nonzero].tolist()
+            ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+            energies.extend(math.fsum(flat[begin:end]) for begin, end in zip([0, *ends], ends))
+        return energies
 
 
-def _form(names: Sequence[str], matrix: np.ndarray, constant: float, higher: Mapping[Monomial, float] | None = None) -> QuadraticForm:
+def _form(
+    order: Sequence[str], linear: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, offset: float
+) -> QuadraticForm:
     """A stage's result: coefficients below ``COEFF_EPS`` are dropped (and -0.0 becomes 0.0)."""
-    matrix[np.abs(matrix) < COEFF_EPS] = 0.0
-    constant = float(constant) if abs(constant) >= COEFF_EPS else 0.0
-    return QuadraticForm(tuple(names), matrix, constant, {} if higher is None else higher)
+    linear[np.abs(linear) < COEFF_EPS] = 0.0
+    kept = ~(np.abs(values) < COEFF_EPS)
+    offset = float(offset) if abs(offset) >= COEFF_EPS else 0.0
+    return QuadraticForm(tuple(order), linear, rows[kept], cols[kept], values[kept], offset)
 
 
 class _TermsView(Polynomial):
-    """A ``Polynomial`` whose terms are built on first use; its length is known without them."""
+    """A ``QuadraticForm``'s terms as a ``Polynomial``, built on first use; its length is known without them."""
 
-    __slots__ = ("_length", "_build", "_built")
+    __slots__ = ("_form", "_built")
 
-    def __init__(self, length: int, build: Callable[[], dict[Monomial, float]]):
-        self._length, self._build, self._built = length, build, None
+    def __init__(self, form: QuadraticForm):
+        self._form, self._built = form, None
 
     @property
     def _terms(self) -> dict[Monomial, float]:
         if self._built is None:
-            self._built = self._build()
+            form, names = self._form, self._form.order
+            terms: dict[Monomial, float] = {(names[i],): c for i, c in enumerate(form.linear.tolist()) if c}
+            pairs = zip(map(names.__getitem__, form.rows.tolist()), map(names.__getitem__, form.cols.tolist()))
+            terms.update(zip(pairs, form.values.tolist()))
+            if form.offset:
+                terms[()] = form.offset
+            terms.update(form.higher)
+            self._built = terms
         return self._built
 
     def __len__(self) -> int:
-        return self._length
-
-
-def _polynomial(names, linear, rows, cols, values, constant: float = 0.0, higher: Mapping[Monomial, float] | None = None) -> Polynomial:
-    """The terms of an upper-triangular array form as a canonical ``Polynomial`` (``names`` sorted)."""
-    higher = higher or {}
-
-    def build() -> dict[Monomial, float]:
-        terms: dict[Monomial, float] = {(names[i],): c for i, c in enumerate(linear.tolist()) if c}
-        pairs = zip(map(names.__getitem__, rows.tolist()), map(names.__getitem__, cols.tolist()))
-        terms.update(zip(pairs, values.tolist()))
-        if constant:
-            terms[()] = constant
-        terms.update(higher)
-        return terms
-
-    return _TermsView(int(np.count_nonzero(linear)) + len(values) + bool(constant) + len(higher), build)
+        form = self._form
+        return int(np.count_nonzero(form.linear)) + len(form.values) + bool(form.offset) + len(form.higher)
 
 
 def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomial], binaries: Iterable[str] = ()) -> QuadraticForm:
     """Degree-<=2 ``terms`` with each variable replaced by its affine substitution (or kept as a binary).
 
-    ``binaries`` are more names the form spans.  The variables' quadratic part
-    is ``A`` (upper triangular), their linear part ``a``.  ``W`` is held by
-    column: binary ``j`` encodes the one variable ``owner[j]`` with weight
-    ``weight[j]``, so ``WᵀAW`` is a gather, not a product.
+    ``binaries`` are more names the form spans.  Variable ``u`` is ``o_u + Σ w_p·b_p`` over its own run of
+    binaries.  A term ``A·u·v`` puts ``A·w_p·w_q`` on each pair of their binaries: a square ``u·u`` puts both
+    orders of a pair on one coupler, and ``p = q`` on the linear term (``b² = b``).  The linear terms also
+    get ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.
     """
     symbols = sorted({name for mono in terms for name in mono}.union(binaries))
-    row = {name: k for k, name in enumerate(symbols)}
-    quad, lin, constant = np.zeros((len(symbols), len(symbols))), np.zeros(len(symbols)), 0.0
+    index = {name: k for k, name in enumerate(symbols)}
+    left, right, quad, at, lin, constant = [], [], [], [], [], 0.0
     for mono, coeff in terms.items():
         if len(mono) == 2:
-            quad[row[mono[0]], row[mono[1]]] = coeff
+            left.append(index[mono[0]])
+            right.append(index[mono[1]])
+            quad.append(coeff)
         elif mono:
-            lin[row[mono[0]]] = coeff
+            at.append(index[mono[0]])
+            lin.append(coeff)
         else:
             constant = coeff
     names: list[str] = []
-    owner: list[int] = []
     weight: list[float] = []
+    bounds = [0]  # symbol k's binaries are names[bounds[k]:bounds[k + 1]]
     offset = np.zeros(len(symbols))
     for k, symbol in enumerate(symbols):
         for mono, coeff in _substitution(symbol, substitutions):
@@ -206,19 +249,38 @@ def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomi
                 raise ValueError(f"the substitution for '{symbol}' is not affine")
             if mono:
                 names.append(mono[0])
-                owner.append(k)
                 weight.append(coeff)
             else:
                 offset[k] = coeff
+        bounds.append(len(names))
     if len(set(names)) != len(names):
         raise ValueError("a binary encodes two variables of one polynomial")
     order = sorted(range(len(names)), key=names.__getitem__)
-    owners = np.array(owner, dtype=np.int64)[order]
-    weights = np.array(weight, dtype=float)[order]
-    coupled = quad[np.ix_(owners, owners)] * np.outer(weights, weights)
-    matrix = np.triu(coupled + coupled.T, 1)
-    np.fill_diagonal(matrix, weights * ((quad + quad.T) @ offset + lin)[owners] + np.diagonal(coupled))
-    return _form([names[j] for j in order], matrix, constant + lin @ offset + offset @ quad @ offset)
+    position = np.empty(len(names), dtype=np.int64)
+    position[order] = np.arange(len(names))
+    start, count = np.array(bounds[:-1], dtype=np.int64), np.diff(bounds)
+    u, v, a = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), np.array(quad, dtype=float)
+    w = np.array(weight, dtype=float)
+    # term t spans count[u]·count[v] pairs (p, q), p running over u's binaries and q over v's
+    sizes = count[u] * count[v]
+    term = np.repeat(np.arange(len(a)), sizes)
+    i, j = np.divmod(np.arange(len(term)) - np.repeat(np.cumsum(sizes) - sizes, sizes), count[v][term])
+    p, q = start[u][term] + i, start[v][term] + j
+    pair = a[term] * (w[p] * w[q])
+    square, first, second = (u == v)[term], position[p], position[q]
+    diagonal = square & (p == q)
+    linear = np.bincount(p[diagonal], pair[diagonal], len(names))
+    pair[square] *= 2.0  # the two orders of a square's pair, kept once below
+    kept = ~square | (first < second)
+    rows, cols = np.minimum(first, second)[kept], np.maximum(first, second)[kept]
+    sort = np.argsort(rows * len(names) + cols)
+    own = np.zeros(len(symbols))  # the variables' linear coefficients a
+    own[at] = lin
+    # per variable, (A + Aᵀ)o + a: each term adds A·o_v to u and A·o_u to v
+    through = np.bincount(np.concatenate([u, v]), np.concatenate([a * offset[v], a * offset[u]]), len(symbols)) + own
+    linear = w * through[np.repeat(np.arange(len(symbols)), count)] + linear
+    constant = constant + own @ offset + (a * offset[u]) @ offset[v]
+    return _form([names[k] for k in order], linear[order], rows[sort], cols[sort], pair[kept][sort], constant)
 
 
 def _substitution(name: str, substitutions: Mapping[str, Polynomial]) -> Polynomial:
@@ -277,24 +339,38 @@ def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[
     Each entry is summed as a chain of ``+`` of polynomials would sum it: from
     0.0, in order, and a partial sum that cancels below ``COEFF_EPS`` is dropped
     before the next form adds.  So is each ``higher`` term, whose scaled
-    value is dropped first if it falls below ``COEFF_EPS``.
+    value is dropped first if it falls below ``COEFF_EPS``.  Entries are keyed
+    ``row·n + col`` (linear terms on the diagonal) in one ``np.unique``, and a
+    form holds each key at most once, so each form adds in one vector step.
     """
-    order = sorted(set(names).union(*(form.names for _, form in terms)))
-    position = {name: k for k, name in enumerate(order)}
-    matrix = np.zeros((len(order), len(order)))
-    constant = 0.0
-    higher: dict[Monomial, float] = {}
+    order = sorted(set(names).union(*(form.order for _, form in terms)))
+    n = len(order)
+    position = dict(zip(order, range(n)))
+    keys, scaled = [], []
     for scale, form in terms:
-        grid = np.ix_(*[np.array([position[name] for name in form.names], dtype=np.int64)] * 2)
-        block = matrix[grid] + form.matrix * scale
-        block[np.abs(block) < COEFF_EPS] = 0.0
-        matrix[grid] = block
-        constant += form.constant * scale
+        at = np.array([position[name] for name in form.order], dtype=np.int64)
+        keys.append(np.concatenate([at * (n + 1), at[form.rows] * n + at[form.cols]]))
+        scaled.append(np.concatenate([form.linear, form.values]) * scale)
+    union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.zeros(len(union))
+    constant, end = 0.0, 0
+    higher: dict[Monomial, float] = {}
+    for (scale, form), values in zip(terms, scaled):
+        at, end = inverse[end : end + len(values)], end + len(values)
+        partial = sums[at] + values
+        partial[np.abs(partial) < COEFF_EPS] = 0.0
+        sums[at] = partial
+        constant += form.offset * scale
         constant = constant if abs(constant) >= COEFF_EPS else 0.0
         for mono, coeff in form.higher.items():
             if abs(coeff * scale) >= COEFF_EPS:
                 _accumulate(higher, mono, coeff * scale)
-    return _form(order, matrix, constant, higher)
+    rows, cols = np.divmod(union, n)
+    diagonal = rows == cols
+    linear = np.zeros(n)
+    linear[rows[diagonal]] = sums[diagonal]
+    kept = ~diagonal & (sums != 0.0)
+    return QuadraticForm(tuple(order), linear, rows[kept], cols[kept], sums[kept], constant, higher)
 
 
 @dataclass(frozen=True)
@@ -319,72 +395,6 @@ class PenaltyBlock:
         return self.constraint.hardness
 
 
-@dataclass(frozen=True)
-class QuboArrays:
-    """A compiled QUBO as arrays: ``E(x) = linear·x + Σ values·x[rows]·x[cols] + offset``.
-
-    ``order`` names the binary at each position (sorted); couplers are in
-    row-major order, with ``rows < cols``.
-    """
-
-    order: tuple[str, ...]
-    linear: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    offset: float
-
-    @classmethod
-    def from_form(cls, form: QuadraticForm) -> "QuboArrays":
-        if form.higher:
-            raise ValueError(f"a QUBO has no terms of degree {max(map(len, form.higher))}")
-        upper = np.triu(form.matrix, 1)
-        rows, cols = np.nonzero(upper)
-        return cls(form.names, np.diagonal(form.matrix).copy(), rows, cols, upper[rows, cols], form.constant)
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        """Upper-triangular ``(row, col, value)`` entries by position, linear terms on the diagonal."""
-        diagonal = [(i, i, coeff) for i, coeff in enumerate(self.linear.tolist()) if coeff]
-        return sorted(diagonal + list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist())))
-
-    def upper_triangular(self) -> np.ndarray:
-        """Dense ``Q`` with the linear terms on its diagonal: ``E(x) = xᵀQx + offset``."""
-        q = np.diag(self.linear)
-        q[self.rows, self.cols] = self.values
-        return q
-
-    def energy(self, x: np.ndarray) -> float:
-        """The energy of one assignment vector; see ``energies``."""
-        return self.energies(np.asarray(x)[None, :])[0]
-
-    def energies(self, bits: np.ndarray) -> list[float]:
-        """Energy of each row of a ``k × n`` matrix: the correctly rounded sum of its terms.
-
-        The rows' terms form a ``k × (n + m + 1)`` matrix, built ``_TERM_CHUNK``
-        entries at a time.  Its exact zeros are dropped (they cannot change a
-        correctly rounded sum), and ``math.fsum`` runs on each row's slice of
-        one flat list, so term order cannot change a result.
-        """
-        bits = np.asarray(bits, dtype=float)
-        n, m = len(self.linear), len(self.values)
-        energies: list[float] = []
-        step = max(1, _TERM_CHUNK // (n + m + 1))
-        for start in range(0, len(bits), step):
-            x = bits[start : start + step]
-            terms = np.empty((len(x), n + m + 1))
-            np.multiply(self.linear, x, out=terms[:, :n])
-            couplers = terms[:, n : n + m]
-            np.take(x, self.rows, axis=1, out=couplers)
-            np.multiply(self.values, couplers, out=couplers)  # values * x[rows] * x[cols], in that order
-            couplers *= x[:, self.cols]
-            terms[:, n + m] = self.offset
-            nonzero = terms != 0.0
-            flat = terms[nonzero].tolist()
-            ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
-            energies.extend(math.fsum(flat[begin:end]) for begin, end in zip([0, *ends], ends))
-        return energies
-
-
 @dataclass(init=False, eq=False)
 class QuboModel:
     """A QUBO as arrays plus the metadata to decode and audit it (read-only).
@@ -395,7 +405,7 @@ class QuboModel:
     given, sets the arrays' constant.
     """
 
-    arrays: QuboArrays
+    arrays: QuadraticForm  # the final form: no higher terms
     encodings: list[EncodingPlan]
     penalties: list[PenaltyBlock]
     aux_registry: dict[tuple[str, str], str]
@@ -409,7 +419,7 @@ class QuboModel:
         penalties: Sequence[PenaltyBlock] = (),
         aux_registry: dict[tuple[str, str], str] | None = None,
         cost: QuadraticForm | None = None,
-        arrays: QuboArrays | None = None,
+        arrays: QuadraticForm | None = None,
     ):
         self.encodings, self.penalties = list(encodings), list(penalties)
         self.aux_registry, self.cost = dict(aux_registry or {}), cost
@@ -423,7 +433,9 @@ class QuboModel:
             names = [name for plan in self.encodings for name in plan.binary_names()]
             names += [name for block in self.penalties if block.slack_plan for name in block.slack_plan.binary_names()]
             names += self.aux_registry.values()
-            arrays = QuboArrays.from_form(_weighted_sum([(1.0, QuadraticForm.from_polynomial(quadratic))], names))
+            arrays = _weighted_sum([(1.0, QuadraticForm.from_polynomial(quadratic))], names)
+        if arrays.higher:
+            raise ValueError(f"a QUBO has no terms of degree {max(map(len, arrays.higher))}")
         self.arrays = arrays if offset is None else replace(arrays, offset=float(offset))
 
     @property
@@ -433,8 +445,7 @@ class QuboModel:
     @cached_property
     def quadratic(self) -> Polynomial:
         """The linear and coupler terms as a ``Polynomial`` (a view, for text output and tests)."""
-        arrays = self.arrays
-        return _polynomial(arrays.order, arrays.linear, arrays.rows, arrays.cols, arrays.values)
+        return _TermsView(replace(self.arrays, offset=0.0))
 
     @cached_property
     def stats(self) -> dict[str, Any]:
@@ -449,7 +460,7 @@ class QuboModel:
         for block in self.penalties:
             if block.slack_plan is not None:
                 extra["slack" if block.constraint.boolean is None else "boolean_aux"] += len(block.slack_plan.binaries)
-        magnitudes = np.abs(np.concatenate([arrays.linear[arrays.linear != 0.0], arrays.values]))
+        magnitudes = np.abs(arrays.coefficients())
         forms = [] if self.cost is None else [self.cost, *(block.form for block in self.penalties)]
         quadratic_degree = 2 if len(arrays.values) else int(bool(np.any(arrays.linear)))
         return {
@@ -604,7 +615,7 @@ def _squared(
     slack: EncodingPlan | None = None,
     source: Comparison | None = None,
 ) -> QuadraticForm:
-    """``(lhs + slack - rhs)²`` over binaries: one outer product when ``lhs`` is linear.
+    """``(lhs + slack - rhs)²`` over binaries: the upper triangle of one outer product when ``lhs`` is linear.
 
     A non-linear ``lhs`` is squared over its variables, ``m²`` products for ``m``
     terms (bounded against ``COMPILE_BUDGET`` first), and the square goes
@@ -628,9 +639,8 @@ def _squared(
     # b² and the 2kb cross term are dropped below COEFF_EPS before they meet, as in expanding the square
     square, cross = u * u, 2.0 * (u * constant)
     square[np.abs(square) < COEFF_EPS] = cross[np.abs(cross) < COEFF_EPS] = 0.0
-    matrix = np.triu(2.0 * np.outer(u, u), 1)
-    np.fill_diagonal(matrix, square + cross)
-    return _form([names[j] for j in order], matrix, constant * constant)
+    rows, cols = np.triu_indices(len(u), 1)
+    return _form([names[j] for j in order], square + cross, rows, cols, 2.0 * (u[rows] * u[cols]), constant * constant)
 
 
 def compose_cost(objectives: Sequence, substitutions: Mapping[str, Polynomial]) -> QuadraticForm:
@@ -727,31 +737,28 @@ def boolean_penalty(
 
 
 def one_flip_bounds(form: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
-    """Per-binary (max-gain, max-loss) bounds for a single 0/1 flip, over ``form.names``.
+    """Per-binary (max-gain, max-loss) bounds for a single 0/1 flip, over ``form.order``.
 
-    For each binary the linear coefficient always fires, while each
-    higher-order monomial contributes at most its positive (or negative)
-    part: ``linear ± Σ max(±Q, 0)`` over the binary's row and column.
-    Exact for degree <= 2, an upper bound above that.
+    For each binary the linear coefficient always fires, while each coupler
+    and higher-order monomial that holds it contributes at most its positive
+    (or negative) part: ``linear ± Σ max(±c, 0)``, one ``bincount`` over both
+    ends of each coupler and the members of each monomial.  Exact for degree
+    <= 2, an upper bound above that.
     """
-    linear = np.diagonal(form.matrix)
-    couplers = np.triu(form.matrix, 1)
-    positive, negative = np.maximum(couplers, 0.0), np.maximum(-couplers, 0.0)
-    gain = linear + positive.sum(axis=1) + positive.sum(axis=0)
-    loss = -linear + negative.sum(axis=1) + negative.sum(axis=0)
-    if form.higher:
-        position = {name: k for k, name in enumerate(form.names)}
-        held = np.repeat(np.fromiter(form.higher.values(), float, len(form.higher)), [len(mono) for mono in form.higher])
-        index = [position[name] for mono in form.higher for name in mono]
-        gain += np.bincount(index, np.maximum(held, 0.0), len(form.names))
-        loss += np.bincount(index, np.maximum(-held, 0.0), len(form.names))
+    position = dict(zip(form.order, range(len(form.order))))
+    members = np.array([position[name] for mono in form.higher for name in mono], dtype=np.int64)
+    higher = np.repeat(np.fromiter(form.higher.values(), float, len(form.higher)), [len(mono) for mono in form.higher])
+    index = np.concatenate([form.rows, form.cols, members])
+    held = np.concatenate([form.values, form.values, higher])
+    gain = form.linear + np.bincount(index, np.maximum(held, 0.0), len(form.order))
+    loss = -form.linear + np.bincount(index, np.maximum(-held, 0.0), len(form.order))
     return gain, loss
 
 
 def estimate_lambda(method: str, objective: QuadraticForm, penalty: QuadraticForm | None = None) -> float:
     """Penalty-weight estimate for one constraint; momc/moc also inspect the penalty."""
     coeffs = objective.coefficients()
-    gamma = objective.constant
+    gamma = objective.offset
 
     if method == "ub-positive":
         if np.any(coeffs < 0):
@@ -772,8 +779,8 @@ def estimate_lambda(method: str, objective: QuadraticForm, penalty: QuadraticFor
         steps = steps[steps > _EPS]
         return _vlm(objective) / (float(steps.min()) if steps.size else 1.0)
     if method == "moc":
-        position = {name: k for k, name in enumerate(objective.names)}
-        index = [position.get(name, -1) for name in penalty.names]  # -1: the zero column appended below
+        position = {name: k for k, name in enumerate(objective.order)}
+        index = [position.get(name, -1) for name in penalty.order]  # -1: the zero column appended below
         objective_bounds = np.hstack([np.stack(one_flip_bounds(objective)), np.zeros((2, 1))])[:, index]
         penalty_bounds = np.stack(one_flip_bounds(penalty))
         steps = penalty_bounds > _EPS  # zero-denominator ratios are skipped
@@ -799,16 +806,14 @@ def _posiform_bound(objective: QuadraticForm) -> float:
     # a binary's linear term plus half its positive couplers is (gain + linear) / 2; with half
     # its negative couplers, (linear - loss) / 2
     gain, loss = one_flip_bounds(objective)
-    linear = np.diagonal(objective.matrix)
+    linear = objective.linear
     return float(np.maximum(gain + linear, 0.0).sum() / 2.0 - np.minimum(linear - loss, 0.0).sum() / 2.0)
 
 
 # -- quadratization ---------------------------------------------------------------
 
 
-def quadratize(
-    poly: QuadraticForm | Polynomial, penalty_scale: float
-) -> tuple[QuadraticForm | Polynomial, dict[tuple[str, str], str]]:
+def quadratize(form: QuadraticForm, penalty_scale: float) -> tuple[QuadraticForm, dict[tuple[str, str], str]]:
     """Reduce the monomials of degree >= 3 to degree <= 2 with auxiliary binaries (Rosenberg 1975).
 
     Repeatedly substitutes the most frequent pair of binaries among the
@@ -820,16 +825,15 @@ def quadratize(
     kept in a heap, so a choice does not rescan every pair, and only the
     monomials that hold the chosen pair are rewritten.
 
-    A ``QuadraticForm`` (the compile path) comes back over its names plus the
-    auxiliaries, each rewritten monomial and gadget term added into its matrix.
-    A ``Polynomial`` over binaries comes back as one: every term keeps its place
-    (a fresh auxiliary cannot make two monomials meet), and the gadget terms
-    follow.  The second result is the registry ``{pair: auxiliary}``.  The pair
-    index, one entry per pair of binaries in each degree->=3 monomial, and the
-    auxiliaries count against ``COMPILE_BUDGET``.
+    The form comes back over its binaries plus the auxiliaries, without
+    ``higher``: the rewritten monomials and the gadget terms are added into
+    its degree-<=2 part through ``_weighted_sum``.  The second result is the
+    registry ``{pair: auxiliary}``.  The pair index, one entry per pair of
+    binaries in each degree->=3 monomial, and the auxiliaries count against
+    ``COMPILE_BUDGET``.
     """
-    terms = poly.higher if isinstance(poly, QuadraticForm) else poly._terms
-    current = {mono: mono for mono in terms if len(mono) >= 3}  # input monomial -> its rewritten form
+    terms = form.higher
+    current = {mono: mono for mono in terms}  # input monomial -> its rewritten form
     indexed = sum(len(mono) * (len(mono) - 1) // 2 for mono in current)
     _check_budget(indexed, "quadratization", "pair entries")
     # pair -> the input monomials whose degree->=3 form holds it; a pair leaves with its last holder
@@ -854,8 +858,8 @@ def quadratize(
             for old in combinations(current[mono], 2):
                 holders[old].discard(mono)
                 touched.add(old)
-            current[mono] = form = tuple(sorted([name for name in current[mono] if name not in pair] + [aux]))
-            for new in combinations(form, 2) if len(form) >= 3 else ():
+            current[mono] = rewritten = tuple(sorted([name for name in current[mono] if name not in pair] + [aux]))
+            for new in combinations(rewritten, 2) if len(rewritten) >= 3 else ():
                 holders.setdefault(new, set()).add(mono)
                 touched.add(new)
         for moved in touched:  # refile each pair whose count moved; a pair without holders leaves
@@ -863,19 +867,12 @@ def quadratize(
                 heapq.heappush(heap, (-len(holders[moved]), moved))
             else:
                 del holders[moved]
-    out = {current.get(mono, mono): coeff for mono, coeff in terms.items()}
+    out = {current[mono]: coeff for mono, coeff in terms.items()}
     for (left, right), aux in registry.items():
         gadget = [((left, right), 1.0), (tuple(sorted((left, aux))), -2.0), (tuple(sorted((right, aux))), -2.0), ((aux,), 3.0)]
         for mono, factor in gadget:
             out[mono] = out.get(mono, 0.0) + penalty_scale * factor
-    reduced = {mono: coeff for mono, coeff in out.items() if abs(coeff) >= COEFF_EPS}
-    if isinstance(poly, Polynomial):
-        return Polynomial._wrap(reduced), registry
-    form = _weighted_sum([(1.0, replace(poly, higher={}))], registry.values())
-    position = {name: k for k, name in enumerate(form.names)}
-    cells = [position[mono[0]] for mono in reduced], [position[mono[-1]] for mono in reduced]  # (b,): the diagonal
-    form.matrix[cells] += np.fromiter(reduced.values(), float, len(reduced))
-    return _form(form.names, form.matrix, form.constant), registry
+    return _weighted_sum([(1.0, replace(form, higher={})), (1.0, _lower(out, {}))], registry.values()), registry
 
 
 # -- compilation -----------------------------------------------------------------
@@ -952,11 +949,11 @@ def _weigh(cost: QuadraticForm, encodings: list[EncodingPlan], blocks: list[Pena
     """The model ``cost + Σ λ_k·P_k`` in block order, quadratized above degree 2: compile and re-weight both end here.
 
     The degree-<=2 arrays are summed directly; only the weighed degree->=3 terms
-    go through ``quadratize``, which writes its output into the arrays.
+    go through ``quadratize``, which adds its output into the same arrays.
     """
     binaries = [name for plan in encodings for name in plan.binary_names()]
     total = _weighted_sum([(1.0, cost), *((block.lam, block.form) for block in blocks)], binaries)
     aux_registry: dict[tuple[str, str], str] = {}
     if total.higher:
         total, aux_registry = quadratize(total, estimate_lambda("ub-naive", total) + 1.0)
-    return QuboModel(encodings=encodings, penalties=blocks, aux_registry=aux_registry, cost=cost, arrays=QuboArrays.from_form(total))
+    return QuboModel(encodings=encodings, penalties=blocks, aux_registry=aux_registry, cost=cost, arrays=total)

@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from qubo_forge.compiler import CompileConfig, QuboArrays, QuboModel, compile_problem
+from qubo_forge.compiler import CompileConfig, QuadraticForm, QuboModel, compile_problem
 from qubo_forge.lbfgs import lbfgs
 from qubo_forge.problem import Problem
 
@@ -188,7 +188,7 @@ def _subset_sums(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _energy_blocks(arrays: QuboArrays) -> Iterator[tuple[int, np.ndarray]]:
+def _energy_blocks(arrays: QuadraticForm) -> Iterator[tuple[int, np.ndarray]]:
     """Every energy ``xᵀQx + offset`` in index order, as ``(first index, energies)`` blocks.
 
     Bit k of an index is the binary at position k of ``arrays.order``.  The
@@ -300,7 +300,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     couplings += couplings.T
 
     # largest coefficient magnitude; 1.0 when the model has no terms
-    scale = float(np.abs(np.concatenate([arrays.linear, arrays.values])).max(initial=0.0)) or 1.0
+    scale = float(np.abs(arrays.coefficients()).max(initial=0.0)) or 1.0
     if params.sweeps > 1:
         ratio = (_BETA_END / _BETA_START) ** (1.0 / (params.sweeps - 1))
         betas = np.array([_BETA_START * ratio**t / scale for t in range(params.sweeps)])

@@ -177,8 +177,9 @@ def test_criterion_06_quadratization_soundness():
                 if coeff:
                     terms[mono] = terms.get(mono, 0.0) + coeff
             poly = Polynomial(terms)
-            scale = estimate_lambda("ub-naive", QuadraticForm.from_polynomial(poly)) + 1.0
-            reduced, registry = quadratize(poly, scale)
+            form = QuadraticForm.from_polynomial(poly)
+            quadratized, registry = quadratize(form, estimate_lambda("ub-naive", form) + 1.0)
+            reduced = quadratized.polynomial
             assert reduced.degree() <= 2
             aux = sorted(registry.values())
             if n + len(aux) > 18:

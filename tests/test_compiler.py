@@ -26,7 +26,6 @@ from qubo_forge.compiler import (
     LAMBDA_METHODS,
     CompileConfig,
     QuadraticForm,
-    QuboArrays,
     boolean_penalty,
     compile_problem,
     compose_cost,
@@ -471,25 +470,19 @@ class TestQuadratize:
     @settings(max_examples=150, deadline=None)
     @given(poly=_MULTILINEAR, scale=_COEFFS.map(abs).filter(bool))
     def test_matches_whole_polynomial_rebuild(self, poly, scale):
-        reduced, registry = quadratize(poly, scale)
+        reduced, registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
         expected, expected_registry = rebuild_quadratize(poly, scale)
-        assert exact_terms(reduced) == exact_terms(expected)
+        assert sorted(exact_terms(reduced.polynomial)) == sorted(exact_terms(expected))
         assert list(registry.items()) == list(expected_registry.items())
 
-    def test_ties_break_on_the_smallest_pair_and_terms_keep_their_place(self):
+    def test_ties_break_on_the_smallest_pair(self):
         # rounds 1-3 tie at the top count: (a,d)/(b,c)/(c,e), then (b,c)/(c,e), then (c,e)/(c,f)/(e,f)
         poly = Polynomial(
             {("a", "b", "c", "d"): 1.0, ("b", "c", "e"): 2.0, ("a", "b"): 0.5, ("a", "d", "e"): -1.5, ("c", "e", "f"): 0.25}
         )
-        reduced, registry = quadratize(poly, penalty_scale=6.0)
+        form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=6.0)
+        reduced = form.polynomial
         assert list(registry.items()) == [(("a", "d"), "__aux0"), (("b", "c"), "__aux1"), (("c", "e"), "__aux2")]
-        assert [mono for mono, _ in reduced][:5] == [
-            ("__aux0", "__aux1"),
-            ("__aux1", "e"),
-            ("a", "b"),
-            ("__aux0", "e"),
-            ("__aux2", "f"),
-        ]
         names = ("a", "b", "c", "d", "e", "f")
         for bits in itertools.product([0, 1], repeat=6):
             base = dict(zip(names, bits))
@@ -497,7 +490,8 @@ class TestQuadratize:
 
     def test_triple_product(self):
         poly = Polynomial({("b1", "b2", "b3"): 1.0})
-        reduced, registry = quadratize(poly, penalty_scale=2.0)
+        form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=2.0)
+        reduced = form.polynomial
         assert reduced.degree() <= 2
         assert registry == {("b1", "b2"): "__aux0"}
         for bits in itertools.product([0, 1], repeat=3):
@@ -506,12 +500,13 @@ class TestQuadratize:
 
     def test_quadratic_input_untouched(self):
         poly = Polynomial({("a", "b"): 1.5, ("a",): -1.0})
-        reduced, registry = quadratize(poly, penalty_scale=10.0)
-        assert reduced == poly and registry == {}
+        form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=10.0)
+        assert form.polynomial == poly and registry == {}
 
     def test_shared_pair_gets_single_aux(self):
         poly = Polynomial({("b1", "b2", "b3"): 1.0, ("b1", "b2", "b4"): 1.0})
-        reduced, registry = quadratize(poly, penalty_scale=3.0)
+        form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=3.0)
+        reduced = form.polynomial
         assert list(registry) == [("b1", "b2")]
         names = ("b1", "b2", "b3", "b4")
         for bits in itertools.product([0, 1], repeat=4):
@@ -649,7 +644,7 @@ class TestArrayForm:
     def test_energies_are_the_per_row_correctly_rounded_sums(self, n, coefficients, offset, chunk, seed):
         """``energies`` equals, in ``repr``, the per-row ``fsum`` over every term, zero terms included."""
         pairs = list(itertools.combinations(range(n), 2))
-        arrays = QuboArrays(
+        arrays = QuadraticForm(
             order=tuple(f"v{k}" for k in range(n)),
             linear=np.array(coefficients[:n]),
             rows=np.array([i for i, _ in pairs], dtype=np.int64),
@@ -841,6 +836,96 @@ def test_penalty_blocks_sum_like_chained_addition():
     model = compile_problem(problem, config)
     assert len(model.penalties) == 7 and all(plan.induced for plan in model.encodings)
     assert_matches_symbolic(model, symbolic_compile(problem, config))
+
+
+def coordinate_form(order, linear, couplers=(), offset=0.0, higher=None):
+    """A ``QuadraticForm`` over ``order`` (sorted) from ``{(i, j): value}`` couplers; values below ``COEFF_EPS`` are
+    left out, as every compile stage leaves them out."""
+    kept = sorted((pair, value) for pair, value in dict(couplers).items() if abs(value) >= COEFF_EPS)
+    return QuadraticForm(
+        order=tuple(order),
+        linear=np.array([value if abs(value) >= COEFF_EPS else 0.0 for value in linear], dtype=float),
+        rows=np.array([i for (i, _), _ in kept], dtype=np.int64),
+        cols=np.array([j for (_, j), _ in kept], dtype=np.int64),
+        values=np.array([value for _, value in kept], dtype=float),
+        offset=offset if abs(offset) >= COEFF_EPS else 0.0,
+        higher={mono: value for mono, value in (higher or {}).items() if abs(value) >= COEFF_EPS},
+    )
+
+
+_MERGE_NAMES = [f"n{k}" for k in range(8)]
+# 1 and -1 + 1e-13 cancel below COEFF_EPS at equal scales; what comes after them must start again from 0.0
+_MERGE_COEFFS = st.one_of(st.sampled_from([1.0, -1.0 + 1e-13, -1.0, 0.5, 3.0]), st.floats(-4, 4))
+_MERGE_SCALES = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(0.01, 100))
+
+
+@st.composite
+def coordinate_forms(draw):
+    order = sorted(draw(st.sets(st.sampled_from(_MERGE_NAMES), max_size=8)))
+    pairs = list(itertools.combinations(range(len(order)), 2))
+    couplers = draw(st.dictionaries(st.sampled_from(pairs), _MERGE_COEFFS, max_size=8)) if pairs else {}
+    monomials = st.lists(st.sampled_from(order), min_size=3, max_size=4, unique=True).map(lambda m: tuple(sorted(m)))
+    higher = draw(st.dictionaries(monomials, _MERGE_COEFFS, max_size=3)) if len(order) >= 3 else {}
+    return coordinate_form(order, [draw(_MERGE_COEFFS) for _ in order], couplers, draw(_MERGE_COEFFS), higher)
+
+
+_CANCEL = [(1.0, coordinate_form(["n0", "n1"], [1.0, 2.0], {(0, 1): 1.0}, 1.0))]
+_CANCEL.append((1.0, coordinate_form(["n0", "n1"], [-1.0 + 1e-13, 0.0], {(0, 1): -1.0 + 1e-13}, -1.0 + 1e-13)))
+_CANCEL.append((1.0, coordinate_form(["n0", "n1", "n2"], [0.5, 0.0, 3.0], {(0, 1): 0.5, (1, 2): 1.0}, 0.5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms=st.lists(st.tuples(_MERGE_SCALES, coordinate_forms()), min_size=1, max_size=5), names=st.sets(st.sampled_from(_MERGE_NAMES)))
+@example(forms=_CANCEL, names=set())  # x, then -x + 1e-13 (a partial sum of 1e-13, dropped), then y
+def test_weighted_sum_drops_each_partial_sum_below_the_threshold(forms, names):
+    """Against a loop that sums each entry from 0.0 in form order and drops a partial sum below ``COEFF_EPS``
+    before the next form adds (a ``higher`` term's scaled value is dropped first if it is below it): the same
+    term set, equal float hex, and row-major couplers over the sorted union of names."""
+    expected = {}
+    for scale, form in forms:
+        for mono, coeff in form.polynomial:
+            if len(mono) <= 2 or abs(coeff * scale) >= COEFF_EPS:
+                total = expected.pop(mono, 0.0) + coeff * scale
+                if abs(total) >= COEFF_EPS:
+                    expected[mono] = total
+    got = compiler._weighted_sum(forms, names)
+    assert got.order == tuple(sorted(set(names).union(*(form.order for _, form in forms))))
+    assert sorted(exact_terms(got.polynomial)) == sorted((mono, coeff.hex()) for mono, coeff in expected.items())
+    assert np.all(got.rows < got.cols) and np.all(np.diff(got.rows * len(got.order) + got.cols) > 0)
+
+
+def sparse_max_cut(n, seed=0):
+    """Max-cut on a random graph with ``3n`` edges, plus one cardinality ``<=`` over 40 of the ``n`` binaries, built
+    as polynomials (no parsing)."""
+    rng = np.random.default_rng(seed)
+    problem = Problem()
+    names = problem.add_binary_variables_array("x", [n])
+    left, right = rng.integers(0, n, size=(2, 4 * n))
+    keys = np.unique(np.minimum(left, right) * n + np.maximum(left, right))
+    terms = {}
+    for key in rng.permutation(keys[keys // n != keys % n])[: 3 * n].tolist():
+        u, v = names[key // n], names[key % n]
+        terms[(u,)] = terms.get((u,), 0.0) + 1.0
+        terms[(v,)] = terms.get((v,), 0.0) + 1.0
+        terms[(u, v)] = -2.0
+    problem.add_objective(Polynomial(terms), "maximize")
+    problem.add_constraint(Comparison(Polynomial({(name,): 1.0 for name in names[:40]}), "<=", 20.0))
+    return problem.freeze()
+
+
+def test_a_sparse_model_compiles_in_memory_linear_in_its_terms():
+    """2,000 binaries and about 9,000 terms: dense n × n stages would hold 32 MB per matrix."""
+    import tracemalloc
+
+    problem = sparse_max_cut(2000)
+    tracemalloc.start()
+    try:
+        model = compile_problem(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.binary_variables()) == 2005 and len(model.quadratic) > 8000
+    assert peak < 20e6, peak
 
 
 _EXACT_COEFFS = st.one_of(st.integers(-6, 6).map(float), st.integers(-24, 24).map(lambda k: k / 8))
@@ -1148,14 +1233,13 @@ _BINARY_MULTILINEAR = st.dictionaries(
 @given(poly=_BINARY_MULTILINEAR)
 def test_quadratize_minimum_over_auxiliaries_is_the_input(poly):
     """Degree <= 5 over <= 8 binaries, dyadic: on every assignment the output minimized over the auxiliaries is
-    the input, exactly; the registry is the rescanning loop's, and the compile path writes the same terms."""
+    the input, exactly, and the registry is the rescanning loop's."""
     from test_acceptance import energies_over_assignments
 
     scale = estimate_lambda("ub-naive", QuadraticForm.from_polynomial(poly)) + 1.0
-    reduced, registry = quadratize(poly, scale)
-    assert reduced.degree() <= 2 and registry == rescanning_registry(poly)
-    form, form_registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
-    assert form_registry == registry and not form.higher and form.polynomial.terms == reduced.terms
+    form, registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
+    reduced = form.polynomial
+    assert reduced.degree() <= 2 and not form.higher and registry == rescanning_registry(poly)
     names, aux = sorted(poly.variables()), list(registry.values())
     assume(len(names) + len(aux) <= 16)
     minimized = energies_over_assignments(reduced, names + aux).reshape(2 ** len(aux), 2 ** len(names)).min(axis=0)
