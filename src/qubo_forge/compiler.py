@@ -6,6 +6,10 @@ constraint (user-declared plus encoding-induced) into a quadratic penalty,
 estimate a penalty weight for each, and reduce what is left above degree two
 with auxiliary binaries.
 
+After ``encode`` every stage reads the plans by source name (a name without
+one is a binary) and lowers plain term maps, ``{monomial: coefficient}``; no
+``Polynomial`` is built except to square a non-linear constraint.
+
 Every stage returns a ``QuadraticForm``, the one array form from the first
 stage to the solvers: a linear vector and row-major couplers over sorted
 binaries, an offset, and the monomials of degree >= 3.  The encodings are one
@@ -47,7 +51,6 @@ from qubo_forge.expression import (
     _accumulate,
     format_float,
     reduce_binary_idempotence,  # unused here; the benchmark's span harness wraps this name in this module
-    sum_polynomials,
 )
 from qubo_forge.problem import BooleanRelation, ConstraintDecl, Problem, VariableKind
 
@@ -108,26 +111,31 @@ class QuadraticForm:
 
     @classmethod
     def from_polynomial(
-        cls, poly: Polynomial, substitutions: Mapping[str, Polynomial] | None = None, what: str = "the polynomial"
+        cls, poly: Iterable[tuple[Monomial, float]], plans: Mapping[str, EncodingPlan] | None = None, what: str = "the polynomial"
     ) -> "QuadraticForm":
-        """``poly`` with each variable that has an affine substitution replaced by it; other names are binaries.
+        """Distinct canonical ``(monomial, coefficient)`` terms, a ``Polynomial`` for one, with each variable
+        that has a plan replaced by the plan's affine map; other names are binaries.
 
         Monomials of degree <= 2 go straight into the arrays.  Those of degree
-        >= 3 are multiplied out over the affine forms (``_expand``, which names
+        >= 3 are multiplied out over the affine maps (``_expand``, which names
         ``what`` when it refuses); what falls to degree <= 2 is added into the
         arrays, and the rest is ``higher``.
         """
-        substitutions = substitutions or {}
-        low = {mono: coeff for mono, coeff in poly if len(mono) <= 2}
-        form = _lower(low, substitutions)
-        if len(low) == len(poly):
+        plans, low, high = plans or {}, {}, []
+        for mono, coeff in poly:
+            if len(mono) <= 2:
+                low[mono] = coeff
+            else:
+                high.append((mono, coeff))
+        form = _lower(low, plans)
+        if not high:
             return form
-        terms = _expand((term for term in poly if len(term[0]) > 2), substitutions, what)
+        terms = _expand(high, plans, what)
         higher = {mono: coeff for mono, coeff in terms.items() if len(mono) > 2}
         pairs = sum(len(mono) * (len(mono) - 1) // 2 for mono in higher)
         _check_budget(pairs, what, "pairs to index for quadratization")
-        rest = _lower({mono: coeff for mono, coeff in terms.items() if len(mono) <= 2}, {}, {b for mono in higher for b in mono})
-        return _weighted_sum([(1.0, form), (1.0, replace(rest, higher=higher))])
+        rest = _lower({mono: coeff for mono, coeff in terms.items() if len(mono) <= 2}, {})
+        return _weighted_sum([(1.0, form), (1.0, replace(rest, higher=higher))], {b for mono in higher for b in mono})
 
     def coefficients(self) -> np.ndarray:
         """Every non-constant coefficient: the nonzero linear terms, the couplers, then ``higher``'s."""
@@ -218,15 +226,15 @@ class _TermsView(Polynomial):
         return int(np.count_nonzero(form.linear)) + len(form.values) + bool(form.offset) + len(form.higher)
 
 
-def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomial], binaries: Iterable[str] = ()) -> QuadraticForm:
-    """Degree-<=2 ``terms`` with each variable replaced by its affine substitution (or kept as a binary).
+def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -> QuadraticForm:
+    """Degree-<=2 ``terms`` with each variable replaced by its plan's affine map (``_plan_terms``).
 
-    ``binaries`` are more names the form spans.  Variable ``u`` is ``o_u + Σ w_p·b_p`` over its own run of
-    binaries.  A term ``A·u·v`` puts ``A·w_p·w_q`` on each pair of their binaries: a square ``u·u`` puts both
-    orders of a pair on one coupler, and ``p = q`` on the linear term (``b² = b``).  The linear terms also
-    get ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.
+    Variable ``u`` is ``o_u + Σ w_p·b_p`` over its own run of binaries (a binary ``b`` is ``1·b``).  A term
+    ``A·u·v`` puts ``A·w_p·w_q`` on each pair of their binaries: a square ``u·u`` puts both orders of a pair
+    on one coupler, and ``p = q`` on the linear term (``b² = b``).  The linear terms also get
+    ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.
     """
-    symbols = sorted({name for mono in terms for name in mono}.union(binaries))
+    symbols = sorted({name for mono in terms for name in mono})
     index = {name: k for k, name in enumerate(symbols)}
     left, right, quad, at, lin, constant = [], [], [], [], [], 0.0
     for mono, coeff in terms.items():
@@ -244,9 +252,7 @@ def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomi
     bounds = [0]  # symbol k's binaries are names[bounds[k]:bounds[k + 1]]
     offset = np.zeros(len(symbols))
     for k, symbol in enumerate(symbols):
-        for mono, coeff in _substitution(symbol, substitutions):
-            if len(mono) > 1:
-                raise ValueError(f"the substitution for '{symbol}' is not affine")
+        for mono, coeff in _plan_terms(symbol, plans).items():
             if mono:
                 names.append(mono[0])
                 weight.append(coeff)
@@ -283,10 +289,11 @@ def _lower(terms: Mapping[Monomial, float], substitutions: Mapping[str, Polynomi
     return _form([names[k] for k in order], linear[order], rows[sort], cols[sort], pair[kept][sort], constant)
 
 
-def _substitution(name: str, substitutions: Mapping[str, Polynomial]) -> Polynomial:
-    """The affine polynomial that replaces ``name``; a name without one is a binary."""
-    affine = substitutions.get(name)
-    return Polynomial.variable(name) if affine is None else affine
+def _plan_terms(name: str, plans: Mapping[str, EncodingPlan]) -> dict[Monomial, float]:
+    """``name``'s plan as terms ``{(b,): w, …, (): o}`` of at least ``COEFF_EPS``; a name without a plan is a binary."""
+    plan = plans.get(name)
+    terms = [((name,), 1.0)] if plan is None else [*(((b,), w) for b, w in plan.binaries), ((), plan.offset)]
+    return {mono: coeff for mono, coeff in terms if abs(coeff) >= COEFF_EPS}
 
 
 def _check_budget(count: int, what: str, unit: str = "binary terms") -> None:
@@ -309,15 +316,15 @@ def _times(left: Mapping[Monomial, float], right: Mapping[Monomial, float]) -> d
     return out
 
 
-def _expand(terms: Iterable[tuple[Monomial, float]], substitutions: Mapping[str, Polynomial], what: str) -> dict[Monomial, float]:
-    """``Σ coeff·Π v`` over binaries: each variable's power multiplied out over its affine form ``o + Σ w·b``.
+def _expand(terms: Iterable[tuple[Monomial, float]], plans: Mapping[str, EncodingPlan], what: str) -> dict[Monomial, float]:
+    """``Σ coeff·Π v`` over binaries: each variable's power multiplied out over its plan's affine map ``o + Σ w·b``.
 
     Before any product, the term count is bounded by ``Π_v Σ_{j <= min(k_v, bits_v)} C(bits_v, j)``
     per monomial (``v**k_v`` a factor, ``bits_v`` its binaries) and refused above ``COMPILE_BUDGET``.
     """
     factors = [(coeff, [(name, len(list(run))) for name, run in groupby(mono)]) for mono, coeff in terms]
-    affine = {name: _substitution(name, substitutions) for _, group in factors for name, _ in group}
-    bits = {name: len(form) - (form.constant_term != 0.0) for name, form in affine.items()}
+    affine = {name: _plan_terms(name, plans) for _, group in factors for name, _ in group}
+    bits = {name: len(form) - (() in form) for name, form in affine.items()}
     counts = [[sum(math.comb(bits[v], j) for j in range(min(k, bits[v]) + 1)) for v, k in group] for _, group in factors]
     _check_budget(sum(map(math.prod, counts)), what)
     powers: dict[tuple[str, int], dict[Monomial, float]] = {}
@@ -326,7 +333,7 @@ def _expand(terms: Iterable[tuple[Monomial, float]], substitutions: Mapping[str,
         product = {(): coeff}
         for name, power in group:
             if (name, power) not in powers:
-                powers[name, power] = reduce(_times, [affine[name]._terms] * power, {(): 1.0})
+                powers[name, power] = reduce(_times, [affine[name]] * power, {(): 1.0})
             product = _times(product, powers[name, power])
         for mono, value in product.items():
             out[mono] = out.get(mono, 0.0) + value
@@ -594,64 +601,56 @@ def polynomial_interval(poly: Polynomial, intervals: dict[str, tuple[float, floa
 # -- cost and penalties -------------------------------------------------------
 
 
-def _affine(lhs: Polynomial, substitutions: Mapping[str, Polynomial]) -> tuple[list[str], list[float], float]:
-    """A linear ``lhs`` over binaries, ``u·b + k``, in one pass: (binary names, ``u``, ``k``)."""
-    coefficients: dict[str, float] = {}
-    constant = 0.0
-    for mono, coeff in lhs:
-        for binary, weight in _substitution(mono[0], substitutions) if mono else [((), 1.0)]:
-            if binary:
-                coefficients[binary[0]] = coefficients.get(binary[0], 0.0) + coeff * weight
-            else:
-                constant += coeff * weight
-    kept = {name: c for name, c in coefficients.items() if abs(c) >= COEFF_EPS}
-    return list(kept), list(kept.values()), constant
-
-
 def _squared(
-    lhs: Polynomial,
+    lhs: Polynomial | Mapping[Monomial, float],
     rhs: float,
-    substitutions: Mapping[str, Polynomial],
+    plans: Mapping[str, EncodingPlan],
     slack: EncodingPlan | None = None,
     source: Comparison | None = None,
 ) -> QuadraticForm:
     """``(lhs + slack - rhs)²`` over binaries: the upper triangle of one outer product when ``lhs`` is linear.
 
-    A non-linear ``lhs`` is squared over its variables, ``m²`` products for ``m``
-    terms (bounded against ``COMPILE_BUDGET`` first), and the square goes
-    through ``_expand``; either refusal names the ``source`` comparison.
+    A linear ``lhs`` (a ``Polynomial`` or a term map), the slack's binaries and ``slack.offset - rhs`` are
+    one term map, lowered to the line ``u·b + k``.  A non-linear ``lhs`` is squared over its variables,
+    ``m²`` products for ``m`` terms (bounded against ``COMPILE_BUDGET`` first), and the square goes through
+    ``_expand``; either refusal names the ``source`` comparison.
     """
-    if lhs.degree() > 1:
+    terms = dict(lhs)
+    if any(len(mono) > 1 for mono in terms):
         what = f"constraint '{source.to_text()}'"
         shifted = (lhs if slack is None else lhs + slack.affine()) - rhs
         _check_budget(len(shifted) ** 2, what, "products to square")
-        return QuadraticForm.from_polynomial(shifted**2, substitutions, what)
-    names, coefficients, constant = _affine(lhs, substitutions)
+        return QuadraticForm.from_polynomial(shifted**2, plans, what)
     if slack is not None:
-        names += slack.binary_names()
-        coefficients += [weight for _, weight in slack.binaries]
-        constant += slack.offset
-    constant -= rhs
-    if abs(constant) < COEFF_EPS:
-        constant = 0.0
-    order = sorted(range(len(names)), key=names.__getitem__)
-    u = np.array(coefficients, dtype=float)[order]
+        terms.update(((binary,), weight) for binary, weight in slack.binaries)
+        terms[()] = terms.get((), 0.0) + slack.offset
+    terms[()] = terms.get((), 0.0) - rhs
+    line = _lower(terms, plans)
+    u, constant = line.linear, line.offset
     # b² and the 2kb cross term are dropped below COEFF_EPS before they meet, as in expanding the square
     square, cross = u * u, 2.0 * (u * constant)
     square[np.abs(square) < COEFF_EPS] = cross[np.abs(cross) < COEFF_EPS] = 0.0
     rows, cols = np.triu_indices(len(u), 1)
-    return _form([names[j] for j in order], square + cross, rows, cols, 2.0 * (u[rows] * u[cols]), constant * constant)
+    return _form(line.order, square + cross, rows, cols, 2.0 * (u[rows] * u[cols]), constant * constant)
 
 
-def compose_cost(objectives: Sequence, substitutions: Mapping[str, Polynomial]) -> QuadraticForm:
-    """Weighted signed sum of objectives with variables replaced by their encodings."""
-    signed = [term.expr.scale(term.weight if term.direction == "minimize" else -term.weight) for term in objectives]
-    return QuadraticForm.from_polynomial(sum_polynomials(signed), substitutions, "the objective")
+def compose_cost(objectives: Sequence, plans: Mapping[str, EncodingPlan]) -> QuadraticForm:
+    """Weighted signed sum of objectives, one term map, with variables replaced by their plans' affine maps.
+
+    Each ``±weight·coeff`` is added in objective order; a product below ``COEFF_EPS`` is skipped.
+    """
+    terms: dict[Monomial, float] = {}
+    for term in objectives:
+        sign = term.weight if term.direction == "minimize" else -term.weight
+        for mono, coeff in term.expr:
+            if abs(coeff * sign) >= COEFF_EPS:
+                _accumulate(terms, mono, coeff * sign)
+    return QuadraticForm.from_polynomial(terms.items(), plans, "the objective")
 
 
-def equality_penalty(comparison: Comparison, substitutions: Mapping[str, Polynomial] | None = None) -> QuadraticForm:
+def equality_penalty(comparison: Comparison, plans: Mapping[str, EncodingPlan] | None = None) -> QuadraticForm:
     """(lhs - rhs)² over binaries; zero iff the equality holds."""
-    return _squared(comparison.lhs, comparison.rhs, substitutions or {}, source=comparison)
+    return _squared(comparison.lhs, comparison.rhs, plans or {}, source=comparison)
 
 
 def inequality_to_penalty(
@@ -659,7 +658,7 @@ def inequality_to_penalty(
     bounds: tuple[float, float],
     precision: float,
     slack_source: str,
-    substitutions: Mapping[str, Polynomial] | None = None,
+    plans: Mapping[str, EncodingPlan] | None = None,
 ) -> tuple[QuadraticForm, EncodingPlan | None]:
     """Slack-augmented squared penalty for an inequality, over binaries.
 
@@ -668,14 +667,14 @@ def inequality_to_penalty(
     ``[-(max - rhs), 0]`` for >=, ``[0, rhs - min]`` for <=.  Strict
     inequalities are tightened by one precision step first.
     """
-    substitutions = substitutions or {}
+    plans = plans or {}
     op, rhs = comparison.op, comparison.rhs
     if op == ">":
         op, rhs = ">=", rhs + precision
     elif op == "<":
         op, rhs = "<=", rhs - precision
 
-    cheap = _binary_pair_penalty(comparison.lhs, op, rhs, substitutions)
+    cheap = _binary_pair_penalty(comparison.lhs, op, rhs, plans)
     if cheap is not None:
         return cheap, None
 
@@ -691,46 +690,50 @@ def inequality_to_penalty(
         warnings.warn(f"constraint unsatisfiable: '{comparison.to_text()}' over lhs range [{low}, {high}]")
     if unsatisfiable or slack_high - slack_low < precision - _EPS:
         # No slack, or an equality-tight window with no representable slack value besides zero.
-        return _squared(comparison.lhs, rhs, substitutions, source=comparison), None
+        return _squared(comparison.lhs, rhs, plans, source=comparison), None
 
     plan = encode_range(slack_source, slack_low, slack_high, precision, method="logarithmic")
-    return _squared(comparison.lhs, rhs, substitutions, plan, comparison), plan
+    return _squared(comparison.lhs, rhs, plans, plan, comparison), plan
 
 
-def _binary_pair_penalty(
-    lhs: Polynomial, op: str, rhs: float, substitutions: Mapping[str, Polynomial]
-) -> QuadraticForm | None:
+def _binary_pair_penalty(lhs: Polynomial, op: str, rhs: float, plans: Mapping[str, EncodingPlan]) -> QuadraticForm | None:
     """Product penalty for ``b - b' >= 0`` chains (domain-wall); avoids a slack bit."""
     if op != ">=" or abs(rhs) > _EPS or lhs.degree() != 1:
         return None
-    names, coefficients, constant = _affine(lhs, substitutions)
-    if len(names) != 2 or abs(constant) >= COEFF_EPS:
+    line = _lower(dict(lhs), plans)
+    held = np.flatnonzero(line.linear)
+    if len(held) != 2 or line.offset:
         return None
-    (neg_c, lower), (pos_c, upper) = sorted(zip(coefficients, names))
+    (neg_c, lower), (pos_c, upper) = sorted(zip(line.linear[held].tolist(), [line.order[k] for k in held]))
     if abs(neg_c + 1.0) > _EPS or abs(pos_c - 1.0) > _EPS:
         return None
     # lower * (1 - upper): 1 exactly on the single violating row.
-    return QuadraticForm.from_polynomial(Polynomial({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0}))
+    return _lower({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0}, {})
 
 
 def boolean_penalty(
-    relation: BooleanRelation, aux_source: str, substitutions: Mapping[str, Polynomial] | None = None
+    relation: BooleanRelation, aux_source: str, plans: Mapping[str, EncodingPlan] | None = None
 ) -> tuple[QuadraticForm, EncodingPlan | None]:
-    """Quadratic gate penalty: zero exactly on truth-table rows (min over aux for xor)."""
-    substitutions = substitutions or {}
-    z = relation.output
+    """Quadratic gate penalty: zero exactly on truth-table rows (min over aux for xor); each gate is a term map."""
+    plans, z = plans or {}, relation.output
     if relation.kind == "not":
-        (x,) = relation.inputs
-        return _squared(Polynomial.variable(x) + Polynomial.variable(z), 1.0, substitutions), None
+        return _squared(_gate(((relation.inputs[0],), 1.0), ((z,), 1.0)), 1.0, plans), None
     x, y = relation.inputs
-    bx, by, bz = Polynomial.variable(x), Polynomial.variable(y), Polynomial.variable(z)
-    if relation.kind == "and":
-        return QuadraticForm.from_polynomial(bx * by - 2 * (bx + by) * bz + 3 * bz, substitutions), None
-    if relation.kind == "or":
-        return QuadraticForm.from_polynomial(bx * by + bx + by - 2 * bx * bz - 2 * by * bz + bz, substitutions), None
+    if relation.kind == "and":  # xy - 2xz - 2yz + 3z
+        return _lower(_gate(((x, y), 1.0), ((x, z), -2.0), ((y, z), -2.0), ((z,), 3.0)), plans), None
+    if relation.kind == "or":  # xy + x + y - 2xz - 2yz + z
+        return _lower(_gate(((x, y), 1.0), ((x,), 1.0), ((y,), 1.0), ((x, z), -2.0), ((y, z), -2.0), ((z,), 1.0)), plans), None
     # xor as a parity check: x + y + z - 2w is zero exactly on consistent rows.
     plan = EncodingPlan(source=aux_source, binaries=((f"{aux_source}#0", -2.0),), offset=0.0)
-    return _squared(bx + by + bz, 0.0, substitutions, plan), plan
+    return _squared(_gate(((x,), 1.0), ((y,), 1.0), ((z,), 1.0)), 0.0, plans, plan), plan
+
+
+def _gate(*terms: tuple[Monomial, float]) -> dict[Monomial, float]:
+    """A gate's terms as one term map, each monomial sorted; a relation that names a binary twice adds into one."""
+    out: dict[Monomial, float] = {}
+    for mono, coeff in terms:
+        _accumulate(out, tuple(sorted(mono)), coeff)
+    return out
 
 
 # -- penalty weight estimation -------------------------------------------------
@@ -897,35 +900,33 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
         raise ValueError("problem must be frozen before compilation (call problem.freeze())")
     config = config or CompileConfig()
 
-    plans = [encode(decl) for decl in problem.variables]
-    substitutions = {plan.source: plan.affine() for plan in plans}
+    encodings = [encode(decl) for decl in problem.variables]
+    plans = {plan.source: plan for plan in encodings}
     intervals = {decl.name: decl.domain_interval() for decl in problem.variables}
     # induced constraints (domain-wall chains) are over the encoding binaries themselves
-    intervals.update((name, (0.0, 1.0)) for plan in plans for name in plan.binary_names())
+    intervals.update((name, (0.0, 1.0)) for plan in encodings for name in plan.binary_names())
 
-    cost = compose_cost(problem.objectives, substitutions)
+    cost = compose_cost(problem.objectives, plans)
 
     all_constraints: list[ConstraintDecl] = list(problem.constraints)
-    for plan in plans:
+    for plan in encodings:
         all_constraints.extend(plan.induced)
 
     parts: list[tuple[ConstraintDecl, QuadraticForm, EncodingPlan | None]] = []
     for index, decl in enumerate(all_constraints):
         if decl.boolean is not None:
-            penalty, slack_plan = boolean_penalty(decl.boolean, f"__bool{index}", substitutions)
+            penalty, slack_plan = boolean_penalty(decl.boolean, f"__bool{index}", plans)
         elif decl.comparison.op == "=":
-            penalty, slack_plan = equality_penalty(decl.comparison, substitutions), None
+            penalty, slack_plan = equality_penalty(decl.comparison, plans), None
         else:
             bounds = polynomial_interval(decl.comparison.lhs, intervals)
             precision = infer_slack_precision(decl, problem)
-            penalty, slack_plan = inequality_to_penalty(
-                decl.comparison, bounds, precision, f"__slack{index}", substitutions
-            )
+            penalty, slack_plan = inequality_to_penalty(decl.comparison, bounds, precision, f"__slack{index}", plans)
         parts.append((decl, penalty, slack_plan))
 
     lambdas = _estimate_lambdas(parts, cost, config)
     blocks = [PenaltyBlock(decl, penalty, lam, slack_plan) for (decl, penalty, slack_plan), lam in zip(parts, lambdas)]
-    return _weigh(cost, plans, blocks)
+    return _weigh(cost, encodings, blocks)
 
 
 def _estimate_lambdas(parts: list[tuple], cost: QuadraticForm, config: CompileConfig) -> list[float]:

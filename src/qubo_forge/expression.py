@@ -318,15 +318,6 @@ def _accumulate(out: dict[Monomial, float], mono: Monomial, coeff: float) -> Non
         out[mono] = value
 
 
-def sum_polynomials(polys: Iterable[Polynomial]) -> Polynomial:
-    """``p0 + p1 + ...`` in order, into one accumulator: same terms and term order, linear time."""
-    out: dict[Monomial, float] = {}
-    for poly in polys:
-        for mono, coeff in poly._terms.items():
-            _accumulate(out, mono, coeff)
-    return Polynomial._wrap(out)
-
-
 def reduce_binary_idempotence(poly: Polynomial, binary_vars: Iterable[str]) -> Polynomial:
     """Collapse exponents above 1 for the given 0/1 variables (b**k -> b)."""
     binary = set(binary_vars)

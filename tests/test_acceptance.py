@@ -131,7 +131,7 @@ def test_criterion_04_lambda_regression():
     with criterion(4, "penalty-weight table: mqc 10, vlm 12, ub-naive 52.25 exact; documented targets"):
         problem = mixed_reference_problem()
         plans = [encode(decl) for decl in problem.variables]
-        cost = compose_cost(problem.objectives, {p.source: p.affine() for p in plans})
+        cost = compose_cost(problem.objectives, {p.source: p for p in plans})
         assert estimate_lambda("mqc", cost) == 10.0
         assert estimate_lambda("vlm", cost) == 12.0
         assert estimate_lambda("ub-naive", cost) == 52.25

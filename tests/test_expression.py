@@ -23,7 +23,6 @@ from qubo_forge.expression import (
     parse_constraint,
     parse_expression,
     reduce_binary_idempotence,
-    sum_polynomials,
 )
 
 V = Polynomial.variable
@@ -392,15 +391,6 @@ _rough_polys = st.dictionaries(_monomials, _exact_or_not, max_size=8).map(Polyno
 @settings(max_examples=300)
 def test_one_pass_substitute_matches_the_accumulating_reference(p, name, replacement):
     assert list(p.substitute(name, replacement)) == list(_substitute_reference(p, name, replacement))
-
-
-@given(st.lists(_rough_polys, max_size=6))
-@settings(max_examples=150)
-def test_sum_polynomials_matches_chained_addition(polys):
-    chained = Polynomial.zero()
-    for poly in polys:
-        chained = chained + poly
-    assert list(sum_polynomials(polys)) == list(chained)
 
 
 class _ChainedSumParser(expression._Parser):
