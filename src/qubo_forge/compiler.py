@@ -610,8 +610,9 @@ def _squared(
 ) -> QuadraticForm:
     """``(lhs + slack - rhs)²`` over binaries: the upper triangle of one outer product when ``lhs`` is linear.
 
-    A linear ``lhs`` (a ``Polynomial`` or a term map), the slack's binaries and ``slack.offset - rhs`` are
-    one term map, lowered to the line ``u·b + k``.  A non-linear ``lhs`` is squared over its variables,
+    A linear ``lhs`` (a ``Polynomial`` or a term map) and the slack's binaries are one term map, lowered to
+    the line ``u·b + k``; ``k`` is the lowered constant, plus ``slack.offset``, minus ``rhs``, in that order,
+    as expanding the square adds them.  A non-linear ``lhs`` is squared over its variables,
     ``m²`` products for ``m`` terms (bounded against ``COMPILE_BUDGET`` first), and the square goes through
     ``_expand``; either refusal names the ``source`` comparison.
     """
@@ -623,10 +624,9 @@ def _squared(
         return QuadraticForm.from_polynomial(shifted**2, plans, what)
     if slack is not None:
         terms.update(((binary,), weight) for binary, weight in slack.binaries)
-        terms[()] = terms.get((), 0.0) + slack.offset
-    terms[()] = terms.get((), 0.0) - rhs
     line = _lower(terms, plans)
-    u, constant = line.linear, line.offset
+    u, constant = line.linear, line.offset + (slack.offset if slack is not None else 0.0) - rhs
+    constant = constant if abs(constant) >= COEFF_EPS else 0.0
     # b² and the 2kb cross term are dropped below COEFF_EPS before they meet, as in expanding the square
     square, cross = u * u, 2.0 * (u * constant)
     square[np.abs(square) < COEFF_EPS] = cross[np.abs(cross) < COEFF_EPS] = 0.0
@@ -941,8 +941,9 @@ def _estimate_lambdas(parts: list[tuple], cost: QuadraticForm, config: CompileCo
         value = estimate_lambda(config.lambda_method, cost, penalty) if per_constraint else base
         if decl.hardness == "weak":
             value *= WEAK_MULTIPLIER
-        # a degenerate objective (e.g. constant) estimates no weight; keep the penalty active
-        lambdas.append(value if value > 0 else 1.0)
+        # a degenerate objective (e.g. constant) estimates no weight, or only a rounding residue below COEFF_EPS
+        # that would drop every weighted penalty term; keep the penalty active
+        lambdas.append(value if value >= COEFF_EPS else 1.0)
     return lambdas
 
 

@@ -273,6 +273,19 @@ class TestLambdaEstimation:
         model = compile_problem(problem, CompileConfig(lambda_method="vlm"))
         assert model.penalties[0].lam == pytest.approx(0.3 * 1.0)
 
+    @pytest.mark.parametrize("coeff", [-3.0, -5.0])
+    def test_an_estimate_that_cancels_to_a_rounding_residue_falls_back_to_one(self, coeff):
+        """mqc is ``max coeff + offset``: -0.9 + 0.9 (or -1.5 + 1.5) here, a residue of an ulp or none at all.  A λ
+        that small would drop every weighted term of the domain-wall block, so both fall back to 1."""
+        problem = Problem()
+        problem.add_bipolar_variable("s")
+        problem.add_continuous_variable("d", 0.7, 1.3, 0.3, encoding="domain_wall")
+        problem.add_objective(Polynomial({("s",): coeff, ("d",): coeff}))
+        model = compile_problem(problem.freeze(), CompileConfig(lambda_method="mqc"))
+        assert abs(estimate_lambda("mqc", model.cost)) < COEFF_EPS
+        assert model.lambdas() == [1.0]
+        assert model.quadratic.terms[("d#0", "d#1")] == -1.0
+
     def test_manual_values(self, mixed_problem):
         model = compile_problem(mixed_problem, CompileConfig(lambda_method="manual", manual_lambdas=7.5))
         assert [b.lam for b in model.penalties] == [7.5, 7.5]
@@ -797,7 +810,7 @@ def symbolic_lambdas(config, cost, penalties):
     for decl, penalty in penalties:
         value = _symbolic_lambda(config.lambda_method, cost, penalty) if per_constraint else base
         value *= 0.3 if decl.hardness == "weak" else 1.0
-        lambdas.append(value if value > 0 else 1.0)
+        lambdas.append(value if value >= COEFF_EPS else 1.0)
     return lambdas
 
 
