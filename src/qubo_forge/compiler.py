@@ -8,7 +8,8 @@ with auxiliary binaries.
 
 After ``encode`` every stage reads the plans by source name (a name without
 one is a binary) and lowers plain term maps, ``{monomial: coefficient}``; no
-``Polynomial`` is built except to square a non-linear constraint.
+``Polynomial`` is built.  A declared left-hand side is only read, and the
+``Polynomial`` views of a form or a model are built on first use.
 
 Every stage returns a ``QuadraticForm``, the one array form from the first
 stage to the solvers: a linear vector and row-major couplers over sorted
@@ -18,10 +19,11 @@ affine map ``v = o + W·b``, so a degree-2 objective ``xᵀAx + a·x + c`` is
 folding the diagonal into the linear terms.  Each binary encodes one variable,
 so ``WᵀAW`` is one coupler per pair of a term's binaries and no stage builds an
 ``n × n`` array; a linear constraint's penalty ``(u·b + k)²`` is the upper
-triangle of one outer product.  A monomial of degree >= 3 (and the square
-of a non-linear constraint) is multiplied out over its variables' affine forms
-with ``b·b = b`` applied at each product, after its term count is bounded
-against ``COMPILE_BUDGET``; what stays above degree two is quadratized.
+triangle of one outer product; a non-linear constraint's square is formed as
+a term map and lowered as an objective is.  A monomial of degree >= 3 is
+multiplied out over its variables' affine forms with ``b·b = b`` applied at
+each product, after its term count is bounded against ``COMPILE_BUDGET``;
+what stays above degree two is quadratized.
 
 Penalty weights are estimated on the composed objective *before*
 quadratization, so they do not depend on auxiliary bookkeeping.  The model
@@ -390,10 +392,6 @@ class PenaltyBlock:
     slack_plan: EncodingPlan | None = None
 
     @property
-    def penalty(self) -> Polynomial:
-        return self.form.polynomial
-
-    @property
     def label(self) -> str:
         return self.constraint.describe()
 
@@ -406,13 +404,11 @@ class PenaltyBlock:
 class QuboModel:
     """A QUBO as arrays plus the metadata to decode and audit it (read-only).
 
-    ``QuboModel(quadratic=poly, offset=c, ...)`` builds the arrays from a
-    degree-<=2 polynomial of linear terms and products of two distinct
-    binaries; ``compile_problem`` passes ``arrays`` directly.  ``offset``, when
-    given, sets the arrays' constant.
+    ``arrays`` is a ``QuadraticForm`` without ``higher`` terms; ``offset``,
+    when given, replaces its constant.
     """
 
-    arrays: QuadraticForm  # the final form: no higher terms
+    arrays: QuadraticForm
     encodings: list[EncodingPlan]
     penalties: list[PenaltyBlock]
     aux_registry: dict[tuple[str, str], str]
@@ -420,29 +416,17 @@ class QuboModel:
 
     def __init__(
         self,
-        quadratic: Polynomial | None = None,
-        offset: float | None = None,
+        arrays: QuadraticForm,
         encodings: Sequence[EncodingPlan] = (),
         penalties: Sequence[PenaltyBlock] = (),
         aux_registry: dict[tuple[str, str], str] | None = None,
         cost: QuadraticForm | None = None,
-        arrays: QuadraticForm | None = None,
+        offset: float | None = None,
     ):
-        self.encodings, self.penalties = list(encodings), list(penalties)
-        self.aux_registry, self.cost = dict(aux_registry or {}), cost
-        if arrays is None:
-            if quadratic is None:
-                raise TypeError("QuboModel needs arrays or a quadratic polynomial")
-            for mono, _ in quadratic:
-                if not (len(mono) == 1 or (len(mono) == 2 and mono[0] != mono[1])):
-                    raise ValueError(f"QUBO term {mono} is neither linear nor a product of two distinct binaries")
-            # every binary the model owns, also where no term names it
-            names = [name for plan in self.encodings for name in plan.binary_names()]
-            names += [name for block in self.penalties if block.slack_plan for name in block.slack_plan.binary_names()]
-            names += self.aux_registry.values()
-            arrays = _weighted_sum([(1.0, QuadraticForm.from_polynomial(quadratic))], names)
         if arrays.higher:
             raise ValueError(f"a QUBO has no terms of degree {max(map(len, arrays.higher))}")
+        self.encodings, self.penalties = list(encodings), list(penalties)
+        self.aux_registry, self.cost = dict(aux_registry or {}), cost
         self.arrays = arrays if offset is None else replace(arrays, offset=float(offset))
 
     @property
@@ -585,13 +569,8 @@ def polynomial_interval(poly: Polynomial, intervals: dict[str, tuple[float, floa
     low = high = 0.0
     for mono, coeff in poly:
         term: tuple[float, float] = (1.0, 1.0)
-        i = 0
-        while i < len(mono):
-            j = i
-            while j < len(mono) and mono[j] == mono[i]:
-                j += 1
-            term = _interval_mul(term, _interval_pow(intervals[mono[i]], j - i))
-            i = j
+        for name, run in groupby(mono):
+            term = _interval_mul(term, _interval_pow(intervals[name], len(list(run))))
         term = (term[0] * coeff, term[1] * coeff) if coeff >= 0 else (term[1] * coeff, term[0] * coeff)
         low += term[0]
         high += term[1]
@@ -610,22 +589,31 @@ def _squared(
 ) -> QuadraticForm:
     """``(lhs + slack - rhs)²`` over binaries: the upper triangle of one outer product when ``lhs`` is linear.
 
-    A linear ``lhs`` (a ``Polynomial`` or a term map) and the slack's binaries are one term map, lowered to
-    the line ``u·b + k``; ``k`` is the lowered constant, plus ``slack.offset``, minus ``rhs``, in that order,
-    as expanding the square adds them.  A non-linear ``lhs`` is squared over its variables,
-    ``m²`` products for ``m`` terms (bounded against ``COMPILE_BUDGET`` first), and the square goes through
-    ``_expand``; either refusal names the ``source`` comparison.
+    ``lhs`` (a ``Polynomial`` or a term map) and the slack's binaries are one term map.  A linear one is
+    lowered to the line ``u·b + k``; ``k`` is the lowered constant, plus ``slack.offset``, minus ``rhs``, in
+    that order, as expanding the square adds them.  A non-linear one takes ``slack.offset`` and then ``-rhs``
+    as its constant and is squared as a term map, ``m²`` products for ``m`` terms (bounded against
+    ``COMPILE_BUDGET`` first, each product sorted into its monomial and the sums below ``COEFF_EPS``
+    dropped), and the square goes through ``_expand``; either refusal names the ``source`` comparison.
     """
-    terms = dict(lhs)
-    if any(len(mono) > 1 for mono in terms):
-        what = f"constraint '{source.to_text()}'"
-        shifted = (lhs if slack is None else lhs + slack.affine()) - rhs
-        _check_budget(len(shifted) ** 2, what, "products to square")
-        return QuadraticForm.from_polynomial(shifted**2, plans, what)
+    terms, shift = dict(lhs), 0.0
     if slack is not None:
         terms.update(((binary,), weight) for binary, weight in slack.binaries)
+        shift = slack.offset
+    if any(len(mono) > 1 for mono in terms):
+        what = f"constraint '{source.to_text()}'"
+        for constant in (shift, -rhs):
+            if abs(constant) >= COEFF_EPS:
+                _accumulate(terms, (), constant)
+        _check_budget(len(terms) ** 2, what, "products to square")
+        product: dict[Monomial, float] = {}
+        for left, a in terms.items():
+            for right, b in terms.items():
+                key = tuple(sorted(left + right))
+                product[key] = product.get(key, 0.0) + a * b
+        return QuadraticForm.from_polynomial([(m, c) for m, c in product.items() if abs(c) >= COEFF_EPS], plans, what)
     line = _lower(terms, plans)
-    u, constant = line.linear, line.offset + (slack.offset if slack is not None else 0.0) - rhs
+    u, constant = line.linear, line.offset + shift - rhs
     constant = constant if abs(constant) >= COEFF_EPS else 0.0
     # b² and the 2kb cross term are dropped below COEFF_EPS before they meet, as in expanding the square
     square, cross = u * u, 2.0 * (u * constant)
@@ -958,4 +946,4 @@ def _weigh(cost: QuadraticForm, encodings: list[EncodingPlan], blocks: list[Pena
     aux_registry: dict[tuple[str, str], str] = {}
     if total.higher:
         total, aux_registry = quadratize(total, estimate_lambda("ub-naive", total) + 1.0)
-    return QuboModel(encodings=encodings, penalties=blocks, aux_registry=aux_registry, cost=cost, arrays=total)
+    return QuboModel(total, encodings, blocks, aux_registry, cost)

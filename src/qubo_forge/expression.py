@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -287,16 +288,8 @@ def format_float(value: float) -> str:
 
 
 def _monomial_factors(mono: Monomial) -> list[str]:
-    factors: list[str] = []
-    i = 0
-    while i < len(mono):
-        j = i
-        while j < len(mono) and mono[j] == mono[i]:
-            j += 1
-        power = j - i
-        factors.append(mono[i] if power == 1 else f"{mono[i]}**{power}")
-        i = j
-    return factors
+    factors = [(name, len(list(run))) for name, run in groupby(mono)]
+    return [name if power == 1 else f"{name}**{power}" for name, power in factors]
 
 
 def _as_poly(value: "Polynomial | float | int") -> Polynomial:

@@ -3,21 +3,29 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they print.  Expected values are either the published reference
 numbers for the worked mixed-variable example and the f3 knapsack instance,
-or values recomputed here by independent brute-force oracles.
+or values recomputed here by independent brute-force oracles.  The last test
+is such an oracle over random small problems: a brute force over the
+declared domains checks the compiled ground state and the analyzer.
 """
 
 import itertools
 import json
 import math
+import operator
 import time
+import warnings
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qubo_forge.analysis import (
     check_model_constraints,
     p_range,
+    solution_is_valid,
     time_to_solution,
     valid_rate,
 )
@@ -36,6 +44,7 @@ from qubo_forge.encoding import encode
 from qubo_forge.expression import Comparison, Polynomial
 from qubo_forge.problem import BooleanRelation, Problem
 from qubo_forge.solvers import (
+    SolutionSet,
     SolverParams,
     UpdateStrategy,
     next_lambda,
@@ -238,7 +247,7 @@ def test_criterion_09_qaoa_sanity():
                         terms[tuple(sorted((names[i], names[j])))] = rng.uniform(-1, 1)
             from qubo_forge.compiler import QuboModel
 
-            model = QuboModel(quadratic=Polynomial(terms), offset=0.0, encodings=[], penalties=[])
+            model = QuboModel(QuadraticForm.from_polynomial(Polynomial(terms)), offset=0.0)
             landscape = energies_over_assignments(model.quadratic, model.binary_variables())
             optimum = float(landscape.min())
             uniform_mean = float(landscape.mean())
@@ -306,3 +315,124 @@ def test_criterion_12_determinism(tmp_path):
             payloads.append((out / "f3.problem.solution.json").read_bytes())
         assert payloads[0] == payloads[1]
         json.loads(payloads[0])  # well-formed JSON
+
+
+# -- declared-domain oracle --------------------------------------------------------------------------------
+
+_ENCODINGS = ("logarithmic", "unitary", "arithmetic", "domain_wall", "dictionary", "bounded")
+_OPS = {"=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+_GATES = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+
+
+@st.composite
+def declared_problems(draw) -> SimpleNamespace:
+    """1-3 variables on integer domains (binary, discrete with integer levels, or continuous at step 1 under
+    every encoding), an integer linear objective with sometimes one product, one integer comparison and
+    sometimes an and/or/xor relation over the binaries (a name may repeat); every constraint is hard."""
+    variables = []  # (name, kind or continuous encoding, domain, bound)
+    for k in range(draw(st.integers(1, 3))):
+        name, kind = f"v{k}", draw(st.sampled_from(["binary", "discrete", "continuous"]))
+        if kind == "binary":
+            variables.append((name, "binary", [0, 1], None))
+        elif kind == "discrete":
+            variables.append((name, "discrete", sorted(draw(st.sets(st.integers(-2, 4), min_size=1, max_size=4))), None))
+        else:
+            low, span, encoding = draw(st.integers(-2, 2)), draw(st.integers(1, 3)), draw(st.sampled_from(_ENCODINGS))
+            bound = draw(st.integers(1, 2)) if encoding == "bounded" else None
+            variables.append((name, encoding, list(range(low, low + span + 1)), bound))
+    names, nonzero = [name for name, *_ in variables], st.sampled_from([-3, -2, -1, 1, 2, 3])
+    binaries = [name for name, kind, *_ in variables if kind == "binary"]
+    relation = None
+    if binaries and draw(st.booleans()):
+        output, inputs = draw(st.sampled_from(binaries)), [draw(st.sampled_from(binaries)) for _ in range(2)]
+        relation = (draw(st.sampled_from(sorted(_GATES))), output, inputs)
+    return SimpleNamespace(
+        variables=variables,
+        objective=[draw(st.integers(-3, 3)) for _ in names],
+        product=draw(st.none() | st.tuples(nonzero, st.sampled_from(names), st.sampled_from(names))),
+        comparison=([draw(nonzero) for _ in names], draw(st.sampled_from(sorted(_OPS))), draw(st.integers(-6, 6))),
+        relation=relation,
+    )
+
+
+def declared_problem(spec: SimpleNamespace, direction: str) -> Problem:
+    problem = Problem()
+    for name, kind, domain, bound in spec.variables:
+        if kind == "binary":
+            problem.add_binary_variable(name)
+        elif kind == "discrete":
+            problem.add_discrete_variable(name, domain)
+        else:
+            problem.add_continuous_variable(name, domain[0], domain[-1], 1, encoding=kind, bound=bound)
+    names = [name for name, *_ in spec.variables]
+    terms = [f"{c}*{name}" for c, name in zip(spec.objective, names)]
+    if spec.product is not None:
+        terms.append("{}*{}*{}".format(*spec.product))
+    problem.add_objective(" + ".join(terms), direction)
+    coefficients, op, rhs = spec.comparison
+    problem.add_constraint(" + ".join(f"{c}*{name}" for c, name in zip(coefficients, names)) + f" {op} {rhs}")
+    if spec.relation is not None:
+        problem.add_boolean_constraint(*spec.relation)
+    return problem.freeze()
+
+
+def declared_objective(spec: SimpleNamespace, values: dict):
+    """The objective at ``values`` (numbers or columns), in plain Python."""
+    total = sum(c * values[name] for c, (name, *_) in zip(spec.objective, spec.variables))
+    if spec.product is not None:
+        c, left, right = spec.product
+        total = total + c * values[left] * values[right]
+    return total
+
+
+def declared_holds(spec: SimpleNamespace, values: dict):
+    """Whether the comparison and the relation hold at ``values`` (numbers or columns), in plain Python."""
+    coefficients, op, rhs = spec.comparison
+    holds = _OPS[op](sum(c * values[name] for c, (name, *_) in zip(coefficients, spec.variables)), rhs)
+    if spec.relation is not None:
+        kind, output, (x, y) = spec.relation
+        holds = holds & ((values[output] == 1) == _GATES[kind](values[x] == 1, values[y] == 1))
+    return holds
+
+
+@given(declared_problems())
+@settings(max_examples=300, deadline=None)
+def test_the_ground_state_and_the_analyzer_agree_with_a_brute_force_over_the_declared_domains(spec):
+    """Under λ = 1 + the ub-naive bound of the cost, which dominates the cost over every binary pattern, the
+    exhaustive optimum has the feasible optimum of a brute force over the declared domains, minimized and
+    maximized.  On every binary pattern the analyzer's verdict is the one computed here from the bits: a
+    one-hot pattern has one bit set, a domain-wall pattern does not decrease, and the decoded values lie in
+    their domains and satisfy the declaration."""
+    names = [name for name, *_ in spec.variables]
+    points = [dict(zip(names, point)) for point in itertools.product(*(domain for _, _, domain, _ in spec.variables))]
+    objectives = [declared_objective(spec, point) for point in points if declared_holds(spec, point)]
+    for direction, optimum in (("minimize", min), ("maximize", max)):
+        problem = declared_problem(spec, direction)
+        plans = {decl.name: encode(decl) for decl in problem.variables}
+        lam = 1.0 + estimate_lambda("ub-naive", compose_cost(problem.objectives, plans))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an unsatisfiable comparison warns, and is compiled all the same
+            model = compile_problem(problem, CompileConfig("manual", lam))
+        order = model.binary_variables()
+        assume(len(order) <= 12)
+        if objectives:
+            best = solve_exhaustive(model).best_decoded
+            assert declared_holds(spec, best) and declared_objective(spec, best) == optimum(objectives), (best, lam)
+
+    bits = ((np.arange(2 ** len(order))[:, None] >> np.arange(len(order))) & 1).astype(np.uint8)
+    solution = SolutionSet.from_bits(model, bits)
+    column = {name: bits[:, k].astype(np.int64) for k, name in enumerate(order)}
+    verdict, values = np.ones(len(bits), bool), {}
+    for name, kind, domain, _ in spec.variables:
+        own = np.stack([column[binary] for binary, _ in plans[name].binaries], axis=1)
+        if kind in ("discrete", "dictionary"):
+            verdict &= own.sum(axis=1) == 1
+        elif kind == "domain_wall":
+            verdict &= np.all(np.diff(own, axis=1) >= 0, axis=1)
+        values[name] = plans[name].offset + own @ np.array([weight for _, weight in plans[name].binaries])
+        verdict &= np.isin(values[name], domain)
+    verdict &= declared_holds(spec, values)
+    binary, decoded = dict(zip(solution.order, solution.bits.T.astype(float))), dict(zip(solution.names, solution.values.T))
+    analyzed = solution_is_valid(model, binary, decoded)
+    wrong = np.flatnonzero(np.broadcast_to(analyzed, len(bits)) != verdict)
+    assert not wrong.size, {name: int(column[name][wrong[0]]) for name in order}

@@ -146,7 +146,7 @@ class TestInequalityPenalty:
         slack_names = block.slack_plan.binary_names() if block.slack_plan else []
         for bits in itertools.product([0, 1], repeat=2):
             base = {"x_0#0": bits[0], "x_1#0": bits[1]}
-            assert min_over_aux(block.penalty, base, slack_names) == pytest.approx(0.0, abs=1e-9)
+            assert min_over_aux(block.form.polynomial, base, slack_names) == pytest.approx(0.0, abs=1e-9)
 
     def test_knapsack_pair_enumeration(self, tiny_knapsack):
         model = compile_problem(tiny_knapsack)
@@ -158,7 +158,7 @@ class TestInequalityPenalty:
         for bits in itertools.product([0, 1], repeat=2):
             load = 2 * bits[0] + 3 * bits[1]
             base = {"obj_0#0": bits[0], "obj_1#0": bits[1]}
-            best = min_over_aux(block.penalty, base, slack_names)
+            best = min_over_aux(block.form.polynomial, base, slack_names)
             if load <= 4:
                 assert best == pytest.approx(0.0, abs=1e-9)
             else:
@@ -175,7 +175,7 @@ class TestInequalityPenalty:
         slack_names = block.slack_plan.binary_names() if block.slack_plan else []
         for bits in itertools.product([0, 1], repeat=2):
             base = {"x_0#0": bits[0], "x_1#0": bits[1]}
-            best = min_over_aux(block.penalty, base, slack_names)
+            best = min_over_aux(block.form.polynomial, base, slack_names)
             if sum(bits) > 1:  # only (1, 1) exceeds 1 strictly on an integer grid
                 assert best == pytest.approx(0.0, abs=1e-9)
             else:
@@ -191,7 +191,7 @@ class TestInequalityPenalty:
             model = compile_problem(problem)
         block = model.penalties[0]
         assert block.slack_plan is None
-        assert all(block.penalty.evaluate({"x#0": b}) >= 1.0 for b in (0, 1))
+        assert all(block.form.polynomial.evaluate({"x#0": b}) >= 1.0 for b in (0, 1))
 
     def test_binary_chain_inequality_uses_product_penalty(self):
         penalty, plan = inequality_to_penalty(
@@ -367,9 +367,15 @@ class TestReweighting:
     def test_blocks_are_frozen_and_a_built_model_has_no_cost(self, mixed_problem):
         with pytest.raises(FrozenInstanceError):
             compile_problem(mixed_problem).penalties[0].lam = 1.0
-        built = compiler.QuboModel(quadratic=V("x"), offset=0.0, encodings=[], penalties=[])
+        built = compiler.QuboModel(QuadraticForm.from_polynomial(V("x")), offset=0.0)
         with pytest.raises(ValueError, match="needs a compiled model"):
             built.with_lambdas([])
+
+    def test_a_model_refuses_a_form_with_higher_terms(self):
+        cubic = QuadraticForm.from_polynomial(V("x") * V("y") * V("z") + V("x"))
+        assert dict(cubic.higher) == {("x", "y", "z"): 1.0}
+        with pytest.raises(ValueError, match="a QUBO has no terms of degree 3"):
+            compiler.QuboModel(cubic)
 
 
 class TestLambdaSufficiency:
@@ -563,7 +569,7 @@ class TestCompile:
             zeroed = False
             for bits in itertools.product([0, 1], repeat=len(names)):
                 assignment = dict(zip(names, bits))
-                value = block.penalty.evaluate(assignment)
+                value = block.form.polynomial.evaluate(assignment)
                 assert value >= -1e-9
                 zeroed = zeroed or abs(value) < 1e-9
             assert zeroed
@@ -1040,7 +1046,7 @@ class TestStats:
         problem.add_boolean_constraint("xor", "z", ["x", "y"])
         stats = compile_problem(problem.freeze()).stats
         assert stats["binaries"] == {"total": 4, "encoding": 3, "slack": 0, "boolean_aux": 1, "quadratization_aux": 0}
-        built = compiler.QuboModel(quadratic=Polynomial({("u",): 2.0, ("u", "v"): -0.5}), offset=1.0)
+        built = compiler.QuboModel(QuadraticForm.from_polynomial(Polynomial({("u",): 2.0, ("u", "v"): -0.5})), offset=1.0)
         assert built.stats["binaries"]["total"] == 2 and built.stats["dynamic_range"] == 4.0 and built.stats["lambdas"] == []
 
 
@@ -1144,7 +1150,7 @@ def assert_forms_match_symbolic(model, reference, config, exact):
     if exact:
         assert model.lambdas() == list(lambdas)
     else:
-        own = symbolic_lambdas(config, model.cost.polynomial, [(block.constraint, block.penalty) for block in model.penalties])
+        own = symbolic_lambdas(config, model.cost.polynomial, [(block.constraint, block.form.polynomial) for block in model.penalties])
         assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(model.lambdas(), own))
 
 
@@ -1334,6 +1340,17 @@ def gate_problem() -> Problem:
     return problem.freeze()
 
 
+def nonlinear_problem() -> Problem:
+    """``x + y + b`` maximized subject to ``x*y + b <= 5``: 15 binaries with the slack and the auxiliaries."""
+    problem = Problem()
+    problem.add_continuous_variable("x", 0, 3, 1)
+    problem.add_discrete_variable("y", [1, 2, 4])
+    problem.add_binary_variable("b")
+    problem.add_objective("x + y + b", direction="maximize")
+    problem.add_constraint("x*y + b <= 5")
+    return problem.freeze()
+
+
 def count_polynomials(monkeypatch) -> list:
     """Patch ``Polynomial.__init__`` and ``Polynomial._wrap`` to append to the returned list on each call."""
     built, init, wrap = [], Polynomial.__init__, Polynomial._wrap.__func__
@@ -1351,13 +1368,11 @@ def count_polynomials(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("name", ["mixed_problem", "tiny_knapsack", "cubic chain", "gates"])
+@pytest.mark.parametrize("name", ["mixed_problem", "tiny_knapsack", "cubic chain", "gates", "non-linear constraint"])
 def test_the_compile_builds_no_polynomial_after_encoding(name, request, monkeypatch):
     """Only ``encode`` builds polynomials (the induced one-hot and monotone declarations); the stages after it
-    lower term maps.  A problem with a non-linear constraint is left out: its square is formed as a
-    ``Polynomial`` on purpose, since squaring over the binaries would multiply many more terms and move
-    float rounding."""
-    problems = {"cubic chain": cubic_chain_problem, "gates": gate_problem}
+    lower term maps, the square of a non-linear constraint included."""
+    problems = {"cubic chain": cubic_chain_problem, "gates": gate_problem, "non-linear constraint": nonlinear_problem}
     problem = problems[name]() if name in problems else request.getfixturevalue(name)
     built = count_polynomials(monkeypatch)
     [encode(decl) for decl in problem.variables]

@@ -25,7 +25,7 @@ import qubo_forge
 from qubo_forge import lbfgs, solvers
 from qubo_forge.analysis import load_report, save_report
 from qubo_forge.cli import build_regression, bundled_data, load_knapsack
-from qubo_forge.compiler import CompileConfig, QuboModel, compile_problem
+from qubo_forge.compiler import CompileConfig, QuadraticForm, QuboModel, compile_problem
 from qubo_forge.expression import Polynomial
 from qubo_forge.problem import Problem
 from qubo_forge.solvers import (
@@ -45,7 +45,7 @@ V = Polynomial.variable
 
 
 def bare_model(terms: dict, offset: float = 0.0) -> QuboModel:
-    return QuboModel(quadratic=Polynomial(terms), offset=offset, encodings=[], penalties=[])
+    return QuboModel(QuadraticForm.from_polynomial(Polynomial(terms)), offset=offset)
 
 
 def random_model(rng: np.random.Generator, n: int) -> QuboModel:
