@@ -164,15 +164,34 @@ class QuadraticForm:
         """The energy of one assignment vector; see ``energies``."""
         return self.energies(np.asarray(x)[None, :])[0]
 
+    @cached_property
+    def _exact_in_any_order(self) -> bool:
+        """Whether every sum of coefficients is exact: each nonzero one, the offset included, is a multiple
+        of ``2**-p`` and their magnitudes times ``2**p`` sum below ``2**53``."""
+        coefficients = np.abs(np.append(self.coefficients(), self.offset))
+        coefficients = coefficients[coefficients != 0.0]
+        if not len(coefficients):
+            return True
+        mantissa, exponent = np.frexp(coefficients)  # |c| = digits·2**(exponent - 53), digits a 53-bit integer
+        digits = (mantissa * 2.0**53).astype(np.int64)
+        trailing = np.frexp((digits & -digits).astype(float))[1] - 1  # digits' trailing zero bits
+        with np.errstate(over="ignore"):  # a coefficient scaled past the float range is past the bound too
+            scaled = np.ldexp(coefficients, int(np.max(53 - exponent - trailing)))
+        return bool(scaled.max() < 2.0**53) and math.fsum(scaled.tolist()) < 2.0**53
+
     def energies(self, bits: np.ndarray) -> list[float]:
         """Energy of each row of a ``k × n`` matrix: the correctly rounded sum of its terms.
 
         The rows' terms form a ``k × (n + m + 1)`` matrix, built ``_TERM_CHUNK``
-        entries at a time.  Its exact zeros are dropped (they cannot change a
+        entries at a time.  On 0/1 rows each term is a coefficient or zero, so
+        when sums of coefficients are exact (``_exact_in_any_order``) a row's
+        plain sum is already that sum, and ``+ 0.0`` turns its ``-0.0`` into
+        ``0.0``.  Otherwise the exact zeros are dropped (they cannot change a
         correctly rounded sum), and ``math.fsum`` runs on each row's slice of
         one flat list, so term order cannot change a result.
         """
         bits = np.asarray(bits, dtype=float)
+        exact = self._exact_in_any_order and bool(np.all((bits == 0.0) | (bits == 1.0)))
         n, m = len(self.linear), len(self.values)
         energies: list[float] = []
         step = max(1, _TERM_CHUNK // (n + m + 1))
@@ -185,6 +204,9 @@ class QuadraticForm:
             np.multiply(self.values, couplers, out=couplers)  # values * x[rows] * x[cols], in that order
             couplers *= x[:, self.cols]
             terms[:, n + m] = self.offset
+            if exact:
+                energies.extend((terms.sum(axis=1) + 0.0).tolist())
+                continue
             nonzero = terms != 0.0
             flat = terms[nonzero].tolist()
             ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
@@ -234,7 +256,9 @@ def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -
     Variable ``u`` is ``o_u + Σ w_p·b_p`` over its own run of binaries (a binary ``b`` is ``1·b``).  A term
     ``A·u·v`` puts ``A·w_p·w_q`` on each pair of their binaries: a square ``u·u`` puts both orders of a pair
     on one coupler, and ``p = q`` on the linear term (``b² = b``).  The linear terms also get
-    ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.
+    ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.  A coupler's
+    product, ``A·o_u`` of a term ``A·u·v`` and each product of the constant is dropped before it is added if
+    ``Polynomial.substitute`` would drop it (below ``COEFF_EPS``); a linear term's per-binary products are not.
     """
     symbols = sorted({name for mono in terms for name in mono})
     index = {name: k for k, name in enumerate(symbols)}
@@ -274,9 +298,16 @@ def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -
     term = np.repeat(np.arange(len(a)), sizes)
     i, j = np.divmod(np.arange(len(term)) - np.repeat(np.cumsum(sizes) - sizes, sizes), count[v][term])
     p, q = start[u][term] + i, start[v][term] + j
-    pair = a[term] * (w[p] * w[q])
+    coeff, w_p, w_q = a[term], w[p], w[q]
+    weights = w_p * w_q
+    pair = coeff * weights
     square, first, second = (u == v)[term], position[p], position[q]
     diagonal = square & (p == q)
+    # the products Polynomial.substitute drops: across two names, A·w_p and then (A·w_p)·w_q (the first name is
+    # substituted first); in a square, w_p·w_q summed over both orders (w_p² on the diagonal), then A times it
+    inner = np.where(square, np.where(diagonal, weights, 2.0 * weights), coeff * w_p)
+    outer = np.where(square, coeff * inner, inner * w_q)
+    pair[(np.abs(inner) < COEFF_EPS) | (np.abs(outer) < COEFF_EPS)] = 0.0
     linear = np.bincount(p[diagonal], pair[diagonal], len(names))
     pair[square] *= 2.0  # the two orders of a square's pair, kept once below
     kept = ~square | (first < second)
@@ -285,9 +316,15 @@ def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -
     own = np.zeros(len(symbols))  # the variables' linear coefficients a
     own[at] = lin
     # per variable, (A + Aᵀ)o + a: each term adds A·o_v to u and A·o_u to v
-    through = np.bincount(np.concatenate([u, v]), np.concatenate([a * offset[v], a * offset[u]]), len(symbols)) + own
+    to_v = a * offset[u]  # A·o_u, a product of substituting u, the first name
+    to_v[(u != v) & (np.abs(to_v) < COEFF_EPS)] = 0.0
+    through = np.bincount(np.concatenate([u, v]), np.concatenate([a * offset[v], to_v]), len(symbols)) + own
     linear = w * through[np.repeat(np.arange(len(symbols)), count)] + linear
-    constant = constant + own @ offset + (a * offset[u]) @ offset[v]
+    # the constant's products: a·o; (A·o_u)·o_v; and a square's A·o², after o² as for w_p² above
+    inner = np.where(u == v, offset[u] * offset[v], to_v)
+    outer = np.where(u == v, a * inner, inner * offset[v])
+    to_constant = np.where((np.abs(inner) < COEFF_EPS) | (np.abs(outer) < COEFF_EPS), 0.0, to_v)
+    constant = constant + np.where(np.abs(own * offset) < COEFF_EPS, 0.0, own) @ offset + to_constant @ offset[v]
     return _form([names[k] for k in order], linear[order], rows[sort], cols[sort], pair[kept][sort], constant)
 
 
@@ -345,10 +382,10 @@ def _expand(terms: Iterable[tuple[Monomial, float]], plans: Mapping[str, Encodin
 def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[str] = ()) -> QuadraticForm:
     """``Σ scale·form`` over the sorted union of their binaries and ``names``, added in the given order.
 
-    Each entry is summed as a chain of ``+`` of polynomials would sum it: from
-    0.0, in order, and a partial sum that cancels below ``COEFF_EPS`` is dropped
-    before the next form adds.  So is each ``higher`` term, whose scaled
-    value is dropped first if it falls below ``COEFF_EPS``.  Entries are keyed
+    Each entry is summed as a chain of ``+`` of scaled polynomials would sum
+    it: a scaled value below ``COEFF_EPS`` is dropped, as ``Polynomial.scale``
+    drops it; the rest add from 0.0, in order, and a partial sum that cancels
+    below ``COEFF_EPS`` is dropped before the next form adds.  Entries are keyed
     ``row·n + col`` (linear terms on the diagonal) in one ``np.unique``, and a
     form holds each key at most once, so each form adds in one vector step.
     """
@@ -359,7 +396,9 @@ def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[
     for scale, form in terms:
         at = np.array([position[name] for name in form.order], dtype=np.int64)
         keys.append(np.concatenate([at * (n + 1), at[form.rows] * n + at[form.cols]]))
-        scaled.append(np.concatenate([form.linear, form.values]) * scale)
+        values = np.concatenate([form.linear, form.values]) * scale
+        values[np.abs(values) < COEFF_EPS] = 0.0
+        scaled.append(values)
     union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     sums = np.zeros(len(union))
     constant, end = 0.0, 0
@@ -369,8 +408,9 @@ def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[
         partial = sums[at] + values
         partial[np.abs(partial) < COEFF_EPS] = 0.0
         sums[at] = partial
-        constant += form.offset * scale
-        constant = constant if abs(constant) >= COEFF_EPS else 0.0
+        if abs(form.offset * scale) >= COEFF_EPS:
+            constant += form.offset * scale
+            constant = constant if abs(constant) >= COEFF_EPS else 0.0
         for mono, coeff in form.higher.items():
             if abs(coeff * scale) >= COEFF_EPS:
                 _accumulate(higher, mono, coeff * scale)

@@ -106,7 +106,7 @@ class SolutionSet:
     best_decoded: dict[str, float]
     best_energy: float
     run_times: list[float] | None = None
-    diagnostics: dict | None = None  # solver-specific plain data; SA and QAOA fill it
+    diagnostics: dict | None = None  # solver-specific plain data, under the solver's name
 
     @classmethod
     def from_bits(cls, model: QuboModel, bits: np.ndarray, run_times=None, diagnostics=None) -> "SolutionSet":
@@ -197,7 +197,8 @@ def _energy_blocks(arrays: QuadraticForm) -> Iterator[tuple[int, np.ndarray]]:
     as ``xᵀQ_ll x + offset`` plus ``x·(Q_lh h) + hᵀQ_hh h``.  Both parts are
     built by doubling over the low bits, with no ``2**L × L`` bit matrix:
     ``E(i + 2**k) = E(i) + Q_kk + x(i)·Q[:k, k]`` once, then one subset-sum
-    pass of ``Q_lh h`` and one add per block.
+    pass of ``Q_lh h`` and one add per block.  Every block is the same buffer,
+    overwritten by the next one.
     """
     q = arrays.upper_triangular()
     n = len(q)
@@ -216,14 +217,47 @@ def _energy_blocks(arrays: QuadraticForm) -> Iterator[tuple[int, np.ndarray]]:
         high = _bits(np.array([prefix]), n - low)[0]
         _subset_sums(q_lh @ high, out=cross)
         cross += high @ q_hh @ high
-        yield prefix << low, base + cross
+        np.add(base, cross, out=cross)
+        yield prefix << low, cross
+
+
+def _spectrum(arrays: QuadraticForm) -> np.ndarray:
+    """All ``2**n`` energies of ``_energy_blocks`` in index order, in one array."""
+    energies = np.empty(2 ** len(arrays.order))
+    for start, block in _energy_blocks(arrays):
+        energies[start : start + len(block)] = block
+    return energies
 
 
 # -- exhaustive oracle -----------------------------------------------------------
 
 
+def _entering(energies: np.ndarray, top_energies: np.ndarray, k_best: int) -> np.ndarray:
+    """Positions, in index order, of the block entries that can enter the top list.
+
+    Once the list holds ``k_best`` entries only an energy below its last can
+    enter, since later indices lose ties.  Of more than ``k_best`` entries only
+    the ``k_best`` lowest, and ties with the ``k_best``-th, can stay.
+    """
+    if len(top_energies) < k_best:
+        if len(energies) <= k_best:
+            return np.arange(len(energies))
+        return np.flatnonzero(energies <= np.partition(energies, k_best - 1)[k_best - 1])
+    entering = np.flatnonzero(energies < top_energies[-1])
+    if len(entering) <= k_best:
+        return entering
+    values = energies[entering]
+    return entering[values <= np.partition(values, k_best - 1)[k_best - 1]]
+
+
 def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
-    """Enumerate all assignments; the oracle every stochastic solver is checked against."""
+    """Enumerate all assignments; the oracle every stochastic solver is checked against.
+
+    The k best are kept sorted by energy, then index.  A block's entering
+    entries are sorted stably (so by energy, then index) and inserted after the
+    kept entries of equal energy, which have lower indices; the list is then
+    cut to ``k_best``.
+    """
     params = params or SolverParams()
     arrays = model.arrays
     n = len(arrays.order)
@@ -233,19 +267,24 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
     k_best = min(params.k_best, 2**n)
     top_indices = np.empty(0, dtype=np.int64)
     top_energies = np.empty(0)
+    candidates = 0
     for start, energies in _energy_blocks(arrays):
-        candidates = np.arange(len(energies))
-        if len(top_energies) == k_best:  # later blocks lose every tie, so only a lower energy can enter
-            candidates = np.flatnonzero(energies < top_energies[-1])
-        if len(candidates) > k_best:  # keep the block's k best (and ties with its k-th) before sorting
-            kth = np.partition(energies[candidates], k_best - 1)[k_best - 1]
-            candidates = candidates[energies[candidates] <= kth]
-        merged_idx = np.concatenate([top_indices, start + candidates])
-        merged_en = np.concatenate([top_energies, energies[candidates]])
-        keep = np.lexsort((merged_idx, merged_en))[:k_best]  # by energy, then index
-        top_indices, top_energies = merged_idx[keep], merged_en[keep]
-    run_times = [time.monotonic() - started] if params.record_time else None
-    return SolutionSet.from_bits(model, _bits(top_indices, n), run_times)
+        entering = _entering(energies, top_energies, k_best)
+        if not len(entering):
+            continue
+        candidates += len(entering)
+        values = energies[entering]
+        by_energy = np.argsort(values, kind="stable")
+        values = values[by_energy]
+        at = np.searchsorted(top_energies, values, side="right")
+        top_energies = np.insert(top_energies, at, values)[:k_best]
+        top_indices = np.insert(top_indices, at, start + entering[by_energy])[:k_best]
+    elapsed = time.monotonic() - started
+    diagnostics = {
+        "exhaustive": {"assignments_per_s": 2**n / elapsed if elapsed > 0 else 0.0, "candidates": candidates}
+    }
+    run_times = [elapsed] if params.record_time else None
+    return SolutionSet.from_bits(model, _bits(top_indices, n), run_times, diagnostics)
 
 
 # -- simulated annealing ------------------------------------------------------------
@@ -516,7 +555,7 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
     if n > QAOA_MAX_BINARIES:
         raise ValueError(f"QAOA simulation handles at most {QAOA_MAX_BINARIES} binaries, model has {n}")
 
-    energies = np.concatenate([block for _, block in _energy_blocks(arrays)])
+    energies = _spectrum(arrays)
     # Centering is a global phase; scaling only conditions the angle search.
     centered = energies - energies.mean()
     spread = np.max(np.abs(centered))

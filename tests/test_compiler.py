@@ -682,6 +682,44 @@ class TestArrayForm:
         assert list(map(repr, energies)) == list(map(repr, expected))
         assert [repr(arrays.energy(x)) for x in bits] == list(map(repr, expected))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        p=st.integers(0, 30),
+        numerators=st.lists(st.integers(-(2**55), 2**55), min_size=37, max_size=37),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=4, p=0, numerators=[2**53, 1, 1, -(2**53)] + [0] * 33, seed=0)  # Σ|c| at 2**54: plain sums lose the 1s
+    @example(n=4, p=30, numerators=[2**53, 1, 1, -(2**53)] + [0] * 33, seed=0)
+    @example(n=4, p=30, numerators=[2**52 - 1, 2**51, 2**50, -(2**49)] + [0] * 32 + [-3], seed=0)  # just below
+    @example(n=0, p=0, numerators=[0] * 37, seed=0)  # the zero model
+    @example(n=3, p=5, numerators=[-1, -2, -3, -4, -5, -6] + [0] * 31, seed=0)  # each term of an all-zero row is -0.0
+    def test_exact_sums_agree_with_the_fsum_path(self, n, p, numerators, seed):
+        """Dyadic coefficients ``num·2**-p``, with ``Σ|num|`` on both sides of ``2**53``: ``energies`` equals, in
+        float hex, the per-row ``fsum`` over every term.  A zero offset is ``-0.0``."""
+        pairs = list(itertools.combinations(range(n), 2))
+        coefficients = [math.ldexp(float(num), -p) for num in numerators]
+        arrays = QuadraticForm(
+            order=tuple(f"v{k}" for k in range(n)),
+            linear=np.array(coefficients[:n]),
+            rows=np.array([i for i, _ in pairs], dtype=np.int64),
+            cols=np.array([j for _, j in pairs], dtype=np.int64),
+            values=np.array(coefficients[n : n + len(pairs)]),
+            offset=coefficients[-1] or -0.0,
+        )
+        bits = np.random.default_rng(seed).integers(0, 2, size=(12, n)).astype(float)
+        bits[0], bits[1] = 0.0, 1.0
+        expected = [
+            math.fsum(np.concatenate([arrays.linear * x, arrays.values * x[arrays.rows] * x[arrays.cols], [arrays.offset]]).tolist())
+            for x in bits
+        ]
+        assert [energy.hex() for energy in arrays.energies(bits)] == [energy.hex() for energy in expected]
+
+    def test_a_row_that_is_not_0_1_takes_the_fsum_path(self):
+        model = compiler.QuboModel(QuadraticForm.from_polynomial(Polynomial({("a",): 1.0, ("b",): 1.0, ("c",): 1.0, ("d",): -1.0})))
+        assert model.arrays._exact_in_any_order  # coefficients sum exactly, but 2**53·a does not
+        assert model.energy({"a": 2**53, "b": 1, "c": 1, "d": 2**53}) == 2.0  # a plain sum gives 0.0
+
     def test_energy_names_a_missing_binary(self, mixed_problem):
         model = compile_problem(mixed_problem)
         assignment = dict.fromkeys(model.binary_variables(), 0)
@@ -897,12 +935,12 @@ _CANCEL.append((1.0, coordinate_form(["n0", "n1", "n2"], [0.5, 0.0, 3.0], {(0, 1
 @example(forms=_CANCEL, names=set())  # x, then -x + 1e-13 (a partial sum of 1e-13, dropped), then y
 def test_weighted_sum_drops_each_partial_sum_below_the_threshold(forms, names):
     """Against a loop that sums each entry from 0.0 in form order and drops a partial sum below ``COEFF_EPS``
-    before the next form adds (a ``higher`` term's scaled value is dropped first if it is below it): the same
-    term set, equal float hex, and row-major couplers over the sorted union of names."""
+    before the next form adds (a scaled value below it is dropped first, as ``Polynomial.scale`` drops it): the
+    same term set, equal float hex, and row-major couplers over the sorted union of names."""
     expected = {}
     for scale, form in forms:
         for mono, coeff in form.polynomial:
-            if len(mono) <= 2 or abs(coeff * scale) >= COEFF_EPS:
+            if abs(coeff * scale) >= COEFF_EPS:
                 total = expected.pop(mono, 0.0) + coeff * scale
                 if abs(total) >= COEFF_EPS:
                     expected[mono] = total
@@ -996,8 +1034,45 @@ def degree_two_problems(draw):
     return problem.freeze(), config, exact
 
 
+def _tiny_weighted_penalty_case():
+    """``1e-7·v`` subject to ``v = 1e-7`` over a bipolar ``v``: the penalty's linear term is a residue of
+    -4e-7 and ub-positive's λ is 2e-7, so ``λ·P`` holds a term of -8e-14, below ``COEFF_EPS``; ``penalty.scale(λ)``
+    drops it, and so must the weighing."""
+    problem = Problem()
+    problem.add_bipolar_variable("v0")
+    problem.add_objective("1e-07*v0")
+    problem.add_constraint("v0 = 1e-07")
+    return problem.freeze(), CompileConfig("ub-positive"), False
+
+
+def _tiny_square_case():
+    """``1e-7·v² + 1e-5·v`` over levels 1e-6 and 0.002: the square's diagonal product ``1e-7·(1e-6)²`` is below
+    ``COEFF_EPS``, so ``substitute`` drops it rather than add it to a linear term of about -1e-6."""
+    problem = Problem()
+    problem.add_discrete_variable("v0", [1e-6, 0.002])
+    problem.add_binary_variable("v1")
+    problem.add_objective("1e-7*v0*v0 + 1e-5*v0")
+    return problem.freeze(), CompileConfig("manual", manual_lambdas=1e-6), False
+
+
+def _tiny_offset_products_case():
+    """Variables starting at 1e-6, 1e-3 and 1e-5: ``1e-7·a·b`` gives ``b`` the product ``1e-7·o_a`` = 1e-13,
+    ``1e-7·c·d`` the constant ``1e-7·o_c·o_d`` = 1e-15 and ``1e-7·a`` the constant ``1e-7·o_a``, all below
+    ``COEFF_EPS`` and dropped by ``substitute``."""
+    problem = Problem()
+    problem.add_continuous_variable("a", 1e-6, 0.300001, 0.1)
+    problem.add_binary_variable("b")
+    problem.add_continuous_variable("c", 1e-3, 0.301, 0.1)
+    problem.add_continuous_variable("d", 1e-5, 0.30001, 0.1)
+    problem.add_objective("1e-7*a*b + 1e-7*b + 1e-7*c*d + 1e-7*a + 1e-7")
+    return problem.freeze(), CompileConfig("manual", manual_lambdas=1.0), False
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=degree_two_problems(), factors=st.lists(st.sampled_from([0.5, 1.0, 3.0, 0.1]), min_size=40, max_size=40))
+@example(case=_tiny_weighted_penalty_case(), factors=[0.5] * 40)
+@example(case=_tiny_square_case(), factors=[0.5] * 40)
+@example(case=_tiny_offset_products_case(), factors=[0.5] * 40)
 def test_array_compile_matches_the_symbolic_composition(case, factors):
     """Order, term set, coefficients and λ of the array compile against ``symbolic_compile``; then one retry."""
     problem, config, exact = case

@@ -280,6 +280,52 @@ class TestExhaustive:
         assert solution.best_energy == solution.energies[0]
 
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        low_bits=st.integers(3, 5),
+        integer=st.booleans(),
+        data=st.data(),
+    )
+    def test_insertion_matches_a_full_lexsort_over_small_blocks(self, n, low_bits, integer, data):
+        """With blocks of ``2**low_bits`` entries, many blocks are skipped and many insert: the top k is the
+        first k of one ``lexsort((index, energy))`` over all ``2**n`` energies, and ``candidates`` counts what
+        passes the rule (below the k-th energy seen so far once there are k, and at most the block's k best
+        with ties).  The spectrum equals a bit-matrix brute force, so no block is kept by reference."""
+        coefficients = st.integers(-3, 3).map(float) if integer else st.floats(-4, 4).map(lambda c: round(c, 3))
+        names = [f"v{k:02d}" for k in range(n)]
+        terms = {(name,): data.draw(coefficients.filter(bool)) for name in names}  # every binary stays in
+        pairs = list(itertools.combinations(names, 2))
+        for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=20) if pairs else st.just([])):
+            terms[pair] = data.draw(coefficients)
+        model = bare_model(terms, offset=data.draw(coefficients))
+        k_best = data.draw(st.integers(1, 2**n + 3))
+        arrays = model.arrays
+        bits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)  # row r is index r
+        brute = bits @ arrays.linear + (arrays.values * bits[:, arrays.rows] * bits[:, arrays.cols]).sum(axis=1) + arrays.offset
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_LOW_BITS", low_bits)
+            spectrum = solvers._spectrum(arrays)
+            solution = solve_exhaustive(model, SolverParams(k_best=k_best))
+        if integer:
+            assert spectrum.tolist() == brute.tolist()
+        else:
+            assert np.allclose(spectrum, brute, rtol=0, atol=1e-9)
+        ranked = np.lexsort((np.arange(2**n), spectrum))[:k_best]
+        assert sample_indices(model, solution) == ranked.tolist()
+
+        block, candidates = 2 ** min(n, low_bits), 0
+        for start in range(0, 2**n, block):
+            entering, seen = spectrum[start : start + block], np.sort(spectrum[:start])
+            if len(seen) >= k_best:
+                entering = entering[entering < seen[k_best - 1]]
+            if len(entering) > k_best:
+                entering = entering[entering <= np.sort(entering)[k_best - 1]]
+            candidates += len(entering)
+        assert solution.diagnostics["exhaustive"]["candidates"] == candidates
+
+
 def dyadic_case(rng: np.random.Generator, n: int, k_kind: str) -> tuple[QuboModel, int]:
     """A model with integer or eighth coefficients over ``n`` binaries, and a ``k_best`` of the given kind.
 
@@ -404,7 +450,10 @@ class TestSimulatedAnnealing:
         assert type(sa["rounds_per_block"]) is float
         assert 1.0 <= sa["rounds_per_block"] <= solvers._SA_BLOCK + 1
         assert len(set(solution.run_times)) == 1  # equal shares of the batch's wall time
-        assert solve_exhaustive(model).diagnostics is None
+        exhaustive = solve_exhaustive(model).diagnostics["exhaustive"]
+        assert json.loads(json.dumps(exhaustive)) == exhaustive
+        assert type(exhaustive["assignments_per_s"]) is float and exhaustive["assignments_per_s"] > 0
+        assert type(exhaustive["candidates"]) is int and exhaustive["candidates"] > 0
 
     def test_zero_variable_model(self):
         solution = solve_sa(bare_model({}, offset=3.5), SolverParams(runs=3, seed=0))
@@ -542,7 +591,7 @@ class TestQaoa:
     @pytest.mark.parametrize("name", ["readme", "f3"])
     def test_phase_factors_per_level_are_the_factors_per_amplitude(self, name, request):
         arrays = compile_problem(qaoa_cell_problem(name, request)).arrays
-        energies = np.concatenate([block for _, block in solvers._energy_blocks(arrays)])
+        energies = solvers._spectrum(arrays)
         centered = energies - energies.mean()
         phase = centered / np.max(np.abs(centered))
         circuit = solvers._QaoaCircuit(energies, phase, len(arrays.order))
@@ -555,7 +604,7 @@ class TestQaoa:
     def test_adjoint_gradient_matches_central_differences(self, name, layers, request):
         arrays = compile_problem(qaoa_cell_problem(name, request)).arrays
         n = len(arrays.order)
-        energies = np.concatenate([block for _, block in solvers._energy_blocks(arrays)])
+        energies = solvers._spectrum(arrays)
         centered = energies - energies.mean()
         phase = centered / np.max(np.abs(centered))
         angles = np.array([0.37, 0.81, 1.13, 0.29, 1.72, 0.55])[: 2 * layers]
