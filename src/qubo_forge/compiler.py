@@ -9,7 +9,7 @@ with auxiliary binaries.
 After ``encode`` every stage reads the plans by source name (a name without
 one is a binary) and lowers plain term maps, ``{monomial: coefficient}``; no
 ``Polynomial`` is built.  A declared left-hand side is only read, and the
-``Polynomial`` views of a form or a model are built on first use.
+``Polynomial`` view of a model's terms is built on first use.
 
 Every stage returns a ``QuadraticForm``, the one array form from the first
 stage to the solvers: a linear vector and row-major couplers over sorted
@@ -29,6 +29,20 @@ Penalty weights are estimated on the composed objective *before*
 quadratization, so they do not depend on auxiliary bookkeeping.  The model
 keeps that λ-free objective, so ``QuboModel.with_lambdas`` can weigh the same
 penalty blocks again, through the same function, without recompiling.
+
+The float rule.  A stage's coefficient is a sum of products of its float
+inputs: parsed coefficients, objective weights, plan weights and offsets,
+right-hand sides, slack offsets and each block's λ (the weighed sum reads the
+finished cost and penalty forms).  The compiled value is that exact sum,
+rounded, and lies within ``γ_k·Σ|products|`` of it, where
+``γ_k = k·u / (1 - k·u)``, ``u = 2⁻⁵³`` and ``k`` bounds the roundings on a
+product's path (Higham, *Accuracy and Stability of Numerical Algorithms*).  A
+*finished* coefficient, one of a stage's result, below ``COEFF_EPS`` is
+dropped, and nothing else is: no product, scaled value or partial sum is
+tested against it.  Plan weights below ``COEFF_EPS`` are left out of a plan's
+affine map, and an estimated λ below it falls back to 1.  Integer and dyadic
+models (every coefficient a multiple of a power of two, such as ``k/8``) stay
+exact: no product or sum of theirs needs more than the 53 bits of a float.
 """
 
 from __future__ import annotations
@@ -50,7 +64,6 @@ from qubo_forge.expression import (
     Comparison,
     Monomial,
     Polynomial,
-    _accumulate,
     format_float,
     reduce_binary_idempotence,  # unused here; the benchmark's span harness wraps this name in this module
 )
@@ -100,7 +113,8 @@ class QuadraticForm:
     row-major order, with ``rows < cols``.  ``higher`` maps each monomial of
     degree >= 3, a sorted tuple of binary names, to its coefficient; only
     ``quadratize`` can bring those down, and a model's arrays have none.
-    Coefficients below ``COEFF_EPS`` are zero, and a zero coupler is not held.
+    In a stage's result (``_finish``) coefficients below ``COEFF_EPS`` are
+    zero, and a zero coupler is not held.
     """
 
     order: tuple[str, ...]
@@ -121,7 +135,7 @@ class QuadraticForm:
         Monomials of degree <= 2 go straight into the arrays.  Those of degree
         >= 3 are multiplied out over the affine maps (``_expand``, which names
         ``what`` when it refuses); what falls to degree <= 2 is added into the
-        arrays, and the rest is ``higher``.
+        arrays, and the rest is ``higher``, finished here.
         """
         plans, low, high = plans or {}, {}, []
         for mono, coeff in poly:
@@ -131,9 +145,9 @@ class QuadraticForm:
                 high.append((mono, coeff))
         form = _lower(low, plans)
         if not high:
-            return form
+            return _finish(form)
         terms = _expand(high, plans, what)
-        higher = {mono: coeff for mono, coeff in terms.items() if len(mono) > 2}
+        higher = {mono: coeff for mono, coeff in terms.items() if len(mono) > 2 and abs(coeff) >= COEFF_EPS}
         pairs = sum(len(mono) * (len(mono) - 1) // 2 for mono in higher)
         _check_budget(pairs, what, "pairs to index for quadratization")
         rest = _lower({mono: coeff for mono, coeff in terms.items() if len(mono) <= 2}, {})
@@ -143,11 +157,6 @@ class QuadraticForm:
         """Every non-constant coefficient: the nonzero linear terms, the couplers, then ``higher``'s."""
         higher = np.fromiter(self.higher.values(), float, len(self.higher))
         return np.concatenate([self.linear[self.linear != 0.0], self.values, higher])
-
-    @cached_property
-    def polynomial(self) -> Polynomial:
-        """The same function as a canonical ``Polynomial`` (a view, for text output and tests)."""
-        return _TermsView(replace(self))  # a copy: a view of self, cached on self, would be a reference cycle
 
     def entries(self) -> list[tuple[int, int, float]]:
         """Upper-triangular ``(row, col, value)`` entries by position, linear terms on the diagonal."""
@@ -214,14 +223,13 @@ class QuadraticForm:
         return energies
 
 
-def _form(
-    order: Sequence[str], linear: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, offset: float
-) -> QuadraticForm:
-    """A stage's result: coefficients below ``COEFF_EPS`` are dropped (and -0.0 becomes 0.0)."""
-    linear[np.abs(linear) < COEFF_EPS] = 0.0
-    kept = ~(np.abs(values) < COEFF_EPS)
-    offset = float(offset) if abs(offset) >= COEFF_EPS else 0.0
-    return QuadraticForm(tuple(order), linear, rows[kept], cols[kept], values[kept], offset)
+def _finish(form: QuadraticForm) -> QuadraticForm:
+    """A stage's result: each coefficient below ``COEFF_EPS`` is dropped (and -0.0 becomes 0.0)."""
+    linear = np.where(np.abs(form.linear) < COEFF_EPS, 0.0, form.linear)
+    kept = ~(np.abs(form.values) < COEFF_EPS)
+    offset = float(form.offset) if abs(form.offset) >= COEFF_EPS else 0.0
+    higher = {mono: coeff for mono, coeff in form.higher.items() if abs(coeff) >= COEFF_EPS}
+    return QuadraticForm(form.order, linear, form.rows[kept], form.cols[kept], form.values[kept], offset, higher)
 
 
 class _TermsView(Polynomial):
@@ -251,14 +259,13 @@ class _TermsView(Polynomial):
 
 
 def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -> QuadraticForm:
-    """Degree-<=2 ``terms`` with each variable replaced by its plan's affine map (``_plan_terms``).
+    """Degree-<=2 ``terms`` with each variable replaced by its plan's affine map (``_plan_terms``), unfinished.
 
     Variable ``u`` is ``o_u + Σ w_p·b_p`` over its own run of binaries (a binary ``b`` is ``1·b``).  A term
     ``A·u·v`` puts ``A·w_p·w_q`` on each pair of their binaries: a square ``u·u`` puts both orders of a pair
     on one coupler, and ``p = q`` on the linear term (``b² = b``).  The linear terms also get
-    ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.  A coupler's
-    product, ``A·o_u`` of a term ``A·u·v`` and each product of the constant is dropped before it is added if
-    ``Polynomial.substitute`` would drop it (below ``COEFF_EPS``); a linear term's per-binary products are not.
+    ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.  Nothing is
+    dropped: a stage passes its result to ``_finish``.
     """
     symbols = sorted({name for mono in terms for name in mono})
     index = {name: k for k, name in enumerate(symbols)}
@@ -298,16 +305,9 @@ def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -
     term = np.repeat(np.arange(len(a)), sizes)
     i, j = np.divmod(np.arange(len(term)) - np.repeat(np.cumsum(sizes) - sizes, sizes), count[v][term])
     p, q = start[u][term] + i, start[v][term] + j
-    coeff, w_p, w_q = a[term], w[p], w[q]
-    weights = w_p * w_q
-    pair = coeff * weights
+    pair = a[term] * (w[p] * w[q])
     square, first, second = (u == v)[term], position[p], position[q]
     diagonal = square & (p == q)
-    # the products Polynomial.substitute drops: across two names, A·w_p and then (A·w_p)·w_q (the first name is
-    # substituted first); in a square, w_p·w_q summed over both orders (w_p² on the diagonal), then A times it
-    inner = np.where(square, np.where(diagonal, weights, 2.0 * weights), coeff * w_p)
-    outer = np.where(square, coeff * inner, inner * w_q)
-    pair[(np.abs(inner) < COEFF_EPS) | (np.abs(outer) < COEFF_EPS)] = 0.0
     linear = np.bincount(p[diagonal], pair[diagonal], len(names))
     pair[square] *= 2.0  # the two orders of a square's pair, kept once below
     kept = ~square | (first < second)
@@ -316,16 +316,11 @@ def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -
     own = np.zeros(len(symbols))  # the variables' linear coefficients a
     own[at] = lin
     # per variable, (A + Aᵀ)o + a: each term adds A·o_v to u and A·o_u to v
-    to_v = a * offset[u]  # A·o_u, a product of substituting u, the first name
-    to_v[(u != v) & (np.abs(to_v) < COEFF_EPS)] = 0.0
+    to_v = a * offset[u]
     through = np.bincount(np.concatenate([u, v]), np.concatenate([a * offset[v], to_v]), len(symbols)) + own
     linear = w * through[np.repeat(np.arange(len(symbols)), count)] + linear
-    # the constant's products: a·o; (A·o_u)·o_v; and a square's A·o², after o² as for w_p² above
-    inner = np.where(u == v, offset[u] * offset[v], to_v)
-    outer = np.where(u == v, a * inner, inner * offset[v])
-    to_constant = np.where((np.abs(inner) < COEFF_EPS) | (np.abs(outer) < COEFF_EPS), 0.0, to_v)
-    constant = constant + np.where(np.abs(own * offset) < COEFF_EPS, 0.0, own) @ offset + to_constant @ offset[v]
-    return _form([names[k] for k in order], linear[order], rows[sort], cols[sort], pair[kept][sort], constant)
+    constant = constant + own @ offset + to_v @ offset[v]
+    return QuadraticForm(tuple(names[k] for k in order), linear[order], rows[sort], cols[sort], pair[kept][sort], float(constant))
 
 
 def _plan_terms(name: str, plans: Mapping[str, EncodingPlan]) -> dict[Monomial, float]:
@@ -341,17 +336,13 @@ def _check_budget(count: int, what: str, unit: str = "binary terms") -> None:
 
 
 def _times(left: Mapping[Monomial, float], right: Mapping[Monomial, float]) -> dict[Monomial, float]:
-    """The product of two sums of multilinear monomials over binaries, with ``b·b = b``.
-
-    A product term below ``COEFF_EPS`` is dropped before it is added, as ``Polynomial.substitute`` drops it.
-    """
+    """The product of two sums of multilinear monomials over binaries, with ``b·b = b``."""
     out: dict[Monomial, float] = {}
     for t, a in left.items():
         for u, b in right.items():
-            if abs(a * b) >= COEFF_EPS:
-                # disjoint runs of sorted names concatenate; a shared binary (b·b = b) or interleaving needs the merge
-                key = t + u if not t or not u or t[-1] < u[0] else tuple(sorted(set(t).union(u)))
-                out[key] = out.get(key, 0.0) + a * b
+            # disjoint runs of sorted names concatenate; a shared binary (b·b = b) or interleaving needs the merge
+            key = t + u if not t or not u or t[-1] < u[0] else tuple(sorted(set(t).union(u)))
+            out[key] = out.get(key, 0.0) + a * b
     return out
 
 
@@ -376,50 +367,35 @@ def _expand(terms: Iterable[tuple[Monomial, float]], plans: Mapping[str, Encodin
             product = _times(product, powers[name, power])
         for mono, value in product.items():
             out[mono] = out.get(mono, 0.0) + value
-    return {mono: coeff for mono, coeff in out.items() if abs(coeff) >= COEFF_EPS}
+    return out
 
 
 def _weighted_sum(terms: Sequence[tuple[float, QuadraticForm]], names: Iterable[str] = ()) -> QuadraticForm:
-    """``Σ scale·form`` over the sorted union of their binaries and ``names``, added in the given order.
+    """``Σ scale·form`` over the sorted union of their binaries and ``names``, finished.
 
-    Each entry is summed as a chain of ``+`` of scaled polynomials would sum
-    it: a scaled value below ``COEFF_EPS`` is dropped, as ``Polynomial.scale``
-    drops it; the rest add from 0.0, in order, and a partial sum that cancels
-    below ``COEFF_EPS`` is dropped before the next form adds.  Entries are keyed
-    ``row·n + col`` (linear terms on the diagonal) in one ``np.unique``, and a
-    form holds each key at most once, so each form adds in one vector step.
+    Each entry is the sum of its scaled values from 0.0, added in form order.
+    Entries are keyed ``row·n + col`` (linear terms on the diagonal) in one
+    ``np.unique``, and one ``np.bincount`` over its inverse sums them.
     """
     order = sorted(set(names).union(*(form.order for _, form in terms)))
     n = len(order)
     position = dict(zip(order, range(n)))
     keys, scaled = [], []
+    constant, higher = 0.0, {}
     for scale, form in terms:
         at = np.array([position[name] for name in form.order], dtype=np.int64)
         keys.append(np.concatenate([at * (n + 1), at[form.rows] * n + at[form.cols]]))
-        values = np.concatenate([form.linear, form.values]) * scale
-        values[np.abs(values) < COEFF_EPS] = 0.0
-        scaled.append(values)
-    union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.zeros(len(union))
-    constant, end = 0.0, 0
-    higher: dict[Monomial, float] = {}
-    for (scale, form), values in zip(terms, scaled):
-        at, end = inverse[end : end + len(values)], end + len(values)
-        partial = sums[at] + values
-        partial[np.abs(partial) < COEFF_EPS] = 0.0
-        sums[at] = partial
-        if abs(form.offset * scale) >= COEFF_EPS:
-            constant += form.offset * scale
-            constant = constant if abs(constant) >= COEFF_EPS else 0.0
+        scaled.append(np.concatenate([form.linear, form.values]) * scale)
+        constant += form.offset * scale
         for mono, coeff in form.higher.items():
-            if abs(coeff * scale) >= COEFF_EPS:
-                _accumulate(higher, mono, coeff * scale)
+            higher[mono] = higher.get(mono, 0.0) + coeff * scale
+    union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(inverse, np.concatenate(scaled), len(union))
     rows, cols = np.divmod(union, n)
     diagonal = rows == cols
     linear = np.zeros(n)
     linear[rows[diagonal]] = sums[diagonal]
-    kept = ~diagonal & (sums != 0.0)
-    return QuadraticForm(tuple(order), linear, rows[kept], cols[kept], sums[kept], constant, higher)
+    return _finish(QuadraticForm(tuple(order), linear, rows[~diagonal], cols[~diagonal], sums[~diagonal], constant, higher))
 
 
 @dataclass(frozen=True)
@@ -631,10 +607,10 @@ def _squared(
 
     ``lhs`` (a ``Polynomial`` or a term map) and the slack's binaries are one term map.  A linear one is
     lowered to the line ``u·b + k``; ``k`` is the lowered constant, plus ``slack.offset``, minus ``rhs``, in
-    that order, as expanding the square adds them.  A non-linear one takes ``slack.offset`` and then ``-rhs``
-    as its constant and is squared as a term map, ``m²`` products for ``m`` terms (bounded against
-    ``COMPILE_BUDGET`` first, each product sorted into its monomial and the sums below ``COEFF_EPS``
-    dropped), and the square goes through ``_expand``; either refusal names the ``source`` comparison.
+    that order.  A non-linear one takes its constant plus ``slack.offset`` minus ``rhs`` as its constant
+    and is squared as a term map, ``m²`` products for ``m`` terms (bounded against ``COMPILE_BUDGET``
+    first, each product sorted into its monomial), and the square goes through ``_expand``; either
+    refusal names the ``source`` comparison.
     """
     terms, shift = dict(lhs), 0.0
     if slack is not None:
@@ -642,37 +618,33 @@ def _squared(
         shift = slack.offset
     if any(len(mono) > 1 for mono in terms):
         what = f"constraint '{source.to_text()}'"
-        for constant in (shift, -rhs):
-            if abs(constant) >= COEFF_EPS:
-                _accumulate(terms, (), constant)
+        constant = terms.pop((), 0.0) + shift - rhs
+        if constant:
+            terms[()] = constant
         _check_budget(len(terms) ** 2, what, "products to square")
         product: dict[Monomial, float] = {}
         for left, a in terms.items():
             for right, b in terms.items():
                 key = tuple(sorted(left + right))
                 product[key] = product.get(key, 0.0) + a * b
-        return QuadraticForm.from_polynomial([(m, c) for m, c in product.items() if abs(c) >= COEFF_EPS], plans, what)
+        return QuadraticForm.from_polynomial(product.items(), plans, what)
     line = _lower(terms, plans)
     u, constant = line.linear, line.offset + shift - rhs
-    constant = constant if abs(constant) >= COEFF_EPS else 0.0
-    # b² and the 2kb cross term are dropped below COEFF_EPS before they meet, as in expanding the square
-    square, cross = u * u, 2.0 * (u * constant)
-    square[np.abs(square) < COEFF_EPS] = cross[np.abs(cross) < COEFF_EPS] = 0.0
     rows, cols = np.triu_indices(len(u), 1)
-    return _form(line.order, square + cross, rows, cols, 2.0 * (u[rows] * u[cols]), constant * constant)
+    square = QuadraticForm(line.order, u * u + 2.0 * (u * constant), rows, cols, 2.0 * (u[rows] * u[cols]), constant * constant)
+    return _finish(square)
 
 
 def compose_cost(objectives: Sequence, plans: Mapping[str, EncodingPlan]) -> QuadraticForm:
     """Weighted signed sum of objectives, one term map, with variables replaced by their plans' affine maps.
 
-    Each ``±weight·coeff`` is added in objective order; a product below ``COEFF_EPS`` is skipped.
+    Each ``±weight·coeff`` is added in objective order.
     """
     terms: dict[Monomial, float] = {}
     for term in objectives:
         sign = term.weight if term.direction == "minimize" else -term.weight
         for mono, coeff in term.expr:
-            if abs(coeff * sign) >= COEFF_EPS:
-                _accumulate(terms, mono, coeff * sign)
+            terms[mono] = terms.get(mono, 0.0) + coeff * sign
     return QuadraticForm.from_polynomial(terms.items(), plans, "the objective")
 
 
@@ -728,7 +700,7 @@ def _binary_pair_penalty(lhs: Polynomial, op: str, rhs: float, plans: Mapping[st
     """Product penalty for ``b - b' >= 0`` chains (domain-wall); avoids a slack bit."""
     if op != ">=" or abs(rhs) > _EPS or lhs.degree() != 1:
         return None
-    line = _lower(dict(lhs), plans)
+    line = _finish(_lower(dict(lhs), plans))
     held = np.flatnonzero(line.linear)
     if len(held) != 2 or line.offset:
         return None
@@ -736,7 +708,7 @@ def _binary_pair_penalty(lhs: Polynomial, op: str, rhs: float, plans: Mapping[st
     if abs(neg_c + 1.0) > _EPS or abs(pos_c - 1.0) > _EPS:
         return None
     # lower * (1 - upper): 1 exactly on the single violating row.
-    return _lower({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0}, {})
+    return _finish(_lower({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0}, {}))
 
 
 def boolean_penalty(
@@ -748,9 +720,10 @@ def boolean_penalty(
         return _squared(_gate(((relation.inputs[0],), 1.0), ((z,), 1.0)), 1.0, plans), None
     x, y = relation.inputs
     if relation.kind == "and":  # xy - 2xz - 2yz + 3z
-        return _lower(_gate(((x, y), 1.0), ((x, z), -2.0), ((y, z), -2.0), ((z,), 3.0)), plans), None
+        return _finish(_lower(_gate(((x, y), 1.0), ((x, z), -2.0), ((y, z), -2.0), ((z,), 3.0)), plans)), None
     if relation.kind == "or":  # xy + x + y - 2xz - 2yz + z
-        return _lower(_gate(((x, y), 1.0), ((x,), 1.0), ((y,), 1.0), ((x, z), -2.0), ((y, z), -2.0), ((z,), 1.0)), plans), None
+        gate = _gate(((x, y), 1.0), ((x,), 1.0), ((y,), 1.0), ((x, z), -2.0), ((y, z), -2.0), ((z,), 1.0))
+        return _finish(_lower(gate, plans)), None
     # xor as a parity check: x + y + z - 2w is zero exactly on consistent rows.
     plan = EncodingPlan(source=aux_source, binaries=((f"{aux_source}#0", -2.0),), offset=0.0)
     return _squared(_gate(((x,), 1.0), ((y,), 1.0), ((z,), 1.0)), 0.0, plans, plan), plan
@@ -760,7 +733,8 @@ def _gate(*terms: tuple[Monomial, float]) -> dict[Monomial, float]:
     """A gate's terms as one term map, each monomial sorted; a relation that names a binary twice adds into one."""
     out: dict[Monomial, float] = {}
     for mono, coeff in terms:
-        _accumulate(out, tuple(sorted(mono)), coeff)
+        key = tuple(sorted(mono))
+        out[key] = out.get(key, 0.0) + coeff
     return out
 
 

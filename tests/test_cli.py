@@ -25,7 +25,7 @@ from qubo_forge.cli import (
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.problem import Problem
 from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve_exhaustive
-from test_expression import time_limit
+from reference import time_limit
 
 
 @pytest.fixture

@@ -37,12 +37,26 @@ from qubo_forge.compiler import (
     polynomial_interval,
     quadratize,
 )
-from qubo_forge.encoding import encode, encode_range
-from qubo_forge.expression import COEFF_EPS, Comparison, Polynomial, parse_expression, reduce_binary_idempotence
+from qubo_forge.encoding import encode
+from qubo_forge.expression import COEFF_EPS, Comparison, Polynomial, parse_expression
 from qubo_forge.problem import BooleanRelation, Problem
-from test_expression import time_limit
+from reference import (
+    Exact,
+    assert_follows_the_float_rule,
+    assert_form,
+    energies_over_assignments,
+    lambda_interval,
+    reference_compile,
+    terms,
+    time_limit,
+)
 
 V = Polynomial.variable
+
+
+def as_polynomial(form) -> Polynomial:
+    """A compiled form's terms as a ``Polynomial``, to evaluate on assignments."""
+    return Polynomial(terms(form))
 
 
 @pytest.fixture
@@ -64,18 +78,18 @@ def min_over_aux(poly, base_assignment, aux_names):
 class TestComposeCost:
     def test_reference_cost_shape(self, mixed_parts):
         _, _, _, form = mixed_parts
-        cost = form.polynomial
-        assert cost.constant_term == 4.0
-        non_constant = {m: c for m, c in cost.terms.items() if m}
+        cost = terms(form)
+        assert cost[()] == 4.0
+        non_constant = {m: c for m, c in cost.items() if m}
         top_monomial = max(non_constant, key=non_constant.get)
         assert non_constant[top_monomial] == 6.0
         assert top_monomial == ("b#2", "c#3")  # level-3 bit times weight-2 bit
         assert len(cost) == 35  # frozen from the brute-force expansion
-        assert cost.degree() == 2
+        assert max(map(len, cost)) == 2
 
     def test_reference_cost_matches_decoded_evaluation(self, mixed_parts):
         problem, plans, _, form = mixed_parts
-        cost = form.polynomial
+        cost = as_polynomial(form)
         names = sorted(cost.variables())
         objective = problem.objectives[0].expr
         rng = np.random.default_rng(11)
@@ -89,12 +103,12 @@ class TestComposeCost:
         problem.add_binary_variable("a")
         problem.add_objective("7")
         cost = compose_cost(problem.objectives, {"a": encode(problem.variables[0])})
-        assert cost.polynomial == Polynomial.constant(7.0)
+        assert terms(cost) == {(): 7.0}
 
     def test_maximize_flips_sign(self, tiny_knapsack):
         plans = [encode(decl) for decl in tiny_knapsack.variables]
         cost = compose_cost(tiny_knapsack.objectives, {p.source: p for p in plans})
-        assert cost.polynomial.terms == {("obj_0#0",): -5.0, ("obj_1#0",): -10.0}
+        assert terms(cost) == {("obj_0#0",): -5.0, ("obj_1#0",): -10.0}
 
     def test_aggregation_weights_scale_terms(self):
         problem = Problem()
@@ -103,23 +117,23 @@ class TestComposeCost:
         problem.add_objective("x", weight=2.0)
         problem.add_objective("y", direction="maximize", weight=3.0)
         cost = compose_cost(problem.objectives, {decl.name: encode(decl) for decl in problem.variables})
-        assert cost.polynomial.terms == {("x#0",): 2.0, ("y#0",): -3.0}
+        assert terms(cost) == {("x#0",): 2.0, ("y#0",): -3.0}
 
 
 class TestEqualityPenalty:
     def test_one_hot_expansion(self):
-        penalty = equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0)).polynomial
-        assert penalty.terms == {
+        penalty = terms(equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0)))
+        assert penalty == {
             ("b1",): -1.0, ("b2",): -1.0, ("b3",): -1.0,
             ("b1", "b2"): 2.0, ("b1", "b3"): 2.0, ("b2", "b3"): 2.0,
             (): 1.0,
         }
 
     def test_zero_equals_zero(self):
-        assert equality_penalty(Comparison(lhs=Polynomial.zero(), op="=", rhs=0.0)).polynomial.is_zero()
+        assert terms(equality_penalty(Comparison(lhs=Polynomial.zero(), op="=", rhs=0.0))) == {}
 
     def test_pair_sum_truth_table(self):
-        penalty = equality_penalty(Comparison(lhs=V("b4") + V("b5"), op="=", rhs=2.0)).polynomial
+        penalty = as_polynomial(equality_penalty(Comparison(lhs=V("b4") + V("b5"), op="=", rhs=2.0)))
         expected = {(0, 0): 4.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 0.0}
         for bits, value in expected.items():
             assert penalty.evaluate(dict(zip(("b4", "b5"), bits))) == value
@@ -146,7 +160,7 @@ class TestInequalityPenalty:
         slack_names = block.slack_plan.binary_names() if block.slack_plan else []
         for bits in itertools.product([0, 1], repeat=2):
             base = {"x_0#0": bits[0], "x_1#0": bits[1]}
-            assert min_over_aux(block.form.polynomial, base, slack_names) == pytest.approx(0.0, abs=1e-9)
+            assert min_over_aux(as_polynomial(block.form), base, slack_names) == pytest.approx(0.0, abs=1e-9)
 
     def test_knapsack_pair_enumeration(self, tiny_knapsack):
         model = compile_problem(tiny_knapsack)
@@ -158,7 +172,7 @@ class TestInequalityPenalty:
         for bits in itertools.product([0, 1], repeat=2):
             load = 2 * bits[0] + 3 * bits[1]
             base = {"obj_0#0": bits[0], "obj_1#0": bits[1]}
-            best = min_over_aux(block.form.polynomial, base, slack_names)
+            best = min_over_aux(as_polynomial(block.form), base, slack_names)
             if load <= 4:
                 assert best == pytest.approx(0.0, abs=1e-9)
             else:
@@ -175,7 +189,7 @@ class TestInequalityPenalty:
         slack_names = block.slack_plan.binary_names() if block.slack_plan else []
         for bits in itertools.product([0, 1], repeat=2):
             base = {"x_0#0": bits[0], "x_1#0": bits[1]}
-            best = min_over_aux(block.form.polynomial, base, slack_names)
+            best = min_over_aux(as_polynomial(block.form), base, slack_names)
             if sum(bits) > 1:  # only (1, 1) exceeds 1 strictly on an integer grid
                 assert best == pytest.approx(0.0, abs=1e-9)
             else:
@@ -191,7 +205,7 @@ class TestInequalityPenalty:
             model = compile_problem(problem)
         block = model.penalties[0]
         assert block.slack_plan is None
-        assert all(block.form.polynomial.evaluate({"x#0": b}) >= 1.0 for b in (0, 1))
+        assert all(as_polynomial(block.form).evaluate({"x#0": b}) >= 1.0 for b in (0, 1))
 
     def test_binary_chain_inequality_uses_product_penalty(self):
         penalty, plan = inequality_to_penalty(
@@ -200,7 +214,7 @@ class TestInequalityPenalty:
         assert plan is None
         table = {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0}
         for (hi, lo), expected in table.items():
-            assert penalty.polynomial.evaluate({"hi": hi, "lo": lo}) == expected
+            assert as_polynomial(penalty).evaluate({"hi": hi, "lo": lo}) == expected
 
 
 class TestBooleanPenalty:
@@ -212,7 +226,7 @@ class TestBooleanPenalty:
         names = list(inputs) + ["z"]
         for bits in itertools.product([0, 1], repeat=len(names)):
             assignment = dict(zip(names, bits))
-            value = min_over_aux(penalty.polynomial, assignment, aux_names)
+            value = min_over_aux(as_polynomial(penalty), assignment, aux_names)
             consistent = relation.truth({k: float(v) for k, v in assignment.items()})
             if consistent:
                 assert value == pytest.approx(0.0, abs=1e-9)
@@ -222,16 +236,16 @@ class TestBooleanPenalty:
     def test_xor_example_row(self):
         penalty, aux_plan = boolean_penalty(BooleanRelation("xor", "z", ("x", "y")), "__bool0")
         aux = aux_plan.binary_names()[0]
-        assert penalty.polynomial.evaluate({"x": 1, "y": 0, "z": 1, aux: 1}) == 0.0
+        assert as_polynomial(penalty).evaluate({"x": 1, "y": 0, "z": 1, aux: 1}) == 0.0
 
     def test_and_all_zero_row(self):
         penalty, _ = boolean_penalty(BooleanRelation("and", "z", ("x", "y")), "__bool0")
-        assert penalty.polynomial.evaluate({"x": 0, "y": 0, "z": 0}) == 0.0
+        assert as_polynomial(penalty).evaluate({"x": 0, "y": 0, "z": 0}) == 0.0
 
     def test_not_rows(self):
         penalty, _ = boolean_penalty(BooleanRelation("not", "z", ("x",)), "__bool0")
-        assert penalty.polynomial.evaluate({"x": 1, "z": 0}) == 0.0
-        assert penalty.polynomial.evaluate({"x": 1, "z": 1}) == 1.0
+        assert as_polynomial(penalty).evaluate({"x": 1, "z": 0}) == 0.0
+        assert as_polynomial(penalty).evaluate({"x": 1, "z": 1}) == 1.0
 
 
 class TestLambdaEstimation:
@@ -473,7 +487,7 @@ def rebuild_quadratize(poly, penalty_scale):
 
 
 def exact_terms(poly):
-    return [(mono, coeff.hex()) for mono, coeff in poly]
+    return [(mono, coeff.hex()) for mono, coeff in dict(poly).items()]
 
 
 _COEFFS = st.one_of(st.integers(-9, 9).filter(bool).map(float), st.fractions(-5, 5, max_denominator=30).map(float))
@@ -490,7 +504,7 @@ class TestQuadratize:
     def test_matches_whole_polynomial_rebuild(self, poly, scale):
         reduced, registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
         expected, expected_registry = rebuild_quadratize(poly, scale)
-        assert sorted(exact_terms(reduced.polynomial)) == sorted(exact_terms(expected))
+        assert sorted(exact_terms(terms(reduced))) == sorted(exact_terms(expected))
         assert list(registry.items()) == list(expected_registry.items())
 
     def test_ties_break_on_the_smallest_pair(self):
@@ -499,7 +513,7 @@ class TestQuadratize:
             {("a", "b", "c", "d"): 1.0, ("b", "c", "e"): 2.0, ("a", "b"): 0.5, ("a", "d", "e"): -1.5, ("c", "e", "f"): 0.25}
         )
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=6.0)
-        reduced = form.polynomial
+        reduced = as_polynomial(form)
         assert list(registry.items()) == [(("a", "d"), "__aux0"), (("b", "c"), "__aux1"), (("c", "e"), "__aux2")]
         names = ("a", "b", "c", "d", "e", "f")
         for bits in itertools.product([0, 1], repeat=6):
@@ -509,7 +523,7 @@ class TestQuadratize:
     def test_triple_product(self):
         poly = Polynomial({("b1", "b2", "b3"): 1.0})
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=2.0)
-        reduced = form.polynomial
+        reduced = as_polynomial(form)
         assert reduced.degree() <= 2
         assert registry == {("b1", "b2"): "__aux0"}
         for bits in itertools.product([0, 1], repeat=3):
@@ -519,12 +533,12 @@ class TestQuadratize:
     def test_quadratic_input_untouched(self):
         poly = Polynomial({("a", "b"): 1.5, ("a",): -1.0})
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=10.0)
-        assert form.polynomial == poly and registry == {}
+        assert terms(form) == poly.terms and registry == {}
 
     def test_shared_pair_gets_single_aux(self):
         poly = Polynomial({("b1", "b2", "b3"): 1.0, ("b1", "b2", "b4"): 1.0})
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=3.0)
-        reduced = form.polynomial
+        reduced = as_polynomial(form)
         assert list(registry) == [("b1", "b2")]
         names = ("b1", "b2", "b3", "b4")
         for bits in itertools.product([0, 1], repeat=4):
@@ -569,7 +583,7 @@ class TestCompile:
             zeroed = False
             for bits in itertools.product([0, 1], repeat=len(names)):
                 assignment = dict(zip(names, bits))
-                value = block.form.polynomial.evaluate(assignment)
+                value = as_polynomial(block.form).evaluate(assignment)
                 assert value >= -1e-9
                 zeroed = zeroed or abs(value) < 1e-9
             assert zeroed
@@ -728,160 +742,10 @@ class TestArrayForm:
             model.energy(assignment)
 
 
-# -- the symbolic reference ------------------------------------------------------------
+# -- the float rule, against an exact reference ---------------------------------------------------
 
 
-def _symbolic_reduce(poly):
-    return reduce_binary_idempotence(poly, poly.variables())
-
-
-def _symbolic_substitute(poly, substitutions):
-    for name in sorted(poly.variables()):
-        if name in substitutions:
-            poly = poly.substitute(name, substitutions[name])
-    return poly
-
-
-def _symbolic_flip_bounds(poly):
-    bounds = {}
-    for mono, coeff in poly:
-        for name in set(mono):
-            entry = bounds.setdefault(name, [0.0, 0.0])
-            if len(mono) == 1:
-                entry[0] += coeff
-                entry[1] -= coeff
-            else:
-                entry[0] += max(coeff, 0.0)
-                entry[1] += max(-coeff, 0.0)
-    return bounds
-
-
-def _symbolic_lambda(method, objective, penalty):
-    """The penalty-weight estimators on ``Polynomial``s, term by term."""
-    coeffs = [c for m, c in objective if m]
-    vlm = max((max(pair) for pair in _symbolic_flip_bounds(objective).values()), default=0.0)
-    if method == "ub-positive":
-        if any(c < 0 for c in coeffs):
-            raise ValueError("ub-positive needs an objective with only positive coefficients")
-        return sum(coeffs)
-    if method == "mqc":
-        return (max(coeffs) if coeffs else 0.0) + objective.constant_term
-    if method == "vlm":
-        return vlm
-    if method == "ub-naive":
-        return sum(c for c in coeffs if c > 0) - sum(c for c in coeffs if c < 0)
-    if method == "ub-posiform":
-        linear, half_pos, half_neg = {}, {}, {}
-        for mono, coeff in objective:
-            if len(mono) == 1:
-                linear[mono[0]] = linear.get(mono[0], 0.0) + coeff
-            elif len(mono) == 2:
-                for name in mono:
-                    half = half_pos if coeff > 0 else half_neg
-                    half[name] = half.get(name, 0.0) + coeff / 2.0
-        names = set(linear) | set(half_pos) | set(half_neg)
-        upper = sum(max(linear.get(n, 0.0) + half_pos.get(n, 0.0), 0.0) for n in names)
-        return upper - sum(min(linear.get(n, 0.0) + half_neg.get(n, 0.0), 0.0) for n in names)
-    penalty_bounds = _symbolic_flip_bounds(penalty)
-    if method == "momc":
-        steps = [d for pair in penalty_bounds.values() for d in pair if d > 1e-9]
-        return vlm / (min(steps) if steps else 1.0)
-    objective_bounds = _symbolic_flip_bounds(objective)
-    ratios = [
-        obj_d / pen_d
-        for name, pen_pair in penalty_bounds.items()
-        for obj_d, pen_d in zip(objective_bounds.get(name, (0.0, 0.0)), pen_pair)
-        if pen_d > 1e-9
-    ]
-    return max(ratios) if ratios else vlm
-
-
-def symbolic_compile(problem, config):
-    """The compiler's stages as ``Polynomial`` algebra: substitute, expand, reduce and sum, term by term.
-
-    Returns ``(order, cost, penalties, lambdas)``; a degree-<=2 problem only.
-    """
-    plans = [encode(decl) for decl in problem.variables]
-    subs = {plan.source: plan.affine() for plan in plans}
-    intervals = {decl.name: decl.domain_interval() for decl in problem.variables}
-    intervals.update((name, (0.0, 1.0)) for plan in plans for name in plan.binary_names())
-    signed = [t.expr.scale(t.weight if t.direction == "minimize" else -t.weight) for t in problem.objectives]
-    cost = _symbolic_reduce(sum((_symbolic_substitute(poly, subs) for poly in signed), Polynomial.zero()))
-    names = {name for plan in plans for name in plan.binary_names()} | cost.variables()
-    penalties = []
-    declarations = list(problem.constraints) + [decl for plan in plans for decl in plan.induced]
-    for index, decl in enumerate(declarations):
-        if decl.boolean is not None:
-            penalty, plan = boolean_penalty(decl.boolean, f"__bool{index}")
-            penalty = _symbolic_reduce(_symbolic_substitute(penalty.polynomial, subs))
-        else:
-            lhs = _symbolic_reduce(_symbolic_substitute(decl.comparison.lhs, subs))
-            op, rhs, plan = decl.comparison.op, decl.comparison.rhs, None
-            precision = infer_slack_precision(decl, problem)
-            if op in ("<", ">"):
-                op, rhs = op + "=", rhs + (precision if op == ">" else -precision)
-            terms = sorted(lhs, key=lambda kv: kv[1])
-            if (
-                op == ">="
-                and abs(rhs) <= 1e-9
-                and len(terms) == 2
-                and all(len(m) == 1 for m, _ in terms)
-                and abs(terms[0][1] + 1.0) <= 1e-9
-                and abs(terms[1][1] - 1.0) <= 1e-9
-            ):
-                (lower,), (upper,) = terms[0][0], terms[1][0]
-                penalty = Polynomial({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0})
-            else:
-                low, high = polynomial_interval(decl.comparison.lhs, intervals)
-                slack_low, slack_high = (-(high - rhs), 0.0) if op == ">=" else (0.0, rhs - low)
-                unsatisfiable = high < rhs - 1e-9 if op == ">=" else low > rhs + 1e-9
-                if op != "=" and not unsatisfiable and slack_high - slack_low >= precision - 1e-9:
-                    plan = encode_range(f"__slack{index}", slack_low, slack_high, precision, method="logarithmic")
-                    lhs = lhs + plan.affine()
-                penalty = _symbolic_reduce((lhs - rhs) ** 2)
-        names |= penalty.variables() | set(plan.binary_names() if plan else ())
-        penalties.append((decl, penalty))
-    return tuple(sorted(names)), cost, [penalty for _, penalty in penalties], symbolic_lambdas(config, cost, penalties)
-
-
-def symbolic_lambdas(config, cost, penalties):
-    """One λ per ``(declaration, penalty)``, estimated term by term."""
-    if config.lambda_method == "manual":
-        return [config.manual_lambdas] * len(penalties)
-    per_constraint = config.lambda_method in ("momc", "moc")
-    base = None if per_constraint else _symbolic_lambda(config.lambda_method, cost, None)
-    lambdas = []
-    for decl, penalty in penalties:
-        value = _symbolic_lambda(config.lambda_method, cost, penalty) if per_constraint else base
-        value *= 0.3 if decl.hardness == "weak" else 1.0
-        lambdas.append(value if value >= COEFF_EPS else 1.0)
-    return lambdas
-
-
-def symbolic_weigh(cost, penalties, lambdas):
-    """``cost + Σ λ_k·P_k`` summed term by term in block order, as ``(terms, offset)``."""
-    total = sum((penalty.scale(lam) for penalty, lam in zip(penalties, lambdas)), cost)
-    return {m: c for m, c in total if m}, total.constant_term
-
-
-def assert_matches_symbolic(model, reference, lambdas=None, exact=False):
-    """Same order and term set; coefficients, offset and λ equal, or within ``1e-12·max|c|``."""
-    order, cost, penalties, reference_lambdas = reference
-    lambdas = reference_lambdas if lambdas is None else lambdas
-    terms, offset = symbolic_weigh(cost, penalties, lambdas)
-    assert model.binary_variables() == list(order)
-    got = model.quadratic.terms
-    assert set(got) == set(terms)
-    if exact:
-        assert got == terms and model.offset == offset and model.lambdas() == list(lambdas)
-        return
-    scale = max(map(abs, [*terms.values(), offset]), default=0.0)
-    assert max((abs(got[m] - c) for m, c in terms.items()), default=0.0) <= 1e-12 * scale
-    assert abs(model.offset - offset) <= 1e-12 * scale
-    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(model.lambdas(), lambdas))
-
-
-def test_penalty_blocks_sum_like_chained_addition():
+def test_penalty_blocks_follow_the_float_rule():
     """One induced one-hot block per dictionary-encoded variable, plus a user constraint (a float model)."""
     problem = Problem()
     names = problem.add_continuous_variables_array("c", [6], -1.0, 1.0, 0.25, encoding="dictionary")
@@ -891,7 +755,7 @@ def test_penalty_blocks_sum_like_chained_addition():
     config = CompileConfig(lambda_method="momc")
     model = compile_problem(problem, config)
     assert len(model.penalties) == 7 and all(plan.induced for plan in model.encodings)
-    assert_matches_symbolic(model, symbolic_compile(problem, config))
+    assert_follows_the_float_rule(model, reference_compile(problem), config)
 
 
 def coordinate_form(order, linear, couplers=(), offset=0.0, higher=None):
@@ -910,19 +774,29 @@ def coordinate_form(order, linear, couplers=(), offset=0.0, higher=None):
 
 
 _MERGE_NAMES = [f"n{k}" for k in range(8)]
-# 1 and -1 + 1e-13 cancel below COEFF_EPS at equal scales; what comes after them must start again from 0.0
+# 1 and -1 + 1e-13 cancel to a residue below COEFF_EPS at equal scales
 _MERGE_COEFFS = st.one_of(st.sampled_from([1.0, -1.0 + 1e-13, -1.0, 0.5, 3.0]), st.floats(-4, 4))
 _MERGE_SCALES = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(0.01, 100))
+_DYADIC_COEFFS = st.integers(-24, 24).map(lambda k: k / 8)
+_DYADIC_SCALES = st.sampled_from([1.0, -1.0, 0.5, 2.0, 3.0, -0.25])
 
 
 @st.composite
-def coordinate_forms(draw):
+def coordinate_forms(draw, coeffs=_MERGE_COEFFS):
     order = sorted(draw(st.sets(st.sampled_from(_MERGE_NAMES), max_size=8)))
     pairs = list(itertools.combinations(range(len(order)), 2))
-    couplers = draw(st.dictionaries(st.sampled_from(pairs), _MERGE_COEFFS, max_size=8)) if pairs else {}
+    couplers = draw(st.dictionaries(st.sampled_from(pairs), coeffs, max_size=8)) if pairs else {}
     monomials = st.lists(st.sampled_from(order), min_size=3, max_size=4, unique=True).map(lambda m: tuple(sorted(m)))
-    higher = draw(st.dictionaries(monomials, _MERGE_COEFFS, max_size=3)) if len(order) >= 3 else {}
-    return coordinate_form(order, [draw(_MERGE_COEFFS) for _ in order], couplers, draw(_MERGE_COEFFS), higher)
+    higher = draw(st.dictionaries(monomials, coeffs, max_size=3)) if len(order) >= 3 else {}
+    return coordinate_form(order, [draw(coeffs) for _ in order], couplers, draw(coeffs), higher)
+
+
+@st.composite
+def weighted_sums(draw):
+    """One to five scaled forms, and whether every coefficient and scale is an integer or dyadic draw."""
+    exact = draw(st.booleans())
+    coeffs, scales = (_DYADIC_COEFFS, _DYADIC_SCALES) if exact else (_MERGE_COEFFS, _MERGE_SCALES)
+    return draw(st.lists(st.tuples(scales, coordinate_forms(coeffs)), min_size=1, max_size=5)), exact
 
 
 _CANCEL = [(1.0, coordinate_form(["n0", "n1"], [1.0, 2.0], {(0, 1): 1.0}, 1.0))]
@@ -931,22 +805,22 @@ _CANCEL.append((1.0, coordinate_form(["n0", "n1", "n2"], [0.5, 0.0, 3.0], {(0, 1
 
 
 @settings(max_examples=300, deadline=None)
-@given(forms=st.lists(st.tuples(_MERGE_SCALES, coordinate_forms()), min_size=1, max_size=5), names=st.sets(st.sampled_from(_MERGE_NAMES)))
-@example(forms=_CANCEL, names=set())  # x, then -x + 1e-13 (a partial sum of 1e-13, dropped), then y
-def test_weighted_sum_drops_each_partial_sum_below_the_threshold(forms, names):
-    """Against a loop that sums each entry from 0.0 in form order and drops a partial sum below ``COEFF_EPS``
-    before the next form adds (a scaled value below it is dropped first, as ``Polynomial.scale`` drops it): the
-    same term set, equal float hex, and row-major couplers over the sorted union of names."""
-    expected = {}
+@given(case=weighted_sums(), names=st.sets(st.sampled_from(_MERGE_NAMES)))
+@example(case=(_CANCEL, False), names=set())  # x, then -x + 1e-13 (a residue of 1e-13, kept), then y
+def test_weighted_sum_is_the_rounded_exact_sum(case, names):
+    """Against exact ``Fraction`` sums of ``scale·coefficient``: each entry lies within ``γ_k·Σ|products|`` of
+    its exact sum and is dropped only where that sum may lie below ``COEFF_EPS``, and on integer and dyadic
+    draws it equals the exact sum (so the float hex is the same); couplers are row-major over the sorted union
+    of names."""
+    forms, exact = case
+    expected: dict = {}
     for scale, form in forms:
-        for mono, coeff in form.polynomial:
-            if abs(coeff * scale) >= COEFF_EPS:
-                total = expected.pop(mono, 0.0) + coeff * scale
-                if abs(total) >= COEFF_EPS:
-                    expected[mono] = total
+        for mono, coeff in terms(form).items():
+            product = Exact.of(scale) * Exact.of(coeff)
+            expected[mono] = expected[mono] + product if mono in expected else product
     got = compiler._weighted_sum(forms, names)
     assert got.order == tuple(sorted(set(names).union(*(form.order for _, form in forms))))
-    assert sorted(exact_terms(got.polynomial)) == sorted((mono, coeff.hex()) for mono, coeff in expected.items())
+    assert_form(got, expected, "the weighted sum", exact)
     assert np.all(got.rows < got.cols) and np.all(np.diff(got.rows * len(got.order) + got.cols) > 0)
 
 
@@ -1034,10 +908,25 @@ def degree_two_problems(draw):
     return problem.freeze(), config, exact
 
 
+def compiled_with_reference(problem, config):
+    """The model and ``reference_compile``'s stages, or ``(None, None)`` where ub-positive refuses a negative
+    coefficient, once the exact estimator on the compiled forms has refused it too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unsatisfiable draws warn
+        try:
+            model = compile_problem(problem, config)
+        except ValueError as error:
+            forms = compile_problem(problem, CompileConfig("manual", manual_lambdas=1.0))
+            with pytest.raises(ValueError, match=str(error)):
+                lambda_interval(config.lambda_method, forms.cost)
+            return None, None
+        return model, reference_compile(problem)
+
+
 def _tiny_weighted_penalty_case():
-    """``1e-7·v`` subject to ``v = 1e-7`` over a bipolar ``v``: the penalty's linear term is a residue of
-    -4e-7 and ub-positive's λ is 2e-7, so ``λ·P`` holds a term of -8e-14, below ``COEFF_EPS``; ``penalty.scale(λ)``
-    drops it, and so must the weighing."""
+    """``1e-7·v`` subject to ``v = 1e-7`` over a bipolar ``v``: the penalty's linear term is a residue of -4e-7
+    and ub-positive's λ is 2e-7, so ``λ·P`` puts about -8e-14 on that binary, beside a cost term of 2e-7.  The
+    weighed coefficient is their exact sum, rounded, and a product that small is not dropped on its own."""
     problem = Problem()
     problem.add_bipolar_variable("v0")
     problem.add_objective("1e-07*v0")
@@ -1046,8 +935,8 @@ def _tiny_weighted_penalty_case():
 
 
 def _tiny_square_case():
-    """``1e-7·v² + 1e-5·v`` over levels 1e-6 and 0.002: the square's diagonal product ``1e-7·(1e-6)²`` is below
-    ``COEFF_EPS``, so ``substitute`` drops it rather than add it to a linear term of about -1e-6."""
+    """``1e-7·v² + 1e-5·v`` over levels 1e-6 and 0.002: the square's diagonal product ``1e-7·(1e-6)²`` is far below
+    ``COEFF_EPS``, and it is part of a linear coefficient of about 1e-11, within the bound of the exact sum."""
     problem = Problem()
     problem.add_discrete_variable("v0", [1e-6, 0.002])
     problem.add_binary_variable("v1")
@@ -1057,8 +946,8 @@ def _tiny_square_case():
 
 def _tiny_offset_products_case():
     """Variables starting at 1e-6, 1e-3 and 1e-5: ``1e-7·a·b`` gives ``b`` the product ``1e-7·o_a`` = 1e-13,
-    ``1e-7·c·d`` the constant ``1e-7·o_c·o_d`` = 1e-15 and ``1e-7·a`` the constant ``1e-7·o_a``, all below
-    ``COEFF_EPS`` and dropped by ``substitute``."""
+    ``1e-7·c·d`` the constant ``1e-7·o_c·o_d`` = 1e-15 and ``1e-7·a`` the constant ``1e-7·o_a``.  Each is
+    part of its coefficient's exact sum; a finished coefficient that is this small alone is dropped."""
     problem = Problem()
     problem.add_continuous_variable("a", 1e-6, 0.300001, 0.1)
     problem.add_binary_variable("b")
@@ -1068,26 +957,66 @@ def _tiny_offset_products_case():
     return problem.freeze(), CompileConfig("manual", manual_lambdas=1.0), False
 
 
+def _momc_residue_case():
+    """``2·v >= -1e-7`` over a bipolar ``v``: one flip step of the penalty is the residue of ``-16 + 8 + 8.0000008``,
+    about 8e-7 against terms of 32, and momc divides the cost's vlm by it, so λ is about 2.5e6 and carries the
+    residue's conditioning.  A term-by-term reference summed the residue in another order, and its weighed
+    coefficients differed from the compile's by up to 0.089."""
+    problem = Problem()
+    problem.add_bipolar_variable("v0")
+    problem.add_binary_variable("v1")
+    problem.add_objective(Polynomial({("v0",): 1.0}))
+    problem.add_constraint(Comparison(lhs=Polynomial({("v0",): 2.0}), op=">=", rhs=-1e-07))
+    return problem.freeze(), CompileConfig("momc"), False
+
+
+def _all_tiny_bipolar_case():
+    """Coefficients of 1e-5 over a level of 1e-7: ``6e-6·v0·v1`` with a bipolar ``v1`` gives products of 6e-13
+    and 1.2e-12, so the linear coefficient is a sum of two products below ``COEFF_EPS`` that together clear it."""
+    problem = Problem()
+    problem.add_discrete_variable("v0", [1e-07])
+    problem.add_bipolar_variable("v1")
+    problem.add_binary_variable("v2")
+    problem.add_bipolar_variable("v3")
+    problem.add_objective(Polynomial({("v0",): -7.1e-06, ("v0", "v1"): 6e-06}))
+    return problem.freeze(), CompileConfig("mqc"), False
+
+
+def _all_tiny_grid_case():
+    """Coefficients of 1e-5 over a level of 1e-7 and two logarithmic grids at step 0.1: each coupler, 1.15e-13 or
+    -2.7e-13, is dropped, and the one linear term, 2.7e-12, sums the products 8.05e-13 and 1.89e-12 that the
+    grids' offsets give."""
+    problem = Problem()
+    problem.add_discrete_variable("v0", [1e-07])
+    problem.add_continuous_variable("v1", 0.7, 0.8, 0.1, encoding="logarithmic")
+    problem.add_binary_variable("v2")
+    problem.add_binary_variable("v3")
+    problem.add_continuous_variable("v4", -0.7, -0.5, 0.1, encoding="logarithmic")
+    problem.add_objective(Polynomial({("v0", "v1"): 1.15e-05, ("v0", "v4"): -2.7e-05}))
+    return problem.freeze(), CompileConfig("ub-positive"), False
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=degree_two_problems(), factors=st.lists(st.sampled_from([0.5, 1.0, 3.0, 0.1]), min_size=40, max_size=40))
 @example(case=_tiny_weighted_penalty_case(), factors=[0.5] * 40)
 @example(case=_tiny_square_case(), factors=[0.5] * 40)
 @example(case=_tiny_offset_products_case(), factors=[0.5] * 40)
-def test_array_compile_matches_the_symbolic_composition(case, factors):
-    """Order, term set, coefficients and λ of the array compile against ``symbolic_compile``; then one retry."""
+@example(case=_momc_residue_case(), factors=[0.5] * 40)
+@example(case=_all_tiny_bipolar_case(), factors=[0.5] * 40)
+@example(case=_all_tiny_grid_case(), factors=[0.5] * 40)
+def test_the_array_compile_follows_the_float_rule(case, factors):
+    """Order, each stage's coefficients, λ and the weighed sum against ``reference_compile``; then one retry.
+
+    A coefficient lies within ``γ_k·Σ|products|`` of its exact sum, and one whose exact sum lies within that
+    bound of ``COEFF_EPS`` may be present or absent.  Integer and dyadic draws are exact.
+    """
     problem, config, exact = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # unsatisfiable draws warn in both
-        try:
-            reference = symbolic_compile(problem, config)
-        except ValueError as error:  # ub-positive on a negative coefficient
-            with pytest.raises(ValueError, match=str(error)):
-                compile_problem(problem, config)
-            return
-        model = compile_problem(problem, config)
-    assert_matches_symbolic(model, reference, exact=exact)
+    model, reference = compiled_with_reference(problem, config)
+    if model is None:
+        return
+    assert_follows_the_float_rule(model, reference, config, exact=exact)
     vector = [lam * factor for lam, factor in zip(model.lambdas(), factors)]
-    assert_matches_symbolic(model.with_lambdas(vector), reference, lambdas=vector, exact=exact)
+    assert_follows_the_float_rule(model.with_lambdas(vector), reference, config, lambdas=vector, exact=exact)
 
 
 class TestStats:
@@ -1203,32 +1132,6 @@ class TestDomainWall:
 # -- degree >= 3: the expander, quadratization and the compile budget ----------------------
 
 
-def assert_forms_match_symbolic(model, reference, config, exact):
-    """The λ-free cost, each penalty block and each λ against ``symbolic_compile``'s, before quadratization.
-
-    Integer and dyadic models are coefficient-identical.  On float models each coefficient, present or not,
-    agrees within ``1e-12·max|c|`` plus ``100·COEFF_EPS``: both routes drop product terms below
-    ``COEFF_EPS``, the symbolic one before ``b·b = b`` merges them and the expander after, so a
-    sub-``COEFF_EPS`` product one route keeps is lost in the other.  A float λ is checked against the
-    term-by-term estimator on the compile's own forms, since a tiny flip step (``momc``) amplifies that
-    difference.
-    """
-    _, cost, penalties, lambdas = reference
-    assert len(model.penalties) == len(penalties)
-    for form, polynomial in [(model.cost, cost), *((block.form, penalty) for block, penalty in zip(model.penalties, penalties))]:
-        got, want = form.polynomial.terms, polynomial.terms
-        if exact:
-            assert got == want
-        else:
-            tolerance = 1e-12 * max(map(abs, want.values()), default=0.0) + 100 * COEFF_EPS
-            assert all(abs(got.get(mono, 0.0) - want.get(mono, 0.0)) <= tolerance for mono in set(got) | set(want))
-    if exact:
-        assert model.lambdas() == list(lambdas)
-    else:
-        own = symbolic_lambdas(config, model.cost.polynomial, [(block.constraint, block.form.polynomial) for block in model.penalties])
-        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(model.lambdas(), own))
-
-
 @st.composite
 def higher_degree_problems(draw):
     """Up to three variables of every kind and encoding, an objective with a monomial of degree 3 to 5 (powers
@@ -1274,20 +1177,14 @@ def higher_degree_problems(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(case=higher_degree_problems())
-def test_expansion_matches_the_symbolic_substitution(case):
-    """Every stage form of a degree->=3 problem against ``Polynomial.substitute`` + ``reduce_binary_idempotence``:
-    coefficient-identical on integer and dyadic draws, within ``1e-12·max|c|`` on float ones."""
+def test_expansion_follows_the_float_rule(case):
+    """Every stage form of a degree->=3 problem, and each λ, against ``reference_compile``: exact on integer
+    and dyadic draws, within the float rule's bound on float ones."""
     problem, config, exact = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # unsatisfiable draws warn in both
-        try:
-            reference = symbolic_compile(problem, config)
-        except ValueError as error:  # ub-positive on a negative coefficient
-            with pytest.raises(ValueError, match=str(error)):
-                compile_problem(problem, config)
-            return
-        model = compile_problem(problem, config)
-    assert_forms_match_symbolic(model, reference, config, exact)
+    model, reference = compiled_with_reference(problem, config)
+    if model is None:
+        return
+    assert_follows_the_float_rule(model, reference, config, exact=exact)
 
 
 def rescanning_registry(poly):
@@ -1327,12 +1224,10 @@ _BINARY_MULTILINEAR = st.dictionaries(
 def test_quadratize_minimum_over_auxiliaries_is_the_input(poly):
     """Degree <= 5 over <= 8 binaries, dyadic: on every assignment the output minimized over the auxiliaries is
     the input, exactly, and the registry is the rescanning loop's."""
-    from test_acceptance import energies_over_assignments
-
     scale = estimate_lambda("ub-naive", QuadraticForm.from_polynomial(poly)) + 1.0
     form, registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
-    reduced = form.polynomial
-    assert reduced.degree() <= 2 and not form.higher and registry == rescanning_registry(poly)
+    reduced = terms(form)
+    assert max(map(len, reduced), default=0) <= 2 and not form.higher and registry == rescanning_registry(poly)
     names, aux = sorted(poly.variables()), list(registry.values())
     assume(len(names) + len(aux) <= 16)
     minimized = energies_over_assignments(reduced, names + aux).reshape(2 ** len(aux), 2 ** len(names)).min(axis=0)

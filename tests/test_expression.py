@@ -4,10 +4,8 @@ Expected values come from independent oracles: direct arithmetic evaluation
 at enumerated or random points, or hand expansion for the small cases.
 """
 
-import contextlib
 import itertools
 import math
-import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +22,7 @@ from qubo_forge.expression import (
     parse_expression,
     reduce_binary_idempotence,
 )
+from reference import time_limit
 
 V = Polynomial.variable
 
@@ -77,22 +76,6 @@ class TestParseExpression:
         with pytest.raises(ParseError, match=f"number '{literal}' is not finite") as info:
             parse_expression(text, {"a"})
         assert info.value.position == position
-
-
-@contextlib.contextmanager
-def time_limit(seconds: float = 1.0):
-    """Fail the enclosed block with ``TimeoutError`` after ``seconds`` of wall time (SIGALRM)."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRunawayAndNonFiniteInput:
