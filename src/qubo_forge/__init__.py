@@ -20,7 +20,6 @@ from qubo_forge.expression import (
     Polynomial,
     parse_constraint,
     parse_expression,
-    reduce_binary_idempotence,
 )
 from qubo_forge.problem import ConstraintDecl, ObjectiveTerm, Problem, VariableDecl, VariableKind
 from qubo_forge.solvers import (
@@ -63,7 +62,6 @@ __all__ = [
     "p_range",
     "parse_constraint",
     "parse_expression",
-    "reduce_binary_idempotence",
     "save_report",
     "solve",
     "solve_exhaustive",

@@ -8,8 +8,8 @@ with auxiliary binaries.
 
 After ``encode`` every stage reads the plans by source name (a name without
 one is a binary) and lowers plain term maps, ``{monomial: coefficient}``; no
-``Polynomial`` is built.  A declared left-hand side is only read, and the
-``Polynomial`` view of a model's terms is built on first use.
+``Polynomial`` is built.  A declared left-hand side is only read, and a
+form's terms are read as one term map (``QuadraticForm.terms``).
 
 Every stage returns a ``QuadraticForm``, the one array form from the first
 stage to the solvers: a linear vector and row-major couplers over sorted
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import combinations, groupby
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -153,6 +153,18 @@ class QuadraticForm:
         rest = _lower({mono: coeff for mono, coeff in terms.items() if len(mono) <= 2}, {})
         return _weighted_sum([(1.0, form), (1.0, replace(rest, higher=higher))], {b for mono in higher for b in mono})
 
+    def terms(self) -> dict[Monomial, float]:
+        """``{monomial: coefficient}``: the nonzero linear terms, the couplers, the offset under ``()`` when it is
+        nonzero, then ``higher``."""
+        names = self.order
+        out: dict[Monomial, float] = {(names[i],): coeff for i, coeff in enumerate(self.linear.tolist()) if coeff}
+        pairs = zip(map(names.__getitem__, self.rows.tolist()), map(names.__getitem__, self.cols.tolist()))
+        out.update(zip(pairs, self.values.tolist()))
+        if self.offset:
+            out[()] = self.offset
+        out.update(self.higher)
+        return out
+
     def coefficients(self) -> np.ndarray:
         """Every non-constant coefficient: the nonzero linear terms, the couplers, then ``higher``'s."""
         higher = np.fromiter(self.higher.values(), float, len(self.higher))
@@ -232,30 +244,17 @@ def _finish(form: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(form.order, linear, form.rows[kept], form.cols[kept], form.values[kept], offset, higher)
 
 
-class _TermsView(Polynomial):
-    """A ``QuadraticForm``'s terms as a ``Polynomial``, built on first use; its length is known without them."""
+@dataclass(frozen=True)
+class _TermsView:
+    """A model's linear and coupler terms as ``(monomial, coefficient)`` pairs, counted without building them."""
 
-    __slots__ = ("_form", "_built")
-
-    def __init__(self, form: QuadraticForm):
-        self._form, self._built = form, None
-
-    @property
-    def _terms(self) -> dict[Monomial, float]:
-        if self._built is None:
-            form, names = self._form, self._form.order
-            terms: dict[Monomial, float] = {(names[i],): c for i, c in enumerate(form.linear.tolist()) if c}
-            pairs = zip(map(names.__getitem__, form.rows.tolist()), map(names.__getitem__, form.cols.tolist()))
-            terms.update(zip(pairs, form.values.tolist()))
-            if form.offset:
-                terms[()] = form.offset
-            terms.update(form.higher)
-            self._built = terms
-        return self._built
+    arrays: QuadraticForm
 
     def __len__(self) -> int:
-        form = self._form
-        return int(np.count_nonzero(form.linear)) + len(form.values) + bool(form.offset) + len(form.higher)
+        return int(np.count_nonzero(self.arrays.linear)) + len(self.arrays.values)
+
+    def __iter__(self) -> Iterator[tuple[Monomial, float]]:
+        return ((mono, coeff) for mono, coeff in self.arrays.terms().items() if mono)
 
 
 def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -> QuadraticForm:
@@ -449,10 +448,10 @@ class QuboModel:
     def offset(self) -> float:
         return self.arrays.offset
 
-    @cached_property
-    def quadratic(self) -> Polynomial:
-        """The linear and coupler terms as a ``Polynomial`` (a view, for text output and tests)."""
-        return _TermsView(replace(self.arrays, offset=0.0))
+    @property
+    def quadratic(self) -> _TermsView:
+        """The linear and coupler terms, iterated as ``(monomial, coefficient)`` pairs and counted by ``len``."""
+        return _TermsView(self.arrays)
 
     @cached_property
     def stats(self) -> dict[str, Any]:
@@ -697,14 +696,15 @@ def inequality_to_penalty(
 
 
 def _binary_pair_penalty(lhs: Polynomial, op: str, rhs: float, plans: Mapping[str, EncodingPlan]) -> QuadraticForm | None:
-    """Product penalty for ``b - b' >= 0`` chains (domain-wall); avoids a slack bit."""
-    if op != ">=" or abs(rhs) > _EPS or lhs.degree() != 1:
+    """Product penalty for a link ``b - b' >= 0`` (a domain-wall chain's) or ``b' - b <= 0``; avoids a slack bit."""
+    sign = {">=": 1.0, "<=": -1.0}.get(op)
+    if sign is None or abs(rhs) > _EPS or lhs.degree() != 1:
         return None
     line = _finish(_lower(dict(lhs), plans))
     held = np.flatnonzero(line.linear)
     if len(held) != 2 or line.offset:
         return None
-    (neg_c, lower), (pos_c, upper) = sorted(zip(line.linear[held].tolist(), [line.order[k] for k in held]))
+    (neg_c, lower), (pos_c, upper) = sorted(zip((sign * line.linear[held]).tolist(), [line.order[k] for k in held]))
     if abs(neg_c + 1.0) > _EPS or abs(pos_c - 1.0) > _EPS:
         return None
     # lower * (1 - upper): 1 exactly on the single violating row.

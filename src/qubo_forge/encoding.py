@@ -41,13 +41,6 @@ class EncodingPlan:
     def binary_names(self) -> list[str]:
         return [name for name, _ in self.binaries]
 
-    def affine(self) -> Polynomial:
-        """The encoding as a polynomial over its binary variables."""
-        terms: dict[tuple[str, ...], float] = {(name,): weight for name, weight in self.binaries}
-        if self.offset:
-            terms[()] = self.offset
-        return Polynomial(terms)
-
     def decode(self, bits: Mapping[str, int]) -> float:
         """offset + weighted bit sum; callers check ``encoding_valid`` separately."""
         total = self.offset

@@ -602,11 +602,6 @@ def _qaoa_distribution(model: QuboModel, params: SolverParams) -> tuple[tuple[st
     return arrays.order, energies, probabilities, diagnostics
 
 
-def qaoa_expected_energy(model: QuboModel, params: SolverParams | None = None) -> float:
-    """Expected energy of the optimized QAOA state (before sampling)."""
-    return _qaoa_distribution(model, params or SolverParams())[3]["expected_energy"]
-
-
 def solve_qaoa_sim(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Statevector QAOA: alternating diagonal-cost and single-qubit-mixer layers.
 
@@ -617,20 +612,20 @@ def solve_qaoa_sim(model: QuboModel, params: SolverParams | None = None) -> Solu
     ``diagnostics["qaoa"]`` holds the objective evaluations summed over the
     starts, the evaluations per second of the angle search, whether any start
     converged, the optimized expected energy, and the probability mass on the
-    minimum-energy assignments.
+    minimum-energy assignments.  ``run_times`` gives each run an equal share of
+    the solve's wall time, the angle search included, as SA's does.
     """
     params = params or SolverParams()
+    started = time.monotonic()
     order, energies, probabilities, diagnostics = _qaoa_distribution(model, params)
 
     kept = np.empty(params.runs, dtype=np.int64)
-    run_times: list[float] | None = [] if params.record_time else None
     for run in range(params.runs):
         rng = np.random.default_rng(params.seed + run)
-        started = time.monotonic()
         drawn = rng.choice(len(probabilities), size=params.shots, p=probabilities)
         kept[run] = drawn[np.argmin(energies[drawn])]
-        if run_times is not None:
-            run_times.append(time.monotonic() - started)
+    elapsed = time.monotonic() - started
+    run_times = [elapsed / params.runs] * params.runs if params.record_time else None
     return SolutionSet.from_bits(model, _bits(kept, len(order)), run_times, {"qaoa": diagnostics})
 
 

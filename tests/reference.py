@@ -1,8 +1,7 @@
 """Helpers that the test modules share; this module holds no tests.
 
-``time_limit`` fails a block that runs too long.  ``terms`` reads a compiled
-form's terms, and ``energies_over_assignments`` evaluates terms on every 0/1
-assignment.
+``time_limit`` fails a block that runs too long, and
+``energies_over_assignments`` evaluates terms on every 0/1 assignment.
 
 The rest is an exact reference for the compiler's float rule (see the
 ``qubo_forge.compiler`` docstring).  ``reference_compile`` takes a problem
@@ -45,18 +44,6 @@ def time_limit(seconds: float = 1.0):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def terms(form) -> dict[tuple[str, ...], float]:
-    """A ``QuadraticForm``'s terms ``{monomial: coefficient}``: the nonzero linear ones, the couplers, the offset
-    under ``()`` when it is nonzero, and ``higher``."""
-    names = form.order
-    out = {(names[i],): coeff for i, coeff in enumerate(form.linear.tolist()) if coeff}
-    out.update(((names[i], names[j]), coeff) for i, j, coeff in zip(form.rows.tolist(), form.cols.tolist(), form.values.tolist()))
-    if form.offset:
-        out[()] = form.offset
-    out.update(form.higher)
-    return out
 
 
 def energies_over_assignments(poly, order: list[str]) -> np.ndarray:
@@ -278,8 +265,8 @@ def reference_compile(problem) -> Reference:
         if op in ("<", ">"):  # tightened by one step: the compiler's float rhs, and the exact sum behind it
             step = precision if op == ">" else -precision
             op, rhs, tightened = op + "=", rhs + Exact.of(step), comparison.rhs + step
-        if op == ">=" and abs(tightened) <= _EPS and comparison.lhs.degree() == 1:
-            link = _is_wall_link(expand(lhs, plans))
+        if op in (">=", "<=") and abs(tightened) <= _EPS and comparison.lhs.degree() == 1:
+            link = _is_wall_link(expand(lhs if op == ">=" else [(mono, -coeff) for mono, coeff in lhs], plans))
             if link is not None:
                 lower, upper = link
                 penalties.append({(lower,): Exact.of(1.0), tuple(sorted((lower, upper))): Exact.of(-1.0)})
@@ -305,7 +292,7 @@ def assert_form(form, want: Terms, what: str, exact: bool = False) -> None:
     """``form``'s terms against the exact ones: each held coefficient is at least ``COEFF_EPS`` and within its
     bound of the exact value, and one that is missing may have been dropped.  With ``exact`` (integer and
     dyadic inputs) every bound must be zero, so each coefficient equals its exact value, float hex and all."""
-    got = terms(form)
+    got = form.terms()
     for mono in set(got) | set(want):
         coeff = want.get(mono, ZERO)
         assert not exact or coeff.bound == 0, f"{what}: {mono} is not exact in floats, bound {coeff.bound!r}"

@@ -48,13 +48,12 @@ from qubo_forge.solvers import (
     SolverParams,
     UpdateStrategy,
     next_lambda,
-    qaoa_expected_energy,
     solve_exhaustive,
     solve_qaoa_sim,
     solve_sa,
     solve_with_lambda_update,
 )
-from reference import energies_over_assignments, terms
+from reference import energies_over_assignments
 
 V = Polynomial.variable
 
@@ -112,7 +111,7 @@ def test_criterion_02_encoding_fidelity():
 def test_criterion_03_equality_penalty_expansion():
     with criterion(3, "one-hot equality penalty expands coefficient-exact"):
         penalty = equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0))
-        assert terms(penalty) == {
+        assert penalty.terms() == {
             ("b1",): -1.0,
             ("b2",): -1.0,
             ("b3",): -1.0,
@@ -175,7 +174,7 @@ def test_criterion_06_quadratization_soundness():
             poly = Polynomial(coefficients)
             form = QuadraticForm.from_polynomial(poly)
             quadratized, registry = quadratize(form, estimate_lambda("ub-naive", form) + 1.0)
-            reduced = terms(quadratized)
+            reduced = quadratized.terms()
             assert max(map(len, reduced), default=0) <= 2
             aux = sorted(registry.values())
             if n + len(aux) > 18:
@@ -198,7 +197,7 @@ def test_criterion_07_boolean_penalties():
             for bits in itertools.product([0, 1], repeat=len(names)):
                 assignment = dict(zip(names, bits))
                 value = min(
-                    Polynomial(terms(penalty)).evaluate({**assignment, **dict(zip(aux_names, aux_bits))})
+                    Polynomial(penalty.terms()).evaluate({**assignment, **dict(zip(aux_names, aux_bits))})
                     for aux_bits in itertools.product([0, 1], repeat=len(aux_names))
                 )
                 if relation.truth({k: float(v) for k, v in assignment.items()}):
@@ -235,12 +234,11 @@ def test_criterion_09_qaoa_sanity():
             from qubo_forge.compiler import QuboModel
 
             model = QuboModel(QuadraticForm.from_polynomial(Polynomial(terms)), offset=0.0)
-            landscape = energies_over_assignments(model.quadratic, model.binary_variables())
+            landscape = energies_over_assignments(model.arrays.terms(), model.binary_variables())
             optimum = float(landscape.min())
             uniform_mean = float(landscape.mean())
-            params = SolverParams(runs=1, shots=200, layers=2, seed=3)
-            assert qaoa_expected_energy(model, params) < uniform_mean
-            solution = solve_qaoa_sim(model, params)
+            solution = solve_qaoa_sim(model, SolverParams(runs=1, shots=200, layers=2, seed=3))
+            assert solution.diagnostics["qaoa"]["expected_energy"] < uniform_mean
             assert solution.best_energy >= optimum - 1e-9
             if solution.best_energy == pytest.approx(optimum, abs=1e-9):
                 sampled_optimum += 1

@@ -47,16 +47,10 @@ from reference import (
     energies_over_assignments,
     lambda_interval,
     reference_compile,
-    terms,
     time_limit,
 )
 
 V = Polynomial.variable
-
-
-def as_polynomial(form) -> Polynomial:
-    """A compiled form's terms as a ``Polynomial``, to evaluate on assignments."""
-    return Polynomial(terms(form))
 
 
 @pytest.fixture
@@ -78,7 +72,7 @@ def min_over_aux(poly, base_assignment, aux_names):
 class TestComposeCost:
     def test_reference_cost_shape(self, mixed_parts):
         _, _, _, form = mixed_parts
-        cost = terms(form)
+        cost = form.terms()
         assert cost[()] == 4.0
         non_constant = {m: c for m, c in cost.items() if m}
         top_monomial = max(non_constant, key=non_constant.get)
@@ -89,7 +83,7 @@ class TestComposeCost:
 
     def test_reference_cost_matches_decoded_evaluation(self, mixed_parts):
         problem, plans, _, form = mixed_parts
-        cost = as_polynomial(form)
+        cost = Polynomial(form.terms())
         names = sorted(cost.variables())
         objective = problem.objectives[0].expr
         rng = np.random.default_rng(11)
@@ -103,12 +97,12 @@ class TestComposeCost:
         problem.add_binary_variable("a")
         problem.add_objective("7")
         cost = compose_cost(problem.objectives, {"a": encode(problem.variables[0])})
-        assert terms(cost) == {(): 7.0}
+        assert cost.terms() == {(): 7.0}
 
     def test_maximize_flips_sign(self, tiny_knapsack):
         plans = [encode(decl) for decl in tiny_knapsack.variables]
         cost = compose_cost(tiny_knapsack.objectives, {p.source: p for p in plans})
-        assert terms(cost) == {("obj_0#0",): -5.0, ("obj_1#0",): -10.0}
+        assert cost.terms() == {("obj_0#0",): -5.0, ("obj_1#0",): -10.0}
 
     def test_aggregation_weights_scale_terms(self):
         problem = Problem()
@@ -117,12 +111,12 @@ class TestComposeCost:
         problem.add_objective("x", weight=2.0)
         problem.add_objective("y", direction="maximize", weight=3.0)
         cost = compose_cost(problem.objectives, {decl.name: encode(decl) for decl in problem.variables})
-        assert terms(cost) == {("x#0",): 2.0, ("y#0",): -3.0}
+        assert cost.terms() == {("x#0",): 2.0, ("y#0",): -3.0}
 
 
 class TestEqualityPenalty:
     def test_one_hot_expansion(self):
-        penalty = terms(equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0)))
+        penalty = equality_penalty(Comparison(lhs=V("b1") + V("b2") + V("b3"), op="=", rhs=1.0)).terms()
         assert penalty == {
             ("b1",): -1.0, ("b2",): -1.0, ("b3",): -1.0,
             ("b1", "b2"): 2.0, ("b1", "b3"): 2.0, ("b2", "b3"): 2.0,
@@ -130,10 +124,10 @@ class TestEqualityPenalty:
         }
 
     def test_zero_equals_zero(self):
-        assert terms(equality_penalty(Comparison(lhs=Polynomial.zero(), op="=", rhs=0.0))) == {}
+        assert equality_penalty(Comparison(lhs=Polynomial.zero(), op="=", rhs=0.0)).terms() == {}
 
     def test_pair_sum_truth_table(self):
-        penalty = as_polynomial(equality_penalty(Comparison(lhs=V("b4") + V("b5"), op="=", rhs=2.0)))
+        penalty = Polynomial(equality_penalty(Comparison(lhs=V("b4") + V("b5"), op="=", rhs=2.0)).terms())
         expected = {(0, 0): 4.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 0.0}
         for bits, value in expected.items():
             assert penalty.evaluate(dict(zip(("b4", "b5"), bits))) == value
@@ -160,7 +154,7 @@ class TestInequalityPenalty:
         slack_names = block.slack_plan.binary_names() if block.slack_plan else []
         for bits in itertools.product([0, 1], repeat=2):
             base = {"x_0#0": bits[0], "x_1#0": bits[1]}
-            assert min_over_aux(as_polynomial(block.form), base, slack_names) == pytest.approx(0.0, abs=1e-9)
+            assert min_over_aux(Polynomial(block.form.terms()), base, slack_names) == pytest.approx(0.0, abs=1e-9)
 
     def test_knapsack_pair_enumeration(self, tiny_knapsack):
         model = compile_problem(tiny_knapsack)
@@ -172,7 +166,7 @@ class TestInequalityPenalty:
         for bits in itertools.product([0, 1], repeat=2):
             load = 2 * bits[0] + 3 * bits[1]
             base = {"obj_0#0": bits[0], "obj_1#0": bits[1]}
-            best = min_over_aux(as_polynomial(block.form), base, slack_names)
+            best = min_over_aux(Polynomial(block.form.terms()), base, slack_names)
             if load <= 4:
                 assert best == pytest.approx(0.0, abs=1e-9)
             else:
@@ -189,7 +183,7 @@ class TestInequalityPenalty:
         slack_names = block.slack_plan.binary_names() if block.slack_plan else []
         for bits in itertools.product([0, 1], repeat=2):
             base = {"x_0#0": bits[0], "x_1#0": bits[1]}
-            best = min_over_aux(as_polynomial(block.form), base, slack_names)
+            best = min_over_aux(Polynomial(block.form.terms()), base, slack_names)
             if sum(bits) > 1:  # only (1, 1) exceeds 1 strictly on an integer grid
                 assert best == pytest.approx(0.0, abs=1e-9)
             else:
@@ -205,7 +199,7 @@ class TestInequalityPenalty:
             model = compile_problem(problem)
         block = model.penalties[0]
         assert block.slack_plan is None
-        assert all(as_polynomial(block.form).evaluate({"x#0": b}) >= 1.0 for b in (0, 1))
+        assert all(Polynomial(block.form.terms()).evaluate({"x#0": b}) >= 1.0 for b in (0, 1))
 
     def test_binary_chain_inequality_uses_product_penalty(self):
         penalty, plan = inequality_to_penalty(
@@ -214,7 +208,7 @@ class TestInequalityPenalty:
         assert plan is None
         table = {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0}
         for (hi, lo), expected in table.items():
-            assert as_polynomial(penalty).evaluate({"hi": hi, "lo": lo}) == expected
+            assert Polynomial(penalty.terms()).evaluate({"hi": hi, "lo": lo}) == expected
 
 
 class TestBooleanPenalty:
@@ -226,7 +220,7 @@ class TestBooleanPenalty:
         names = list(inputs) + ["z"]
         for bits in itertools.product([0, 1], repeat=len(names)):
             assignment = dict(zip(names, bits))
-            value = min_over_aux(as_polynomial(penalty), assignment, aux_names)
+            value = min_over_aux(Polynomial(penalty.terms()), assignment, aux_names)
             consistent = relation.truth({k: float(v) for k, v in assignment.items()})
             if consistent:
                 assert value == pytest.approx(0.0, abs=1e-9)
@@ -236,16 +230,16 @@ class TestBooleanPenalty:
     def test_xor_example_row(self):
         penalty, aux_plan = boolean_penalty(BooleanRelation("xor", "z", ("x", "y")), "__bool0")
         aux = aux_plan.binary_names()[0]
-        assert as_polynomial(penalty).evaluate({"x": 1, "y": 0, "z": 1, aux: 1}) == 0.0
+        assert Polynomial(penalty.terms()).evaluate({"x": 1, "y": 0, "z": 1, aux: 1}) == 0.0
 
     def test_and_all_zero_row(self):
         penalty, _ = boolean_penalty(BooleanRelation("and", "z", ("x", "y")), "__bool0")
-        assert as_polynomial(penalty).evaluate({"x": 0, "y": 0, "z": 0}) == 0.0
+        assert Polynomial(penalty.terms()).evaluate({"x": 0, "y": 0, "z": 0}) == 0.0
 
     def test_not_rows(self):
         penalty, _ = boolean_penalty(BooleanRelation("not", "z", ("x",)), "__bool0")
-        assert as_polynomial(penalty).evaluate({"x": 1, "z": 0}) == 0.0
-        assert as_polynomial(penalty).evaluate({"x": 1, "z": 1}) == 1.0
+        assert Polynomial(penalty.terms()).evaluate({"x": 1, "z": 0}) == 0.0
+        assert Polynomial(penalty.terms()).evaluate({"x": 1, "z": 1}) == 1.0
 
 
 class TestLambdaEstimation:
@@ -298,7 +292,7 @@ class TestLambdaEstimation:
         model = compile_problem(problem.freeze(), CompileConfig(lambda_method="mqc"))
         assert abs(estimate_lambda("mqc", model.cost)) < COEFF_EPS
         assert model.lambdas() == [1.0]
-        assert model.quadratic.terms[("d#0", "d#1")] == -1.0
+        assert model.arrays.terms()[("d#0", "d#1")] == -1.0
 
     def test_manual_values(self, mixed_problem):
         model = compile_problem(mixed_problem, CompileConfig(lambda_method="manual", manual_lambdas=7.5))
@@ -328,7 +322,7 @@ def mixed_kinds_problem() -> Problem:
     return problem.freeze()
 
 
-def cubic_problem() -> Problem:
+def capacity_cubic_problem() -> Problem:
     """A degree-3 objective under a capacity: every model of it goes through ``quadratize``."""
     problem = Problem()
     problem.add_binary_variables_array("x", [4])
@@ -344,12 +338,12 @@ class TestReweighting:
         "readme": lambda request: request.getfixturevalue("mixed_problem"),
         "f3": lambda request: load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1],
         "mixed": lambda request: mixed_kinds_problem(),
-        "cubic": lambda request: cubic_problem(),
+        "cubic": lambda request: capacity_cubic_problem(),
     }
 
     @staticmethod
     def terms(model):
-        return list(model.quadratic), model.offset, model.aux_registry, model.lambdas()
+        return list(model.arrays.terms().items()), model.aux_registry, model.lambdas()
 
     @pytest.mark.parametrize("name", PROBLEMS)
     def test_compile_and_reweight_agree_term_for_term(self, name, request):
@@ -504,7 +498,7 @@ class TestQuadratize:
     def test_matches_whole_polynomial_rebuild(self, poly, scale):
         reduced, registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
         expected, expected_registry = rebuild_quadratize(poly, scale)
-        assert sorted(exact_terms(terms(reduced))) == sorted(exact_terms(expected))
+        assert sorted(exact_terms(reduced.terms())) == sorted(exact_terms(expected))
         assert list(registry.items()) == list(expected_registry.items())
 
     def test_ties_break_on_the_smallest_pair(self):
@@ -513,7 +507,7 @@ class TestQuadratize:
             {("a", "b", "c", "d"): 1.0, ("b", "c", "e"): 2.0, ("a", "b"): 0.5, ("a", "d", "e"): -1.5, ("c", "e", "f"): 0.25}
         )
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=6.0)
-        reduced = as_polynomial(form)
+        reduced = Polynomial(form.terms())
         assert list(registry.items()) == [(("a", "d"), "__aux0"), (("b", "c"), "__aux1"), (("c", "e"), "__aux2")]
         names = ("a", "b", "c", "d", "e", "f")
         for bits in itertools.product([0, 1], repeat=6):
@@ -523,7 +517,7 @@ class TestQuadratize:
     def test_triple_product(self):
         poly = Polynomial({("b1", "b2", "b3"): 1.0})
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=2.0)
-        reduced = as_polynomial(form)
+        reduced = Polynomial(form.terms())
         assert reduced.degree() <= 2
         assert registry == {("b1", "b2"): "__aux0"}
         for bits in itertools.product([0, 1], repeat=3):
@@ -533,12 +527,12 @@ class TestQuadratize:
     def test_quadratic_input_untouched(self):
         poly = Polynomial({("a", "b"): 1.5, ("a",): -1.0})
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=10.0)
-        assert terms(form) == poly.terms and registry == {}
+        assert form.terms() == poly.terms and registry == {}
 
     def test_shared_pair_gets_single_aux(self):
         poly = Polynomial({("b1", "b2", "b3"): 1.0, ("b1", "b2", "b4"): 1.0})
         form, registry = quadratize(QuadraticForm.from_polynomial(poly), penalty_scale=3.0)
-        reduced = as_polynomial(form)
+        reduced = Polynomial(form.terms())
         assert list(registry) == [("b1", "b2")]
         names = ("b1", "b2", "b3", "b4")
         for bits in itertools.product([0, 1], repeat=4):
@@ -550,8 +544,8 @@ class TestQuadratize:
 class TestCompile:
     def test_reference_model_invariants(self, mixed_problem):
         model = compile_problem(mixed_problem)
-        assert model.quadratic.degree() <= 2
-        assert model.quadratic.constant_term == 0.0
+        quadratic = Polynomial(model.arrays.terms())
+        assert quadratic.degree() <= 2 and quadratic.constant_term == model.offset
         # every binary belongs to exactly one owner: encoding, slack, or aux
         owners = {}
         for plan in model.encodings:
@@ -572,7 +566,7 @@ class TestCompile:
         problem.add_objective("b")
         problem.freeze()
         model = compile_problem(problem)
-        assert model.quadratic.terms == {("b#0",): 1.0}
+        assert model.arrays.terms() == {("b#0",): 1.0}
         assert model.offset == 0.0 and model.penalties == []
 
     def test_penalties_nonnegative_and_zero_on_feasible(self, tiny_knapsack):
@@ -583,7 +577,7 @@ class TestCompile:
             zeroed = False
             for bits in itertools.product([0, 1], repeat=len(names)):
                 assignment = dict(zip(names, bits))
-                value = as_polynomial(block.form).evaluate(assignment)
+                value = Polynomial(block.form.terms()).evaluate(assignment)
                 assert value >= -1e-9
                 zeroed = zeroed or abs(value) < 1e-9
             assert zeroed
@@ -602,14 +596,15 @@ class TestCompile:
         problem.add_objective("x*y*z - x")
         problem.freeze()
         model = compile_problem(problem)
-        assert model.quadratic.degree() <= 2
+        quadratic = Polynomial(model.arrays.terms())
+        assert quadratic.degree() <= 2
         assert model.aux_registry
         ex_names = model.binary_variables()
         aux_names = sorted(model.aux_registry.values())
         for bits in itertools.product([0, 1], repeat=3):
             base = {"x#0": bits[0], "y#0": bits[1], "z#0": bits[2]}
             want = bits[0] * bits[1] * bits[2] - bits[0]
-            got = min_over_aux(model.quadratic + Polynomial.constant(model.offset), base, aux_names)
+            got = min_over_aux(quadratic, base, aux_names)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_model_json_and_matrix_export(self, mixed_problem, tmp_path):
@@ -620,19 +615,20 @@ class TestCompile:
         rebuilt = Polynomial(
             {tuple([name]): coeff for name, coeff in data["linear"]}
             | {(a, b): coeff for a, b, coeff in data["quadratic"]}
+            | {(): data["offset"]}
         )
-        assert rebuilt == model.quadratic
+        assert rebuilt == Polynomial(model.arrays.terms())
         path = tmp_path / "model.txt"
         model.save_matrix(path)
         lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
         order = model.binary_variables()
-        total = Polynomial.zero()
+        total = Polynomial.constant(model.offset)
         for line in lines:
             i, j, value = line.split()
             i, j = int(i), int(j)
             mono = (order[i],) if i == j else tuple(sorted((order[i], order[j])))
             total = total + Polynomial({mono: float(value)})
-        assert total == model.quadratic
+        assert total == Polynomial(model.arrays.terms())
 
 
 def cubic_problem() -> Problem:
@@ -656,12 +652,11 @@ class TestArrayForm:
             problem = request.getfixturevalue(fixture)
         model = compile_problem(problem)
         assert fixture != "cubic" or model.aux_registry
-        order = model.binary_variables()
+        order, poly = model.binary_variables(), Polynomial(model.arrays.terms())
         rng = np.random.default_rng(4)
         for _ in range(25):
             assignment = dict(zip(order, rng.integers(0, 2, len(order)).tolist()))
-            expected = model.quadratic.evaluate(assignment) + model.offset
-            assert model.energy(assignment) == pytest.approx(expected, rel=1e-12)
+            assert model.energy(assignment) == pytest.approx(poly.evaluate(assignment), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -737,7 +732,7 @@ class TestArrayForm:
     def test_energy_names_a_missing_binary(self, mixed_problem):
         model = compile_problem(mixed_problem)
         assignment = dict.fromkeys(model.binary_variables(), 0)
-        del assignment[sorted(model.quadratic.variables())[0]]
+        del assignment[model.binary_variables()[0]]
         with pytest.raises(ValueError, match="no value assigned"):
             model.energy(assignment)
 
@@ -815,7 +810,7 @@ def test_weighted_sum_is_the_rounded_exact_sum(case, names):
     forms, exact = case
     expected: dict = {}
     for scale, form in forms:
-        for mono, coeff in terms(form).items():
+        for mono, coeff in form.terms().items():
             product = Exact.of(scale) * Exact.of(coeff)
             expected[mono] = expected[mono] + product if mono in expected else product
     got = compiler._weighted_sum(forms, names)
@@ -854,7 +849,7 @@ def test_a_sparse_model_compiles_in_memory_linear_in_its_terms():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(model.binary_variables()) == 2005 and len(model.quadratic) > 8000
+    assert len(model.binary_variables()) == 2005 and len(model.arrays.terms()) > 8000
     assert peak < 20e6, peak
 
 
@@ -1038,8 +1033,9 @@ class TestStats:
         stats = model.stats
         assert stats["degree"] == 3 and model.aux_registry == {("x#0", "y#0"): "__aux0"}
         assert stats["binaries"] == {"total": 9, "encoding": 5, "slack": 3, "boolean_aux": 0, "quadratization_aux": 1}
-        assert stats["terms"]["linear"] + stats["terms"]["couplers"] == len(model.quadratic)
-        magnitudes = [abs(c) for _, c in model.quadratic]
+        terms = {mono: coeff for mono, coeff in model.arrays.terms().items() if mono}
+        assert stats["terms"]["linear"] + stats["terms"]["couplers"] == len(terms)
+        magnitudes = [abs(c) for c in terms.values()]
         assert stats["dynamic_range"] == max(magnitudes) / min(magnitudes)
 
     def test_boolean_auxiliary_and_a_built_model(self):
@@ -1129,6 +1125,30 @@ class TestDomainWall:
         assert solution_is_valid(model, solution.best_binary, solution.best_decoded)
 
 
+@pytest.mark.parametrize("less, greater", [("x <= y", "y >= x"), ("x - y <= 0", "y - x >= 0")])
+def test_a_two_binary_less_equal_needs_no_slack_as_its_greater_equal(less, greater):
+    """``x <= y`` over binaries is the product penalty of ``y >= x``: the same arrays, λ and ground state."""
+    models = []
+    for comparison in (less, greater):
+        problem = Problem()
+        problem.add_binary_variable("x")
+        problem.add_binary_variable("y")
+        problem.add_objective("y - 2*x")  # alone, x = 1 with y = 0
+        problem.add_constraint(comparison)
+        models.append(compile_problem(problem.freeze()))
+    assert [model.binary_variables() for model in models] == [["x#0", "y#0"]] * 2
+    assert [block.slack_plan for model in models for block in model.penalties] == [None, None]
+    first, second = (model.arrays for model in models)
+    for name in ("linear", "rows", "cols", "values"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+    assert (first.offset.hex(), models[0].lambdas()) == (second.offset.hex(), models[1].lambdas())
+    from qubo_forge.solvers import solve_exhaustive
+
+    ground = [solve_exhaustive(model) for model in models]
+    assert ground[0].best_decoded == ground[1].best_decoded == {"x": 1.0, "y": 1.0}
+    assert ground[0].energies == ground[1].energies
+
+
 # -- degree >= 3: the expander, quadratization and the compile budget ----------------------
 
 
@@ -1187,30 +1207,6 @@ def test_expansion_follows_the_float_rule(case):
     assert_follows_the_float_rule(model, reference, config, exact=exact)
 
 
-def rescanning_registry(poly):
-    """The pair choice as one loop that counts every pair's holders again for each auxiliary."""
-    registry = {}
-    current = {mono: mono for mono, _ in poly if len(mono) >= 3}
-    holders = {}
-    for mono in current:
-        for pair in itertools.combinations(mono, 2):
-            holders.setdefault(pair, set()).add(mono)
-    while holders:
-        top = max(map(len, holders.values()))
-        pair = min(p for p, held in holders.items() if len(held) == top)
-        aux = registry[pair] = f"__aux{len(registry)}"
-        for mono in list(holders[pair]):
-            for old in itertools.combinations(current[mono], 2):
-                holders[old].discard(mono)
-                if not holders[old]:
-                    del holders[old]
-            current[mono] = form = tuple(sorted([name for name in current[mono] if name not in pair] + [aux]))
-            if len(form) >= 3:
-                for new in itertools.combinations(form, 2):
-                    holders.setdefault(new, set()).add(mono)
-    return registry
-
-
 _BINARY_MULTILINEAR = st.dictionaries(
     st.lists(st.sampled_from([f"b{k}" for k in range(8)]), min_size=0, max_size=5, unique=True).map(lambda m: tuple(sorted(m))),
     _EXACT_COEFFS,
@@ -1223,11 +1219,11 @@ _BINARY_MULTILINEAR = st.dictionaries(
 @given(poly=_BINARY_MULTILINEAR)
 def test_quadratize_minimum_over_auxiliaries_is_the_input(poly):
     """Degree <= 5 over <= 8 binaries, dyadic: on every assignment the output minimized over the auxiliaries is
-    the input, exactly, and the registry is the rescanning loop's."""
+    the input, exactly, and the registry is the whole-polynomial rebuild's."""
     scale = estimate_lambda("ub-naive", QuadraticForm.from_polynomial(poly)) + 1.0
     form, registry = quadratize(QuadraticForm.from_polynomial(poly), scale)
-    reduced = terms(form)
-    assert max(map(len, reduced), default=0) <= 2 and not form.higher and registry == rescanning_registry(poly)
+    reduced = form.terms()
+    assert max(map(len, reduced), default=0) <= 2 and not form.higher and registry == rebuild_quadratize(poly, scale)[1]
     names, aux = sorted(poly.variables()), list(registry.values())
     assume(len(names) + len(aux) <= 16)
     minimized = energies_over_assignments(reduced, names + aux).reshape(2 ** len(aux), 2 ** len(names)).min(axis=0)
@@ -1336,6 +1332,18 @@ def count_polynomials(monkeypatch) -> list:
     monkeypatch.setattr(Polynomial, "__init__", counted_init)
     monkeypatch.setattr(Polynomial, "_wrap", classmethod(counted_wrap))
     return built
+
+
+def test_the_model_view_counts_its_terms_without_building_them(mixed_problem, monkeypatch):
+    """``model.quadratic`` is no ``Polynomial``: ``len`` counts the linear terms and couplers from the arrays, and
+    iterating it yields ``model.arrays.terms()`` without the offset."""
+    model = compile_problem(mixed_problem)
+    expected = [(mono, coeff) for mono, coeff in model.arrays.terms().items() if mono]
+    assert model.offset and not isinstance(model.quadratic, Polynomial)
+    with monkeypatch.context() as patch:
+        patch.setattr(QuadraticForm, "terms", mock.Mock(side_effect=AssertionError("the terms were built")))
+        assert len(model.quadratic) == len(expected) == 78
+    assert list(model.quadratic) == expected
 
 
 @pytest.mark.parametrize("name", ["mixed_problem", "tiny_knapsack", "cubic chain", "gates", "non-linear constraint"])

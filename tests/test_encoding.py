@@ -186,7 +186,8 @@ class TestEncodingProperties:
         plan = encode_range("v", -2, 2, 0.25, method="logarithmic")
         names = plan.binary_names()
         poly = Polynomial({("v",): 3.0, ("v", "v"): 1.5, (): -0.5})
-        substituted = poly.substitute("v", plan.affine())
+        affine = Polynomial({**{(name,): weight for name, weight in plan.binaries}, (): plan.offset})
+        substituted = poly.substitute("v", affine)
         for _ in range(100):
             bits = {name: int(rng.integers(0, 2)) for name in names}
             assert substituted.evaluate(bits) == pytest.approx(

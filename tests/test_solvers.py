@@ -33,7 +33,6 @@ from qubo_forge.solvers import (
     SolverParams,
     UpdateStrategy,
     next_lambda,
-    qaoa_expected_energy,
     solve,
     solve_exhaustive,
     solve_qaoa_sim,
@@ -79,11 +78,11 @@ def brute_force_top(model: QuboModel, k_best: int) -> tuple[list[int], list[floa
     flat = itertools.chain.from_iterable(itertools.product((0, 1), repeat=n))
     bits = np.fromiter(flat, dtype=np.int64, count=n * 2**n).reshape(2**n, n)[:, ::-1]  # row r is index r
     position = {name: k for k, name in enumerate(order)}
-    energies = np.full(2**n, int(model.offset), dtype=np.int64)
-    for mono, coeff in model.quadratic:
+    energies = np.zeros(2**n, dtype=np.int64)
+    for mono, coeff in model.arrays.terms().items():
         assert coeff == int(coeff)
-        product = bits[:, position[mono[0]]]
-        for name in mono[1:]:
+        product = np.ones(2**n, dtype=np.int64)
+        for name in mono:
             product = product * bits[:, position[name]]
         energies += int(coeff) * product
     best = heapq.nsmallest(k_best, zip(energies.tolist(), itertools.count()))
@@ -171,6 +170,15 @@ class TestExhaustive:
         assert solution.best_binary == {"b": 0}
         assert solution.best_energy == 0.0
 
+    def test_optimum_at_the_cap(self):
+        """26 binaries: the odd positions want 1, and one coupler pays for switching on ``v24`` (+25)."""
+        n = EXHAUSTIVE_DEFAULT_CAP
+        terms = {(f"v{k:02d}",): float((-1) ** k * (k + 1)) for k in range(n)}
+        terms[("v03", "v24")] = -100.0
+        solution = solve_exhaustive(bare_model(terms))
+        assert solution.best_binary == {f"v{k:02d}": int(k % 2 == 1 or k == 24) for k in range(n)}
+        assert solution.best_energy == -257.0
+
     def test_bundled_knapsack_optimum(self):
         instance, problem = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
         model = compile_problem(problem)
@@ -184,11 +192,8 @@ class TestExhaustive:
         rng = np.random.default_rng(3)
         model = random_model(rng, 6)
         solution = solve_exhaustive(model, SolverParams(k_best=4))
-        names = model.binary_variables()
-        brute = min(
-            model.quadratic.evaluate(dict(zip(names, bits))) + model.offset
-            for bits in itertools.product([0, 1], repeat=len(names))
-        )
+        names, poly = model.binary_variables(), Polynomial(model.arrays.terms())
+        brute = min(poly.evaluate(dict(zip(names, bits))) for bits in itertools.product([0, 1], repeat=len(names)))
         assert solution.best_energy == pytest.approx(brute, abs=1e-12)
         assert len(solution.samples) == 4
         assert solution.energies == sorted(solution.energies)
@@ -265,8 +270,8 @@ class TestExhaustive:
         assert len(order) == n
         position = {name: k for k, name in enumerate(order)}
         indices = np.arange(2**n, dtype=np.int64)
-        eighths = np.full(2**n, int(model.offset * 8), dtype=np.int64)
-        for mono, coeff in model.quadratic:
+        eighths = np.zeros(2**n, dtype=np.int64)
+        for mono, coeff in model.arrays.terms().items():
             product = np.ones(2**n, dtype=np.int64)
             for name in mono:
                 product &= (indices >> position[name]) & 1
@@ -480,6 +485,13 @@ class TestSimulatedAnnealing:
 
 
 class TestQaoa:
+    def test_run_times_share_the_whole_solve(self, mixed_problem):
+        """Each run's time is an equal share of the solve's wall time, the angle search included."""
+        solution = solve_qaoa_sim(compile_problem(mixed_problem), SolverParams(runs=3, shots=20, layers=1, record_time=True))
+        qaoa, run_times = solution.diagnostics["qaoa"], solution.run_times
+        assert len(run_times) == 3 and len(set(run_times)) == 1
+        assert sum(run_times) >= qaoa["evaluations"] / qaoa["evaluations_per_s"]
+
     def test_single_variable_optimum_dominates(self):
         model = bare_model({("b",): 1.0})
         solution = solve_qaoa_sim(model, SolverParams(runs=1, shots=50, layers=1, seed=1))
@@ -493,9 +505,8 @@ class TestQaoa:
         solution = solve_qaoa_sim(model, SolverParams(runs=1, shots=100, layers=2, seed=2))
         assert solution.best_binary == {"b1": 1, "b2": 1}
         assert solution.best_energy == -1.0
-        expected = qaoa_expected_energy(model, SolverParams(layers=2))
         uniform = float(np.mean(solve_exhaustive(model, SolverParams(k_best=4)).energies))
-        assert expected < uniform
+        assert solution.diagnostics["qaoa"]["expected_energy"] < uniform
 
     def test_size_cap(self):
         terms = {(f"v{i}",): 1.0 for i in range(17)}
@@ -511,7 +522,7 @@ class TestQaoa:
         solution = solve_qaoa_sim(model, params)
         assert solution.best_energy >= oracle.best_energy - 1e-9
         uniform = float(np.mean(solve_exhaustive(model, SolverParams(k_best=2**13)).energies))
-        assert qaoa_expected_energy(model, SolverParams(layers=2)) < uniform
+        assert solution.diagnostics["qaoa"]["expected_energy"] < uniform
         assert solution.best_energy < uniform
 
     def test_import_leaves_scipy_unloaded(self):
@@ -636,7 +647,8 @@ class TestQaoa:
         assert type(qaoa["evaluations_per_s"]) is float and qaoa["evaluations_per_s"] > 0
         assert type(qaoa["converged"]) is bool and qaoa["converged"]
         assert type(qaoa["expected_energy"]) is float
-        assert qaoa["expected_energy"] == qaoa_expected_energy(model, params)
+        _, energies, probabilities, _ = solvers._qaoa_distribution(model, params)
+        assert qaoa["expected_energy"] == pytest.approx(float(probabilities @ energies), rel=1e-12, abs=0)
         assert type(qaoa["ground_state_probability"]) is float
         assert 0 < qaoa["ground_state_probability"] <= 1
 
@@ -687,7 +699,8 @@ class TestQaoa:
 
     def test_readme_expectation_beats_the_nelder_mead_search(self, mixed_problem):
         # 32.19 is what Nelder-Mead from the same three ramp starts reached at p = 2
-        assert qaoa_expected_energy(compile_problem(mixed_problem), SolverParams(layers=2)) < 32.19
+        expected = solvers._qaoa_distribution(compile_problem(mixed_problem), SolverParams(layers=2))[3]["expected_energy"]
+        assert expected < 32.19
 
 
 class TestCrossSolverProperties:
