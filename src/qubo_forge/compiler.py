@@ -188,17 +188,25 @@ class QuadraticForm:
     @cached_property
     def _exact_in_any_order(self) -> bool:
         """Whether every sum of coefficients is exact: each nonzero one, the offset included, is a multiple
-        of ``2**-p`` and their magnitudes times ``2**p`` sum below ``2**53``."""
+        of ``2**-p`` and their magnitudes times ``2**p`` sum below ``2**53``.
+
+        Scaling by ``2**p`` commutes with rounding, and a float sum of non-negative integers, in any order,
+        ends below ``2**53`` exactly when the exact sum does: so one numpy sum of the magnitudes decides."""
         coefficients = np.abs(np.append(self.coefficients(), self.offset))
         coefficients = coefficients[coefficients != 0.0]
         if not len(coefficients):
             return True
         mantissa, exponent = np.frexp(coefficients)  # |c| = digits·2**(exponent - 53), digits a 53-bit integer
-        digits = (mantissa * 2.0**53).astype(np.int64)
-        trailing = np.frexp((digits & -digits).astype(float))[1] - 1  # digits' trailing zero bits
-        with np.errstate(over="ignore"):  # a coefficient scaled past the float range is past the bound too
-            scaled = np.ldexp(coefficients, int(np.max(53 - exponent - trailing)))
-        return bool(scaled.max() < 2.0**53) and math.fsum(scaled.tolist()) < 2.0**53
+        mantissa *= 2.0**53
+        digits = mantissa.astype(np.int64)
+        del mantissa
+        digits &= -digits
+        trailing = np.frexp(digits.astype(float))[1] - 1  # digits' trailing zero bits
+        del digits
+        p = int(np.max(53 - exponent - trailing))
+        del exponent, trailing
+        with np.errstate(over="ignore"):  # a sum past the float range, or scaled past it, is past the bound too
+            return bool(np.ldexp(coefficients.sum(), p) < 2.0**53)
 
     def energies(self, bits: np.ndarray) -> list[float]:
         """Energy of each row of a ``k × n`` matrix: the correctly rounded sum of its terms.

@@ -2,12 +2,18 @@
 
 import argparse
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from qubo_forge.analysis import load_report
+import qubo_forge
+from qubo_forge.analysis import load_report, save_report
 from qubo_forge.cli import (
     _FLAG_TYPES,
     _OPTION_DEFAULTS,
@@ -160,6 +166,8 @@ class TestSolveCommand:
         report = json.loads((out / "f3.problem.report.json").read_text())
         assert report == json.loads((out / "f3.problem.solution.json").read_text())["report"]
         assert report["t_f"] is not None
+        save_report(tmp_path / "resaved.json", *load_report(out / "f3.problem.solution.json"))
+        assert (tmp_path / "resaved.json").read_bytes() == (out / "f3.problem.solution.json").read_bytes()
 
     def test_infeasible_after_retries_exits_two(self, tmp_path):
         problem = Problem()
@@ -280,6 +288,24 @@ class TestSolveCommand:
                 },
                 "error: unknown continuous encoding 'bogus'",
             ),
+            (
+                {
+                    "variables": [{"name": "x", "kind": "binary"}],
+                    "objectives": [{"expression": "x"}],
+                    "constraints": [{"boolean": {"kind": "not", "output": "x", "inputs": ["x"]}, "slack_precision": 0.5}],
+                },
+                "error: problem file: constraints[0].slack_precision: not a key of a boolean constraint",
+            ),
+            (
+                {
+                    "variables": [
+                        {"name": "c", "kind": "continuous", "low": 0, "high": 1, "precision": 0.25, "encoding": "bounded", "bound": 0.1}
+                    ],
+                    "objectives": [{"expression": "c"}],
+                    "constraints": [],
+                },
+                "error: coefficient bound 0.1 is below the precision 0.25",
+            ),
         ],
     )
     def test_pinned_robustness_cases_are_error_lines(self, change, message, tmp_path, capsys):
@@ -326,6 +352,85 @@ class TestSolveCommand:
 
     def test_missing_file_is_an_error(self, tmp_path):
         assert run_cli("solve", tmp_path / "nope.json") == 1
+
+    def test_a_bad_file_ends_the_process_with_an_error_line(self, tmp_path):
+        """The interpreter's own exit: status 1 and an ``error:`` line, with no traceback on stderr."""
+        path = tmp_path / "bad.problem.json"
+        path.write_text(json.dumps({"schema": "qubo-forge-problem/1", "variables": 3}))
+        src = str(Path(qubo_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = [sys.executable, "-m", "qubo_forge.cli", "solve", str(path), "--out-dir", str(tmp_path)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: problem file: variables: expected array") and "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize(
+        "document, expected",
+        [
+            (  # boolean relations, a domain-wall and a dictionary variable: 17 binaries
+                {
+                    "variables": [
+                        *({"name": name, "kind": "binary"} for name in "xyaoen"),
+                        {"name": "d", "kind": "continuous", "low": 0, "high": 2, "precision": 0.5, "encoding": "domain_wall"},
+                        {"name": "k", "kind": "discrete", "levels": [1, 2, 4]},
+                    ],
+                    "objectives": [{"expression": "x + d + k - 2*a + o + 3*e + n", "direction": "maximize"}],
+                    "constraints": [
+                        {"boolean": {"kind": "and", "output": "a", "inputs": ["x", "y"]}},
+                        {"boolean": {"kind": "or", "output": "o", "inputs": ["x", "y"]}},
+                        {"boolean": {"kind": "xor", "output": "e", "inputs": ["x", "y"]}},
+                        {"boolean": {"kind": "not", "output": "n", "inputs": ["x"]}},
+                        {"comparison": "d + k <= 4"},
+                    ],
+                },
+                {"best_energy": -9},
+            ),
+            (  # a non-linear constraint: 15 binaries, quadratization auxiliaries among them
+                {
+                    "variables": [
+                        {"name": "x", "kind": "continuous", "low": 0, "high": 3, "precision": 1},
+                        {"name": "y", "kind": "discrete", "levels": [1, 2, 4]},
+                        {"name": "b", "kind": "binary"},
+                    ],
+                    "objectives": [{"expression": "x + y + b", "direction": "maximize"}],
+                    "constraints": [{"comparison": "x*y + b <= 5"}],
+                },
+                {"best_energy": -6, "best_decoded": {"b": 1, "x": 1, "y": 4}},
+            ),
+        ],
+        ids=["gates", "non-linear"],
+    )
+    def test_problem_files_solve_to_their_optimum(self, document, expected, tmp_path):
+        path = tmp_path / "p.problem.json"
+        path.write_text(json.dumps({"schema": "qubo-forge-problem/1"} | document))
+        assert run_cli("solve", path, "--solver", "exhaustive", "--out-dir", tmp_path) == 0
+        solution = json.loads((tmp_path / "p.problem.solution.json").read_text())["solution"]
+        assert {key: solution[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("instance", ["f3", "iris"])  # iris compiles a float model
+    def test_sample_energies_are_the_model_file_energies(self, instance, f3_problem_file, tmp_path):
+        path = f3_problem_file
+        if instance == "iris":
+            path = tmp_path / "iris.problem.json"
+            assert run_cli("regression", bundled_data("iris30.csv"), "--min", -0.25, "--max", 0.25, "--precision", 0.25, "-o", path) == 0
+        assert run_cli("solve", path, "--solver", "sa", "--seed", 5, "--out-dir", tmp_path / "o") == 0
+        model = json.loads((tmp_path / "o" / f"{path.stem}.model.json").read_text())
+        samples = json.loads((tmp_path / "o" / f"{path.stem}.solution.json").read_text())["solution"]["samples"]
+        size = 1.0 + math.fsum(abs(c) for c in [model["offset"], *(t[-1] for t in model["linear"] + model["quadratic"])])
+        for sample in samples:
+            x = sample["assignment"]
+            energy = math.fsum(
+                [model["offset"]]
+                + [c * x[name] for name, c in model["linear"]]
+                + [c * x[left] * x[right] for left, right, c in model["quadratic"]]
+            )
+            assert abs(energy - sample["energy"]) <= 1e-9 * size, (energy, sample["energy"])
+
+    def test_qaoa_at_three_layers(self, f3_problem_file, tmp_path):
+        with time_limit(60.0):
+            assert run_cli("solve", f3_problem_file, "--solver", "qaoa", "--layers", 3, "--out-dir", tmp_path) == 0
+        _, _, meta = load_report(tmp_path / "f3.problem.solution.json")
+        assert meta["solver"] == "qaoa"
 
     def test_env_var_overrides_out_dir(self, mixed_problem_file, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"
@@ -464,16 +569,16 @@ class TestCompareCommand:
     def test_per_run_rows(self, f3_problem_file, tmp_path):
         out = tmp_path / "cmp"
         argv = ["compare", f3_problem_file, "--solvers", "exhaustive,sa,qaoa", "--runs", 5, "--seed", 3]
-        assert run_cli(*argv, "--out-dir", out) == 0
+        assert run_cli(*argv, "--val-ref", -30, "--out-dir", out) == 0
         rows = {entry["solver"]: entry for entry in json.loads((out / "f3.problem.compare.json").read_text())}
-        assert rows["exhaustive"]["valid_rate"] == 100.0  # one run: the oracle's optimum
+        assert (rows["exhaustive"]["valid_rate"], rows["exhaustive"]["p_range"]) == (100.0, 100.0)  # one run: the optimum
         cdf = (out / "f3.problem.exhaustive.cdf.csv").read_text().splitlines()
         assert cdf == ["energy,cumulative_fraction", "-35,1"]
 
         timed = tmp_path / "timed"
         assert run_cli(*argv, "--val-ref", -1e9, "--time", "--out-dir", timed) == 0
         summary = json.loads((timed / "f3.problem.compare.json").read_text())
-        assert [entry["tts"] for entry in summary] == ["inf"] * 3
+        assert [(entry["p_range"], entry["tts"]) for entry in summary] == [(0.0, "inf")] * 3
 
     def test_negative_values_with_an_exponent(self, f3_problem_file, tmp_path, capsys):
         out = tmp_path / "cmp"

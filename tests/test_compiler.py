@@ -839,18 +839,36 @@ def sparse_max_cut(n, seed=0):
 
 
 def test_a_sparse_model_compiles_in_memory_linear_in_its_terms():
-    """2,000 binaries and about 9,000 terms: dense n × n stages would hold 32 MB per matrix."""
+    """5,000 and 20,000 binaries, about 21,000 and 81,000 terms: dense n × n stages would hold 200 MB per
+    matrix at 5,000.  Four times the terms peak about four times higher when each stage is linear in its
+    terms, and about sixteen times with a dense stage."""
     import tracemalloc
 
-    problem = sparse_max_cut(2000)
-    tracemalloc.start()
-    try:
-        model = compile_problem(problem)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(model.binary_variables()) == 2005 and len(model.arrays.terms()) > 8000
-    assert peak < 20e6, peak
+    peaks = {}
+    for n in (5_000, 20_000):
+        problem = sparse_max_cut(n)
+        tracemalloc.start()
+        try:
+            model = compile_problem(problem)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.binary_variables()) == n + 5 and len(model.arrays.terms()) > 4 * n
+    assert peaks[5_000] < 20e6 and peaks[20_000] < min(6 * peaks[5_000], 100e6), peaks
+
+
+def test_a_dense_mixed_model_compiles_within_a_minute():
+    """80 five-binary variables under a dense quadratic objective of 3,240 parsed terms: 80,200 binary terms."""
+    n = 80
+    rng = np.random.default_rng(0)
+    with time_limit(60.0):
+        problem = Problem()
+        names = problem.add_continuous_variables_array("c", [n], -2.0, 2.0, 0.25)
+        q = np.round(rng.normal(size=(n, n)), 6).tolist()
+        problem.add_objective(" + ".join(f"{q[i][j]!r}*{names[i]}*{names[j]}" for i in range(n) for j in range(i, n)))
+        problem.add_constraint(" + ".join(names) + " = 1")
+        model = compile_problem(problem.freeze())
+    assert len(model.binary_variables()) == 400 and sum(model.stats["terms"].values()) == 80_200
 
 
 _EXACT_COEFFS = st.one_of(st.integers(-6, 6).map(float), st.integers(-24, 24).map(lambda k: k / 8))

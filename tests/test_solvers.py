@@ -66,6 +66,15 @@ def integer_model(rng: np.random.Generator, n: int) -> QuboModel:
     return bare_model(terms)
 
 
+def dense_model(n: int, coefficients: np.ndarray) -> QuboModel:
+    """Every linear term and coupler over ``n`` binaries, built as arrays: the ``n`` linear coefficients, then
+    the couplers in row-major order; a zero coupler is not held."""
+    rows, cols = np.triu_indices(n, 1)
+    kept = coefficients[n:] != 0.0
+    order = tuple(f"v{k:04d}" for k in range(n))
+    return QuboModel(QuadraticForm(order, coefficients[:n], rows[kept], cols[kept], coefficients[n:][kept]))
+
+
 def brute_force_top(model: QuboModel, k_best: int) -> tuple[list[int], list[float]]:
     """The ``k_best`` smallest ``(energy, index)`` pairs of an integer-coefficient model.
 
@@ -250,6 +259,16 @@ class TestExhaustive:
         assert solution.best_binary == expected
         assert solution.best_energy == -sum(range(2, n + 1, 2)) + 25 - 100  # -257
         assert solution.energies == sorted(solution.energies)
+
+    def test_dense_float_model_at_the_cap(self):
+        """26 binaries, every coupler, normal coefficients: 1,024 blocks, and energies finished by ``fsum``."""
+        n = EXHAUSTIVE_DEFAULT_CAP
+        model = dense_model(n, np.random.default_rng(0).normal(size=n * (n + 1) // 2))
+        assert not model.arrays._exact_in_any_order
+        solution = solve_exhaustive(model)
+        assert len(solution.energies) == 1000 and solution.energies == sorted(solution.energies)
+        assert len(np.unique(solution.bits, axis=0)) == 1000
+        assert solution.best_energy == solution.energies[0]
 
 
     @settings(max_examples=40, deadline=None)
@@ -460,6 +479,23 @@ class TestSimulatedAnnealing:
         assert type(exhaustive["assignments_per_s"]) is float and exhaustive["assignments_per_s"] > 0
         assert type(exhaustive["candidates"]) is int and exhaustive["candidates"] > 0
 
+    def test_dense_thousand_binary_model_in_bounded_memory(self):
+        """The dense couplings take ``8·n²`` bytes, twice that while built, and the chunk buffers about 512 KB.
+        Buffers for the whole 100-sweep schedule would add 41 MB, and a Python list of every coefficient about 15 MB."""
+        import tracemalloc
+
+        n = 1000
+        model = dense_model(n, np.random.default_rng(0).integers(-5, 6, size=n * (n + 1) // 2).astype(float))
+        tracemalloc.start()
+        try:
+            solution = solve_sa(model, SolverParams(runs=10, sweeps=100, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n * n, peak
+        assert 1.0 <= solution.diagnostics["sa"]["rounds_per_block"] <= solvers._SA_BLOCK + 1
+        assert solution.bits.shape == (10, n) and solution.best_energy < 0
+
     def test_zero_variable_model(self):
         solution = solve_sa(bare_model({}, offset=3.5), SolverParams(runs=3, seed=0))
         assert solution.best_energy == 3.5
@@ -512,6 +548,13 @@ class TestQaoa:
         terms = {(f"v{i}",): 1.0 for i in range(17)}
         with pytest.raises(ValueError, match="at most 16"):
             solve_qaoa_sim(bare_model(terms))
+
+    def test_angle_search_at_the_size_cap(self):
+        n = solvers.QAOA_MAX_BINARIES
+        model = dense_model(n, np.random.default_rng(0).integers(-5, 6, size=n * (n + 1) // 2).astype(float))
+        _, energies, _, qaoa = solvers._qaoa_distribution(model, SolverParams(layers=2))
+        assert qaoa["converged"], qaoa
+        assert qaoa["expected_energy"] < energies.mean()
 
     def test_reference_problem_statistics(self, mixed_problem):
         # 13 binaries: the optimized state concentrates far below the uniform

@@ -1,16 +1,22 @@
-"""Checks on the source text itself: a module or class body defines each name once.
+"""Checks on the source text itself: a module or class body defines each name once, and CI runs tests only.
 
 A second ``def``, ``class`` or assignment of a name silently replaces the
-first, so code written against the first one runs against the second.
+first, so code written against the first one runs against the second.  A
+check written inline in the CI workflow runs only on a CI runner, where no
+local ``pytest`` run sees it fail; so the workflow starts Python for pytest
+alone, and every check lives in a test module.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+PYTHON = re.compile(r"\bpython[\d.]*\s+(-c\b|-(?=\s|$)|<<)")  # a -c program, or a program read from stdin
 
 
 def defined_names(node: ast.stmt) -> list[str]:
@@ -45,3 +51,59 @@ def test_the_check_finds_a_redefinition():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_each_name_is_defined_once(path):
     assert redefinitions(ast.parse(path.read_text(), str(path))) == []
+
+
+def run_blocks(workflow: str) -> list[str]:
+    """The shell text of each ``run:`` key of a workflow: the inline value, or the block scalar's lines
+    indented past the key, with backslash-continued lines joined."""
+    blocks, lines = [], workflow.splitlines()
+    for k, line in enumerate(lines):
+        match = re.match(r"(\s*(?:- )?)run:\s*(.*)$", line)
+        if not match:
+            continue
+        value, indent = match[2], len(match[1])
+        if value[:1] in ("|", ">"):
+            body = []
+            for following in lines[k + 1 :]:
+                if following.strip() and len(following) - len(following.lstrip()) <= indent:
+                    break
+                body.append(following.strip())
+            value = "\n".join(body)
+        blocks.append(value.replace("\\\n", " "))
+    return blocks
+
+
+def inline_programs(workflow: str) -> list[str]:
+    """Each shell line of a workflow that starts Python on a program of its own, not on pytest."""
+    return [
+        line
+        for block in run_blocks(workflow)
+        for line in block.splitlines()
+        if (match := PYTHON.search(line)) and not (match[1] == "-c" and "pytest" in line)
+    ]
+
+
+def test_the_check_finds_inline_programs():
+    workflow = """steps:
+      - name: Install
+        run: python -m pip install -e .
+      - run: python -m pytest -q
+      - name: No scipy
+        run: python -c "import pytest; pytest.main([])"
+      - name: A heredoc
+        run: |
+          qubo-forge solve f3.json
+          python - <<'EOF'
+          print(1)
+          EOF
+      - name: A -c program over two lines
+        run: >
+          python3 -c "from qubo_forge.cli import main" \\
+            solve f3.json
+    name: python -c "print(2)"
+"""
+    assert inline_programs(workflow) == ["python - <<'EOF'", 'python3 -c "from qubo_forge.cli import main"  solve f3.json']
+
+
+def test_the_workflow_starts_python_only_for_pytest():
+    assert inline_programs(WORKFLOW.read_text()) == []
