@@ -845,15 +845,16 @@ def test_a_sparse_model_compiles_in_memory_linear_in_its_terms():
     import tracemalloc
 
     peaks = {}
-    for n in (5_000, 20_000):
-        problem = sparse_max_cut(n)
-        tracemalloc.start()
-        try:
-            model = compile_problem(problem)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(model.binary_variables()) == n + 5 and len(model.arrays.terms()) > 4 * n
+    with time_limit(60.0):
+        for n in (5_000, 20_000):
+            problem = sparse_max_cut(n)
+            tracemalloc.start()
+            try:
+                model = compile_problem(problem)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(model.binary_variables()) == n + 5 and len(model.arrays.terms()) > 4 * n
     assert peaks[5_000] < 20e6 and peaks[20_000] < min(6 * peaks[5_000], 100e6), peaks
 
 
