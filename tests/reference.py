@@ -1,7 +1,8 @@
 """Helpers that the test modules share; this module holds no tests.
 
-``time_limit`` fails a block that runs too long, and
-``energies_over_assignments`` evaluates terms on every 0/1 assignment.
+``time_limit`` fails a block that runs too long,
+``energies_over_assignments`` evaluates terms on every 0/1 assignment, and
+``dense_form`` builds a form that holds every coupler.
 
 The rest is an exact reference for the compiler's float rule (see the
 ``qubo_forge.compiler`` docstring).  ``reference_compile`` takes a problem
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from qubo_forge.compiler import _EPS, WEAK_MULTIPLIER, infer_slack_precision, polynomial_interval
+from qubo_forge.compiler import _EPS, WEAK_MULTIPLIER, QuadraticForm, infer_slack_precision, polynomial_interval
 from qubo_forge.encoding import EncodingPlan, encode, encode_range
 from qubo_forge.expression import COEFF_EPS
 
@@ -59,6 +60,16 @@ def energies_over_assignments(poly, order: list[str]) -> np.ndarray:
             term *= bits[:, position[name]]  # multilinear: repeats are idempotent
         total += term
     return total
+
+
+def dense_form(n: int, coefficients, offset: float = 0.0) -> QuadraticForm:
+    """Every linear term and coupler over ``n`` binaries, built as arrays: the first ``n`` coefficients are the
+    linear terms, the next ``n(n-1)/2`` the couplers in row-major order.  Every coupler is held, a zero one
+    too."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    rows, cols = np.triu_indices(n, 1)
+    order = tuple(f"v{k:04d}" for k in range(n))
+    return QuadraticForm(order, coefficients[:n], rows, cols, coefficients[n : n + len(rows)], offset)
 
 
 # -- exact sums of products ---------------------------------------------------------------

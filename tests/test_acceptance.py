@@ -68,21 +68,10 @@ def criterion(number: int, description: str):
     print(f"[criterion {number:2d}] PASS - {description}")
 
 
-def mixed_reference_problem() -> Problem:
-    problem = Problem()
-    problem.add_binary_variable("a")
-    problem.add_discrete_variable("b", [-1, 1, 3])
-    problem.add_continuous_variable("c", -2, 2, 0.25)
-    problem.add_objective("a + b*c + c**2")
-    problem.add_constraint("b + c >= 2")
-    return problem.freeze()
-
-
-def test_criterion_01_mixed_example_end_to_end():
+def test_criterion_01_mixed_example_end_to_end(mixed_problem):
     with criterion(1, "mixed-variable example: exhaustive optimum, energy, constraints, < 5 s"):
         started = time.monotonic()
-        problem = mixed_reference_problem()
-        model = compile_problem(problem)
+        model = compile_problem(mixed_problem)
         solution = solve_exhaustive(model)
         elapsed = time.monotonic() - started
         assert solution.best_decoded == {"a": 0.0, "b": 3.0, "c": -1.0}
@@ -106,6 +95,7 @@ def test_criterion_02_encoding_fidelity():
             plan = encode(problem.variable("c"))
             assert [w for _, w in plan.binaries] == weights, method
             assert plan.offset == offset, method
+            assert len(plan.induced) == (1 if method == "dictionary" else 0), method  # one-hot over the value bits
 
 
 def test_criterion_03_equality_penalty_expansion():
@@ -122,21 +112,21 @@ def test_criterion_03_equality_penalty_expansion():
         }
 
 
-def test_criterion_04_lambda_regression():
+def test_criterion_04_lambda_regression(mixed_problem):
     with criterion(4, "penalty-weight table: mqc 10, vlm 12, ub-naive 52.25 exact; documented targets"):
-        problem = mixed_reference_problem()
-        plans = [encode(decl) for decl in problem.variables]
-        cost = compose_cost(problem.objectives, {p.source: p for p in plans})
+        plans = [encode(decl) for decl in mixed_problem.variables]
+        cost = compose_cost(mixed_problem.objectives, {p.source: p for p in plans})
         assert estimate_lambda("mqc", cost) == 10.0
         assert estimate_lambda("vlm", cost) == 12.0
         assert estimate_lambda("ub-naive", cost) == 52.25
         # Documentation targets (interpretation recorded in the README):
         # balanced posiform/negaform bound, and one-flip d-bounds for momc/moc.
         assert estimate_lambda("ub-posiform", cost) == 31.625
-        momc = compile_problem(problem, CompileConfig(lambda_method="momc"))
+        momc = compile_problem(mixed_problem, CompileConfig(lambda_method="momc"))
         assert round(momc.penalties[0].lam, 2) == 6.19
+        assert momc.penalties[0].lam == pytest.approx(12.0 / 1.9375)  # vlm over the smallest one-flip step
         assert momc.penalties[1].lam == 12.0
-        moc = compile_problem(problem, CompileConfig(lambda_method="moc"))
+        moc = compile_problem(mixed_problem, CompileConfig(lambda_method="moc"))
         assert moc.penalties[0].lam == 1.0
         assert moc.penalties[1].lam == 6.0
 
@@ -150,6 +140,7 @@ def test_criterion_05_knapsack_optimum_and_sa_statistics():
         chosen = [i for i in range(instance.n_obj) if oracle.best_decoded[f"obj_{i}"] > 0.5]
         assert sum(instance.p_arr[i] for i in chosen) == 35.0
         assert sum(instance.w_arr[i] for i in chosen) <= instance.w_max
+        assert oracle.best_energy == -35.0
         sa = solve_sa(model, SolverParams(runs=100, seed=11))
         hits = sum(1 for energy in sa.energies if energy == pytest.approx(-35.0, abs=1e-9))
         assert hits >= 50
@@ -266,6 +257,8 @@ def test_criterion_11_linear_regression():
     with criterion(11, "iris subset: 6 binaries; exhaustive optimum equals the 64-point grid least squares, < 5 s"):
         started = time.monotonic()
         dataset, problem = build_regression(bundled_data("iris30.csv"), 2, -0.25, 0.25, 0.25)
+        assert dataset.x.shape == (30, 3)
+        assert (dataset.x[:, -1] == 1.0).all()  # the ones column, last
         model = compile_problem(problem)
         binaries = model.binary_variables()
         assert len(binaries) == 6

@@ -88,13 +88,6 @@ class TestLoadKnapsack:
 
 
 class TestBuildRegression:
-    def test_bundled_iris_binary_count(self):
-        dataset, problem = build_regression(bundled_data("iris30.csv"), 2, -0.25, 0.25, 0.25)
-        assert dataset.x.shape == (30, 3)
-        assert (dataset.x[:, -1] == 1.0).all()
-        model = compile_problem(problem)
-        assert len(model.binary_variables()) == 6  # three weights, two bits each
-
     def test_perfect_fit_on_grid(self, tmp_path):
         path = tmp_path / "line.csv"
         path.write_text("x,y\n0,0\n1,1\n2,2\n")
@@ -638,15 +631,3 @@ class TestGenerators:
     def test_usage_error_exit_code(self):
         assert run_cli("regression", "data.csv") == 1  # missing required range flags
 
-
-class TestDeterminism:
-    def test_identical_seed_identical_solution_json(self, f3_problem_file, tmp_path):
-        outs = []
-        for name in ("one", "two"):
-            out = tmp_path / name
-            code = run_cli(
-                "solve", f3_problem_file, "--solver", "sa", "--runs", 25, "--seed", 99, "--out-dir", out
-            )
-            assert code == 0
-            outs.append((out / "f3.problem.solution.json").read_bytes())
-        assert outs[0] == outs[1]
