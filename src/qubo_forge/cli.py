@@ -68,7 +68,7 @@ def load_knapsack(path: str | Path) -> tuple[KnapsackInstance, Problem]:
         raise ValueError(f"{path}: first line must be 'N_obj W_max'")
     try:
         n_obj, w_max = int(lines[0][0]), float(lines[0][1])
-        pairs = [(float(p), float(w)) for p, w in lines[1 : n_obj + 1]]
+        pairs = [(float(p), float(w)) for p, w in lines[1:]]
     except ValueError as error:
         raise ValueError(f"{path}: malformed knapsack line ({error})") from None
     if len(pairs) != n_obj:
@@ -226,11 +226,12 @@ def _solver_params(options: dict) -> SolverParams:
 
 
 def _compile_config(options: dict) -> CompileConfig:
-    if options["lambda_method"] == "manual":
-        if options["lambda_value"] is None:
-            raise ValueError("--lambda-method manual needs --lambda-value")
-        return CompileConfig(lambda_method="manual", manual_lambdas=options["lambda_value"])
-    return CompileConfig(lambda_method=options["lambda_method"])
+    method, value = options["lambda_method"], options["lambda_value"]
+    if method == "manual" and value is None:
+        raise ValueError("--lambda-method manual needs --lambda-value")
+    if method != "manual" and value is not None:
+        raise ValueError(f"--lambda-value is read only under --lambda-method manual, not {method}")
+    return CompileConfig(lambda_method=method, manual_lambdas=value)
 
 
 def _update_strategy(options: dict) -> UpdateStrategy:

@@ -98,6 +98,8 @@ class CompileConfig:
             raise ValueError(f"unknown lambda method {self.lambda_method!r}; expected one of {LAMBDA_METHODS}")
         if self.lambda_method == "manual" and self.manual_lambdas is None:
             raise ValueError("manual lambda method needs manual_lambdas")
+        if self.lambda_method != "manual" and self.manual_lambdas is not None:
+            raise ValueError(f"manual_lambdas is read only by the manual lambda method, not {self.lambda_method!r}")
         if self.manual_lambdas is not None:
             if not math.isfinite(self.manual_lambdas):
                 raise ValueError(f"manual_lambdas must be finite, got {self.manual_lambdas!r}")

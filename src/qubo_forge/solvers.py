@@ -239,11 +239,8 @@ def _entering(energies: np.ndarray, top_energies: np.ndarray, k_best: int) -> np
     enter, since later indices lose ties.  Of more than ``k_best`` entries only
     the ``k_best`` lowest, and ties with the ``k_best``-th, can stay.
     """
-    if len(top_energies) < k_best:
-        if len(energies) <= k_best:
-            return np.arange(len(energies))
-        return np.flatnonzero(energies <= np.partition(energies, k_best - 1)[k_best - 1])
-    entering = np.flatnonzero(energies < top_energies[-1])
+    full = len(top_energies) == k_best
+    entering = np.flatnonzero(energies < top_energies[-1]) if full else np.arange(len(energies))
     if len(entering) <= k_best:
         return entering
     values = energies[entering]

@@ -1,5 +1,6 @@
 """Quality metrics: constraint checks, p_range, TTS, distributions, persistence."""
 
+import dataclasses
 import json
 import math
 import operator
@@ -147,6 +148,9 @@ class TestPRange:
     def test_strictly_below(self):
         assert p_range([-30.0, -31.0], -30.0) == 50.0
 
+    def test_no_energies(self):
+        assert p_range([], -30.0) == 0.0
+
 
 class TestTimeToSolution:
     def test_ratio_one(self):
@@ -208,6 +212,11 @@ class TestValidRate:
         assert 0.0 <= rate <= 100.0
         assert rate >= 90.0
 
+    def test_no_samples(self, f3_sa):
+        _, model, solution = f3_sa
+        empty = dataclasses.replace(solution, bits=solution.bits[:0], energies=[], values=solution.values[:0])
+        assert valid_rate(model, empty) == 0.0
+
     def test_single_invalid_sample(self, mixed_problem):
         model = compile_problem(mixed_problem)
         names = model.binary_variables()
@@ -259,6 +268,16 @@ class TestAnalyzeAndPersist:
         second = tmp_path / "again.json"
         save_report(second, loaded_solution, loaded_report, meta)
         assert second.read_bytes() == path.read_bytes()
+
+    def test_an_infinite_tts_round_trips(self, mixed_problem, tmp_path):
+        model = compile_problem(mixed_problem)
+        solution = solve_sa(model, SolverParams(runs=5, seed=1, record_time=True))
+        report = analyze(mixed_problem, model, solution, val_ref=-1e9)  # no energy below: p_range 0, TTS inf
+        assert report.tts == math.inf
+        path = tmp_path / "solution.json"
+        save_report(path, solution, report)
+        assert json.loads(path.read_text())["report"]["tts"] == "inf"
+        assert load_report(path)[1].tts == math.inf
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "solution.json"

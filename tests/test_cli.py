@@ -79,7 +79,9 @@ class TestLoadKnapsack:
         assert (best["obj_0"], best["obj_1"]) == (0.0, 1.0)  # item 2 alone scores 10
         assert instance.p_arr == (5.0, 10.0)
 
-    @pytest.mark.parametrize("content", ["", "2\n", "2 4\n5 2\n", "2 4\n5 two\n1 1\n", "2 0\n5 2\n1 1\n"])
+    @pytest.mark.parametrize(
+        "content", ["", "2\n", "2 4\n5 2\n", "2 4\n5 two\n1 1\n", "2 0\n5 2\n1 1\n", "2 4\n5 2\n10 3\n7 1\n"]
+    )
     def test_malformed_instances(self, tmp_path, content):
         path = tmp_path / "bad.txt"
         path.write_text(content)
@@ -109,11 +111,26 @@ class TestBuildRegression:
         with pytest.warns(UserWarning, match="rank-deficient"):
             build_regression(path, 1, -1, 1, 0.5)
 
+    @pytest.mark.parametrize(
+        "content, features, message",
+        [
+            ("x,y\n0,0\na,b\n", None, "non-numeric row"),
+            ("x,y\n", None, "no data rows"),
+            ("0,0\n1,1,1\n", None, "ragged rows"),
+            ("0,0\n1,1\n", 2, "expected 2 feature columns plus one label column, found 2 columns"),
+        ],
+    )
+    def test_malformed_csv(self, tmp_path, content, features, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=message):
+            load_regression_csv(path, features)
+
     def test_header_optional(self, tmp_path):
         with_header = tmp_path / "a.csv"
         with_header.write_text("x,y\n0,0\n1,1\n")
         without = tmp_path / "b.csv"
-        without.write_text("0,0\n1,1\n")
+        without.write_text("0,0\n\n1,1\n")  # a blank line is skipped
         xa, ya = load_regression_csv(with_header)
         xb, yb = load_regression_csv(without)
         assert (xa == xb).all() and (ya == yb).all()
@@ -203,6 +220,18 @@ class TestSolveCommand:
         code = run_cli("solve", f3_problem_file, "--lambda-method", "manual", "--out-dir", tmp_path)
         assert code == 1
         assert "lambda-value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "section"])
+    def test_a_lambda_value_without_the_manual_method_is_an_error(self, where, f3_problem_file, tmp_path, capsys):
+        argv = ["solve", f3_problem_file, "--out-dir", tmp_path / "o"]
+        if where == "flag":
+            argv += ["--lambda-value", 5]
+        else:
+            data = json.loads(f3_problem_file.read_text())
+            f3_problem_file.write_text(json.dumps(data | {"solver": {"lambda_value": 5}}))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: --lambda-value is read only under --lambda-method manual, not vlm\n"
+        assert not (tmp_path / "o").exists()
 
     def test_infinite_lambda_max_is_a_usage_error(self, f3_problem_file, tmp_path, capsys):
         code = run_cli("solve", f3_problem_file, "--lambda-update", "scaled", "--lambda-max", "inf", "--out-dir", tmp_path)
@@ -627,6 +656,13 @@ class TestGenerators:
         reloaded = Problem.load(target)
         _, direct = build_regression(bundled_data("iris30.csv"), None, -0.25, 0.25, 0.25)
         assert reloaded.to_json_dict() == direct.to_json_dict()
+
+    def test_a_path_after_a_double_dash_is_positional_even_when_it_reads_as_a_number(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("-1").write_bytes(bundled_data("f3_l-d_kp_4_20.txt").read_bytes())
+        assert run_cli("knapsack", "-o", "f3.problem.json", "--", "-1") == 0
+        _, direct = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))
+        assert Problem.load("f3.problem.json").to_json_dict() == direct.to_json_dict()
 
     def test_usage_error_exit_code(self):
         assert run_cli("regression", "data.csv") == 1  # missing required range flags

@@ -218,6 +218,23 @@ class TestLambdaEstimation:
         with pytest.raises(ValueError, match="positive coefficients"):
             estimate_lambda("ub-positive", QuadraticForm.from_polynomial(poly - 2 * V("d")))
 
+    @pytest.mark.parametrize(
+        "method, terms, message",
+        [
+            ("momc", {("a",): 1.0}, "momc needs the constraint penalty"),
+            ("bogus", {("a",): 1.0}, "unknown lambda method 'bogus'"),
+            ("ub-posiform", {("a", "b", "c"): 1.0}, "ub-posiform needs a degree <= 2 objective"),
+        ],
+    )
+    def test_refused_estimates(self, method, terms, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_lambda(method, QuadraticForm.from_polynomial(Polynomial(terms)))
+
+    def test_moc_without_a_penalty_step_falls_back_to_vlm(self):
+        cost = QuadraticForm.from_polynomial(Polynomial({("a",): 1.0, ("a", "b"): -2.0}))
+        flat = QuadraticForm.from_polynomial(Polynomial({(): 3.0}))  # no binary, so no one-flip step
+        assert estimate_lambda("moc", cost, flat) == estimate_lambda("vlm", cost) == 2.0
+
     def test_one_flip_bounds_pair(self):
         poly = Polynomial({("x",): -4.0, ("x", "y"): 16.0})
         gain, loss = one_flip_bounds(QuadraticForm.from_polynomial(poly))  # over the sorted binaries x, y
@@ -248,6 +265,18 @@ class TestLambdaEstimation:
     def test_manual_values(self, mixed_problem):
         model = compile_problem(mixed_problem, CompileConfig(lambda_method="manual", manual_lambdas=7.5))
         assert [b.lam for b in model.penalties] == [7.5, 7.5]
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"lambda_method": "bogus"}, "unknown lambda method 'bogus'"),
+            ({"lambda_method": "manual"}, "manual lambda method needs manual_lambdas"),
+            ({"lambda_method": "vlm", "manual_lambdas": 5.0}, "manual_lambdas is read only by the manual lambda method, not 'vlm'"),
+        ],
+    )
+    def test_a_config_names_what_is_missing_or_unread(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            CompileConfig(**config)
 
     @pytest.mark.parametrize("values", [float("inf"), float("nan")])
     def test_manual_values_must_be_finite(self, values):
@@ -663,6 +692,13 @@ class TestArrayForm:
         model = compiler.QuboModel(QuadraticForm.from_polynomial(Polynomial({("a",): 1.0, ("b",): 1.0, ("c",): 1.0, ("d",): -1.0})))
         assert model.arrays._exact_in_any_order  # coefficients sum exactly, but 2**53·a does not
         assert model.energy({"a": 2**53, "b": 1, "c": 1, "d": 2**53}) == 2.0  # a plain sum gives 0.0
+
+    def test_a_binary_that_encodes_two_variables_is_refused(self):
+        problem = Problem()
+        problem.add_binary_variable("x")
+        plan = encode(problem.variable("x"))  # the binary x#0
+        with pytest.raises(ValueError, match="a binary encodes two variables of one polynomial"):
+            QuadraticForm.from_polynomial(Polynomial({("x",): 1.0, ("x#0",): 1.0}), {"x": plan})
 
     def test_energy_names_a_missing_binary(self, mixed_problem):
         model = compile_problem(mixed_problem)

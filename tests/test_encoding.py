@@ -131,6 +131,7 @@ class TestEncodingProperties:
         ("bounded", -2, 2, 0.5, {"bound": 1.0}),
         ("bounded", 0, 5, 0.5, {"bound": 2.0}),
         ("unitary", 0.5, 2.2, 0.25, {}),
+        ("dictionary", -1.5, 0.7, 0.3, {}),  # not a whole number of steps: the grid adds the upper end
     ]
 
     @pytest.mark.parametrize("method,low,high,precision,kwargs", GRID_CASES)
@@ -142,6 +143,7 @@ class TestEncodingProperties:
         while point <= high + 1e-9:
             assert any(abs(point - v) < 1e-6 for v in values), f"grid point {point} unreachable"
             point += precision
+        assert any(abs(high - v) < 1e-6 for v in values), f"the upper end {high} is unreachable"
 
     @pytest.mark.parametrize("method", ["logarithmic", "unitary", "arithmetic"])
     @pytest.mark.parametrize("low,high,precision", [(-2, 2, 0.25), (0, 3, 1.0), (-1.5, 0.7, 0.3)])
@@ -183,6 +185,10 @@ class TestEncodingErrors:
     def test_bounded_needs_bound_at_least_precision(self):
         with pytest.raises(ValueError, match="bound"):
             encode_range("v", 0, 4, 1.0, method="bounded", bound=0.5)
+
+    def test_empty_range(self):
+        with pytest.raises(ValueError, match=r"empty range \[1.0, 1.0\] for 'v'"):
+            encode_range("v", 1.0, 1.0, 0.5)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown continuous encoding"):

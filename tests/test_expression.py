@@ -63,6 +63,9 @@ class TestParseExpression:
             ("a / b", "division is not supported"),
             ("2w", "unexpected token 'w'"),
             ("(a + b", "missing ')'"),
+            ("a ** (2", "missing ')' after exponent"),
+            ("a ** -", "missing exponent"),
+            ("a <= b", "comparison operator '<=' is not allowed in an expression"),
         ],
     )
     def test_errors_carry_position(self, text, fragment):
@@ -198,6 +201,12 @@ class TestArithmetic:
             ("b2", "b3"): 2.0,
             (): 1.0,
         }
+
+    def test_a_number_minus_a_polynomial(self):
+        assert (1 - V("x")).terms == {(): 1.0, ("x",): -1.0}
+
+    def test_a_polynomial_is_never_equal_to_another_type(self):
+        assert V("x") != "x" and Polynomial.zero() != 0
 
     def test_multiplicative_identity(self):
         poly = parse_expression("3*x - y", {"x", "y"})

@@ -1,5 +1,7 @@
 """The numpy L-BFGS behind QAOA's angle search, on functions with known minimizers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,22 @@ def rosenbrock(x: np.ndarray) -> tuple[float, np.ndarray]:
     value = 100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2
     gradient = np.array([-400.0 * u * (v - u**2) - 2.0 * (1.0 - u), 200.0 * (v - u**2)])
     return value, gradient
+
+
+def cusp(a: float):
+    """``√|x − a| − √a`` in one variable: near its minimizer ``a`` the slope is unbounded, so steps there miss
+    the curvature condition."""
+
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        t = x[0] - a
+        return math.sqrt(abs(t)) - math.sqrt(a), np.array([math.copysign(0.5 / math.sqrt(abs(t)), t) if t else 0.0])
+
+    return fun
+
+
+def kinked(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """``Σ|x| + |x|²/100``: the slope jumps by 2 at 0."""
+    return float(np.abs(x).sum() + 0.01 * x @ x), np.sign(x) + 0.02 * x
 
 
 def counted(fun):
@@ -81,3 +99,26 @@ def test_iteration_cap_reports_no_convergence():
     result = lbfgs.lbfgs(rosenbrock, np.array([-1.2, 1.0]), 3)
     assert (result.success, result.nit) == (False, 3)
     assert result.fun < rosenbrock(np.array([-1.2, 1.0]))[0]
+
+
+@pytest.mark.parametrize(
+    "fun, x0, path",
+    [
+        # stage 1 steps on the modified function; a bracketed step flips gamma's sign (``stp > sty``)
+        (cusp(0.5), 0.0, (88, 8, True)),
+        # a search spends its 20 evaluations, the memory is emptied, and the restart from -g converges
+        (kinked, 3.4, (86, 6, True)),
+        # a search fails, so does the restart's, and the memory is already empty: not converged
+        (cusp(0.75), 0.0, (88, 4, False)),
+    ],
+)
+def test_line_search_corner_cases_follow_scipy_lbfgs_b(fun, x0, path):
+    ours = lbfgs.lbfgs(fun, np.array([x0]), 50)
+    assert (ours.nfev, ours.nit, ours.success) == path
+    assert ours.fun == fun(ours.x)[0]
+    optimize = pytest.importorskip("scipy.optimize")
+    theirs = optimize.minimize(fun, np.array([x0]), jac=True, method="L-BFGS-B", options={"maxiter": 50})
+    assert (theirs.nfev, theirs.nit, theirs.success) == path
+    np.testing.assert_allclose(ours.x, theirs.x, rtol=0, atol=1e-15)
+    if theirs.success:  # after a failed search scipy returns the restored x but the last trial's value
+        assert ours.fun == pytest.approx(theirs.fun, rel=0, abs=1e-15)

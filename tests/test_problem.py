@@ -153,6 +153,25 @@ class TestObjectivesAndConstraints:
         problem.add_objective("0")
         problem.freeze()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p: p.add_objective("a", direction="up"), "direction must be 'minimize' or 'maximize', got 'up'"),
+            (lambda p: p.add_boolean_constraint("nand", "z", ["a", "a"]), "boolean relation must be one of"),
+            (lambda p: p.add_boolean_constraint("not", "z", ["a", "a"]), "boolean 'not' takes 1 input"),
+            (lambda p: p.add_constraint("a >= 0", hardness="soft"), "hardness must be 'hard' or 'weak', got 'soft'"),
+            (lambda p: p.add_constraint("a >= 0", slack_precision=0), "slack_precision must be finite and positive"),
+            (lambda p: ConstraintDecl(hardness="hard"), "exactly one of a comparison or a boolean relation"),
+        ],
+    )
+    def test_malformed_terms_are_refused(self, call, message):
+        problem = Problem()
+        problem.add_binary_variable("a")
+        problem.add_binary_variable("z")
+        with pytest.raises(ValueError, match=message):
+            call(problem)
+        assert not problem.objectives and not problem.constraints
+
     def test_objective_weight_must_be_positive(self):
         problem = Problem()
         problem.add_binary_variable("a")
@@ -284,6 +303,8 @@ class TestFreezeAndValidate:
             problem.add_objective("a")
         with pytest.raises(ValueError, match="frozen"):
             problem.add_constraint("a >= 0")
+        with pytest.raises(ValueError, match="frozen"):
+            problem.add_boolean_constraint("not", "a", ["a"])
 
     @given(st.sets(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4), st.randoms())
     @settings(max_examples=50)
@@ -313,6 +334,8 @@ class TestProblemFile:
         problem.add_discrete_variable("b", [-1, 1, 3])
         problem.add_continuous_variable("c", -2, 2, 0.25)
         problem.add_continuous_variable("u", 0, 3, 0.5, encoding="unitary")
+        problem.add_continuous_variable("t", 0, 8, 1, base=3)
+        problem.add_continuous_variable("k", 0, 2, 0.5, encoding="bounded", bound=1)
         problem.add_binary_variable("z")
         problem.add_objective("a + b*c + c**2")
         problem.add_objective("u", direction="maximize", weight=0.5)
@@ -327,6 +350,7 @@ class TestProblemFile:
         problem.save(path)
         loaded = Problem.load(path)
         assert loaded.to_json_dict() == problem.to_json_dict()
+        assert (loaded.variables, loaded.objectives, loaded.constraints) == (problem.variables, problem.objectives, problem.constraints)
         assert loaded.frozen
 
     def test_schema_field_present(self, tmp_path):

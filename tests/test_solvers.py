@@ -5,6 +5,7 @@ required to stay at or above its optimum and to hit documented statistical
 targets under fixed seeds.
 """
 
+import dataclasses
 import functools
 import heapq
 import itertools
@@ -689,6 +690,13 @@ class TestQaoa:
         probability = ours["ground_state_probability"]
         assert probability == pytest.approx(theirs["ground_state_probability"], rel=math.sqrt(lbfgs._FACTR), abs=0)
 
+    def test_a_search_that_does_not_converge_warns(self, monkeypatch):
+        search = solvers.lbfgs
+        monkeypatch.setattr(solvers, "lbfgs", lambda *args: dataclasses.replace(search(*args), success=False))
+        with pytest.warns(UserWarning, match="QAOA angle search did not converge; using best-seen angles"):
+            solution = solve_qaoa_sim(bare_model({("b",): 1.0}), SolverParams(runs=1, shots=10, layers=1))
+        assert solution.diagnostics["qaoa"]["converged"] is False
+
     def test_readme_search_path_at_the_default_depth(self, mixed_problem):
         # the bench's QAOA cell: a kernel that moves the L-BFGS path changes these, not only the time
         qaoa = solvers._qaoa_distribution(compile_problem(mixed_problem), SolverParams())[3]
@@ -800,6 +808,10 @@ class TestCrossSolverProperties:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             SolverParams(**{field: 0})
 
+    def test_zero_layers_are_rejected(self):
+        with pytest.raises(ValueError, match="QAOA needs at least one layer"):
+            SolverParams(layers=0)
+
     def test_unknown_solver_name(self, mixed_problem):
         model = compile_problem(mixed_problem)
         with pytest.raises(ValueError, match="unknown solver"):
@@ -817,6 +829,14 @@ class TestLambdaUpdate:
     def test_lambda_max_must_be_finite_and_positive(self, lambda_max):
         with pytest.raises(ValueError, match="lambda_max must be finite and positive"):
             UpdateStrategy("scaled", lambda_max=lambda_max)
+
+    @pytest.mark.parametrize(
+        "strategy, message",
+        [({"kind": "doubling"}, "unknown update strategy 'doubling'"), ({"max_trials": 0}, "max_trials must be >= 1")],
+    )
+    def test_unknown_kind_and_zero_trials_are_rejected(self, strategy, message):
+        with pytest.raises(ValueError, match=message):
+            UpdateStrategy(**strategy)
 
     @pytest.mark.parametrize("kind", ["sequential", "scaled", "binary-search"])
     def test_strictly_increasing_until_cap(self, kind):
