@@ -114,9 +114,12 @@ class SolutionSet:
 
         The energies are ``arrays.energies`` of the rows, the sums ``model.energy``
         computes.  Decoding runs once, on the columns: ``EncodingPlan.decode``
-        does the same float operations on arrays.  The best is the first minimum.
+        does the same float operations on arrays.  The best is the first minimum, so
+        a matrix with no rows is refused.
         """
         order, bits = model.arrays.order, np.asarray(bits, dtype=np.uint8)
+        if not len(bits):
+            raise ValueError("the bit matrix has no rows: a solution set needs at least one sample")
         energies = model.arrays.energies(bits)
         columns = model.decode(dict(zip(order, bits.T.astype(float))))
         names, values = tuple(columns), np.empty((len(bits), len(columns)))
@@ -297,12 +300,45 @@ def _sa_chunk_sweeps(n: int, runs: int) -> int:
     return max(1, _SA_CHUNK_BYTES // (41 * max(n, 1) * runs))
 
 
+def _sa_blocks(arrays: QuadraticForm) -> Iterator[tuple[slice, slice | np.ndarray, np.ndarray, np.ndarray]]:
+    """Each block of ``_SA_BLOCK`` spins as ``(part, neighbours, slab, lower)``, built from the couplers.
+
+    ``Q`` is the symmetric coupling matrix, never built: a coupler ``(r, c, v)``
+    is ``Q[r, c] = Q[c, r] = v``.  ``neighbours`` holds the spins ``N`` coupled
+    to the block (a plain slice when that is every spin), ``slab`` is
+    ``Q[N, part]`` and ``lower`` is ``tril(Q[part, part], -1)``.  The couplers
+    are in row-major order, so those with their row in the block are one run
+    of them, and one sort by column gives those with their column in it.
+    """
+    n = len(arrays.order)
+    rows, cols, values = arrays.rows, arrays.cols, arrays.values
+    by_col = np.argsort(cols)
+    firsts = np.append(np.arange(0, n, _SA_BLOCK), n)
+    row_bounds = np.searchsorted(rows, firsts).tolist()
+    col_bounds = np.searchsorted(cols[by_col], firsts).tolist()
+    for block, first in enumerate(firsts[:-1].tolist()):
+        size = min(_SA_BLOCK, n - first)
+        above = by_col[col_bounds[block] : col_bounds[block + 1]]  # Q[r, c] with c in the block
+        below = slice(row_bounds[block], row_bounds[block + 1])  # Q[c, r] with r in the block
+        r_above, c_above, r_below, c_below = rows[above], cols[above] - first, rows[below] - first, cols[below]
+        touched = np.zeros(n, dtype=bool)
+        touched[r_above] = touched[c_below] = True
+        neighbours, slab_row = np.flatnonzero(touched), np.cumsum(touched) - 1
+        slab = np.zeros((len(neighbours), size))
+        slab[slab_row[r_above], c_above] = values[above]
+        slab[slab_row[c_below], r_below] = values[below]
+        inside = c_below < first + size
+        lower = np.zeros((size, size))
+        lower[c_below[inside] - first, r_below[inside]] = values[below][inside]
+        yield slice(first, first + size), slice(None) if len(neighbours) == n else neighbours, slab, lower
+
+
 def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Single-flip Metropolis under a geometric inverse-temperature schedule.
 
     The ``params.runs`` replicas anneal together as the columns of an
     ``n × runs`` sign matrix ``s = 1 - 2x``.  Each run keeps its local fields
-    ``h = linear + x·Q``, with ``Q`` the dense symmetric couplings, so flipping
+    ``h = linear + x·Q``, with ``Q`` the symmetric couplings, so flipping
     spin ``i`` changes the energy by ``s_i·h_i``.  Run ``r`` draws from its own
     generator ``default_rng(seed + r)``: the initial state
     ``integers(0, 2, n)``, then ``u = random(n)`` before each sweep.  Spins
@@ -310,30 +346,31 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     ``delta <= -log1p(-u_i) / β``, which accepts with probability
     ``min(1, exp(-β·delta))``.
 
-    The visits of a block of ``_SA_BLOCK`` spins are decided together, by
-    rounds that reach the sequential sweep's own decisions: starting from the
-    guess that every visit flips, a round gives every visit, in all runs at
-    once, the block-start field plus the couplings to the block's earlier
-    guessed flips (one matmul), and decides all of them by the rule above; the
-    decisions become the next guess until a round changes none.  Visit ``k``
-    depends only on the visits before it, so round ``t`` settles the first
-    ``t`` visits and the fixed point, reached within ``block + 1`` rounds, is
-    the sequential sweep.  The block's flips then reach every field through
-    one matmul.  The draws, the thresholds and the best-state tracking run
-    once per chunk of sweeps, sized so the chunk's buffers stay near
-    ``_SA_CHUNK_BYTES``: one ``cumsum`` gives each run's energy after every
-    visit of the chunk, and a run whose minimum beats its best rebuilds that
-    state from the signs saved at the start of its sweep.  Each run reports
-    its best-seen state; ``diagnostics["sa"]`` holds the acceptance rate per
-    tenth of the schedule, the spin visits (attempted flips) per second and
-    the mean rounds per block visit.
+    ``Q`` is held per block of ``_SA_BLOCK`` spins (``_sa_blocks``): the
+    block's strictly lower triangle, and the slab of ``Q`` on the rows of the
+    spins coupled to it, so a sparse model takes memory linear in its
+    couplers.  The visits of a block are decided together, by rounds that
+    reach the sequential sweep's own decisions: starting from the guess that
+    every visit flips, a round gives every visit, in all runs at once, the
+    block-start field plus the couplings to the block's earlier guessed flips
+    (one matmul with the block's strictly lower triangle), and decides all of
+    them by the rule above; the decisions become the next guess until a round
+    changes none.  Visit ``k`` depends only on the visits before it, so round
+    ``t`` settles the first ``t`` visits and the fixed point, reached within
+    ``block + 1`` rounds, is the sequential sweep.  The block's flips then
+    reach the fields of its coupled spins through one matmul with the slab.
+    The draws, the thresholds and the best-state tracking run once per chunk
+    of sweeps, sized so the chunk's buffers stay near ``_SA_CHUNK_BYTES``: one
+    ``cumsum`` gives each run's energy after every visit of the chunk, and a
+    run whose minimum beats its best rebuilds that state from the signs saved
+    at the start of its sweep.  Each run reports its best-seen state;
+    ``diagnostics["sa"]`` holds the acceptance rate per tenth of the schedule,
+    the spin visits (attempted flips) per second and the mean rounds per block
+    visit.
     """
     params = params or SolverParams()
     arrays = model.arrays
     n, runs = len(arrays.order), params.runs
-    couplings = np.zeros((n, n))
-    couplings[arrays.rows, arrays.cols] = arrays.values
-    couplings += couplings.T
 
     # largest coefficient magnitude; 1.0 when the model has no terms
     scale = float(np.abs(arrays.coefficients()).max(initial=0.0)) or 1.0
@@ -347,7 +384,7 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     rngs = [np.random.default_rng(params.seed + run) for run in range(runs)]
     x = np.array([rng.integers(0, 2, size=n) for rng in rngs], dtype=float)
     # Spin-major buffers: row i holds spin i in every run.
-    fields = (arrays.linear + x @ couplings).T.copy()
+    fields = np.repeat(arrays.linear[:, None], runs, axis=1)
     signs = (1.0 - 2.0 * x).T.copy()
     best_signs = signs.copy()
     energy = np.array(arrays.energies(x))
@@ -357,20 +394,16 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
     draws = np.empty((runs, chunk * n))
     thresholds, deltas, sweep_signs = (np.empty((chunk, n, runs)) for _ in range(3))
     accepts = np.empty((chunk, n, runs), dtype=bool)
-    trajectory = np.empty((chunk * n + 1, runs))  # row k: each run's energy after the chunk's visit k - 1
+    trajectory = np.empty((runs, chunk * n + 1))  # column k: each run's energy after the chunk's visit k - 1
 
+    add, dot, multiply, less_equal = np.add, np.dot, np.multiply, np.less_equal
     blocks = []
-    for first in range(0, n, _SA_BLOCK):
-        size = min(_SA_BLOCK, n - first)
-        part = slice(first, first + size)
-        # ``lift @ stacked`` is ``start + tril(Q_bb, -1) @ steps``: each visit's block-start field
-        # plus the couplings to the block's earlier steps (the changes of x).
-        lift = np.hstack([np.eye(size), np.tril(couplings[part, part], -1)])
-        stacked = np.empty((2 * size, runs))
+    for part, neighbours, slab, lower in _sa_blocks(arrays):
+        fields[neighbours] += dot(slab, x.T[part])
+        size = len(lower)
         all_flip = b"\x01" * (size * runs)  # the accept flags of the first guess
         views = [(thresholds[c, part], deltas[c, part], accepts[c, part]) for c in range(chunk)]
-        blocks.append((fields[part], signs[part], lift, stacked, all_flip, couplings[:, part], views))
-    matmul, multiply, less_equal = np.matmul, np.multiply, np.less_equal
+        blocks.append((fields[part], signs[part], lower, np.empty((size, runs)), all_flip, neighbours, slab, views))
 
     accepted = np.zeros(len(betas))
     rounds = 0
@@ -385,35 +418,33 @@ def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSe
 
         for sweep in range(count):
             sweep_signs[sweep] = signs
-            for block_fields, sign, lift, stacked, settled, columns, views in blocks:
+            for block_fields, sign, lower, steps, settled, neighbours, slab, views in blocks:
                 threshold, delta, accept = views[sweep]
-                size = len(sign)
-                stacked[:size] = block_fields
-                steps = stacked[size:]
-                steps[:] = sign  # the guess that every visit flips
-                for rounds_here in range(1, size + 2):
-                    multiply(sign, matmul(lift, stacked, out=delta), out=delta)
+                flips = sign  # the guess that every visit flips
+                for rounds_here in range(1, len(sign) + 2):
+                    add(dot(lower, flips, out=delta), block_fields, out=delta)
+                    multiply(sign, delta, out=delta)
                     less_equal(delta, threshold, out=accept)
                     decided = accept.tobytes()
                     if decided == settled:
                         break
                     settled = decided
-                    multiply(sign, accept, out=steps)
+                    flips = multiply(sign, accept, out=steps)
                 else:
                     raise RuntimeError("SA block decisions did not settle within block + 1 rounds")
                 rounds += rounds_here
-                fields += columns @ steps
+                fields[neighbours] += dot(slab, flips)
             np.negative(signs, out=signs, where=accepts[sweep])
 
-        used = trajectory[: count * n + 1]
-        used[0] = energy
-        multiply(deltas[:count], accepts[:count], out=used[1:].reshape(count, n, runs))
-        np.cumsum(used, axis=0, out=used)
-        energy = used[-1].copy()
-        lows = used.min(axis=0)  # row 0 is never below the best, so only a visit can improve
+        used = trajectory[:, : count * n + 1]
+        used[:, 0] = energy
+        multiply(deltas[:count], accepts[:count], out=used[:, 1:].reshape(runs, count, n).transpose(1, 2, 0))
+        np.cumsum(used, axis=1, out=used)
+        energy = used[:, -1].copy()
+        lows = used.min(axis=1)  # column 0 is never below the best, so only a visit can improve
         improved = np.flatnonzero(lows < best_energy)
         if len(improved):
-            at_sweep, at_visit = np.divmod(used[:, improved].argmin(axis=0) - 1, n)  # row k follows visit k - 1
+            at_sweep, at_visit = np.divmod(used[improved].argmin(axis=1) - 1, n)  # column k follows visit k - 1
             start_signs = sweep_signs[at_sweep, :, improved]
             flipped = accepts[at_sweep, :, improved] & (np.arange(n) <= at_visit[:, None])
             best_signs[:, improved] = np.where(flipped, -start_signs, start_signs).T

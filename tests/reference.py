@@ -2,7 +2,8 @@
 
 ``time_limit`` fails a block that runs too long,
 ``energies_over_assignments`` evaluates terms on every 0/1 assignment, and
-``dense_form`` builds a form that holds every coupler.
+``dense_form`` builds a form that holds every coupler, and
+``sparse_max_cut`` a problem with a few terms per binary.
 
 The rest is an exact reference for the compiler's float rule (see the
 ``qubo_forge.compiler`` docstring).  ``reference_compile`` takes a problem
@@ -28,7 +29,8 @@ import numpy as np
 
 from qubo_forge.compiler import _EPS, WEAK_MULTIPLIER, QuadraticForm, infer_slack_precision, polynomial_interval
 from qubo_forge.encoding import EncodingPlan, encode, encode_range
-from qubo_forge.expression import COEFF_EPS
+from qubo_forge.expression import COEFF_EPS, Comparison, Polynomial
+from qubo_forge.problem import Problem
 
 
 @contextlib.contextmanager
@@ -70,6 +72,25 @@ def dense_form(n: int, coefficients, offset: float = 0.0) -> QuadraticForm:
     rows, cols = np.triu_indices(n, 1)
     order = tuple(f"v{k:04d}" for k in range(n))
     return QuadraticForm(order, coefficients[:n], rows, cols, coefficients[n : n + len(rows)], offset)
+
+
+def sparse_max_cut(n, seed=0):
+    """Max-cut on a random graph with ``3n`` edges, plus one cardinality ``<=`` over 40 of the ``n`` binaries, built
+    as polynomials (no parsing)."""
+    rng = np.random.default_rng(seed)
+    problem = Problem()
+    names = problem.add_binary_variables_array("x", [n])
+    left, right = rng.integers(0, n, size=(2, 4 * n))
+    keys = np.unique(np.minimum(left, right) * n + np.maximum(left, right))
+    terms = {}
+    for key in rng.permutation(keys[keys // n != keys % n])[: 3 * n].tolist():
+        u, v = names[key // n], names[key % n]
+        terms[(u,)] = terms.get((u,), 0.0) + 1.0
+        terms[(v,)] = terms.get((v,), 0.0) + 1.0
+        terms[(u, v)] = -2.0
+    problem.add_objective(Polynomial(terms), "maximize")
+    problem.add_constraint(Comparison(Polynomial({(name,): 1.0 for name in names[:40]}), "<=", 20.0))
+    return problem.freeze()
 
 
 # -- exact sums of products ---------------------------------------------------------------

@@ -286,12 +286,14 @@ def test_criterion_12_determinism(tmp_path):
         path = tmp_path / "f3.problem.json"
         problem.save(path)
         payloads = []
-        for name in ("first", "second"):
+        # Three sweeps leave the runs short of the optimum, so the samples, and the file, depend on the seed.
+        for name, seed in (("first", "99"), ("second", "99"), ("other", "100")):
             out = tmp_path / name
-            code = main(["solve", str(path), "--solver", "sa", "--runs", "25", "--seed", "99", "--out-dir", str(out)])
-            assert code == 0
+            args = ["solve", str(path), "--solver", "sa", "--runs", "25", "--sweeps", "3", "--seed", seed]
+            assert main([*args, "--out-dir", str(out)]) == 0
             payloads.append((out / "f3.problem.solution.json").read_bytes())
         assert payloads[0] == payloads[1]
+        assert payloads[0] != payloads[2]
         json.loads(payloads[0])  # well-formed JSON
 
 

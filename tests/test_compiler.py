@@ -40,6 +40,7 @@ from qubo_forge.compiler import (
 from qubo_forge.encoding import encode
 from qubo_forge.expression import COEFF_EPS, Comparison, Polynomial, parse_expression
 from qubo_forge.problem import BooleanRelation, Problem
+from qubo_forge.solvers import SolverParams, solve_sa
 from reference import (
     Exact,
     assert_follows_the_float_rule,
@@ -48,6 +49,7 @@ from reference import (
     energies_over_assignments,
     lambda_interval,
     reference_compile,
+    sparse_max_cut,
     time_limit,
 )
 
@@ -790,29 +792,11 @@ def test_weighted_sum_is_the_rounded_exact_sum(case, names):
     assert np.all(got.rows < got.cols) and np.all(np.diff(got.rows * len(got.order) + got.cols) > 0)
 
 
-def sparse_max_cut(n, seed=0):
-    """Max-cut on a random graph with ``3n`` edges, plus one cardinality ``<=`` over 40 of the ``n`` binaries, built
-    as polynomials (no parsing)."""
-    rng = np.random.default_rng(seed)
-    problem = Problem()
-    names = problem.add_binary_variables_array("x", [n])
-    left, right = rng.integers(0, n, size=(2, 4 * n))
-    keys = np.unique(np.minimum(left, right) * n + np.maximum(left, right))
-    terms = {}
-    for key in rng.permutation(keys[keys // n != keys % n])[: 3 * n].tolist():
-        u, v = names[key // n], names[key % n]
-        terms[(u,)] = terms.get((u,), 0.0) + 1.0
-        terms[(v,)] = terms.get((v,), 0.0) + 1.0
-        terms[(u, v)] = -2.0
-    problem.add_objective(Polynomial(terms), "maximize")
-    problem.add_constraint(Comparison(Polynomial({(name,): 1.0 for name in names[:40]}), "<=", 20.0))
-    return problem.freeze()
-
-
 def test_a_sparse_model_compiles_in_memory_linear_in_its_terms():
     """5,000 and 20,000 binaries, about 21,000 and 81,000 terms: dense n × n stages would hold 200 MB per
     matrix at 5,000.  Four times the terms peak about four times higher when each stage is linear in its
-    terms, and about sixteen times with a dense stage."""
+    terms, and about sixteen times with a dense stage.  The 20,000-binary model also anneals: SA's dense
+    couplings would take 3.2 GB."""
     import tracemalloc
 
     peaks = {}
@@ -826,7 +810,9 @@ def test_a_sparse_model_compiles_in_memory_linear_in_its_terms():
             finally:
                 tracemalloc.stop()
             assert len(model.binary_variables()) == n + 5 and len(model.arrays.terms()) > 4 * n
+        solution = solve_sa(model, SolverParams(runs=4, sweeps=50, seed=1))
     assert peaks[5_000] < 20e6 and peaks[20_000] < min(6 * peaks[5_000], 100e6), peaks
+    assert solution.bits.shape == (4, n + 5) and solution.best_energy < 0
 
 
 def test_a_dense_mixed_model_compiles_within_a_minute():

@@ -40,7 +40,7 @@ from qubo_forge.solvers import (
     solve_sa,
     solve_with_lambda_update,
 )
-from reference import dense_form, time_limit
+from reference import dense_form, sparse_max_cut, time_limit
 
 V = Polynomial.variable
 
@@ -404,6 +404,22 @@ class TestSimulatedAnnealing:
         accepted = assert_matches_reference_sa(model, SolverParams(runs=3, sweeps=12, seed=9))
         assert accepted[0] > 0 and accepted[-1] == 0  # the chain freezes in a local minimum
 
+    def test_sparse_blocks_that_settle_in_one_round_match_the_one_replica_reference(self, monkeypatch):
+        # A chain plus a few long edges: each block couples to only some spins, whose fields its flips reach
+        # through its slab.  The first sweep is hot enough to accept every flip, so every block settles in round 1.
+        monkeypatch.setattr(solvers, "_BETA_START", 1e-4)
+        monkeypatch.setattr(solvers, "_BETA_END", 1.0)
+        n, runs = 2 * solvers._SA_BLOCK + 5, 3
+        rng = np.random.default_rng(5)
+        names = [f"v{i:03d}" for i in range(n)]
+        terms = {(name,): float(rng.integers(-5, 6)) for name in names}
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, 100), (3, 64), (10, n - 1), (70, n - 3)]
+        terms.update({(names[i], names[j]): float(rng.choice([-3, -1, 2, 4])) for i, j in edges})
+        model = bare_model(terms)
+        assert all(len(neighbours) < n for _, neighbours, _, _ in solvers._sa_blocks(model.arrays))
+        accepted = assert_matches_reference_sa(model, SolverParams(runs=runs, sweeps=30, seed=4))
+        assert accepted[0] == runs * n and accepted[-1] < runs * n
+
     @pytest.mark.parametrize("extra_sweeps", [0, 1])
     def test_cascading_decisions_match_the_one_replica_reference(self, monkeypatch, extra_sweeps):
         # Antiferromagnetic chain: each flip changes its neighbour's decision, so a block takes many rounds.
@@ -450,8 +466,9 @@ class TestSimulatedAnnealing:
         assert type(exhaustive["candidates"]) is int and exhaustive["candidates"] > 0
 
     def test_dense_thousand_binary_model_in_bounded_memory(self):
-        """The dense couplings take ``8·n²`` bytes, twice that while built, and the chunk buffers about 512 KB.
-        Buffers for the whole 100-sweep schedule would add 41 MB, and a Python list of every coefficient about 15 MB."""
+        """Every block couples to every row, so the slabs take ``8·n²`` bytes in all, and the chunk buffers about
+        512 KB.  Buffers for the whole 100-sweep schedule would add 41 MB, and a Python list of every coefficient
+        about 15 MB."""
         import tracemalloc
 
         n = 1000
@@ -466,6 +483,22 @@ class TestSimulatedAnnealing:
         assert peak < 4 * 8 * n * n, peak
         assert 1.0 <= solution.diagnostics["sa"]["rounds_per_block"] <= solvers._SA_BLOCK + 1
         assert solution.bits.shape == (10, n) and solution.best_energy < 0
+
+    def test_sparse_four_thousand_binary_model_in_memory_linear_in_its_couplers(self):
+        """About 12,000 couplers: each block holds only the rows coupled to it, and the solve peaks near 18 MB.
+        Dense couplings would take ``8·n²`` bytes (128 MB), and twice that while built."""
+        import tracemalloc
+
+        model = compile_problem(sparse_max_cut(4_000))
+        n = len(model.binary_variables())
+        tracemalloc.start()
+        try:
+            solution = solve_sa(model, SolverParams(runs=4, sweeps=50, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, peak
+        assert solution.bits.shape == (4, n) and solution.best_energy < 0
 
     def test_zero_variable_model(self):
         solution = solve_sa(bare_model({}, offset=3.5), SolverParams(runs=3, seed=0))
@@ -822,6 +855,11 @@ class TestCrossSolverProperties:
         solution = solve_sa(model, SolverParams(runs=3, seed=0, sweeps=50, record_time=True))
         assert solution.run_times is not None and len(solution.run_times) == 3
         assert solution.mean_run_time() >= 0.0
+
+    def test_a_bit_matrix_with_no_rows_is_refused_by_name(self, mixed_problem):
+        model = compile_problem(mixed_problem)
+        with pytest.raises(ValueError, match="the bit matrix has no rows"):
+            solvers.SolutionSet.from_bits(model, np.zeros((0, len(model.binary_variables()))))
 
 
 class TestLambdaUpdate:
