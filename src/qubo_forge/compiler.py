@@ -52,7 +52,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -276,15 +276,19 @@ def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -
     ``w_p·((A + Aᵀ)o + a)_u``, summed over the terms, so the work is linear in the output.  Nothing is
     dropped: a stage passes its result to ``_finish``.
     """
-    symbols = sorted(set(chain.from_iterable(terms)))
+    symbols = sorted({name for mono in terms for name in mono})
     index = {name: k for k, name in enumerate(symbols)}
-    degree = np.fromiter(map(len, terms), np.int64, len(terms))
-    named = np.fromiter(map(index.__getitem__, chain.from_iterable(terms)), np.int64, int(degree.sum()))
-    coeffs = np.fromiter(terms.values(), float, len(terms))
-    head = np.cumsum(degree) - degree  # where each term's names start in ``named``
-    quadratic, linear_term = degree == 2, degree == 1
-    u, v, a = named[head[quadratic]], named[head[quadratic] + 1], coeffs[quadratic]
-    at, lin, constant = named[head[linear_term]], coeffs[linear_term], terms.get((), 0.0)
+    left, right, quad, at, lin, constant = [], [], [], [], [], 0.0
+    for mono, coeff in terms.items():
+        if len(mono) == 2:
+            left.append(index[mono[0]])
+            right.append(index[mono[1]])
+            quad.append(coeff)
+        elif mono:
+            at.append(index[mono[0]])
+            lin.append(coeff)
+        else:
+            constant = coeff
     names: list[str] = []
     weight: list[float] = []
     bounds = [0]  # symbol k's binaries are names[bounds[k]:bounds[k + 1]]
@@ -303,6 +307,7 @@ def _lower(terms: Mapping[Monomial, float], plans: Mapping[str, EncodingPlan]) -
     position = np.empty(len(names), dtype=np.int64)
     position[order] = np.arange(len(names))
     start, count = np.array(bounds[:-1], dtype=np.int64), np.diff(bounds)
+    u, v, a = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), np.array(quad, dtype=float)
     w = np.array(weight, dtype=float)
     # term t spans count[u]·count[v] pairs (p, q), p running over u's binaries and q over v's
     sizes = count[u] * count[v]

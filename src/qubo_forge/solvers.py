@@ -305,10 +305,15 @@ def _sa_blocks(arrays: QuadraticForm) -> Iterator[tuple[slice, slice | np.ndarra
 
     ``Q`` is the symmetric coupling matrix, never built: a coupler ``(r, c, v)``
     is ``Q[r, c] = Q[c, r] = v``.  ``neighbours`` holds the spins ``N`` coupled
-    to the block (a plain slice when that is every spin), ``slab`` is
-    ``Q[N, part]`` and ``lower`` is ``tril(Q[part, part], -1)``.  The couplers
-    are in row-major order, so those with their row in the block are one run
-    of them, and one sort by column gives those with their column in it.
+    to the block, ``slab`` is ``Q[N, part]`` and ``lower`` is
+    ``tril(Q[part, part], -1)``.  When ``N`` is at least half of the spins it
+    becomes every spin, a plain slice: the slab is at most twice as tall, with
+    zero rows for the others, and its update needs no gather and scatter.  The
+    couplers are in row-major order, so those with their row in the block are
+    one run of them, and one sort by column gives those with their column in
+    it.  The map from a spin to its slab row is one array that every block
+    reuses, written and read only at the ends of the block's couplers, so the
+    work for a block is in proportion to its couplers.
     """
     n = len(arrays.order)
     rows, cols, values = arrays.rows, arrays.cols, arrays.values
@@ -316,21 +321,28 @@ def _sa_blocks(arrays: QuadraticForm) -> Iterator[tuple[slice, slice | np.ndarra
     firsts = np.append(np.arange(0, n, _SA_BLOCK), n)
     row_bounds = np.searchsorted(rows, firsts).tolist()
     col_bounds = np.searchsorted(cols[by_col], firsts).tolist()
+    slab_row = np.empty(n, dtype=np.int64)  # per block: an end's position in ``ends``, then a neighbour's slab row
     for block, first in enumerate(firsts[:-1].tolist()):
         size = min(_SA_BLOCK, n - first)
         above = by_col[col_bounds[block] : col_bounds[block + 1]]  # Q[r, c] with c in the block
         below = slice(row_bounds[block], row_bounds[block + 1])  # Q[c, r] with r in the block
         r_above, c_above, r_below, c_below = rows[above], cols[above] - first, rows[below] - first, cols[below]
-        touched = np.zeros(n, dtype=bool)
-        touched[r_above] = touched[c_below] = True
-        neighbours, slab_row = np.flatnonzero(touched), np.cumsum(touched) - 1
-        slab = np.zeros((len(neighbours), size))
-        slab[slab_row[r_above], c_above] = values[above]
-        slab[slab_row[c_below], r_below] = values[below]
+        ends = np.concatenate([r_above, c_below])
+        at = np.arange(len(ends))
+        slab_row[ends] = at
+        neighbours = ends[slab_row[ends] == at]  # each spin once: the position whose write was kept
+        if 2 * len(neighbours) >= n:  # the slab's rows are the spins themselves
+            neighbours, height, r_slab, c_slab = slice(None), n, r_above, c_below
+        else:
+            slab_row[neighbours] = np.arange(len(neighbours))
+            height, r_slab, c_slab = len(neighbours), slab_row[r_above], slab_row[c_below]
+        slab = np.zeros((height, size))
+        slab[r_slab, c_above] = values[above]
+        slab[c_slab, r_below] = values[below]
         inside = c_below < first + size
         lower = np.zeros((size, size))
         lower[c_below[inside] - first, r_below[inside]] = values[below][inside]
-        yield slice(first, first + size), slice(None) if len(neighbours) == n else neighbours, slab, lower
+        yield slice(first, first + size), neighbours, slab, lower
 
 
 def solve_sa(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:

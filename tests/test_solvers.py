@@ -405,18 +405,19 @@ class TestSimulatedAnnealing:
         assert accepted[0] > 0 and accepted[-1] == 0  # the chain freezes in a local minimum
 
     def test_sparse_blocks_that_settle_in_one_round_match_the_one_replica_reference(self, monkeypatch):
-        # A chain plus a few long edges: each block couples to only some spins, whose fields its flips reach
-        # through its slab.  The first sweep is hot enough to accept every flip, so every block settles in round 1.
+        # A chain plus a few long edges: blocks 0 and 2 couple to under half of the spins, whose fields their
+        # flips reach through the slab's index rows, and block 1 to more, which takes the slice over every spin.
+        # The first sweep is hot enough to accept every flip, so every block settles in round 1.
         monkeypatch.setattr(solvers, "_BETA_START", 1e-4)
         monkeypatch.setattr(solvers, "_BETA_END", 1.0)
         n, runs = 2 * solvers._SA_BLOCK + 5, 3
         rng = np.random.default_rng(5)
         names = [f"v{i:03d}" for i in range(n)]
         terms = {(name,): float(rng.integers(-5, 6)) for name in names}
-        edges = [(i, i + 1) for i in range(n - 1)] + [(0, 100), (3, 64), (10, n - 1), (70, n - 3)]
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, 100), (3, 64), (10, 40), (70, n - 3)]
         terms.update({(names[i], names[j]): float(rng.choice([-3, -1, 2, 4])) for i, j in edges})
         model = bare_model(terms)
-        assert all(len(neighbours) < n for _, neighbours, _, _ in solvers._sa_blocks(model.arrays))
+        assert [isinstance(neighbours, slice) for _, neighbours, _, _ in solvers._sa_blocks(model.arrays)] == [False, True, False]
         accepted = assert_matches_reference_sa(model, SolverParams(runs=runs, sweeps=30, seed=4))
         assert accepted[0] == runs * n and accepted[-1] < runs * n
 
