@@ -286,8 +286,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     write_cumulative_csv(out / f"{stem}.{options['solver']}.cdf.csv", report.cumulative)
 
     _print_best(solution, valid)
-    if not problem.constraints:
-        return 0
     return 0 if valid else 2
 
 

@@ -22,8 +22,9 @@ so ``WᵀAW`` is one coupler per pair of a term's binaries and no stage builds a
 triangle of one outer product; a non-linear constraint's square is formed as
 a term map and lowered as an objective is.  A monomial of degree >= 3 is
 multiplied out over its variables' affine forms with ``b·b = b`` applied at
-each product, after its term count is bounded against ``COMPILE_BUDGET``;
-what stays above degree two is quadratized.
+each product, after its term count is bounded against ``COMPILE_BUDGET``,
+alone and added to the compile's other expansions (``_charge``); what stays
+above degree two is quadratized.
 
 Penalty weights are estimated on the composed objective *before*
 quadratization, so they do not depend on auxiliary bookkeeping.  The model
@@ -50,6 +51,7 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import combinations, groupby
@@ -58,7 +60,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from qubo_forge.encoding import EncodingPlan, encode, encode_range
+from qubo_forge.encoding import EncodingPlan, encode, encode_range, plan_for
 from qubo_forge.expression import (
     COEFF_EPS,
     Comparison,
@@ -67,13 +69,11 @@ from qubo_forge.expression import (
     format_float,
     reduce_binary_idempotence,  # unused here; the benchmark's span harness wraps this name in this module
 )
-from qubo_forge.problem import BooleanRelation, ConstraintDecl, Problem, VariableKind
+from qubo_forge.problem import GRID_TOL, BooleanRelation, ConstraintDecl, Problem, VariableKind
 
 MODEL_SCHEMA = "qubo-forge-model/1"
 
 LAMBDA_METHODS = ("ub-positive", "mqc", "vlm", "momc", "moc", "ub-naive", "ub-posiform", "manual")
-
-_EPS = 1e-9
 
 WEAK_MULTIPLIER = 0.3  # an estimated λ of a weak constraint is scaled by this; a hard one's is not
 
@@ -84,6 +84,10 @@ _TERM_CHUNK = 2**15  # QuadraticForm.energies builds at most this many terms (25
 # known before its work.  Over three 5-bit variables, (c0+c1+c2)**6 expands to at most 28,672 terms and
 # indexes 114,660 pairs (about 0.5 s); **7 would index 249,795 and **10 expand to 319,332.
 COMPILE_BUDGET = 150_000
+
+# The terms and products that the expansions of the running ``compile_problem`` have charged so far (``_charge``),
+# or None outside one; each context, so each concurrent compile, holds its own.
+_SPENT: ContextVar[list[int] | None] = ContextVar("_SPENT", default=None)
 
 
 @dataclass
@@ -182,10 +186,6 @@ class QuadraticForm:
         q = np.diag(self.linear)
         q[self.rows, self.cols] = self.values
         return q
-
-    def energy(self, x: np.ndarray) -> float:
-        """The energy of one assignment vector; see ``energies``."""
-        return self.energies(np.asarray(x)[None, :])[0]
 
     @cached_property
     def _exact_in_any_order(self) -> bool:
@@ -344,6 +344,17 @@ def _check_budget(count: int, what: str, unit: str = "binary terms") -> None:
         raise ValueError(f"{what} needs {count} {unit}, above the compile budget of {COMPILE_BUDGET}")
 
 
+def _charge(count: int, what: str, unit: str) -> None:
+    """``_check_budget`` for one expansion; inside ``compile_problem`` it also adds ``count`` to the compile's
+    total and refuses ``what`` when that total passes ``COMPILE_BUDGET``."""
+    _check_budget(count, what, unit)
+    spent = _SPENT.get()
+    if spent is not None:
+        spent[0] += count
+        if spent[0] > COMPILE_BUDGET:
+            raise ValueError(f"{what} brings the compile to {spent[0]} terms and products, above its budget of {COMPILE_BUDGET}")
+
+
 def _times(left: Mapping[Monomial, float], right: Mapping[Monomial, float]) -> dict[Monomial, float]:
     """The product of two sums of multilinear monomials over binaries, with ``b·b = b``."""
     out: dict[Monomial, float] = {}
@@ -365,7 +376,7 @@ def _expand(terms: Iterable[tuple[Monomial, float]], plans: Mapping[str, Encodin
     affine = {name: _plan_terms(name, plans) for _, group in factors for name, _ in group}
     bits = {name: len(form) - (() in form) for name, form in affine.items()}
     counts = [[sum(math.comb(bits[v], j) for j in range(min(k, bits[v]) + 1)) for v, k in group] for _, group in factors]
-    _check_budget(sum(map(math.prod, counts)), what)
+    _charge(sum(map(math.prod, counts)), what, "binary terms")
     powers: dict[tuple[str, int], dict[Monomial, float]] = {}
     out: dict[Monomial, float] = {}
     for coeff, group in factors:
@@ -430,7 +441,8 @@ class QuboModel:
     """A QUBO as arrays plus the metadata to decode and audit it (read-only).
 
     ``arrays`` is a ``QuadraticForm`` without ``higher`` terms; ``offset``,
-    when given, replaces its constant.
+    when given, replaces its constant.  A model whose ``Σ|c| + |offset|``,
+    the bound on every energy, overflows is refused.
     """
 
     arrays: QuadraticForm
@@ -453,6 +465,10 @@ class QuboModel:
         self.encodings, self.penalties = list(encodings), list(penalties)
         self.aux_registry, self.cost = dict(aux_registry or {}), cost
         self.arrays = arrays if offset is None else replace(arrays, offset=float(offset))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            bound = float(np.abs(self.arrays.linear).sum() + np.abs(self.arrays.values).sum()) + abs(self.arrays.offset)
+        if not math.isfinite(bound):
+            raise ValueError(f"the model overflows: its coefficients and offset sum to {bound} in magnitude")
 
     @property
     def offset(self) -> float:
@@ -500,7 +516,7 @@ class QuboModel:
             x = np.array([assignment[name] for name in self.arrays.order], dtype=float)
         except KeyError as error:
             raise ValueError(f"no value assigned for variable '{error.args[0]}'") from None
-        return self.arrays.energy(x)
+        return self.arrays.energies(x[None, :])[0]
 
     def decode(self, assignment: dict[str, int]) -> dict[str, float]:
         """Recover the declared variables' values from a binary assignment."""
@@ -630,7 +646,7 @@ def _squared(
         constant = terms.pop((), 0.0) + shift - rhs
         if constant:
             terms[()] = constant
-        _check_budget(len(terms) ** 2, what, "products to square")
+        _charge(len(terms) ** 2, what, "products to square")
         product: dict[Monomial, float] = {}
         for left, a in terms.items():
             for right, b in terms.items():
@@ -690,14 +706,14 @@ def inequality_to_penalty(
     low, high = bounds
     if op == ">=":
         slack_low, slack_high = -(high - rhs), 0.0
-        unsatisfiable = high < rhs - _EPS
+        unsatisfiable = high < rhs - GRID_TOL
     else:
         slack_low, slack_high = 0.0, rhs - low
-        unsatisfiable = low > rhs + _EPS
+        unsatisfiable = low > rhs + GRID_TOL
 
     if unsatisfiable:
         warnings.warn(f"constraint unsatisfiable: '{comparison.to_text()}' over lhs range [{low}, {high}]")
-    if unsatisfiable or slack_high - slack_low < precision - _EPS:
+    if unsatisfiable or slack_high - slack_low < precision - GRID_TOL:
         # No slack, or an equality-tight window with no representable slack value besides zero.
         return _squared(comparison.lhs, rhs, plans, source=comparison), None
 
@@ -708,14 +724,14 @@ def inequality_to_penalty(
 def _binary_pair_penalty(lhs: Polynomial, op: str, rhs: float, plans: Mapping[str, EncodingPlan]) -> QuadraticForm | None:
     """Product penalty for a link ``b - b' >= 0`` (a domain-wall chain's) or ``b' - b <= 0``; avoids a slack bit."""
     sign = {">=": 1.0, "<=": -1.0}.get(op)
-    if sign is None or abs(rhs) > _EPS or lhs.degree() != 1:
+    if sign is None or abs(rhs) > GRID_TOL or lhs.degree() != 1:
         return None
     line = _finish(_lower(dict(lhs), plans))
     held = np.flatnonzero(line.linear)
     if len(held) != 2 or line.offset:
         return None
     (neg_c, lower), (pos_c, upper) = sorted(zip((sign * line.linear[held]).tolist(), [line.order[k] for k in held]))
-    if abs(neg_c + 1.0) > _EPS or abs(pos_c - 1.0) > _EPS:
+    if abs(neg_c + 1.0) > GRID_TOL or abs(pos_c - 1.0) > GRID_TOL:
         return None
     # lower * (1 - upper): 1 exactly on the single violating row.
     return _finish(_lower({(lower,): 1.0, tuple(sorted((lower, upper))): -1.0}, {}))
@@ -735,7 +751,7 @@ def boolean_penalty(
         gate = _gate(((x, y), 1.0), ((x,), 1.0), ((y,), 1.0), ((x, z), -2.0), ((y, z), -2.0), ((z,), 1.0))
         return _finish(_lower(gate, plans)), None
     # xor as a parity check: x + y + z - 2w is zero exactly on consistent rows.
-    plan = EncodingPlan(source=aux_source, binaries=((f"{aux_source}#0", -2.0),), offset=0.0)
+    plan = plan_for(aux_source, [-2.0], 0.0)
     return _squared(_gate(((x,), 1.0), ((y,), 1.0), ((z,), 1.0)), 0.0, plans, plan), plan
 
 
@@ -791,14 +807,14 @@ def estimate_lambda(method: str, objective: QuadraticForm, penalty: QuadraticFor
         raise ValueError(f"{method} needs the constraint penalty")
     if method == "momc":
         steps = np.stack(one_flip_bounds(penalty))
-        steps = steps[steps > _EPS]
+        steps = steps[steps > GRID_TOL]
         return _vlm(objective) / (float(steps.min()) if steps.size else 1.0)
     if method == "moc":
         position = {name: k for k, name in enumerate(objective.order)}
         index = [position.get(name, -1) for name in penalty.order]  # -1: the zero column appended below
         objective_bounds = np.hstack([np.stack(one_flip_bounds(objective)), np.zeros((2, 1))])[:, index]
         penalty_bounds = np.stack(one_flip_bounds(penalty))
-        steps = penalty_bounds > _EPS  # zero-denominator ratios are skipped
+        steps = penalty_bounds > GRID_TOL  # zero-denominator ratios are skipped
         ratios = objective_bounds[steps] / penalty_bounds[steps]
         return float(ratios.max()) if ratios.size else _vlm(objective)
     raise ValueError(f"unknown lambda method {method!r}")
@@ -918,23 +934,26 @@ def compile_problem(problem: Problem, config: CompileConfig | None = None) -> Qu
     # induced constraints (domain-wall chains) are over the encoding binaries themselves
     intervals.update((name, (0.0, 1.0)) for plan in encodings for name in plan.binary_names())
 
-    cost = compose_cost(problem.objectives, plans)
-
     all_constraints: list[ConstraintDecl] = list(problem.constraints)
     for plan in encodings:
         all_constraints.extend(plan.induced)
 
-    parts: list[tuple[ConstraintDecl, QuadraticForm, EncodingPlan | None]] = []
-    for index, decl in enumerate(all_constraints):
-        if decl.boolean is not None:
-            penalty, slack_plan = boolean_penalty(decl.boolean, f"__bool{index}", plans)
-        elif decl.comparison.op == "=":
-            penalty, slack_plan = equality_penalty(decl.comparison, plans), None
-        else:
-            bounds = polynomial_interval(decl.comparison.lhs, intervals)
-            precision = infer_slack_precision(decl, problem)
-            penalty, slack_plan = inequality_to_penalty(decl.comparison, bounds, precision, f"__slack{index}", plans)
-        parts.append((decl, penalty, slack_plan))
+    token = _SPENT.set([0])  # the objective's and every constraint's expansions share one compile budget
+    try:
+        cost = compose_cost(problem.objectives, plans)
+        parts: list[tuple[ConstraintDecl, QuadraticForm, EncodingPlan | None]] = []
+        for index, decl in enumerate(all_constraints):
+            if decl.boolean is not None:
+                penalty, slack_plan = boolean_penalty(decl.boolean, f"__bool{index}", plans)
+            elif decl.comparison.op == "=":
+                penalty, slack_plan = equality_penalty(decl.comparison, plans), None
+            else:
+                bounds = polynomial_interval(decl.comparison.lhs, intervals)
+                precision = infer_slack_precision(decl, problem)
+                penalty, slack_plan = inequality_to_penalty(decl.comparison, bounds, precision, f"__slack{index}", plans)
+            parts.append((decl, penalty, slack_plan))
+    finally:
+        _SPENT.reset(token)
 
     lambdas = _estimate_lambdas(parts, cost, config)
     blocks = [PenaltyBlock(decl, penalty, lam, slack_plan) for (decl, penalty, slack_plan), lam in zip(parts, lambdas)]

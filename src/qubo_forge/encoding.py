@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from qubo_forge.expression import Comparison, Polynomial
-from qubo_forge.problem import ConstraintDecl, VariableDecl, VariableKind, check_encoding
-
-_EPS = 1e-9
+from qubo_forge.problem import GRID_TOL, ConstraintDecl, VariableDecl, VariableKind, check_encoding
 
 
 def _clean(value: float) -> float:
@@ -55,14 +53,35 @@ class EncodingPlan:
         return all(decl.evaluate(bits)[0] for decl in self.induced)
 
 
+def plan_for(source: str, weights: Sequence[float], offset: float, induced: str = "") -> EncodingPlan:
+    """The plan ``offset + Σ weights[k]·source#k``, each weight cleaned, and the constraints its encoding induces.
+
+    ``induced`` is ``"one-hot"`` (exactly one binary set, a dictionary) or ``"chain"`` (each binary at least
+    the one before it, a domain wall); without it the encoding induces none.
+    """
+    names = [f"{source}#{k}" for k in range(len(weights))]
+    if induced == "one-hot":
+        constraints = [(Polynomial({(name,): 1.0 for name in names}), "=", 1.0, "one-hot")]
+    elif induced == "chain":
+        variable = Polynomial.variable
+        constraints = [(variable(names[k]) - variable(names[k - 1]), ">=", 0.0, f"monotone #{k}") for k in range(1, len(names))]
+    else:
+        constraints = []
+    decls = tuple(
+        ConstraintDecl(comparison=Comparison(lhs, op, rhs), hardness="hard", label=f"encoding[{source}] {what}")
+        for lhs, op, rhs, what in constraints
+    )
+    return EncodingPlan(source, tuple(zip(names, map(_clean, weights))), offset, decls)
+
+
 def encode(decl: VariableDecl) -> EncodingPlan:
     """Build the encoding plan for a declared variable."""
     if decl.kind is VariableKind.BINARY:
-        return EncodingPlan(source=decl.name, binaries=((f"{decl.name}#0", 1.0),), offset=0.0)
+        return plan_for(decl.name, [1.0], 0.0)
     if decl.kind is VariableKind.BIPOLAR:
-        return EncodingPlan(source=decl.name, binaries=((f"{decl.name}#0", 2.0),), offset=-1.0)
+        return plan_for(decl.name, [2.0], -1.0)
     if decl.kind is VariableKind.DISCRETE:
-        return _dictionary_plan(decl.name, list(decl.levels), offset=0.0)
+        return plan_for(decl.name, decl.levels, 0.0, "one-hot")
     return encode_range(
         decl.name,
         decl.low,
@@ -92,54 +111,33 @@ def encode_range(
     span = high - low
     if not span > 0:
         raise ValueError(f"empty range [{low}, {high}] for '{source}'")
-    if precision > span + _EPS:
+    if precision > span + GRID_TOL:
         raise ValueError(f"precision {precision} exceeds range {span} for '{source}'")
 
     if method == "dictionary":
-        values = _grid(low, high, precision)
-        return _dictionary_plan(source, values, offset=0.0)
-
-    if method == "logarithmic":
+        return plan_for(source, _grid(low, high, precision), 0.0, "one-hot")
+    if method in ("unitary", "domain_wall"):
+        count = max(1, math.ceil(span / precision - GRID_TOL))
+        weights = [precision] * (count - 1) + [span - precision * (count - 1)]
+        if method == "domain_wall":
+            # Residual leads the chain: valid patterns are suffix-ones, so the
+            # k-th wall (k ones, k < count) must sum plain precision steps.
+            return plan_for(source, weights[::-1], low, "chain")
+    elif method == "logarithmic":
         weights = _log_weights(span, precision, base, cap=None)
-    elif method == "unitary":
-        count = max(1, math.ceil(span / precision - _EPS))
-        weights = [precision] * (count - 1)
-        weights.append(span - precision * (count - 1))
     elif method == "arithmetic":
         weights = []
         partial = 0.0
         k = 1
-        while partial + k * precision <= span + _EPS:
+        while partial + k * precision <= span + GRID_TOL:
             weights.append(k * precision)
             partial += k * precision
             k += 1
-        if span - partial > _EPS:
+        if span - partial > GRID_TOL:
             weights.append(span - partial)
-    elif method == "domain_wall":
-        count = max(1, math.ceil(span / precision - _EPS))
-        # Residual leads the chain: valid patterns are suffix-ones, so the
-        # k-th wall (k ones, k < count) must sum plain precision steps.
-        weights = [span - precision * (count - 1)] + [precision] * (count - 1)
-        names = [f"{source}#{k}" for k in range(count)]
-        induced = tuple(
-            ConstraintDecl(
-                comparison=Comparison(
-                    lhs=Polynomial.variable(names[k]) - Polynomial.variable(names[k - 1]),
-                    op=">=",
-                    rhs=0.0,
-                ),
-                hardness="hard",
-                label=f"encoding[{source}] monotone #{k}",
-            )
-            for k in range(1, count)
-        )
-        binaries = tuple(zip(names, (_clean(w) for w in weights)))
-        return EncodingPlan(source=source, binaries=binaries, offset=low, induced=induced)
     else:  # bounded coefficient
         weights = _log_weights(span, precision, 2, cap=bound)
-
-    binaries = tuple((f"{source}#{k}", _clean(w)) for k, w in enumerate(weights))
-    return EncodingPlan(source=source, binaries=binaries, offset=low)
+    return plan_for(source, weights, low)
 
 
 def _log_weights(span: float, precision: float, base: int, cap: float | None) -> list[float]:
@@ -153,23 +151,23 @@ def _log_weights(span: float, precision: float, base: int, cap: float | None) ->
     weights: list[float] = []
     remaining = span
     step = precision
-    while remaining > _EPS:
-        if cap is not None and step > cap + _EPS:
+    while remaining > GRID_TOL:
+        if cap is not None and step > cap + GRID_TOL:
             break
         copies = 0
-        while copies < base - 1 and step < remaining - _EPS:
+        while copies < base - 1 and step < remaining - GRID_TOL:
             weights.append(step)
             remaining -= step
             copies += 1
-        if copies < base - 1 and remaining > _EPS:
+        if copies < base - 1 and remaining > GRID_TOL:
             weights.append(remaining)
             remaining = 0.0
         step *= base
     if cap is not None:
-        while remaining > cap + _EPS:
+        while remaining > cap + GRID_TOL:
             weights.append(cap)
             remaining -= cap
-        if remaining > _EPS:
+        if remaining > GRID_TOL:
             weights.append(remaining)
     return weights
 
@@ -177,30 +175,11 @@ def _log_weights(span: float, precision: float, base: int, cap: float | None) ->
 def _grid(low: float, high: float, precision: float) -> list[float]:
     values = []
     k = 0
-    while low + k * precision <= high + _EPS:
-        values.append(_clean(low + k * precision))
+    while low + k * precision <= high + GRID_TOL:
+        values.append(low + k * precision)
         k += 1
-    if abs(values[-1] - high) > _EPS:
+    if abs(values[-1] - high) > GRID_TOL:
         values.append(high)  # grid includes both endpoints
     else:
         values[-1] = high
     return values
-
-
-def _dictionary_plan(source: str, values: list[float], offset: float) -> EncodingPlan:
-    names = [f"{source}#{k}" for k in range(len(values))]
-    one_hot = ConstraintDecl(
-        comparison=Comparison(
-            lhs=Polynomial({(name,): 1.0 for name in names}),
-            op="=",
-            rhs=1.0,
-        ),
-        hardness="hard",
-        label=f"encoding[{source}] one-hot",
-    )
-    return EncodingPlan(
-        source=source,
-        binaries=tuple(zip(names, (_clean(v) for v in values))),
-        offset=offset,
-        induced=(one_hot,),
-    )

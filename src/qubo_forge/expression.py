@@ -184,27 +184,12 @@ class Polynomial:
         return total
 
     def substitute(self, name: str, replacement: "Polynomial") -> "Polynomial":
-        """Replace every occurrence of ``name`` (with its exponent) by a polynomial.
-
-        One pass: each term's expansion is added into a single accumulator,
-        in term order, and ``replacement**k`` is computed once per power.  The
-        result equals summing the expanded terms one ``+`` at a time.
-        """
-        powers: dict[int, Polynomial] = {}
-        out: dict[Monomial, float] = {}
+        """Replace every occurrence of ``name`` (with its exponent) by a polynomial, one ``+`` per term."""
+        result = Polynomial.zero()
         for mono, coeff in self._terms.items():
-            power = mono.count(name)
-            if power == 0:
-                _accumulate(out, mono, coeff)
-                continue
-            if power not in powers:
-                powers[power] = replacement**power
             rest = tuple(v for v in mono if v != name)
-            for rmono, rcoeff in powers[power]._terms.items():
-                value = coeff * rcoeff
-                if abs(value) >= COEFF_EPS:  # a product term this small is dropped before it is added
-                    _accumulate(out, tuple(sorted(rest + rmono)), value)
-        return Polynomial._wrap(out)
+            result = result + Polynomial({rest: coeff}) * replacement ** (len(mono) - len(rest))
+        return result
 
     # -- canonical text form -------------------------------------------------
 

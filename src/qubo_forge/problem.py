@@ -31,6 +31,10 @@ BOOLEAN_KINDS = ("not", "and", "or", "xor")
 
 CONTINUOUS_ENCODINGS = ("dictionary", "logarithmic", "unitary", "arithmetic", "domain_wall", "bounded")
 
+# How far two values on a declared grid (ranges, steps, sums of weights, bounds) may differ and still count
+# as equal: the float tolerance of the encoder and of the compiler's slack, link and λ-step tests.
+GRID_TOL = 1e-9
+
 
 class ProblemFileError(ValueError):
     """A problem file whose JSON does not have the documented shape; ``path`` names the place."""
@@ -84,7 +88,7 @@ def check_encoding(source: str, method: str, base: int, bound: float | None, pre
         raise ValueError(f"logarithmic base must be >= 2, got {base}")
     if method == "bounded" and bound is None:
         raise ValueError(f"bounded-coefficient encoding of '{source}' needs a coefficient bound")
-    if method == "bounded" and bound < precision - 1e-9:  # the encoder's float tolerance
+    if method == "bounded" and bound < precision - GRID_TOL:
         raise ValueError(f"coefficient bound {bound} is below the precision {precision}")
 
 
@@ -268,12 +272,8 @@ class Problem:
         if len(shape) not in (1, 2) or any(int(s) <= 0 for s in shape):
             raise ValueError("arrays must be 1-D or 2-D with positive extents")
         if len(shape) == 1:
-            names = [f"{name}_{i}" for i in range(int(shape[0]))]
-        else:
-            names = [[f"{name}_{i}_{j}" for j in range(int(shape[1]))] for i in range(int(shape[0]))]
-        for flat in _flatten(names):
-            add(flat, *args, **kwargs)
-        return names
+            return [add(f"{name}_{i}", *args, **kwargs) for i in range(int(shape[0]))]
+        return [[add(f"{name}_{i}_{j}", *args, **kwargs) for j in range(int(shape[1]))] for i in range(int(shape[0]))]
 
     def add_binary_variables_array(self, name: str, shape: Sequence[int]) -> list:
         return self._add_array(self.add_binary_variable, name, shape)
@@ -558,11 +558,3 @@ def _check_finite(poly: Polynomial, where: str) -> None:
 
 def _without(entry: dict[str, Any], *keys: str) -> dict[str, Any]:
     return {key: value for key, value in entry.items() if key not in keys}
-
-
-def _flatten(names: list) -> Iterable[str]:
-    for item in names:
-        if isinstance(item, list):
-            yield from item
-        else:
-            yield item

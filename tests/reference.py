@@ -27,10 +27,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from qubo_forge.compiler import _EPS, WEAK_MULTIPLIER, QuadraticForm, infer_slack_precision, polynomial_interval
+from qubo_forge.compiler import WEAK_MULTIPLIER, QuadraticForm, infer_slack_precision, polynomial_interval
 from qubo_forge.encoding import EncodingPlan, encode, encode_range
 from qubo_forge.expression import COEFF_EPS, Comparison, Polynomial
-from qubo_forge.problem import Problem
+from qubo_forge.problem import GRID_TOL, Problem
 
 
 @contextlib.contextmanager
@@ -267,7 +267,7 @@ def _is_wall_link(line: Terms) -> tuple[str, str] | None:
     if () in held or len(held) != 2 or any(len(mono) != 1 for mono in held):
         return None
     (neg, (lower,)), (pos, (upper,)) = sorted((coeff, mono) for mono, coeff in held.items())
-    return (lower, upper) if abs(neg + 1.0) <= _EPS and abs(pos - 1.0) <= _EPS else None
+    return (lower, upper) if abs(neg + 1.0) <= GRID_TOL and abs(pos - 1.0) <= GRID_TOL else None
 
 
 def reference_compile(problem) -> Reference:
@@ -297,7 +297,7 @@ def reference_compile(problem) -> Reference:
         if op in ("<", ">"):  # tightened by one step: the compiler's float rhs, and the exact sum behind it
             step = precision if op == ">" else -precision
             op, rhs, tightened = op + "=", rhs + Exact.of(step), comparison.rhs + step
-        if op in (">=", "<=") and abs(tightened) <= _EPS and comparison.lhs.degree() == 1:
+        if op in (">=", "<=") and abs(tightened) <= GRID_TOL and comparison.lhs.degree() == 1:
             link = _is_wall_link(expand(lhs if op == ">=" else [(mono, -coeff) for mono, coeff in lhs], plans))
             if link is not None:
                 lower, upper = link
@@ -306,8 +306,8 @@ def reference_compile(problem) -> Reference:
         if op != "=":
             low, high = polynomial_interval(comparison.lhs, intervals)
             slack_low, slack_high = (-(high - tightened), 0.0) if op == ">=" else (0.0, tightened - low)
-            unsatisfiable = high < tightened - _EPS if op == ">=" else low > tightened + _EPS
-            if not unsatisfiable and slack_high - slack_low >= precision - _EPS:
+            unsatisfiable = high < tightened - GRID_TOL if op == ">=" else low > tightened + GRID_TOL
+            if not unsatisfiable and slack_high - slack_low >= precision - GRID_TOL:
                 slack = encode_range(f"__slack{index}", slack_low, slack_high, precision, method="logarithmic")
                 names.update(slack.binary_names())
                 lhs += [((binary,), Exact.of(weight)) for binary, weight in slack.binaries] + [((), Exact.of(slack.offset))]
@@ -408,7 +408,7 @@ def lambda_interval(method: str, objective, penalty=None) -> Interval:
 
     A float sum lies within ``γ_(n-1)·Σ|terms|`` of its exact sum, and each other operation rounds once.  A
     division carries its denominator's interval, so a quotient of a cancellation residue keeps the residue's
-    conditioning.  A step within its bound of ``_EPS`` may be kept or skipped.  ub-positive raises as the
+    conditioning.  A step within its bound of ``GRID_TOL`` may be kept or skipped.  ub-positive raises as the
     compiler does.
     """
     coefficients = objective.coefficients().tolist()
@@ -430,10 +430,10 @@ def lambda_interval(method: str, objective, penalty=None) -> Interval:
         return _rounded((upper[0] - lower[1]) / 2, (upper[1] - lower[0]) / 2)
     vlm = _vlm(objective)
     penalty_gains, penalty_losses = _flip_bounds(penalty)
-    if method == "momc":  # steps above _EPS are kept: those that may be (clipped at _EPS), and those that must
+    if method == "momc":  # steps above GRID_TOL are kept: those that may be (clipped at GRID_TOL), and those that must
         steps = penalty_gains + penalty_losses
-        possible = [(max(lo, Fraction(_EPS)), hi) for lo, hi in steps if hi > _EPS]
-        certain = [(lo, hi) for lo, hi in steps if lo > _EPS]
+        possible = [(max(lo, Fraction(GRID_TOL)), hi) for lo, hi in steps if hi > GRID_TOL]
+        certain = [(lo, hi) for lo, hi in steps if lo > GRID_TOL]
         low = min([lo for lo, _ in possible] + ([] if certain else [Fraction(1)]))
         high = min(hi for _, hi in certain) if certain else max([Fraction(1), *(hi for _, hi in possible)])
         return _rounded(vlm[0] / high, vlm[1] / low)
@@ -445,13 +445,13 @@ def lambda_interval(method: str, objective, penalty=None) -> Interval:
     for own, penalty_bounds in ((gains, penalty_gains), (losses, penalty_losses)):
         for name, step in zip(penalty.order, penalty_bounds):
             numerator = own[position[name]] if name in position else zero
-            if step[1] <= _EPS:
+            if step[1] <= GRID_TOL:
                 continue
-            low, high = max(step[0], Fraction(_EPS)), step[1]
+            low, high = max(step[0], Fraction(GRID_TOL)), step[1]
             quotients = [numerator[0] / low, numerator[0] / high, numerator[1] / low, numerator[1] / high]
             ratio = _rounded(min(quotients), max(quotients))
             ratios.append(ratio)
-            if step[0] > _EPS:
+            if step[0] > GRID_TOL:
                 certain_ratios.append(ratio)
     if not ratios:
         return vlm

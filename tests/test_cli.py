@@ -157,6 +157,18 @@ class TestSolveCommand:
         problem.save(path)
         assert run_cli("solve", path, "--solver", "sa", "--runs", 5, "--out-dir", tmp_path / "o") == 0
 
+    def test_a_broken_encoding_block_exits_two_without_declared_constraints(self, tmp_path, capsys):
+        """A one-hot block is a constraint too: a weak λ that breaks it is an infeasible answer."""
+        problem = Problem()
+        problem.add_discrete_variable("b", range(1, 9))
+        problem.add_objective("b", direction="maximize")
+        problem.freeze()
+        path = tmp_path / "levels.problem.json"
+        problem.save(path)
+        argv = ["--solver", "sa", "--sweeps", 1, "--runs", 1, "--seed", 0, "--lambda-method", "manual", "--lambda-value", 0.01]
+        assert run_cli("solve", path, *argv, "--out-dir", tmp_path / "o") == 2
+        assert "feasible:      no" in capsys.readouterr().out
+
     def test_knapsack_sa_report_best(self, f3_problem_file, tmp_path):
         out = tmp_path / "out"
         code = run_cli(

@@ -10,7 +10,9 @@ verified against brute-force enumeration.
 import itertools
 import json
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -368,6 +370,41 @@ class TestReweighting:
             compiler.QuboModel(cubic)
 
 
+class TestOverflow:
+    """A model whose ``Σ|c| + |offset|`` is not finite is refused where it is built, not solved to a NaN energy."""
+
+    MESSAGE = r"^the model overflows: its coefficients and offset sum to inf in magnitude$"
+
+    @staticmethod
+    def huge_objective_problem():
+        problem = Problem()
+        problem.add_binary_variable("x")
+        problem.add_objective("1e308*x")
+        problem.add_constraint("x <= 0")
+        return problem.freeze()
+
+    def test_a_penalty_weight_past_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):  # λ 1e308 on top of the objective's 1e308
+            compile_problem(self.huge_objective_problem())
+
+    def test_couplers_past_the_float_range_are_refused(self):
+        problem = Problem()
+        problem.add_continuous_variable("c", 0, 1e200, 1e199)
+        problem.add_objective("c*c")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=self.MESSAGE):
+            compile_problem(problem.freeze())
+
+    def test_a_reweighted_or_built_model_past_the_float_range_is_refused(self):
+        model = compile_problem(self.huge_objective_problem(), CompileConfig(lambda_method="manual", manual_lambdas=1.0))
+        assert model.arrays.linear.tolist() == [1e308]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            model.with_lambdas([1e308])
+        with pytest.raises(ValueError, match=self.MESSAGE):  # each coefficient is finite, their magnitudes' sum is not
+            compiler.QuboModel(QuadraticForm.from_polynomial(1e308 * V("x") - 1e308 * V("y")))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            compiler.QuboModel(QuadraticForm.from_polynomial(V("x")), offset=math.inf)
+
+
 class TestLambdaSufficiency:
     """Estimated weights that do dominate must yield feasible exhaustive optima.
 
@@ -663,7 +700,7 @@ class TestArrayForm:
         with mock.patch.object(compiler, "_TERM_CHUNK", chunk):  # several row chunks, or one
             energies = arrays.energies(bits)
         assert list(map(repr, energies)) == list(map(repr, expected))
-        assert [repr(arrays.energy(x)) for x in bits] == list(map(repr, expected))
+        assert [repr(arrays.energies(x[None, :])[0]) for x in bits] == list(map(repr, expected))  # one row at a time
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1242,6 +1279,43 @@ class TestCompileBudget:
         problem = power_problem("c_0", constraint="(c_0+c_1+c_2)**8 <= 1")
         with time_limit(2.0), pytest.raises(ValueError, match=r"^constraint '.+ <= 1' needs \d+ binary terms, above"):
             compile_problem(problem)
+
+    def test_the_expansions_of_one_compile_share_the_budget(self):
+        """Each equality alone is within the budget; the compile refuses the one that takes its total past it."""
+        message = rf"^constraint '.+ = 6' brings the compile to 177978 terms and products, above its budget of {compiler.COMPILE_BUDGET}$"
+        with time_limit(2.0), pytest.raises(ValueError, match=message):
+            compile_problem(cube_equalities_problem(16))
+
+    def test_the_shared_budget_ends_with_its_compile(self):
+        problem = cube_equalities_problem(4)
+        compile_problem(problem)
+        compile_problem(problem)  # a second compile starts from nothing spent
+        plans = {decl.name: encode(decl) for decl in problem.variables}
+        for decl in cube_equalities_problem(16).constraints:  # a stage called on its own checks each call alone
+            equality_penalty(decl.comparison, plans)
+
+    def test_concurrent_compiles_keep_their_own_budget(self):
+        """Four compiles in threads, each within the budget alone but past it together, all succeed."""
+        problem = cube_equalities_problem(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so the compiles interleave
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                models = [future.result(timeout=60) for future in [pool.submit(compile_problem, problem) for _ in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(model.penalties) for model in models] == [4] * 4
+
+
+def cube_equalities_problem(count):
+    """``count`` equalities ``(c_0+c_1+c_2)**3 = k`` over three 5-bit grids; each one expands to about 30,000 terms."""
+    problem = Problem()
+    for k in range(3):
+        problem.add_continuous_variable(f"c_{k}", 0, 31, 1)
+    problem.add_objective("c_0")
+    for k in range(1, count + 1):
+        problem.add_constraint(f"(c_0+c_1+c_2)**3 = {k}")
+    return problem.freeze()
 
 
 def cubic_chain_problem() -> Problem:

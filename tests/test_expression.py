@@ -352,39 +352,6 @@ def test_idempotence_preserves_binary_evaluation(terms):
     exhaustive_equal(poly, reduced, names)
 
 
-def _substitute_reference(poly: Polynomial, name: str, replacement: Polynomial) -> Polynomial:
-    """The accumulate-and-re-canonicalise algorithm: one ``+`` per expanded term."""
-    result = Polynomial.zero()
-    for mono, coeff in poly:
-        power = sum(1 for v in mono if v == name)
-        if power == 0:
-            result = result + Polynomial({mono: coeff})
-            continue
-        rest = tuple(v for v in mono if v != name)
-        result = result + Polynomial({rest: coeff}) * (replacement**power)
-    return result
-
-
-# Inexact floats catch a changed summation order; quarter steps cancel exactly,
-# so monomials drop out of the accumulator and come back; 1e-7 squared falls
-# below COEFF_EPS and must be dropped before it is added.
-_exact_or_not = st.one_of(
-    _coeffs,
-    st.floats(min_value=-4, max_value=4, allow_nan=False).filter(lambda x: abs(x) > 1e-6),
-    st.sampled_from([1e-7, -1e-7]),
-)
-_rough_polys = st.dictionaries(_monomials, _exact_or_not, max_size=8).map(Polynomial)
-
-
-@given(_rough_polys, st.sampled_from(["a", "b", "c"]), _rough_polys)
-@example(  # d cancels in the expansion of a, then comes back from a**2
-    Polynomial({("d",): 1.0, ("a",): 1.0, ("a", "a"): 1.0}), "a", Polynomial({("d",): -1.0, (): 0.5})
-)
-@settings(max_examples=300)
-def test_one_pass_substitute_matches_the_accumulating_reference(p, name, replacement):
-    assert list(p.substitute(name, replacement)) == list(_substitute_reference(p, name, replacement))
-
-
 class _ChainedSumParser(expression._Parser):
     """The parser summing as ``result + rhs`` per term, which copies the sum so far each time."""
 
