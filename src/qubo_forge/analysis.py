@@ -38,7 +38,7 @@ class ConstraintCheck:
 class AnalysisReport:
     """Quality metrics for one solver's solution set."""
 
-    valid_rate: float  # percent of runs whose best sample satisfies the hard constraints
+    valid_rate: float  # percent of all the solution's samples that satisfy every hard constraint
     objective_values: list[float]
     constraint_results: list[ConstraintCheck]
     cumulative: list[tuple[float, float]]

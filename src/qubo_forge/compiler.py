@@ -69,7 +69,7 @@ from qubo_forge.expression import (
     format_float,
     reduce_binary_idempotence,  # unused here; the benchmark's span harness wraps this name in this module
 )
-from qubo_forge.problem import GRID_TOL, BooleanRelation, ConstraintDecl, Problem, VariableKind
+from qubo_forge.problem import COMPILE_BUDGET, GRID_TOL, BooleanRelation, ConstraintDecl, Problem, VariableKind
 
 MODEL_SCHEMA = "qubo-forge-model/1"
 
@@ -78,12 +78,6 @@ LAMBDA_METHODS = ("ub-positive", "mqc", "vlm", "momc", "moc", "ub-naive", "ub-po
 WEAK_MULTIPLIER = 0.3  # an estimated λ of a weak constraint is scaled by this; a hard one's is not
 
 _TERM_CHUNK = 2**15  # QuadraticForm.energies builds at most this many terms (256 KB of floats) at a time
-
-# The most binary terms an objective or a constraint may expand to, and the most pair entries (one per pair
-# of binaries in a monomial of degree >= 3) quadratization may index, auxiliaries counted too; each count is
-# known before its work.  Over three 5-bit variables, (c0+c1+c2)**6 expands to at most 28,672 terms and
-# indexes 114,660 pairs (about 0.5 s); **7 would index 249,795 and **10 expand to 319,332.
-COMPILE_BUDGET = 150_000
 
 # The terms and products that the expansions of the running ``compile_problem`` have charged so far (``_charge``),
 # or None outside one; each context, so each concurrent compile, holds its own.
@@ -525,6 +519,7 @@ class QuboModel:
     def lambdas(self) -> list[float]:
         return [block.lam for block in self.penalties]
 
+    @np.errstate(over="ignore", invalid="ignore")  # as in compile_problem
     def with_lambdas(self, lambdas: Sequence[float]) -> "QuboModel":
         """The same compiled model with one new λ per penalty block, without recompiling."""
         if self.cost is None:
@@ -922,6 +917,7 @@ def infer_slack_precision(decl: ConstraintDecl, problem: Problem) -> float:
     return min(precisions) if precisions else 1.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result past the float range is refused by QuboModel, by name
 def compile_problem(problem: Problem, config: CompileConfig | None = None) -> QuboModel:
     """Compile a frozen problem into a QuboModel (see module docstring for the pipeline)."""
     if not problem.frozen:

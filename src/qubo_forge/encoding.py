@@ -6,24 +6,26 @@ dictionary encodings, monotone chains for domain-wall).  Binary names are
 namespaced ``source#k`` so they stay globally unique.
 
 Continuous encodings cover ``[low, high]`` on a grid of step ``precision``.
-Where the chosen weight progression does not sum to the range exactly, a
-final residual weight is appended so the all-ones pattern decodes exactly to
+A stepped encoding takes its steps while each fits in what is left of the
+range and ends on that residual, so the all-ones pattern decodes exactly to
 ``high`` (for domain-wall the residual leads the chain so that wall position
 k keeps decoding to ``low + k * precision``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from qubo_forge.expression import Comparison, Polynomial
-from qubo_forge.problem import GRID_TOL, ConstraintDecl, VariableDecl, VariableKind, check_encoding
+from qubo_forge.problem import COMPILE_BUDGET, GRID_TOL, ConstraintDecl, VariableDecl, VariableKind, check_encoding
 
 
 def _clean(value: float) -> float:
-    # Normalize accumulated float noise (3 * 0.2 -> 0.6) to 12 significant digits.
+    # Normalize float noise in a weight the encoder computes (3 * 0.2 -> 0.6) to 12 significant digits;
+    # declared levels are kept exactly.
     return float(f"{value:.12g}")
 
 
@@ -54,7 +56,7 @@ class EncodingPlan:
 
 
 def plan_for(source: str, weights: Sequence[float], offset: float, induced: str = "") -> EncodingPlan:
-    """The plan ``offset + Σ weights[k]·source#k``, each weight cleaned, and the constraints its encoding induces.
+    """The plan ``offset + Σ weights[k]·source#k`` and the constraints its encoding induces.
 
     ``induced`` is ``"one-hot"`` (exactly one binary set, a dictionary) or ``"chain"`` (each binary at least
     the one before it, a domain wall); without it the encoding induces none.
@@ -71,7 +73,7 @@ def plan_for(source: str, weights: Sequence[float], offset: float, induced: str 
         ConstraintDecl(comparison=Comparison(lhs, op, rhs), hardness="hard", label=f"encoding[{source}] {what}")
         for lhs, op, rhs, what in constraints
     )
-    return EncodingPlan(source, tuple(zip(names, map(_clean, weights))), offset, decls)
+    return EncodingPlan(source, tuple(zip(names, weights)), offset, decls)
 
 
 def encode(decl: VariableDecl) -> EncodingPlan:
@@ -115,71 +117,60 @@ def encode_range(
         raise ValueError(f"precision {precision} exceeds range {span} for '{source}'")
 
     if method == "dictionary":
-        return plan_for(source, _grid(low, high, precision), 0.0, "one-hot")
-    if method in ("unitary", "domain_wall"):
-        count = max(1, math.ceil(span / precision - GRID_TOL))
+        weights = _grid(low, high, precision)
+    elif method in ("unitary", "domain_wall"):
+        # Equal steps in closed form (a running difference would lose digits); capped so a count past the
+        # budget builds no more than one weight past it.
+        count = max(1, math.ceil(min(span / precision, COMPILE_BUDGET + 1) - GRID_TOL))
         weights = [precision] * (count - 1) + [span - precision * (count - 1)]
-        if method == "domain_wall":
-            # Residual leads the chain: valid patterns are suffix-ones, so the
-            # k-th wall (k ones, k < count) must sum plain precision steps.
-            return plan_for(source, weights[::-1], low, "chain")
     elif method == "logarithmic":
-        weights = _log_weights(span, precision, base, cap=None)
+        weights = _fill(span, _powers(precision, base))
     elif method == "arithmetic":
-        weights = []
-        partial = 0.0
-        k = 1
-        while partial + k * precision <= span + GRID_TOL:
-            weights.append(k * precision)
-            partial += k * precision
-            k += 1
-        if span - partial > GRID_TOL:
-            weights.append(span - partial)
+        weights = _fill(span, (k * precision for k in itertools.count(1)))
     else:  # bounded coefficient
-        weights = _log_weights(span, precision, 2, cap=bound)
+        weights = _fill(span, itertools.chain(_powers(precision, 2, bound), itertools.repeat(bound)))
+    if len(weights) > COMPILE_BUDGET:
+        budget = f"more binaries than the compile budget of {COMPILE_BUDGET}"
+        raise ValueError(f"the {method} encoding of '{source}' at precision {precision} needs {budget}")
+    weights = [_clean(weight) for weight in weights]
+    if method == "dictionary":
+        return plan_for(source, weights, 0.0, "one-hot")
+    if method == "domain_wall":
+        # Residual leads the chain: valid patterns are suffix-ones, so the
+        # k-th wall (k ones, k < count) must sum plain precision steps.
+        return plan_for(source, weights[::-1], low, "chain")
     return plan_for(source, weights, low)
 
 
-def _log_weights(span: float, precision: float, base: int, cap: float | None) -> list[float]:
-    """Geometric weights with a final residual so the sum hits span exactly.
-
-    Each power of the base appears ``base - 1`` times (one binary per digit
-    step), which keeps every grid multiple of the precision reachable; for
-    base 2 this is the familiar 1, 2, 4, ... progression.  ``cap`` switches
-    to repeated capped weights once the progression would exceed it.
-    """
-    weights: list[float] = []
+def _fill(span: float, steps: Iterable[float]) -> list[float]:
+    """Take ``steps`` while each fits in what is left of ``span``, then add what is left.  At most
+    ``COMPILE_BUDGET`` steps are taken, so a plan past the budget ends one weight past it."""
+    weights = []
     remaining = span
-    step = precision
-    while remaining > GRID_TOL:
-        if cap is not None and step > cap + GRID_TOL:
+    for step in itertools.islice(steps, COMPILE_BUDGET):
+        if not step < remaining - GRID_TOL:
             break
-        copies = 0
-        while copies < base - 1 and step < remaining - GRID_TOL:
-            weights.append(step)
-            remaining -= step
-            copies += 1
-        if copies < base - 1 and remaining > GRID_TOL:
-            weights.append(remaining)
-            remaining = 0.0
-        step *= base
-    if cap is not None:
-        while remaining > cap + GRID_TOL:
-            weights.append(cap)
-            remaining -= cap
-        if remaining > GRID_TOL:
-            weights.append(remaining)
+        weights.append(step)
+        remaining -= step
+    if remaining > GRID_TOL:
+        weights.append(remaining)
     return weights
 
 
+def _powers(precision: float, base: int, bound: float = math.inf) -> Iterable[float]:
+    """``precision·base**j`` for j = 0, 1, … while at most ``bound``, each ``base - 1`` times: one binary per
+    digit step keeps every grid multiple of the precision reachable (base 2: 1, 2, 4, …)."""
+    step = precision
+    while step <= bound + GRID_TOL:
+        yield from itertools.repeat(step, base - 1)
+        step *= base
+
+
 def _grid(low: float, high: float, precision: float) -> list[float]:
+    """The grid ``low + k·precision`` below ``high``, then ``high``; past the budget it ends one value past it."""
     values = []
-    k = 0
-    while low + k * precision <= high + GRID_TOL:
+    for k in range(COMPILE_BUDGET):
+        if not low + k * precision < high - GRID_TOL:
+            break
         values.append(low + k * precision)
-        k += 1
-    if abs(values[-1] - high) > GRID_TOL:
-        values.append(high)  # grid includes both endpoints
-    else:
-        values[-1] = high
-    return values
+    return values + [high]  # grid includes both endpoints

@@ -35,6 +35,13 @@ CONTINUOUS_ENCODINGS = ("dictionary", "logarithmic", "unitary", "arithmetic", "d
 # as equal: the float tolerance of the encoder and of the compiler's slack, link and λ-step tests.
 GRID_TOL = 1e-9
 
+# The most binaries one variable's encoding may need, the most binary terms an objective or a constraint may
+# expand to, and the most pair entries (one per pair of binaries in a monomial of degree >= 3) quadratization
+# may index, auxiliaries counted too; each count is known before its work.  Over three 5-bit variables,
+# (c0+c1+c2)**6 expands to at most 28,672 terms and indexes 114,660 pairs (about 0.5 s); **7 would index
+# 249,795 and **10 expand to 319,332.
+COMPILE_BUDGET = 150_000
+
 
 class ProblemFileError(ValueError):
     """A problem file whose JSON does not have the documented shape; ``path`` names the place."""
@@ -79,11 +86,14 @@ class VariableDecl:
 def check_encoding(source: str, method: str, base: int, bound: float | None, precision: float) -> None:
     """Refuse a continuous encoding that cannot be built.
 
-    That is an unknown method, a logarithmic base below 2, or a bounded-coefficient encoding without
-    its bound or with one below the precision.  Declarations check it, and so does ``encoding.encode_range``.
+    That is an unknown method, a logarithmic base that is not an integer or is below 2, or a bounded-coefficient
+    encoding without its bound or with one below the precision.  Declarations check it, and so does
+    ``encoding.encode_range``.
     """
     if method not in CONTINUOUS_ENCODINGS:
         raise ValueError(f"unknown continuous encoding {method!r}; expected one of {CONTINUOUS_ENCODINGS}")
+    if method == "logarithmic" and not isinstance(base, (int, np.integer)):
+        raise ValueError(f"logarithmic base must be an integer, got {base!r}")
     if method == "logarithmic" and base < 2:
         raise ValueError(f"logarithmic base must be >= 2, got {base}")
     if method == "bounded" and bound is None:

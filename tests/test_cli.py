@@ -340,6 +340,14 @@ class TestSolveCommand:
                 },
                 "error: coefficient bound 0.1 is below the precision 0.25",
             ),
+            (
+                {
+                    "variables": [{"name": "c", "kind": "continuous", "low": 0, "high": 1, "precision": 1e-9, "encoding": "unitary"}],
+                    "objectives": [{"expression": "c"}],
+                    "constraints": [],
+                },
+                "error: the unitary encoding of 'c' at precision 1e-09 needs more binaries than the compile budget of 150000\n",
+            ),
         ],
     )
     def test_pinned_robustness_cases_are_error_lines(self, change, message, tmp_path, capsys):
@@ -397,6 +405,18 @@ class TestSolveCommand:
         run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 1
         assert run.stderr.startswith("error: problem file: variables: expected array") and "Traceback" not in run.stderr
+
+    def test_an_overflowing_compile_writes_only_its_error_line(self, tmp_path):
+        """numpy's overflow warnings are not printed before the named error, in a process of its own."""
+        variables = [{"name": "c", "kind": "continuous", "low": 0, "high": 1e200, "precision": 1e199}]
+        path = tmp_path / "huge.problem.json"
+        path.write_text(json.dumps({"schema": "qubo-forge-problem/1", "variables": variables, "objectives": [{"expression": "c*c"}]}))
+        src = str(Path(qubo_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = [sys.executable, "-m", "qubo_forge.cli", "solve", str(path), "--out-dir", str(tmp_path)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr == "error: the model overflows: its coefficients and offset sum to inf in magnitude\n"
 
     @pytest.mark.parametrize(
         "document, expected",

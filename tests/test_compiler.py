@@ -391,7 +391,7 @@ class TestOverflow:
         problem = Problem()
         problem.add_continuous_variable("c", 0, 1e200, 1e199)
         problem.add_objective("c*c")
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=self.MESSAGE):
+        with pytest.raises(ValueError, match=self.MESSAGE):
             compile_problem(problem.freeze())
 
     def test_a_reweighted_or_built_model_past_the_float_range_is_refused(self):
@@ -403,6 +403,16 @@ class TestOverflow:
             compiler.QuboModel(QuadraticForm.from_polynomial(1e308 * V("x") - 1e308 * V("y")))
         with pytest.raises(ValueError, match=self.MESSAGE):
             compiler.QuboModel(QuadraticForm.from_polynomial(V("x")), offset=math.inf)
+
+    def test_reweighting_a_cubic_model_past_the_float_range_is_refused_without_warnings(self):
+        problem = Problem()
+        for name in "xyz":
+            problem.add_binary_variable(name)
+        problem.add_objective("x*y*z + x")
+        problem.add_constraint("x + y <= 1")
+        model = compile_problem(problem.freeze(), CompileConfig(lambda_method="manual", manual_lambdas=1.0))
+        with pytest.raises(ValueError, match=r"^the model overflows: its coefficients and offset sum to nan in magnitude$"):
+            model.with_lambdas([1e308])  # numpy's warnings would fail the test: pytest turns RuntimeWarning into an error
 
 
 class TestLambdaSufficiency:

@@ -11,8 +11,11 @@ import itertools
 import numpy as np
 import pytest
 
+from qubo_forge.compiler import COMPILE_BUDGET, compile_problem
 from qubo_forge.encoding import EncodingPlan, encode, encode_range
 from qubo_forge.problem import Problem
+from qubo_forge.solvers import solve_exhaustive
+from reference import time_limit
 
 
 def plan_for(kind: str, **kwargs) -> EncodingPlan:
@@ -75,6 +78,13 @@ class TestDiscrete:
         assert not plan.encoding_valid(bits)
         assert plan.decode(bits) == 2.0  # -1 + 3, flagged invalid above
 
+    def test_declared_levels_are_kept_exactly(self):
+        # only the weights the encoder computes are rounded, not a level the user wrote
+        problem = Problem()
+        problem.add_discrete_variable("b", [0.1234567890123, 1])
+        problem.add_objective("b")
+        assert solve_exhaustive(compile_problem(problem.freeze())).best_decoded == {"b": 0.1234567890123}
+
 
 class TestContinuousReferenceEncodings:
     """v in [-2, 2].  The reference weight lists are acceptance criterion 02."""
@@ -132,6 +142,11 @@ class TestEncodingProperties:
         ("bounded", 0, 5, 0.5, {"bound": 2.0}),
         ("unitary", 0.5, 2.2, 0.25, {}),
         ("dictionary", -1.5, 0.7, 0.3, {}),  # not a whole number of steps: the grid adds the upper end
+        # not a whole number of steps either: each stepped method ends on a residual weight
+        ("arithmetic", -1, 1.7, 0.3, {}),
+        ("bounded", 0, 5.5, 0.5, {"bound": 2.0}),
+        ("domain_wall", 0.5, 2.2, 0.25, {}),
+        ("logarithmic", -2, 2, 0.25, {"base": 4}),
     ]
 
     @pytest.mark.parametrize("method,low,high,precision,kwargs", GRID_CASES)
@@ -145,10 +160,20 @@ class TestEncodingProperties:
             point += precision
         assert any(abs(high - v) < 1e-6 for v in values), f"the upper end {high} is unreachable"
 
-    @pytest.mark.parametrize("method", ["logarithmic", "unitary", "arithmetic"])
+    @pytest.mark.parametrize(
+        "method,kwargs",
+        [
+            pytest.param("logarithmic", {}, id="logarithmic"),
+            pytest.param("unitary", {}, id="unitary"),
+            pytest.param("arithmetic", {}, id="arithmetic"),
+            pytest.param("bounded", {"bound": 1.0}, id="bounded"),
+            pytest.param("domain_wall", {}, id="domain_wall"),
+            pytest.param("logarithmic", {"base": 3}, id="logarithmic-base3"),
+        ],
+    )
     @pytest.mark.parametrize("low,high,precision", [(-2, 2, 0.25), (0, 3, 1.0), (-1.5, 0.7, 0.3)])
-    def test_weight_sum_exactness(self, method, low, high, precision):
-        plan = encode_range("v", low, high, precision, method=method)
+    def test_weight_sum_exactness(self, method, kwargs, low, high, precision):
+        plan = encode_range("v", low, high, precision, method=method, **kwargs)
         assert sum(w for _, w in plan.binaries) == pytest.approx(high - low, abs=1e-9)
 
     @pytest.mark.parametrize("method,kwargs", [
@@ -193,3 +218,20 @@ class TestEncodingErrors:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown continuous encoding"):
             encode_range("v", 0, 1, 0.5, method="gray")
+
+    @pytest.mark.parametrize("method,kwargs", [("unitary", {}), ("domain_wall", {}), ("bounded", {"bound": 1e-9}), ("dictionary", {})])
+    def test_a_grid_past_the_compile_budget_is_refused_by_name(self, method, kwargs):
+        message = rf"^the {method} encoding of 'v' at precision 1e-09 needs more binaries than the compile budget of 150000$"
+        with time_limit(1.0), pytest.raises(ValueError, match=message):
+            encode_range("v", 0, 1, 1e-9, method=method, **kwargs)
+
+    def test_the_budget_caps_the_binaries_not_the_grid(self):
+        # the same grid needs 44,721 arithmetic and 30 logarithmic binaries, under the budget
+        assert len(encode_range("v", 0, 1, 1e-9, method="arithmetic").binaries) == 44_721
+        assert len(encode_range("v", 0, 1, 1e-9, method="logarithmic").binaries) == 30
+        # a plan of exactly COMPILE_BUDGET binaries is built, one more is refused
+        assert len(encode_range("v", 0, COMPILE_BUDGET, 1.0, method="unitary").binaries) == COMPILE_BUDGET
+        assert len(encode_range("v", 1, COMPILE_BUDGET, 1.0, method="dictionary").binaries) == COMPILE_BUDGET
+        for method, high in (("unitary", COMPILE_BUDGET + 1), ("dictionary", COMPILE_BUDGET)):
+            with pytest.raises(ValueError, match="needs more binaries than the compile budget"):
+                encode_range("v", 0, high, 1.0, method=method)

@@ -93,6 +93,8 @@ class TestVariableDeclaration:
             ({"encoding": "bogus"}, "unknown continuous encoding 'bogus'"),
             ({"base": 1}, "logarithmic base must be >= 2, got 1"),
             ({"encoding": "bounded"}, "bounded-coefficient encoding of 'c' needs a coefficient bound"),
+            # weights 1, 1, 2.5, 1.5 over [0, 6]: no subset sums to 3
+            ({"base": 2.5}, "logarithmic base must be an integer, got 2.5"),
         ],
     )
     def test_encoding_options_are_checked_at_the_declaration(self, options, message):
@@ -100,6 +102,11 @@ class TestVariableDeclaration:
         with time_limit(1.0), pytest.raises(ValueError, match=message):
             problem.add_continuous_variable("c", 0, 1, 0.25, **options)
         assert problem.variable_names() == set()
+
+    def test_a_numpy_integer_base_is_an_integer(self):
+        problem = Problem()
+        problem.add_continuous_variable("c", 0, 6, 1.0, base=np.int64(3))
+        assert problem.variable("c").base == 3
 
     def test_bounded_encoding_below_its_precision_is_refused_at_the_declaration(self):
         problem = Problem()
