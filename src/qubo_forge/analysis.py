@@ -131,17 +131,17 @@ def _check_p_conf(p_conf: float) -> None:
 
 
 def cumulative_distribution(energies: Sequence[float]) -> list[tuple[float, float]]:
-    """Sorted (energy, cumulative fraction) pairs; tied energies share the final fraction."""
-    ordered = sorted(energies)
-    n = len(ordered)
-    pairs: list[tuple[float, float]] = []
-    for k, energy in enumerate(ordered):
-        fraction = (k + 1) / n
-        if pairs and pairs[-1][0] == energy:
-            pairs[-1] = (energy, fraction)
-        else:
-            pairs.append((energy, fraction))
-    return pairs
+    """Sorted (energy, cumulative fraction) pairs; tied energies share the final fraction.
+
+    One pair per run of equal energies in a stable sort: the run's last
+    energy (so of ``0.0`` and ``-0.0``, the one that comes later) and
+    ``(last + 1) / n``, with ``last`` its last position.
+    """
+    ordered = np.sort(np.asarray(energies, dtype=float), kind="stable")
+    if not len(ordered):
+        return []
+    last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    return list(zip(ordered[last].tolist(), ((last + 1) / len(ordered)).tolist()))
 
 
 def analyze(

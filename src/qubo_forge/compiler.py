@@ -77,7 +77,7 @@ LAMBDA_METHODS = ("ub-positive", "mqc", "vlm", "momc", "moc", "ub-naive", "ub-po
 
 WEAK_MULTIPLIER = 0.3  # an estimated λ of a weak constraint is scaled by this; a hard one's is not
 
-_TERM_CHUNK = 2**15  # QuadraticForm.energies builds at most this many terms (256 KB of floats) at a time
+_TERM_CHUNK = 2**15  # the most terms, or dense Q entries, QuadraticForm.energies builds at a time (256 KB of floats)
 
 # The terms and products that the expansions of the running ``compile_problem`` have charged so far (``_charge``),
 # or None outside one; each context, so each concurrent compile, holds its own.
@@ -207,17 +207,25 @@ class QuadraticForm:
     def energies(self, bits: np.ndarray) -> list[float]:
         """Energy of each row of a ``k × n`` matrix: the correctly rounded sum of its terms.
 
-        The rows' terms form a ``k × (n + m + 1)`` matrix, built ``_TERM_CHUNK``
-        entries at a time.  On 0/1 rows each term is a coefficient or zero, so
-        when sums of coefficients are exact (``_exact_in_any_order``) a row's
-        plain sum is already that sum, and ``+ 0.0`` turns its ``-0.0`` into
-        ``0.0``.  Otherwise the exact zeros are dropped (they cannot change a
-        correctly rounded sum), and ``math.fsum`` runs on each row's slice of
-        one flat list, so term order cannot change a result.
+        On 0/1 rows each term is a coefficient or zero, so when sums of
+        coefficients are exact (``_exact_in_any_order``) any order of summing
+        gives that sum, and ``+ 0.0`` turns a ``-0.0`` into ``0.0``.  Then, if
+        the dense ``n × n`` upper-triangular ``Q`` has at most ``_TERM_CHUNK``
+        entries, all rows take one product, ``rowsum((bits @ Q) ∘ bits)``, in
+        which every partial sum is a subset sum of the coefficients.
+        Otherwise the rows' terms form a ``k × (n + m + 1)`` matrix, built
+        ``_TERM_CHUNK`` entries at a time: on exact 0/1 rows its plain row
+        sums are the energies; else its exact zeros are dropped (they cannot
+        change a correctly rounded sum), and ``math.fsum`` runs on each row's
+        slice of one flat list, so term order cannot change a result.
         """
         bits = np.asarray(bits, dtype=float)
         exact = self._exact_in_any_order and bool(np.all((bits == 0.0) | (bits == 1.0)))
         n, m = len(self.linear), len(self.values)
+        if exact and n * n <= _TERM_CHUNK:
+            products = bits @ self.upper_triangular()
+            products *= bits
+            return (products.sum(axis=1) + self.offset + 0.0).tolist()
         energies: list[float] = []
         step = max(1, _TERM_CHUNK // (n + m + 1))
         for start in range(0, len(bits), step):

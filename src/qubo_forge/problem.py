@@ -261,6 +261,8 @@ class Problem:
             )
         if not low < high:
             raise ValueError(f"continuous variable '{name}' needs low < high, got [{low}, {high}]")
+        if not math.isfinite(high - low):
+            raise ValueError(f"continuous variable '{name}' needs a finite width high - low, got [{low}, {high}]")
         if not 0 < precision <= high - low:
             raise ValueError(f"precision must be in (0, high - low], got {precision}")
         check_encoding(name, encoding, base, bound, precision)

@@ -125,7 +125,7 @@ class SolutionSet:
         names, values = tuple(columns), np.empty((len(bits), len(columns)))
         for position, column in enumerate(columns.values()):
             values[:, position] = column
-        best = min(range(len(bits)), key=energies.__getitem__)
+        best = energies.index(min(energies))
         best_of_each = dict(zip(order, bits[best].tolist())), dict(zip(names, values[best].tolist())), energies[best]
         return cls(order, bits, energies, names, values, *best_of_each, run_times, diagnostics)
 
@@ -250,13 +250,23 @@ def _entering(energies: np.ndarray, top_energies: np.ndarray, k_best: int) -> np
     return entering[values <= np.partition(values, k_best - 1)[k_best - 1]]
 
 
+def _merge(kept_values: np.ndarray, entering_values: np.ndarray, slots: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The merged list: ``entering_values`` at ``slots``, ``kept_values`` in order where ``kept`` is set."""
+    merged = np.empty(len(kept), dtype=kept_values.dtype)
+    merged[slots] = entering_values
+    merged[kept] = kept_values
+    return merged
+
+
 def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> SolutionSet:
     """Enumerate all assignments; the oracle every stochastic solver is checked against.
 
     The k best are kept sorted by energy, then index.  A block's entering
-    entries are sorted stably (so by energy, then index) and inserted after the
-    kept entries of equal energy, which have lower indices; the list is then
-    cut to ``k_best``.
+    entries are sorted stably (so by energy, then index) and merged in after
+    the kept entries of equal energy, which have lower indices: entering entry
+    ``j`` takes slot ``searchsorted(kept, e_j, side="right") + j`` of the
+    merged list, and the kept entries fill the other slots in order.  The list
+    is then cut to ``k_best``.
     """
     params = params or SolverParams()
     arrays = model.arrays
@@ -276,9 +286,11 @@ def solve_exhaustive(model: QuboModel, params: SolverParams | None = None) -> So
         values = energies[entering]
         by_energy = np.argsort(values, kind="stable")
         values = values[by_energy]
-        at = np.searchsorted(top_energies, values, side="right")
-        top_energies = np.insert(top_energies, at, values)[:k_best]
-        top_indices = np.insert(top_indices, at, start + entering[by_energy])[:k_best]
+        slots = np.searchsorted(top_energies, values, side="right") + np.arange(len(values))
+        kept = np.ones(len(top_energies) + len(values), dtype=bool)
+        kept[slots] = False
+        top_energies = _merge(top_energies, values, slots, kept)[:k_best]
+        top_indices = _merge(top_indices, start + entering[by_energy], slots, kept)[:k_best]
     elapsed = time.monotonic() - started
     diagnostics = {
         "exhaustive": {"assignments_per_s": 2**n / elapsed if elapsed > 0 else 0.0, "candidates": candidates}

@@ -183,6 +183,39 @@ class TestCumulativeDistribution:
     def test_tie_merge(self):
         assert cumulative_distribution([5.0, 5.0]) == [(5.0, 1.0)]
 
+    @staticmethod
+    def loop_reference(energies):
+        """The pairs one at a time: a tie replaces the last pair, so a run keeps its last energy and fraction."""
+        ordered = sorted(energies)
+        pairs = []
+        for k, energy in enumerate(ordered):
+            fraction = (k + 1) / len(ordered)
+            if pairs and pairs[-1][0] == energy:
+                pairs[-1] = (energy, fraction)
+            else:
+                pairs.append((energy, fraction))
+        return pairs
+
+    @pytest.mark.parametrize(
+        "energies",
+        [
+            [],
+            [0.0, -0.0],  # equal under ==: the run keeps the later zero's sign
+            [-0.0, 0.0],
+            [-0.0, 1.0, 0.0, -0.0],
+            [float(e) for e in np.random.default_rng(5).integers(-20, 20, 1000)],  # 1,000 energies in 40 ties
+            [0.1 * k for k in range(7)] * 3,
+        ],
+    )
+    def test_matches_the_loop(self, energies):
+        pairs, expected = cumulative_distribution(energies), self.loop_reference(energies)
+        assert [(e.hex(), f.hex()) for e, f in pairs] == [(e.hex(), f.hex()) for e, f in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, float("inf")]) | st.floats(allow_nan=False), max_size=40))
+    def test_matches_the_loop_on_any_non_nan_energies(self, energies):
+        self.test_matches_the_loop(energies)
+
     def test_step_function_properties(self, f3_sa):
         _, _, solution = f3_sa
         pairs = cumulative_distribution(solution.energies)

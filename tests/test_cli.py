@@ -418,6 +418,15 @@ class TestSolveCommand:
         assert run.returncode == 1
         assert run.stderr == "error: the model overflows: its coefficients and offset sum to inf in magnitude\n"
 
+    def test_a_range_whose_width_overflows_is_one_error_line(self, tmp_path, capsys):
+        """Each end is finite but ``high - low`` is not: the declaration is refused by name, not at compile."""
+        variables = [{"name": "c", "kind": "continuous", "low": -1e308, "high": 1e308, "precision": 1.0}]
+        path = tmp_path / "wide.problem.json"
+        path.write_text(json.dumps({"schema": "qubo-forge-problem/1", "variables": variables, "objectives": [{"expression": "c"}]}))
+        assert run_cli("solve", path, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == "error: continuous variable 'c' needs a finite width high - low, got [-1e+308, 1e+308]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.problem.json"]  # nothing was compiled or written
+
     @pytest.mark.parametrize(
         "document, expected",
         [

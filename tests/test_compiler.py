@@ -742,6 +742,31 @@ class TestArrayForm:
         assert model.arrays._exact_in_any_order  # coefficients sum exactly, but 2**53·a does not
         assert model.energy({"a": 2**53, "b": 1, "c": 1, "d": 2**53}) == 2.0  # a plain sum gives 0.0
 
+    @pytest.mark.parametrize("n, chain", [(200, True), (181, False), (182, False)])
+    def test_exact_sums_agree_with_the_fsum_path_on_both_sides_of_the_dense_limit(self, n, chain):
+        """Integer forms: a chain of ``n`` binaries, or every coupler.  Only ``n² <= _TERM_CHUNK`` (181 binaries)
+        takes the dense ``Q`` product, a larger form the term matrix; both equal, in float hex, the per-row
+        ``fsum`` over every term."""
+        rng = np.random.default_rng(n)
+        if chain:
+            order = tuple(f"v{k:04d}" for k in range(n))
+            linear, values = rng.integers(-(2**36), 2**36, n), rng.integers(-(2**36), 2**36, n - 1)
+            arrays = QuadraticForm(order, linear.astype(float), np.arange(n - 1), np.arange(1, n), values.astype(float), -7.0)
+        else:
+            arrays = dense_form(n, rng.integers(-(2**36), 2**36, n * (n + 1) // 2), -7.0)
+        assert arrays._exact_in_any_order
+        bits = rng.integers(0, 2, size=(40, n)).astype(float)
+        bits[0], bits[1] = 0.0, 1.0
+        expected = [
+            math.fsum(np.concatenate([arrays.linear * x, arrays.values * x[arrays.rows] * x[arrays.cols], [arrays.offset]]).tolist())
+            for x in bits
+        ]
+        dense_q = QuadraticForm.upper_triangular
+        with mock.patch.object(QuadraticForm, "upper_triangular", autospec=True, side_effect=dense_q) as spy:
+            energies = arrays.energies(bits)
+        assert spy.called == (n * n <= compiler._TERM_CHUNK) == (n == 181)
+        assert [energy.hex() for energy in energies] == [energy.hex() for energy in expected]
+
     def test_a_binary_that_encodes_two_variables_is_refused(self):
         problem = Problem()
         problem.add_binary_variable("x")

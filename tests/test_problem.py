@@ -79,6 +79,8 @@ class TestVariableDeclaration:
             (lambda p: p.add_continuous_variable("c", 0, float("inf"), 0.25), "needs finite low, high"),
             (lambda p: p.add_continuous_variable("c", 0, 1, float("nan")), "needs finite low, high"),
             (lambda p: p.add_continuous_variable("c", 0, 1, 0.25, encoding="bounded", bound=float("inf")), "and bound"),
+            # each end is finite, the width is not
+            (lambda p: p.add_continuous_variable("c", -1e308, 1e308, 1.0), r"'c' needs a finite width high - low"),
             (lambda p: p.add_discrete_variable("b", [0, float("inf")]), "needs finite levels"),
             (lambda p: p.add_discrete_variable("b", [float("nan"), 1]), "needs finite levels"),
         ],
