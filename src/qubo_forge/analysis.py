@@ -2,8 +2,10 @@
 
 Feasibility has one rule, ``ConstraintDecl.evaluate``: a non-strict
 comparison holds iff its exact left-hand side misses the bound by at most
-``FEASIBILITY_TOL`` (1e-9).  Each penalty block of a model carries its
-declaration and is checked on the binaries plus the decoded values.
+``problem.FEASIBILITY_TOL`` (1e-9).  Each penalty block of a model carries
+its declaration and is checked on the binaries plus the decoded values:
+``solution_is_valid`` reads the declarations directly, and only the report
+path (``check_constraints``, ``check_model_constraints``) labels each result.
 Probabilities are kept as fractions internally and only presented as
 percentages; every float that reaches a file has 12 significant digits.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -65,7 +67,7 @@ def check_model_constraints(
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
 ) -> list[ConstraintCheck]:
-    """Per-penalty-block results on the binaries plus the decoded values."""
+    """Per-penalty-block results on the binaries plus the decoded values, labelled for a report."""
     values = {**binary, **(decoded if decoded is not None else model.decode(binary))}
     return [_check(block.constraint, index, values) for index, block in enumerate(model.penalties)]
 
@@ -75,14 +77,16 @@ def solution_is_valid(
     binary: dict[str, int],
     decoded: dict[str, float] | None = None,
 ) -> bool | np.ndarray:
-    """Whether every hard result of ``check_model_constraints`` holds.
+    """Whether every hard penalty block's declaration holds on the binaries plus the decoded values,
+    read from ``ConstraintDecl.evaluate`` directly: no report entry or label is formed.
 
     The values may be columns, one entry per sample; the result is then a boolean array.
     """
+    values = {**binary, **(decoded if decoded is not None else model.decode(binary))}
     valid = True
-    for check in check_model_constraints(model, binary, decoded):
-        if check.hardness == "hard":
-            valid = valid & check.satisfied
+    for block in model.penalties:
+        if block.hardness == "hard":
+            valid = valid & block.constraint.evaluate(values)[0]
     return valid
 
 
@@ -115,7 +119,7 @@ def time_to_solution(t_f: float, p_conf: float, p_range_fraction: float) -> floa
     edge conventions: +inf when the target was never reached, ``t_f`` when it
     is reached every run.
     """
-    _check_p_conf(p_conf)
+    _check_analysis_inputs(p_conf)
     if not 0 <= p_range_fraction <= 1:
         raise ValueError("p_range fraction must be in [0, 1]")
     if p_range_fraction == 0:
@@ -125,9 +129,11 @@ def time_to_solution(t_f: float, p_conf: float, p_range_fraction: float) -> floa
     return t_f * math.log(1 - p_conf) / math.log(1 - p_range_fraction)
 
 
-def _check_p_conf(p_conf: float) -> None:
+def _check_analysis_inputs(p_conf: float, val_ref: float | None = None) -> None:
     if not 0 < p_conf < 1:
         raise ValueError(f"p_conf must be in (0, 1), got {p_conf}")
+    if val_ref is not None and not math.isfinite(val_ref):  # no JSON file can hold NaN or Infinity
+        raise ValueError(f"val_ref must be finite, got {val_ref}")
 
 
 def cumulative_distribution(energies: Sequence[float]) -> list[tuple[float, float]]:
@@ -152,7 +158,7 @@ def analyze(
     p_conf: float = 0.99,
 ) -> AnalysisReport:
     """Score a solution set: validity, best-solution checks, distribution, optional TTS."""
-    _check_p_conf(p_conf)  # on every call, not only when a TTS is computed
+    _check_analysis_inputs(p_conf, val_ref)  # on every call, not only when a TTS is computed
     report = AnalysisReport(
         valid_rate=valid_rate(model, solution),
         objective_values=objective_values(solution.best_decoded, problem),
@@ -208,34 +214,23 @@ def solution_from_dict(data: dict[str, Any]) -> SolutionSet:
 
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    return {
-        "valid_rate": report.valid_rate,
-        "objective_values": report.objective_values,
-        "constraints": [asdict(check) for check in report.constraint_results],
-        "cumulative": [[energy, fraction] for energy, fraction in report.cumulative],
-        "p_range": report.p_range,
-        "val_ref": report.val_ref,
-        "tts": None if report.tts is None else (report.tts if math.isfinite(report.tts) else "inf"),
-        "t_f": report.t_f,
-        "p_conf": report.p_conf,
-    }
+    """Every report field under its own name, but the checks under ``constraints``, the CDF pairs as
+    lists and an infinite TTS as ``"inf"``."""
+    data = {field.name: getattr(report, field.name) for field in fields(report)}
+    data["constraints"] = [asdict(check) for check in data.pop("constraint_results")]
+    data["cumulative"] = [[energy, fraction] for energy, fraction in report.cumulative]
+    if report.tts is not None and not math.isfinite(report.tts):
+        data["tts"] = "inf"
+    return data
 
 
 def report_from_dict(data: dict[str, Any]) -> AnalysisReport:
-    tts = data.get("tts")
-    if tts == "inf":
-        tts = math.inf
-    return AnalysisReport(
-        valid_rate=data["valid_rate"],
-        objective_values=data["objective_values"],
-        constraint_results=[ConstraintCheck(**entry) for entry in data["constraints"]],
-        cumulative=[(energy, fraction) for energy, fraction in data["cumulative"]],
-        p_range=data.get("p_range"),
-        val_ref=data.get("val_ref"),
-        tts=tts,
-        t_f=data.get("t_f"),
-        p_conf=data.get("p_conf"),
-    )
+    """The inverse of ``report_to_dict``; a key that names no report field raises ``TypeError``."""
+    values = {key: value for key, value in data.items() if key != "constraints"}
+    values["cumulative"] = [(energy, fraction) for energy, fraction in data["cumulative"]]
+    if values.get("tts") == "inf":
+        values["tts"] = math.inf
+    return AnalysisReport(constraint_results=[ConstraintCheck(**entry) for entry in data["constraints"]], **values)
 
 
 def save_report(

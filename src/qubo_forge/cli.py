@@ -20,6 +20,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import os
 import re
 import sys
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qubo_forge.analysis import _check_p_conf, analyze, report_to_dict, save_report, write_cumulative_csv, write_rounded_json
+from qubo_forge.analysis import _check_analysis_inputs, analyze, report_to_dict, save_report, write_cumulative_csv, write_rounded_json
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
 from qubo_forge.expression import NUMBER, Polynomial, format_float
 from qubo_forge.problem import Problem, ProblemFileError, _expect
@@ -63,14 +64,18 @@ class RegressionDataset:
 
 def load_knapsack(path: str | Path) -> tuple[KnapsackInstance, Problem]:
     """Parse ``N_obj W_max`` then ``p_i w_i`` lines into a maximize-score problem."""
-    lines = [line.split() for line in Path(path).read_text().splitlines() if line.strip()]
-    if not lines or len(lines[0]) != 2:
+    text = Path(path).read_text().splitlines()
+    lines = [(number, line.split()) for number, line in enumerate(text, 1) if line.strip()]
+    if not lines or len(lines[0][1]) != 2:
         raise ValueError(f"{path}: first line must be 'N_obj W_max'")
     try:
-        n_obj, w_max = int(lines[0][0]), float(lines[0][1])
-        pairs = [(float(p), float(w)) for p, w in lines[1:]]
+        n_obj, w_max = int(lines[0][1][0]), float(lines[0][1][1])
+        pairs = [(float(p), float(w)) for _, (p, w) in lines[1:]]
     except ValueError as error:
         raise ValueError(f"{path}: malformed knapsack line ({error})") from None
+    for number, fields in lines:
+        if not all(math.isfinite(float(field)) for field in fields):
+            raise ValueError(f"{path}: line {number}: every number must be finite, got {' '.join(fields)!r}")
     if len(pairs) != n_obj:
         raise ValueError(f"{path}: expected {n_obj} item lines, found {len(pairs)}")
     if w_max <= 0 or any(w <= 0 for _, w in pairs):
@@ -95,15 +100,19 @@ def load_regression_csv(path: str | Path, features: int | None = None) -> tuple[
     """Read feature columns plus a final label column; a header row is skipped."""
     rows: list[list[float]] = []
     with open(path, newline="") as handle:
-        for record in csv.reader(handle):
+        reader = csv.reader(handle)
+        for record in reader:
             if not record:
                 continue
             try:
-                rows.append([float(cell) for cell in record])
+                row = [float(cell) for cell in record]
             except ValueError:
                 if rows:
                     raise ValueError(f"{path}: non-numeric row {record!r}") from None
                 continue  # header
+            if not all(math.isfinite(value) for value in row):  # LAPACK would print to stdout, then fail
+                raise ValueError(f"{path}: line {reader.line_num}: every number must be finite, got {record!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
@@ -210,7 +219,7 @@ def _resolve_options(args: argparse.Namespace, problem: Problem) -> dict:
                 raise ProblemFileError(f"solver.{key}", f"expected one of {', '.join(choices)}, got {section[key]!r}")
         flag = getattr(args, key)
         options[key] = flag if flag is not None else section.get(key, fallback)
-    _check_p_conf(options["p_conf"])  # refused before any work; analyze checks it again for library callers
+    _check_analysis_inputs(options["p_conf"], options["val_ref"])  # refused before any work; analyze checks again
     return options
 
 

@@ -9,6 +9,10 @@ round-off.
 
 Polynomials are immutable values: every operation returns a new instance,
 so they can be shared freely between threads.
+
+This module holds algebra and text only.  A ``Comparison`` is plain data (a
+left-hand side, an operator and a constant); whether it holds at a point is
+decided by ``problem.ConstraintDecl.evaluate``.
 """
 
 from __future__ import annotations
@@ -19,17 +23,12 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 # Coefficients below this magnitude are treated as exact zeros.
 COEFF_EPS = 1e-12
 
 Monomial = tuple[str, ...]
 
 COMPARISON_OPS = ("=", ">=", ">", "<=", "<")
-
-# How far the exact left-hand side may miss a non-strict bound and still hold.
-FEASIBILITY_TOL = 1e-9
 
 # The largest exponent the parser accepts, and the largest degree a power or a product may reach
 # (so nested powers and chained factors cannot multiply past it).  A degree-16 power of one encoded
@@ -220,7 +219,7 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Comparison:
-    """A polynomial compared against a constant: all variable terms on the lhs."""
+    """A polynomial compared against a constant: all variable terms on the lhs (data and text only)."""
 
     lhs: Polynomial
     op: str
@@ -232,38 +231,6 @@ class Comparison:
 
     def to_text(self) -> str:
         return f"{self.lhs.to_text()} {self.op} {format_float(self.rhs)}"
-
-    def holds(self, value):
-        """Whether ``value <op> rhs`` holds: a non-strict op when the violation is at
-        most ``FEASIBILITY_TOL``, a strict op when ``value`` clears the bound by more.
-
-        ``value`` may be an array of values; a scalar gives a Python ``bool``.
-        """
-        if self.op == ">":
-            return unwrap_scalar(value > self.rhs + FEASIBILITY_TOL)
-        if self.op == "<":
-            return unwrap_scalar(value < self.rhs - FEASIBILITY_TOL)
-        return unwrap_scalar(self.violation(value) <= FEASIBILITY_TOL)
-
-    def violation(self, value):
-        """Magnitude of the constraint violation at ``value`` (0 when satisfied).
-
-        A strict op that fails reports at least ``FEASIBILITY_TOL``, so it holds iff this is 0.
-        ``value`` may be an array of values; a scalar gives a Python ``float``.
-        """
-        if self.op == "=":
-            return unwrap_scalar(abs(value - self.rhs))
-        miss = self.rhs - value if self.op in (">=", ">") else value - self.rhs
-        # np.where mirrors max(): a tie keeps the first argument, so 0.0 beats a -0.0 miss
-        if self.op in (">", "<"):
-            floored = np.where(FEASIBILITY_TOL > miss, FEASIBILITY_TOL, miss)
-            return unwrap_scalar(np.where(self.holds(value), 0.0, floored))
-        return unwrap_scalar(np.where(miss > 0.0, miss, 0.0))
-
-
-def unwrap_scalar(result):
-    """A zero-dimensional result as a Python ``bool``/``float``; array results pass through."""
-    return np.asarray(result).item() if np.ndim(result) == 0 else result
 
 
 def format_float(value: float) -> str:

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from qubo_forge.expression import IDENTIFIER, Comparison, Polynomial, parse_constraint, parse_expression, unwrap_scalar
+from qubo_forge.expression import IDENTIFIER, Comparison, Polynomial, parse_constraint, parse_expression
 
 PROBLEM_SCHEMA = "qubo-forge-problem/1"
 
@@ -34,6 +34,9 @@ CONTINUOUS_ENCODINGS = ("dictionary", "logarithmic", "unitary", "arithmetic", "d
 # How far two values on a declared grid (ranges, steps, sums of weights, bounds) may differ and still count
 # as equal: the float tolerance of the encoder and of the compiler's slack, link and λ-step tests.
 GRID_TOL = 1e-9
+
+# How far the exact left-hand side may miss a non-strict bound and still hold.
+FEASIBILITY_TOL = 1e-9
 
 # The most binaries one variable's encoding may need, the most binary terms an objective or a constraint may
 # expand to, and the most pair entries (one per pair of binaries in a monomial of degree >= 3) quadratization
@@ -140,7 +143,7 @@ class BooleanRelation:
             expected = bits[0] | bits[1]
         else:
             expected = bits[0] ^ bits[1]
-        return unwrap_scalar(out == expected)
+        return _scalar(out == expected)
 
 
 @dataclass(frozen=True)
@@ -167,17 +170,26 @@ class ConstraintDecl:
         return {self.boolean.output, *self.boolean.inputs}
 
     def evaluate(self, values: Mapping[str, float]) -> tuple[bool, float]:
-        """``(satisfied, residual)``: a boolean relation's truth, or the comparison on the exact
-        left-hand side (a non-strict one holds iff ``residual <= expression.FEASIBILITY_TOL``).
+        """``(satisfied, residual)``, the one feasibility rule: a boolean relation's truth (residual 0 or 1),
+        or the comparison on the exact left-hand side.  ``=`` and a non-strict op hold iff the residual (the
+        amount by which the bound is missed) is at most ``FEASIBILITY_TOL``; a strict op holds iff the value
+        clears the bound by more, and a strict miss reports at least ``FEASIBILITY_TOL``.
 
         Each value may be a column array (one entry per assignment); the results are then
         arrays too.  Scalar values give a Python ``bool`` and ``float``.
         """
         if self.boolean is not None:
             satisfied = self.boolean.truth(values)
-            return satisfied, unwrap_scalar(np.where(satisfied, 0.0, 1.0))
-        value = self.comparison.lhs.evaluate(values)
-        return self.comparison.holds(value), self.comparison.violation(value)
+            return satisfied, _scalar(np.where(satisfied, 0.0, 1.0))
+        value, op, rhs = self.comparison.lhs.evaluate(values), self.comparison.op, self.comparison.rhs
+        miss = rhs - value if op in (">=", ">") else value - rhs
+        if op in (">", "<"):
+            satisfied = value > rhs + FEASIBILITY_TOL if op == ">" else value < rhs - FEASIBILITY_TOL
+            residual = np.where(satisfied, 0.0, np.where(FEASIBILITY_TOL > miss, FEASIBILITY_TOL, miss))
+            return _scalar(satisfied), _scalar(residual)
+        # np.where mirrors max(): a tie keeps the first argument, so 0.0 beats a -0.0 miss
+        residual = abs(value - rhs) if op == "=" else np.where(miss > 0.0, miss, 0.0)
+        return _scalar(residual <= FEASIBILITY_TOL), _scalar(residual)
 
     def describe(self) -> str:
         if self.label:
@@ -570,3 +582,8 @@ def _check_finite(poly: Polynomial, where: str) -> None:
 
 def _without(entry: dict[str, Any], *keys: str) -> dict[str, Any]:
     return {key: value for key, value in entry.items() if key not in keys}
+
+
+def _scalar(result):
+    """A zero-dimensional result as a Python ``bool``/``float``; array results pass through."""
+    return np.asarray(result).item() if np.ndim(result) == 0 else result

@@ -78,6 +78,8 @@ class SolverParams:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:  # numpy's generators refuse it, but only after the compile
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
         if self.layers < 1:
@@ -724,15 +726,15 @@ def solve_with_lambda_update(
 ) -> LambdaUpdateResult:
     """Compile / solve / check loop that grows penalty weights until valid.
 
-    Each trial solves the model and checks the hard constraints on the best
-    solution; if any are violated, their weights are increased and the model
-    compiled once is re-weighted (``QuboModel.with_lambdas``).  The loop stops
-    when the trials run out or no violated weight is below ``lambda_max``
-    (another trial would solve the same model again); either is reported
-    through the ``valid`` flag rather than raised.
+    Each trial solves the model and reads each hard penalty block's
+    declaration (``ConstraintDecl.evaluate``) on the best solution's binaries
+    plus decoded values, with no labels formed.  If any are violated, their
+    weights are increased and the model compiled once is re-weighted
+    (``QuboModel.with_lambdas``).  The loop stops when the trials run out or
+    no violated weight is below ``lambda_max`` (another trial would solve the
+    same model again); either is reported through the ``valid`` flag rather
+    than raised.
     """
-    from qubo_forge.analysis import check_model_constraints  # local import avoids a cycle
-
     params = params or SolverParams()
     strategy = strategy or UpdateStrategy()
     model = compile_problem(problem, config)
@@ -740,8 +742,9 @@ def solve_with_lambda_update(
     while True:
         trials += 1
         solution = solve(model, solver, params)
-        results = check_model_constraints(model, solution.best_binary, solution.best_decoded)
-        violated = [r.block_index for r in results if not r.satisfied and r.hardness == "hard"]
+        values = {**solution.best_binary, **solution.best_decoded}
+        hard = [(index, block.constraint) for index, block in enumerate(model.penalties) if block.hardness == "hard"]
+        violated = [index for index, constraint in hard if not constraint.evaluate(values)[0]]
         lambdas = model.lambdas()
         growable = [index for index in violated if lambdas[index] < strategy.lambda_max]
         if not growable or trials >= strategy.max_trials:

@@ -19,6 +19,8 @@ from qubo_forge.analysis import (
     load_report,
     objective_values,
     p_range,
+    report_from_dict,
+    report_to_dict,
     save_report,
     solution_is_valid,
     time_to_solution,
@@ -26,10 +28,10 @@ from qubo_forge.analysis import (
     write_cumulative_csv,
 )
 from qubo_forge.cli import bundled_data, build_regression, load_knapsack
-from qubo_forge.compiler import compile_problem
-from qubo_forge.expression import FEASIBILITY_TOL, Comparison, Polynomial
-from qubo_forge.problem import Problem
-from qubo_forge.solvers import SolutionSet, SolverParams, solve_exhaustive, solve_sa
+from qubo_forge.compiler import CompileConfig, compile_problem
+from qubo_forge.expression import Comparison, Polynomial
+from qubo_forge.problem import FEASIBILITY_TOL, ConstraintDecl, Problem
+from qubo_forge.solvers import SolutionSet, SolverParams, UpdateStrategy, solve_exhaustive, solve_sa, solve_with_lambda_update
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +279,19 @@ class TestValidRate:
         assert valid_rate(model, solution) == 100.0 * count / len(solution.samples)
 
 
+def test_the_yes_no_verdicts_form_no_label(f3_sa, monkeypatch):
+    """``valid_rate``, ``solution_is_valid`` and the λ-retry loop read each declaration's verdict
+    directly; only the report path formats a constraint's text."""
+    problem, model, solution = f3_sa
+    rate, best_valid = valid_rate(model, solution), solution_is_valid(model, solution.best_binary, solution.best_decoded)
+    monkeypatch.setattr(ConstraintDecl, "describe", lambda self: pytest.fail("a yes/no verdict formed a label"))
+    assert valid_rate(model, solution) == rate
+    assert solution_is_valid(model, solution.best_binary, solution.best_decoded) is best_valid
+    config = CompileConfig(lambda_method="manual", manual_lambdas=0.01)
+    outcome = solve_with_lambda_update(problem, config, "sa", SolverParams(runs=10, seed=0), UpdateStrategy(kind="sequential"))
+    assert outcome.trials > 1 and outcome.valid
+
+
 class TestAnalyzeAndPersist:
     def test_report_fields(self, mixed_problem):
         model = compile_problem(mixed_problem)
@@ -311,6 +326,20 @@ class TestAnalyzeAndPersist:
         save_report(path, solution, report)
         assert json.loads(path.read_text())["report"]["tts"] == "inf"
         assert load_report(path)[1].tts == math.inf
+
+    @pytest.mark.parametrize("val_ref", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_val_ref_is_refused(self, mixed_problem, val_ref):
+        """No JSON file can hold it: strict parsers refuse ``NaN`` and ``Infinity``."""
+        model = compile_problem(mixed_problem)
+        with pytest.raises(ValueError, match=f"val_ref must be finite, got {val_ref}"):
+            analyze(mixed_problem, model, solve_exhaustive(model, SolverParams(k_best=2)), val_ref=val_ref)
+
+    def test_a_report_key_that_names_no_field_is_refused(self, mixed_problem):
+        model = compile_problem(mixed_problem)
+        data = report_to_dict(analyze(mixed_problem, model, solve_exhaustive(model, SolverParams(k_best=2))))
+        assert report_from_dict(report_to_dict(report_from_dict(data))) == report_from_dict(data)
+        with pytest.raises(TypeError, match="valid_rates"):
+            report_from_dict(data | {"valid_rates": 1.0})
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "solution.json"

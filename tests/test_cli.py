@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qubo_forge
+from qubo_forge import solvers
 from qubo_forge.analysis import load_report, save_report
 from qubo_forge.cli import (
     _FLAG_TYPES,
@@ -88,6 +89,18 @@ class TestLoadKnapsack:
         with pytest.raises(ValueError):
             load_knapsack(path)
 
+    @pytest.mark.parametrize(
+        "content, line", [("2 1e400\n5 2\n10 3\n", 1), ("2 4\n\n5 inf\n10 3\n", 3), ("2 4\n5 2\nnan 3\n", 3)]
+    )
+    def test_a_non_finite_number_is_refused_with_its_line(self, tmp_path, capfd, content, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(content)
+        assert run_cli("knapsack", path, "-o", tmp_path / "bad.problem.json") == 1
+        captured = capfd.readouterr()
+        fields = content.splitlines()[line - 1]
+        assert captured.err == f"error: {path}: line {line}: every number must be finite, got {fields!r}\n"
+        assert captured.out == "" and not (tmp_path / "bad.problem.json").exists()
+
 
 class TestBuildRegression:
     def test_perfect_fit_on_grid(self, tmp_path):
@@ -125,6 +138,16 @@ class TestBuildRegression:
         path.write_text(content)
         with pytest.raises(ValueError, match=message):
             load_regression_csv(path, features)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_a_non_finite_cell_is_refused_before_any_fit(self, tmp_path, capfd, cell):
+        """No LAPACK message on stdout and no rank warning: one error line that names the file and line."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n0,0\n1,{cell}\n2,2\n")
+        assert run_cli("regression", path, "--min", -1, "--max", 1, "--precision", 0.5, "-o", tmp_path / "r.json") == 1
+        captured = capfd.readouterr()
+        assert captured.err == f"error: {path}: line 3: every number must be finite, got ['1', '{cell}']\n"
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
 
     def test_header_optional(self, tmp_path):
         with_header = tmp_path / "a.csv"
@@ -373,6 +396,33 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: p_conf must be in (0, 1), got ") and "Traceback" not in err
         assert not (tmp_path / "o" / "f3.problem.solution.json").exists()
+
+    @pytest.mark.parametrize("solver", ["exhaustive", "sa", "qaoa"])
+    @pytest.mark.parametrize("where", ["flag", "section"])
+    def test_a_negative_seed_is_refused_before_the_compile(self, solver, where, f3_problem_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "compile_problem", lambda *args: pytest.fail("compiled before the seed was checked"))
+        if where == "flag":
+            argv = ["--solver", solver, "--seed", -1]
+        else:
+            argv = []
+            data = json.loads(f3_problem_file.read_text())
+            f3_problem_file.write_text(json.dumps(data | {"solver": {"solver": solver, "seed": -1}}))
+        assert run_cli("solve", f3_problem_file, *argv, "--out-dir", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("where, val_ref", [("flag", "nan"), ("flag", "inf"), ("flag", "-inf"), ("section", float("nan"))])
+    def test_a_non_finite_val_ref_is_refused_before_any_work(self, command, where, val_ref, f3_problem_file, tmp_path, capsys):
+        argv = [command, f3_problem_file, "--out-dir", tmp_path / "o"] + (["--solvers", "sa"] if command == "compare" else [])
+        if where == "flag":
+            argv.append(f"--val-ref={val_ref}")
+        else:
+            data = json.loads(f3_problem_file.read_text())
+            f3_problem_file.write_text(json.dumps(data | {"solver": {"val_ref": val_ref}}))  # Python's json writes NaN
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: val_ref must be finite, got {float(val_ref)}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_misspelt_constraint_key_is_an_error_line(self, f3_problem_file, tmp_path, capsys):
         data = json.loads(f3_problem_file.read_text())

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubo_forge.expression import FEASIBILITY_TOL, Comparison, ParseError, Polynomial
-from qubo_forge.problem import BOOLEAN_KINDS, BooleanRelation, ConstraintDecl, Problem, ProblemFileError, VariableKind
+from qubo_forge.expression import Comparison, ParseError, Polynomial
+from qubo_forge.problem import BOOLEAN_KINDS, FEASIBILITY_TOL, BooleanRelation, ConstraintDecl, Problem, ProblemFileError, VariableKind
 from test_expression import time_limit
 
 
@@ -247,6 +247,31 @@ class TestObjectivesAndConstraints:
             scalar = decl.evaluate({"x": x, "y": y})
             assert type(scalar[0]) is bool and type(scalar[1]) is float
             assert (bool(satisfied[row]), repr(float(residual[row]))) == (scalar[0], repr(scalar[1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        op=st.sampled_from(["=", "<=", ">=", "<", ">"]),
+        rhs=st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, FEASIBILITY_TOL, -FEASIBILITY_TOL, 3 * FEASIBILITY_TOL]),
+        offsets=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, *(k * FEASIBILITY_TOL for k in (-3, -2, -1, -0.5, 0.5, 1, 2, 3))]), st.floats(-3, 3)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_evaluate_is_the_former_holds_and_violation_rule(self, op, rhs, offsets):
+        """``ConstraintDecl.evaluate`` against the rule it took over from ``Comparison.holds`` and
+        ``Comparison.violation`` (copied below): equal verdicts, residuals equal in float hex."""
+        decl = ConstraintDecl(comparison=Comparison(lhs=Polynomial.variable("x"), op=op, rhs=rhs), hardness="hard")
+        xs = [rhs + offset for offset in offsets] + offsets
+        column = decl.comparison.lhs.evaluate({"x": np.array(xs)})
+        satisfied, residual = decl.evaluate({"x": np.array(xs)})
+        assert satisfied.tolist() == _reference_holds(op, rhs, column).tolist()
+        assert [r.hex() for r in residual.tolist()] == [r.hex() for r in _reference_violation(op, rhs, column).tolist()]
+        for x in xs:
+            value = decl.comparison.lhs.evaluate({"x": x})
+            scalar = decl.evaluate({"x": x})
+            assert type(scalar[0]) is bool and type(scalar[1]) is float
+            assert (scalar[0], scalar[1].hex()) == (_reference_holds(op, rhs, value), _reference_violation(op, rhs, value).hex())
 
     @pytest.mark.parametrize("kind", BOOLEAN_KINDS)
     def test_array_boolean_evaluation_agrees_with_scalar_calls(self, kind):
@@ -570,3 +595,27 @@ class TestWholeProblemFileFuzz:
                 Problem.from_json_dict(document)
             except ValueError:
                 pass  # a named error, never a TypeError, KeyError or AttributeError
+
+
+# The comparison rule as ``Comparison.holds`` and ``Comparison.violation`` stated it before
+# ``ConstraintDecl.evaluate`` took it over; the reference of the differential test above.
+def _unwrap(result):
+    return np.asarray(result).item() if np.ndim(result) == 0 else result
+
+
+def _reference_holds(op, rhs, value):
+    if op == ">":
+        return _unwrap(value > rhs + FEASIBILITY_TOL)
+    if op == "<":
+        return _unwrap(value < rhs - FEASIBILITY_TOL)
+    return _unwrap(_reference_violation(op, rhs, value) <= FEASIBILITY_TOL)
+
+
+def _reference_violation(op, rhs, value):
+    if op == "=":
+        return _unwrap(abs(value - rhs))
+    miss = rhs - value if op in (">=", ">") else value - rhs
+    if op in (">", "<"):
+        floored = np.where(FEASIBILITY_TOL > miss, FEASIBILITY_TOL, miss)
+        return _unwrap(np.where(_reference_holds(op, rhs, value), 0.0, floored))
+    return _unwrap(np.where(miss > 0.0, miss, 0.0))

@@ -842,6 +842,10 @@ class TestCrossSolverProperties:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             SolverParams(**{field: 0})
 
+    def test_a_negative_seed_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SolverParams(seed=-1)
+
     def test_zero_layers_are_rejected(self):
         with pytest.raises(ValueError, match="QAOA needs at least one layer"):
             SolverParams(layers=0)
