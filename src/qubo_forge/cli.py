@@ -10,8 +10,8 @@ Subcommands:
 * ``regression`` turn a feature/label CSV into a least-squares problem file.
 
 Exit codes: 0 when the best solution satisfies the hard constraints, 2 when
-it stays infeasible after retries, 1 for usage or input errors.  The
-``QUBO_FORGE_OUT`` environment variable overrides ``--out-dir``.
+it stays infeasible after retries, 1 for usage or input errors.  Output files go
+to ``--out-dir`` (default: the current directory).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import csv
 import inspect
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -33,7 +32,7 @@ import numpy as np
 
 from qubo_forge.analysis import _check_analysis_inputs, analyze, report_to_dict, save_report, write_cumulative_csv, write_rounded_json
 from qubo_forge.compiler import LAMBDA_METHODS, CompileConfig, compile_problem
-from qubo_forge.expression import NUMBER, Polynomial, format_float
+from qubo_forge.expression import NUMBER, Comparison, Polynomial, format_float
 from qubo_forge.problem import Problem, ProblemFileError, _expect
 from qubo_forge.solvers import SOLVERS, UPDATE_KINDS, SolverParams, UpdateStrategy, solve, solve_with_lambda_update
 
@@ -68,6 +67,9 @@ def load_knapsack(path: str | Path) -> tuple[KnapsackInstance, Problem]:
     lines = [(number, line.split()) for number, line in enumerate(text, 1) if line.strip()]
     if not lines or len(lines[0][1]) != 2:
         raise ValueError(f"{path}: first line must be 'N_obj W_max'")
+    for number, fields in lines[1:]:
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {number}: an item line must be 'p_i w_i', got {' '.join(fields)!r}")
     try:
         n_obj, w_max = int(lines[0][1][0]), float(lines[0][1][1])
         pairs = [(float(p), float(w)) for _, (p, w) in lines[1:]]
@@ -76,6 +78,8 @@ def load_knapsack(path: str | Path) -> tuple[KnapsackInstance, Problem]:
     for number, fields in lines:
         if not all(math.isfinite(float(field)) for field in fields):
             raise ValueError(f"{path}: line {number}: every number must be finite, got {' '.join(fields)!r}")
+    if n_obj < 1:
+        raise ValueError(f"{path}: line {lines[0][0]}: N_obj must be at least 1, got {n_obj}")
     if len(pairs) != n_obj:
         raise ValueError(f"{path}: expected {n_obj} item lines, found {len(pairs)}")
     if w_max <= 0 or any(w <= 0 for _, w in pairs):
@@ -92,11 +96,11 @@ def load_knapsack(path: str | Path) -> tuple[KnapsackInstance, Problem]:
     score = Polynomial({(name,): p for name, p in zip(names, instance.p_arr)})
     problem.add_objective(score, direction="maximize")
     load = Polynomial({(name,): w for name, w in zip(names, instance.w_arr)})
-    problem.add_constraint(f"{load.to_text()} <= {format_float(instance.w_max)}", hardness="hard")
+    problem.add_constraint(Comparison(load, "<=", w_max))
     return instance, problem.freeze()
 
 
-def load_regression_csv(path: str | Path, features: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def load_regression_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read feature columns plus a final label column; a header row is skipped."""
     rows: list[list[float]] = []
     with open(path, newline="") as handle:
@@ -108,7 +112,7 @@ def load_regression_csv(path: str | Path, features: int | None = None) -> tuple[
                 row = [float(cell) for cell in record]
             except ValueError:
                 if rows:
-                    raise ValueError(f"{path}: non-numeric row {record!r}") from None
+                    raise ValueError(f"{path}: line {reader.line_num}: non-numeric row {record!r}") from None
                 continue  # header
             if not all(math.isfinite(value) for value in row):  # LAPACK would print to stdout, then fail
                 raise ValueError(f"{path}: line {reader.line_num}: every number must be finite, got {record!r}")
@@ -118,16 +122,15 @@ def load_regression_csv(path: str | Path, features: int | None = None) -> tuple[
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError(f"{path}: ragged rows")
-    d = features if features is not None else width - 1
-    if d < 1 or d != width - 1:
-        raise ValueError(f"{path}: expected {d} feature columns plus one label column, found {width} columns")
+    d = width - 1
+    if d < 1:
+        raise ValueError(f"{path}: needs at least one feature column and a label column, found one column")
     data = np.asarray(rows)
     return data[:, :d], data[:, d]
 
 
 def build_regression(
     dataset_csv: str | Path,
-    features: int | None,
     minv: float,
     maxv: float,
     precision: float,
@@ -137,7 +140,7 @@ def build_regression(
     X is augmented with a trailing ones column, so the last weight is the
     intercept; the weights live on the [minv, maxv] grid at ``precision``.
     """
-    raw_x, y = load_regression_csv(dataset_csv, features)
+    raw_x, y = load_regression_csv(dataset_csv)
     n, d = raw_x.shape
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} data points for {d} features, got {n}")
@@ -202,7 +205,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser, hidden: tuple[str, ...] =
             text += "" if default is None else f" (default: {default})"
         text = argparse.SUPPRESS if key in hidden else text
         parser.add_argument(f"--{key.replace('_', '-')}", help=text, default=None, **kwargs)
-    parser.add_argument("--out-dir", default=".", help="output directory (QUBO_FORGE_OUT overrides)")
+    parser.add_argument("--out-dir", default=".", help="output directory (default: the current directory)")
 
 
 def _resolve_options(args: argparse.Namespace, problem: Problem) -> dict:
@@ -253,7 +256,7 @@ def _update_strategy(options: dict) -> UpdateStrategy:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(os.environ.get("QUBO_FORGE_OUT") or args.out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -353,7 +356,7 @@ def cmd_knapsack(args: argparse.Namespace) -> int:
 
 
 def cmd_regression(args: argparse.Namespace) -> int:
-    dataset, problem = build_regression(args.dataset, args.features, args.min, args.max, args.precision)
+    dataset, problem = build_regression(args.dataset, args.min, args.max, args.precision)
     target = Path(args.output) if args.output else Path(args.dataset).with_suffix(".problem.json")
     problem.save(target)
     n, cols = dataset.x.shape
@@ -384,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     regression_parser = commands.add_parser("regression", help="generate a least-squares problem from a CSV")
     regression_parser.add_argument("dataset", help="CSV with feature columns and a final label column")
-    regression_parser.add_argument("--features", type=int, help="number of feature columns (default: infer)")
     regression_parser.add_argument("--min", type=float, required=True, help="weight range lower bound")
     regression_parser.add_argument("--max", type=float, required=True, help="weight range upper bound")
     regression_parser.add_argument("--precision", type=float, required=True, help="weight grid step")

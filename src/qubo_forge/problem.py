@@ -464,33 +464,29 @@ _TOP_LEVEL_FIELDS = {
     "constraints": "array",
     "solver": "object",
 }
-_VARIABLE_FIELDS = {
-    "name": "string",
-    "kind": "string",
-    "levels": "array",
-    "low": "number",
-    "high": "number",
-    "precision": "number",
-    "encoding": "string",
-    "base": "integer",
-    "bound": "number or null",
-}
-# The keys each variable kind takes besides name and kind, as (required, optional); it refuses the rest.
+# The keys each variable kind takes besides name and kind, with their JSON types, as (required, optional);
+# it refuses the rest.
 _KIND_FIELDS = {
-    "binary": ((), ()),
-    "bipolar": ((), ()),
-    "discrete": (("levels",), ()),
-    "continuous": (("low", "high", "precision"), ("encoding", "base", "bound")),
+    "binary": ({}, {}),
+    "bipolar": ({}, {}),
+    "discrete": ({"levels": "array"}, {}),
+    "continuous": (
+        {"low": "number", "high": "number", "precision": "number"},
+        {"encoding": "string", "base": "integer", "bound": "number or null"},
+    ),
+}
+_VARIABLE_FIELDS = {"name": "string", "kind": "string"} | {
+    key: json_type for fields in _KIND_FIELDS.values() for group in fields for key, json_type in group.items()
 }
 _OBJECTIVE_FIELDS = {"expression": "string", "direction": "string", "weight": "number"}
-_CONSTRAINT_FIELDS = {
-    "comparison": "string",
-    "boolean": "object",
-    "hardness": "string",
-    "slack_precision": "number or null",
+# The keys each constraint kind takes besides hardness, its own key first, with their JSON types.
+_CONSTRAINT_KIND_FIELDS = {
+    "comparison": {"comparison": "string", "slack_precision": "number or null"},
+    "boolean": {"boolean": "object"},
 }
-# The keys each constraint kind (the one of "comparison" and "boolean" it holds) takes besides its own.
-_CONSTRAINT_KIND_FIELDS = {"comparison": ("hardness", "slack_precision"), "boolean": ("hardness",)}
+_CONSTRAINT_FIELDS = {"hardness": "string"} | {
+    key: json_type for fields in _CONSTRAINT_KIND_FIELDS.values() for key, json_type in fields.items()
+}
 _BOOLEAN_FIELDS = {"kind": "string", "output": "string", "inputs": "array"}
 _EMPTY_SECTIONS = {"variables": [], "objectives": [], "constraints": [], "solver": {}}
 
@@ -528,7 +524,7 @@ def _check_problem_file(data: Any) -> dict[str, Any]:
         if ("comparison" in entry) == ("boolean" in entry):
             raise ProblemFileError(path, "needs exactly one of 'comparison' or 'boolean'")
         kind = "comparison" if "comparison" in entry else "boolean"
-        _refuse_other_keys(entry, path, (kind, *_CONSTRAINT_KIND_FIELDS[kind]), f"{kind} constraint")
+        _refuse_other_keys(entry, path, ("hardness", *_CONSTRAINT_KIND_FIELDS[kind]), f"{kind} constraint")
         if kind == "boolean":
             _check_fields(entry["boolean"], f"{path}.boolean", _BOOLEAN_FIELDS, tuple(_BOOLEAN_FIELDS))
             for position, name in enumerate(entry["boolean"]["inputs"]):

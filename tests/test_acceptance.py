@@ -256,7 +256,7 @@ def test_criterion_10_lambda_update_loop():
 def test_criterion_11_linear_regression():
     with criterion(11, "iris subset: 6 binaries; exhaustive optimum equals the 64-point grid least squares, < 5 s"):
         started = time.monotonic()
-        dataset, problem = build_regression(bundled_data("iris30.csv"), 2, -0.25, 0.25, 0.25)
+        dataset, problem = build_regression(bundled_data("iris30.csv"), -0.25, 0.25, 0.25)
         assert dataset.x.shape == (30, 3)
         assert (dataset.x[:, -1] == 1.0).all()  # the ones column, last
         model = compile_problem(problem)

@@ -267,7 +267,7 @@ class TestValidRate:
         problem = {
             "readme": lambda: request.getfixturevalue("mixed_problem"),
             "f3": lambda: load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1],
-            "iris": lambda: build_regression(bundled_data("iris30.csv"), 2, -0.25, 0.25, 0.25)[1],
+            "iris": lambda: build_regression(bundled_data("iris30.csv"), -0.25, 0.25, 0.25)[1],
             "wall-and-one-hot": wall_and_one_hot_problem,
         }[name]()
         model = compile_problem(problem)

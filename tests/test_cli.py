@@ -90,6 +90,36 @@ class TestLoadKnapsack:
             load_knapsack(path)
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("0 5\n", "line 1: N_obj must be at least 1, got 0"),
+            ("\n-1 5\n", "line 2: N_obj must be at least 1, got -1"),
+            ("2 4\n3 2 7\n1 1\n", "line 2: an item line must be 'p_i w_i', got '3 2 7'"),
+            ("2 4\n3 2\n\n1\n", "line 4: an item line must be 'p_i w_i', got '1'"),
+        ],
+    )
+    def test_a_bad_count_or_item_line_is_refused_with_its_line(self, tmp_path, capfd, content, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(content)
+        assert run_cli("knapsack", path, "-o", tmp_path / "bad.problem.json") == 1
+        captured = capfd.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == "" and not (tmp_path / "bad.problem.json").exists()
+
+    def test_the_loader_keeps_the_instance_numbers(self, tmp_path):
+        """The objective and the capacity constraint carry the same floats; only the problem file's text
+        rounds them to 12 significant digits."""
+        path = tmp_path / "fine.txt"
+        path.write_text("1 1\n0.1234567890123 0.1234567890123\n")
+        _, problem = load_knapsack(path)
+        (objective,), (constraint,) = problem.objectives, problem.constraints
+        assert objective.expr.terms == constraint.comparison.lhs.terms == {("obj_0",): 0.1234567890123}
+        assert run_cli("knapsack", path, "-o", tmp_path / "fine.problem.json") == 0
+        data = json.loads((tmp_path / "fine.problem.json").read_text())
+        assert data["objectives"][0]["expression"] == "0.123456789012*obj_0"
+        assert data["constraints"][0]["comparison"] == "0.123456789012*obj_0 <= 1"
+
+    @pytest.mark.parametrize(
         "content, line", [("2 1e400\n5 2\n10 3\n", 1), ("2 4\n\n5 inf\n10 3\n", 3), ("2 4\n5 2\nnan 3\n", 3)]
     )
     def test_a_non_finite_number_is_refused_with_its_line(self, tmp_path, capfd, content, line):
@@ -106,7 +136,7 @@ class TestBuildRegression:
     def test_perfect_fit_on_grid(self, tmp_path):
         path = tmp_path / "line.csv"
         path.write_text("x,y\n0,0\n1,1\n2,2\n")
-        _, problem = build_regression(path, 1, -1.0, 1.0, 0.5)
+        _, problem = build_regression(path, -1.0, 1.0, 0.5)
         model = compile_problem(problem)
         solution = solve_exhaustive(model)
         assert solution.best_energy == pytest.approx(0.0, abs=1e-9)
@@ -116,28 +146,28 @@ class TestBuildRegression:
         path = tmp_path / "short.csv"
         path.write_text("1.0,2.0,3.0\n")
         with pytest.raises(ValueError, match="at least"):
-            build_regression(path, 2, -1, 1, 0.5)
+            build_regression(path, -1, 1, 0.5)
 
     def test_rank_deficiency_warns(self, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("x,y\n1,1\n1,1\n1,1\n")
         with pytest.warns(UserWarning, match="rank-deficient"):
-            build_regression(path, 1, -1, 1, 0.5)
+            build_regression(path, -1, 1, 0.5)
 
     @pytest.mark.parametrize(
-        "content, features, message",
+        "content, message",
         [
-            ("x,y\n0,0\na,b\n", None, "non-numeric row"),
-            ("x,y\n", None, "no data rows"),
-            ("0,0\n1,1,1\n", None, "ragged rows"),
-            ("0,0\n1,1\n", 2, "expected 2 feature columns plus one label column, found 2 columns"),
+            ("x,y\n0,0\na,b\n", "non-numeric row"),
+            ("x,y\n", "no data rows"),
+            ("0,0\n1,1,1\n", "ragged rows"),
+            ("y\n0\n1\n", "needs at least one feature column and a label column, found one column"),
         ],
     )
-    def test_malformed_csv(self, tmp_path, content, features, message):
+    def test_malformed_csv(self, tmp_path, content, message):
         path = tmp_path / "bad.csv"
         path.write_text(content)
         with pytest.raises(ValueError, match=message):
-            load_regression_csv(path, features)
+            load_regression_csv(path)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
     def test_a_non_finite_cell_is_refused_before_any_fit(self, tmp_path, capfd, cell):
@@ -147,6 +177,14 @@ class TestBuildRegression:
         assert run_cli("regression", path, "--min", -1, "--max", 1, "--precision", 0.5, "-o", tmp_path / "r.json") == 1
         captured = capfd.readouterr()
         assert captured.err == f"error: {path}: line 3: every number must be finite, got ['1', '{cell}']\n"
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+    def test_a_non_numeric_row_is_refused_with_its_line(self, tmp_path, capfd):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n0,0\n\na,b\n")
+        assert run_cli("regression", path, "--min", -1, "--max", 1, "--precision", 0.5, "-o", tmp_path / "r.json") == 1
+        captured = capfd.readouterr()
+        assert captured.err == f"error: {path}: line 4: non-numeric row ['a', 'b']\n"
         assert captured.out == "" and not (tmp_path / "r.json").exists()
 
     def test_header_optional(self, tmp_path):
@@ -191,6 +229,13 @@ class TestSolveCommand:
         argv = ["--solver", "sa", "--sweeps", 1, "--runs", 1, "--seed", 0, "--lambda-method", "manual", "--lambda-value", 0.01]
         assert run_cli("solve", path, *argv, "--out-dir", tmp_path / "o") == 2
         assert "feasible:      no" in capsys.readouterr().out
+
+    def test_the_oracle_writes_every_assignment_of_f3(self, f3_problem_file, tmp_path):
+        out = tmp_path / "oracle"
+        assert run_cli("solve", f3_problem_file, "--solver", "exhaustive", "--out-dir", out) == 0
+        samples = json.loads((out / "f3.problem.solution.json").read_text())["solution"]["samples"]
+        assert len(samples) == 2**9  # 4 items and 5 slack binaries, all within the default k_best
+        assert (out / "f3.problem.exhaustive.cdf.csv").read_text().splitlines()[-1].endswith(",1")
 
     def test_knapsack_sa_report_best(self, f3_problem_file, tmp_path):
         out = tmp_path / "out"
@@ -545,12 +590,13 @@ class TestSolveCommand:
         _, _, meta = load_report(tmp_path / "f3.problem.solution.json")
         assert meta["solver"] == "qaoa"
 
-    def test_env_var_overrides_out_dir(self, mixed_problem_file, tmp_path, monkeypatch):
+    def test_out_dir_alone_sets_the_output_directory(self, mixed_problem_file, tmp_path, monkeypatch):
+        """An environment variable once overrode --out-dir; nothing reads it now."""
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv("QUBO_FORGE_OUT", str(env_dir))
         code = run_cli("solve", mixed_problem_file, "--solver", "exhaustive", "--out-dir", tmp_path / "flag_out")
         assert code == 0
-        assert env_dir.exists() and not (tmp_path / "flag_out").exists()
+        assert (tmp_path / "flag_out" / "mixed.problem.solution.json").exists() and not env_dir.exists()
 
 
 class TestSolverSection:
@@ -745,7 +791,7 @@ class TestGenerators:
         )
         assert code == 0
         reloaded = Problem.load(target)
-        _, direct = build_regression(bundled_data("iris30.csv"), None, -0.25, 0.25, 0.25)
+        _, direct = build_regression(bundled_data("iris30.csv"), -0.25, 0.25, 0.25)
         assert reloaded.to_json_dict() == direct.to_json_dict()
 
     def test_a_path_after_a_double_dash_is_positional_even_when_it_reads_as_a_number(self, tmp_path, monkeypatch):

@@ -551,7 +551,7 @@ def _fuzz_bases() -> dict[str, dict]:
     readme.add_constraint("b + c >= 2")
     f3 = load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1].to_json_dict()
     f3["solver"] = {"solver": "exhaustive", "runs": 3, "time": True}
-    iris = build_regression(bundled_data("iris30.csv"), 2, -0.25, 0.25, 0.25)[1]
+    iris = build_regression(bundled_data("iris30.csv"), -0.25, 0.25, 0.25)[1]
     return {
         "readme": readme.to_json_dict(),
         "f3": f3,

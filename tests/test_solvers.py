@@ -97,7 +97,7 @@ def qaoa_cell_problem(name: str, request) -> Problem:
         return request.getfixturevalue("mixed_problem")
     if name == "f3":
         return load_knapsack(bundled_data("f3_l-d_kp_4_20.txt"))[1]
-    return build_regression(bundled_data("iris30.csv"), None, -0.25, 0.25, 0.25)[1]
+    return build_regression(bundled_data("iris30.csv"), -0.25, 0.25, 0.25)[1]
 
 
 def sample_indices(model: QuboModel, solution) -> list[int]:
